@@ -1,7 +1,7 @@
 """Command-line front end: generation, computation, verification, rendering.
 
 Exit codes: 0 all assertions passed, 1 assertion failure (first witness
-printed), 2 usage error.
+printed), 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -20,6 +20,11 @@ from .suites import SUITE_NAMES, SuiteConfig, run_suite
 from .svg import poly_path_points, render_svg
 
 
+class UsageError(Exception):
+    """Missing or unreadable input, or an unwritable output path: reported
+    with exit code 2."""
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--complex", dest="complex_path", help="complex file to load")
     p.add_argument("--from", dest="src", type=int, help="source vertex")
@@ -27,7 +32,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--svg", dest="svg_path", help="write an SVG rendering here")
     p.add_argument("--C", dest="C", type=int, default=C_DEFAULT)
-    p.add_argument("--cap", type=int, default=10000)
     p.add_argument("--json", action="store_true", help="structured output")
 
 
@@ -71,28 +75,39 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--radius", type=int, default=2)
     p.add_argument("--D", dest="D", type=int, default=None)
+    p.add_argument("--cap", type=int, default=10000)
     return parser
 
 
 def _load(args) -> "FlagComplex":
     if not args.complex_path:
-        raise SystemExit("--complex is required for this command")
-    return load_complex(args.complex_path)
+        raise UsageError("--complex is required for this command")
+    try:
+        return load_complex(args.complex_path)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot load {args.complex_path}: {exc}") from exc
 
 
 def _need_endpoints(args) -> tuple[int, int]:
     if args.src is None or args.dst is None:
-        raise SystemExit("--from and --to are required for this command")
+        raise UsageError("--from and --to are required for this command")
     return args.src, args.dst
+
+
+def _write(path, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _emit_svg(args, X, paths=()) -> None:
     if not args.svg_path:
         return
     if X.coords is None:
-        raise SystemExit("complex has no lattice coordinates; cannot render")
-    with open(args.svg_path, "w", encoding="utf-8") as fh:
-        fh.write(render_svg(X.coords, X.edges(), X.triangles(), paths))
+        raise UsageError("complex has no lattice coordinates; cannot render")
+    _write(args.svg_path, render_svg(X.coords, X.edges(), X.triangles(), paths))
     print(f"svg written to {args.svg_path}")
 
 
@@ -103,8 +118,7 @@ def cmd_gen(args) -> int:
         X = flat_rectangle(args.height, args.width)
     else:
         X = gen_disc_with_degrees(args.seed, rings=args.rings)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(dumps_complex(X))
+    _write(args.out, dumps_complex(X))
     print(f"seed={args.seed} kind={args.kind} vertices={len(X)} "
           f"edges={X.edge_count()} -> {args.out}")
     _emit_svg(args, X)
@@ -164,10 +178,10 @@ def cmd_egeo(args) -> int:
         if eg.intervals:
             data = eg.intervals[0]
             disc_complex = data.disc.complex
-            with open(args.svg_path, "w", encoding="utf-8") as fh:
-                fh.write(render_svg(disc_complex.coords, disc_complex.edges(),
-                                    disc_complex.triangles(),
-                                    [poly_path_points(data.diagonal)]))
+            _write(args.svg_path,
+                   render_svg(disc_complex.coords, disc_complex.edges(),
+                              disc_complex.triangles(),
+                              [poly_path_points(data.diagonal)]))
             print(f"svg written to {args.svg_path}")
         else:
             _emit_svg(args, X)
@@ -189,7 +203,7 @@ def cmd_good(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = SuiteConfig(seed=args.seed, count=args.count, C=args.C, cap=args.cap)
+    config = SuiteConfig(seed=args.seed, count=args.count, C=args.C)
     report = run_suite(args.suite, config)
     if args.json:
         print(json.dumps({"suite": report.name, "seed": report.seed,
@@ -203,7 +217,7 @@ def cmd_verify(args) -> int:
 def cmd_atlas(args) -> int:
     X = _load(args)
     if args.src is None:
-        raise SystemExit("--from (basepoint) is required for atlas")
+        raise UsageError("--from (basepoint) is required for atlas")
     kwargs = {"C": args.C, "cap": args.cap}
     if args.D is not None:
         kwargs["D"] = args.D
@@ -228,6 +242,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, AssertionError) as exc:
         print(f"FAIL {exc}", file=sys.stderr)
         return 1

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .complex import CYCLE_CAP, FlagComplex, Simplex, find_induced_cycle
-from .metric import dist, dist_map
+from .metric import dist, dist_map, max_dist
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,8 @@ def layers(X: FlagComplex, V: Iterable[int], W: Iterable[int]) -> LayerDecomposi
             raise AssertionError(f"layer {i} differs from its sphere form")
         out.append(ball_cap)
     for i in range(n):
-        dl = dist_map(X, out[i])
-        if any(dl.get(x) != 1 for x in out[i + 1]):
+        # outside L_i, d(x, L_i) = 1 iff x has a neighbour in L_i
+        if any(x in out[i] or X.adjacency[x].isdisjoint(out[i]) for x in out[i + 1]):
             raise AssertionError(f"layer {i + 1} not inside S_1(layer {i})")
     return LayerDecomposition(vset, wset, n, tuple(out))
 
@@ -100,7 +100,7 @@ def thickness_profile(X: FlagComplex, sigma_seq, tau_seq,
         for a, b in ((sigma_seq[k], sigma_seq[k + 1]), (tau_seq[k], tau_seq[k + 1])):
             if not X.is_simplex(sorted(set(a) | set(b))):
                 raise ValueError(f"members at layers {k},{k + 1} do not span a simplex")
-    thickness = [max(dist(X, (s,), (t,)) for s in sigma_seq[k] for t in tau_seq[k])
+    thickness = [max(max_dist(X, s, tau_seq[k]) for s in sigma_seq[k])
                  for k in range(n + 1)]
     return ThicknessProfile(sigma_seq, tau_seq, thickness)
 

@@ -61,6 +61,47 @@ def dist(X: FlagComplex, A: Iterable[int] | int, B: Iterable[int] | int) -> int:
     return best
 
 
+def max_dist(X: FlagComplex, s: int, targets: Iterable[int]) -> int:
+    """Largest distance from vertex s to a vertex of the nonempty set targets.
+
+    Reads the cached BFS row of s when there is one.  Otherwise it runs a BFS
+    from s that stops at the level where the last target is reached, and
+    leaves the cache untouched: such rows are rarely read again.
+    """
+    remaining = set(targets)
+    if not remaining:
+        raise ValueError("empty target set")
+    cache = X._dist_cache
+    key = frozenset((s,))
+    row = cache.get(key)
+    if row is not None:
+        cache.move_to_end(key)
+        if not remaining.issubset(row):
+            raise ValueError("vertex sets lie in different components")
+        return max(row[t] for t in remaining)
+    remaining.discard(s)
+    if not remaining:
+        return 0
+    adjacency = X.adjacency
+    seen = {s}
+    frontier = [s]
+    d = 0
+    while frontier:
+        d += 1
+        level = []
+        for v in frontier:
+            for w in adjacency[v]:
+                if w not in seen:
+                    seen.add(w)
+                    level.append(w)
+                    if w in remaining:
+                        remaining.remove(w)
+                        if not remaining:
+                            return d
+        frontier = level
+    raise ValueError("vertex sets lie in different components")
+
+
 def ball(X: FlagComplex, Y: Iterable[int], n: int) -> frozenset[int]:
     """Vertex set of the combinatorial ball B_n(Y)."""
     if n < 0:
@@ -111,6 +152,27 @@ def residue(X: FlagComplex, sigma: Iterable[int]) -> list[Simplex]:
     return sorted(out, key=lambda s: (len(s), s))
 
 
+def _project(X: FlagComplex, sigma: Simplex, dm: dict[int, int], m: int) -> Simplex:
+    """Projection of sigma onto the ball B_m(Y), where dm is Y's distance map.
+
+    d(v, B_m(Y)) = max(0, d(v, Y) - m) in any graph, so the ball and its
+    first sphere are read off dm: sigma must lie where dm == m + 1, and the
+    projection is the set of common neighbours of sigma with dm <= m,
+    validated to be a nonempty simplex.
+    """
+    if any(dm.get(v) != m + 1 for v in sigma):
+        raise ValueError(f"{sigma} is not contained in S_1(Y)")
+    common = X.adjacency[sigma[0]]
+    for v in sigma[1:]:
+        common = common & X.adjacency[v]
+    pi = tuple(sorted(u for u in common if dm.get(u, m + 1) <= m))
+    if not pi:
+        raise ProjectionError(f"projection of {sigma} is empty")
+    if not X.is_simplex(pi):
+        raise ProjectionError(f"projection of {sigma} is not a simplex: {pi}")
+    return pi
+
+
 def projection(X: FlagComplex, sigma: Iterable[int], Y: Iterable[int]) -> Simplex:
     """Projection of simplex sigma onto the (convex) subcomplex Y.
 
@@ -119,21 +181,9 @@ def projection(X: FlagComplex, sigma: Iterable[int], Y: Iterable[int]) -> Simple
     (or non-convex) input.
     """
     sigma = tuple(sorted(sigma))
-    yset = frozenset(Y)
     if not X.is_simplex(sigma):
         raise ValueError(f"{sigma} is not a simplex")
-    dm = dist_map(X, yset)
-    if any(dm.get(v) != 1 for v in sigma):
-        raise ValueError(f"{sigma} is not contained in S_1(Y)")
-    common = X.adjacency[sigma[0]]
-    for v in sigma[1:]:
-        common = common & X.adjacency[v]
-    pi = tuple(sorted(common & yset))
-    if not pi:
-        raise ProjectionError(f"projection of {sigma} is empty")
-    if not X.is_simplex(pi):
-        raise ProjectionError(f"projection of {sigma} is not a simplex: {pi}")
-    return pi
+    return _project(X, sigma, dist_map(X, Y), 0)
 
 
 def directed_geodesic(X: FlagComplex, sigma: Iterable[int], W: Iterable[int]) -> list[Simplex]:
@@ -142,6 +192,7 @@ def directed_geodesic(X: FlagComplex, sigma: Iterable[int], W: Iterable[int]) ->
 
     Requires sigma inside a single sphere S_n(W), or meeting S_n(W) and
     S_{n-1}(W) (then the sequence starts with the inner intersection).
+    Every ball B_m(W) is read off the one distance map of W.
     """
     sigma = tuple(sorted(sigma))
     wset = frozenset(W)
@@ -159,9 +210,8 @@ def directed_geodesic(X: FlagComplex, sigma: Iterable[int], W: Iterable[int]) ->
         sigma = tuple(v for v in sigma if dm[v] == n - 1)
         n -= 1
         seq.append(sigma)
-    for i in range(1, n + 1):
-        target = frozenset(v for v, d in dm.items() if d <= n - i)
-        sigma = projection(X, sigma, target)
+    for m in range(n - 1, -1, -1):
+        sigma = _project(X, sigma, dm, m)
         seq.append(sigma)
     return seq
 

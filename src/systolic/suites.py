@@ -31,7 +31,6 @@ class SuiteConfig:
     count: int = 20
     C: int = C_DEFAULT
     D: int | None = None
-    cap: int = 10000
 
     def __post_init__(self):
         if self.D is None:

@@ -137,3 +137,69 @@ def test_more_suites_deterministic(capsys):
         _, out2 = run(capsys, "verify", "--suite", suite, "--seed", "9",
                       "--count", "3")
         assert out1 == out2, suite
+
+
+def run_err(capsys, *argv):
+    code = main(list(argv))
+    return code, capsys.readouterr().err
+
+
+def test_missing_complex_exits_2(capsys):
+    for command in ("check", "dist", "dgeo", "egeo", "good", "atlas"):
+        code, err = run_err(capsys, command, "--from", "0", "--to", "1")
+        assert code == 2, command
+        assert "--complex is required" in err
+
+
+def test_missing_endpoints_exit_2(flat_file, capsys):
+    path, c0, c1 = flat_file
+    for command in ("dist", "dgeo", "egeo", "good"):
+        code, err = run_err(capsys, command, "--complex", path, "--to", str(c1))
+        assert code == 2 and "--from and --to are required" in err, command
+        code, err = run_err(capsys, command, "--complex", path, "--from", str(c0))
+        assert code == 2 and "--from and --to are required" in err, command
+
+
+def test_atlas_missing_basepoint_exits_2(flat_file, capsys):
+    path, _, _ = flat_file
+    code, err = run_err(capsys, "atlas", "--complex", path, "--radius", "2")
+    assert code == 2 and "basepoint" in err
+
+
+def test_unreadable_complex_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.cx"
+    code, err = run_err(capsys, "check", "--complex", str(missing))
+    assert code == 2 and "cannot load" in err and str(missing) in err
+    garbled = tmp_path / "garbled.cx"
+    garbled.write_text("e 0 1\nnot a line\n")
+    code, err = run_err(capsys, "dist", "--complex", str(garbled),
+                        "--from", "0", "--to", "1")
+    assert code == 2 and "line 2" in err
+
+
+def test_unwritable_output_exits_2(flat_file, tmp_path, capsys):
+    path, c0, c1 = flat_file
+    nowhere = tmp_path / "missing-dir" / "out"
+    code, err = run_err(capsys, "gen", "--kind", "rectangle", "--out", str(nowhere))
+    assert code == 2 and "cannot write" in err
+    code, err = run_err(capsys, "egeo", "--complex", path, "--from", str(c0),
+                        "--to", str(c1), "--svg", str(nowhere))
+    assert code == 2 and "cannot write" in err
+
+
+def test_svg_without_coordinates_exits_2(tmp_path, capsys):
+    path = tmp_path / "tri.cx"
+    path.write_text("e 0 1\ne 1 2\ne 0 2\n")
+    code, err = run_err(capsys, "egeo", "--complex", str(path), "--from", "0",
+                        "--to", "1", "--svg", str(tmp_path / "out.svg"))
+    assert code == 2 and "no lattice coordinates" in err
+
+
+def test_cap_only_on_atlas(flat_file, capsys):
+    path, c0, _ = flat_file
+    code, out = run(capsys, "atlas", "--complex", path, "--from", str(c0),
+                    "--radius", "2", "--cap", "3")
+    assert code == 0 and "classes=" in out
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "gauss-bonnet", "--cap", "5"])
+    assert exc.value.code == 2

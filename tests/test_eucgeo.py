@@ -150,6 +150,25 @@ def test_euclidean_geodesic_tracks_straight_segment():
             assert abs(X.coords[v][1] - crossing) <= HALF
 
 
+def test_thin_euclidean_geodesic_runs_two_bfs():
+    """Without a thick interval the only BFS rows are those of sigma and tau:
+    directed geodesics read their balls off those rows, and thickness runs
+    early-exit searches that leave the cache alone."""
+    X = gen_disc_with_degrees(1, rings=4)
+    dm = dist_map(X, (0,))
+    checked = 0
+    for v in X.vertices:
+        if dm[v] < 3:
+            continue
+        fresh = FlagComplex(X.adjacency)
+        eg = euclidean_geodesic(fresh, (0,), (v,))
+        if eg.intervals:
+            continue
+        assert set(fresh._dist_cache) == {frozenset((0,)), frozenset((v,))}
+        checked += 1
+    assert checked >= 20
+
+
 def test_euclidean_geodesic_precondition():
     X = flat_parallelogram(4, 2)
     c0, c1 = corner_pair(X)

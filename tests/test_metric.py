@@ -6,11 +6,12 @@ from fractions import Fraction
 import pytest
 
 from systolic.complex import FlagComplex
-from systolic.generators import flat_parallelogram, flat_rectangle, gen_flat_region
+from systolic.generators import (flat_parallelogram, flat_rectangle,
+                                 gen_disc_with_degrees, gen_flat_region)
 from systolic.lattice import HALF, lattice_adjacent, lattice_dist
 from systolic.metric import (ProjectionError, all_geodesics, ball, dist,
                              directed_geodesic, is_convex, is_geodesic_path,
-                             projection, residue, sphere)
+                             max_dist, projection, residue, sphere)
 
 
 def hexagon_wheel():
@@ -225,6 +226,115 @@ def test_directed_geodesic_length_and_spanning():
         assert len(seq) - 1 == dist(X, (u,), (v,))
         for a, b in zip(seq, seq[1:]):
             assert X.is_simplex(sorted(set(a) | set(b)))
+
+
+def ball_projection_oracle(X, sigma, W):
+    """Directed geodesic by iterated projection onto explicitly built balls,
+    each projection running its own BFS from the ball."""
+    sigma = tuple(sorted(sigma))
+    W = frozenset(W)
+    if not X.is_simplex(sigma):
+        raise ValueError(f"{sigma} is not a simplex")
+    dists = {dist(X, (v,), W) for v in sigma}
+    n = max(dists)
+    if not (dists == {n} or (n > 0 and dists == {n, n - 1})):
+        raise ValueError(f"sigma spreads over spheres {sorted(dists)} around W")
+    seq = [sigma]
+    if len(dists) == 2:
+        n -= 1
+        sigma = tuple(v for v in sigma if dist(X, (v,), W) == n)
+        seq.append(sigma)
+    for m in range(n - 1, -1, -1):
+        sigma = projection(X, sigma, ball(X, W, m))
+        seq.append(sigma)
+    return seq
+
+
+def raised(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:  # the type is what the caller compares
+        return type(exc)
+    return None
+
+
+def stacked_tetrahedra(seed, count):
+    """A 3-dimensional tree of tetrahedra: each new vertex cones off a random
+    triangle.  Chordal, hence systolic, and its spheres contain triangles."""
+    rng = random.Random(seed)
+    edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    triangles = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    for v in range(4, 4 + count):
+        a, b, c = rng.choice(triangles)
+        edges += [(a, v), (b, v), (c, v)]
+        triangles += [(a, b, v), (a, c, v), (b, c, v)]
+    return FlagComplex.from_edges(edges)
+
+
+TWO_DIM_KINDS = {(1, 1), (2, 1), (2, 2), (3, 2)}
+
+
+@pytest.mark.parametrize("X, kinds", [
+    *((gen_disc_with_degrees(seed, rings=rings), TWO_DIM_KINDS)
+      for seed in range(1, 7) for rings in (3, 4)),
+    (flat_rectangle(6, 5), TWO_DIM_KINDS),
+    (flat_parallelogram(5, 4), TWO_DIM_KINDS),
+    (stacked_tetrahedra(1, 40), TWO_DIM_KINDS | {(3, 1)}),
+], ids=[*(f"disc{seed}r{rings}" for seed in range(1, 7) for rings in (3, 4)),
+        "rect6x5", "par5x4", "tetra40"])
+def test_directed_geodesic_matches_ball_projection_oracle(X, kinds):
+    """sigma runs over vertices, edges and triangles, inside one sphere
+    around W or across two; (|sigma|, spheres met) records what was seen."""
+    rng = random.Random(len(X))
+    simplices = [(v,) for v in X.vertices] + X.edges() + X.triangles()
+    seen = set()
+    for W in rng.sample(simplices, 4):
+        dm = {v: dist(X, (v,), W) for v in X.vertices}
+        for sigma in rng.sample(simplices, 60):
+            spheres = {dm[v] for v in sigma}
+            if max(spheres) == 0 or max(spheres) - min(spheres) > 1:
+                continue
+            seq = directed_geodesic(X, sigma, frozenset(W))
+            assert seq == ball_projection_oracle(X, sigma, W)
+            seen.add((len(sigma), len(spheres)))
+    assert kinds <= seen
+
+
+def test_directed_geodesic_oracle_agrees_on_failures():
+    c5 = FlagComplex.from_edges([(i, (i + 1) % 5) for i in range(5)])
+    octahedron = FlagComplex.from_edges(
+        [(0, v) for v in range(2, 6)] + [(1, v) for v in range(2, 6)]
+        + [(2, 3), (3, 4), (4, 5), (5, 2)])
+    for X, sigma, W in ((c5, (2, 3), {0}), (octahedron, (1,), {0})):
+        expected = raised(ball_projection_oracle, X, sigma, W)
+        assert expected is not None
+        assert raised(directed_geodesic, X, sigma, frozenset(W)) is expected
+    assert raised(directed_geodesic, c5, (2, 3), frozenset({0})) is ProjectionError
+
+
+def test_max_dist_matches_dist():
+    X = gen_disc_with_degrees(2, rings=3)
+    rng = random.Random(7)
+    for _ in range(60):
+        s = rng.choice(X.vertices)
+        targets = rng.sample(X.vertices, rng.randint(1, 4))
+        expected = max(dist(X, (s,), (t,)) for t in targets)
+        cold = FlagComplex(X.adjacency)
+        assert max_dist(cold, s, targets) == expected
+        assert not cold._dist_cache  # the early-exit BFS leaves no row behind
+        assert max_dist(X, s, targets) == expected  # reads the cached row of s
+
+
+def test_max_dist_disconnected_errors():
+    X = FlagComplex.from_edges([(0, 1), (1, 2), (3, 4)])
+    with pytest.raises(ValueError, match="different components"):
+        max_dist(X, 0, (2, 4))
+    dist(X, (0,), (1,))  # caches the row of 0
+    with pytest.raises(ValueError, match="different components"):
+        max_dist(X, 0, (2, 4))
+    assert max_dist(X, 0, (0,)) == 0
+    with pytest.raises(ValueError):
+        max_dist(X, 0, ())
 
 
 def test_all_geodesics_counts():
