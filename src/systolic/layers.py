@@ -35,8 +35,9 @@ def layers(X: FlagComplex, V: Iterable[int], W: Iterable[int]) -> LayerDecomposi
             raise AssertionError(f"layer {i} differs from its sphere form")
         out.append(ball_cap)
     for i in range(n):
-        # outside L_i, d(x, L_i) = 1 iff x has a neighbour in L_i
-        if any(x in out[i] or X.adjacency[x].isdisjoint(out[i]) for x in out[i + 1]):
+        # the sphere form puts x outside L_i, so d(x, L_i) = 1 iff x has a
+        # neighbour in L_i
+        if any(X.adjacency[x].isdisjoint(out[i]) for x in out[i + 1]):
             raise AssertionError(f"layer {i + 1} not inside S_1(layer {i})")
     return LayerDecomposition(vset, wset, n, tuple(out))
 

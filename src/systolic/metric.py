@@ -64,21 +64,14 @@ def dist(X: FlagComplex, A: Iterable[int] | int, B: Iterable[int] | int) -> int:
 def max_dist(X: FlagComplex, s: int, targets: Iterable[int]) -> int:
     """Largest distance from vertex s to a vertex of the nonempty set targets.
 
-    Reads the cached BFS row of s when there is one.  Otherwise it runs a BFS
-    from s that stops at the level where the last target is reached, and
-    leaves the cache untouched: such rows are rarely read again.
+    A BFS from s that stops at the level where the last target is reached.
+    It neither reads nor fills the BFS cache.  On the benchmark's workloads
+    it measured no slower than reading a cached row of s, and it leaves a
+    thin Euclidean geodesic with only the BFS rows of its two ends.
     """
     remaining = set(targets)
     if not remaining:
         raise ValueError("empty target set")
-    cache = X._dist_cache
-    key = frozenset((s,))
-    row = cache.get(key)
-    if row is not None:
-        cache.move_to_end(key)
-        if not remaining.issubset(row):
-            raise ValueError("vertex sets lie in different components")
-        return max(row[t] for t in remaining)
     remaining.discard(s)
     if not remaining:
         return 0
