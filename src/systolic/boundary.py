@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .complex import FlagComplex
 from .eucgeo import euclidean_geodesic, thread_vertex_path
-from .metric import dist, dist_map, is_geodesic_path
+from .metric import dist, dist_map, graded_paths, is_geodesic_path
 
 C_DEFAULT = 208          # universal constant serving both verification suites
 D_DEFAULT = 3 * C_DEFAULT + 2
@@ -148,27 +148,6 @@ class BoundaryAtlas:
     capped: bool
 
 
-def _geodesic_rays(X: FlagComplex, O: int, N: int, cap: int):
-    """All 1-skeleton geodesics of length N from O, lexicographic, capped."""
-    dm = dist_map(X, (O,))
-    out: list[list[int]] = []
-    stack = [[O]]
-    capped = False
-    while stack:
-        path = stack.pop()
-        if len(path) == N + 1:
-            out.append(path)
-            if len(out) >= cap:
-                capped = bool(stack)
-                break
-            continue
-        d = len(path)
-        for w in sorted(X.adjacency[path[-1]], reverse=True):
-            if dm.get(w) == d:
-                stack.append(path + [w])
-    return out, capped
-
-
 def boundary_atlas(X: FlagComplex, O: int, N: int, D: int = D_DEFAULT,
                    C: int = C_DEFAULT, cap: int = 20000) -> BoundaryAtlas:
     """Finite-radius boundary approximation at basepoint O.
@@ -182,7 +161,7 @@ def boundary_atlas(X: FlagComplex, O: int, N: int, D: int = D_DEFAULT,
     ecc_map = dist_map(X, (O,))
     if N > max(ecc_map.values()):
         raise ValueError(f"N exceeds the eccentricity of {O}")
-    paths, capped = _geodesic_rays(X, O, N, cap)
+    paths, capped = graded_paths(X, O, ecc_map, 1, N, cap)
     rays = []
     for p in paths:
         good, _ = is_good_geodesic(X, p, C)

@@ -3,19 +3,22 @@
 A characteristic disc for a thick interval is the flat disc spanned on the
 loop through distance-maximizing representatives of the two simplex
 sequences; its shape is determined by the per-layer widths |s_k t_k| and the
-consecutive offsets read off |s_k t_{k+1}|, so it is built directly as a
-lattice row stack and then audited (wide + flat).
+consecutive offsets read off |s_k t_{k+1}|.  It is kept as that integer row
+stack, checked by one shape rule (`check_row_stack`); disc vertex ids, row
+neighbours and cross-row edges are index arithmetic on it.  The disc as a
+triangulated complex is a view built on first use, for audits and rendering.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import product
+from functools import cached_property
+from itertools import combinations, product
 
 from .complex import FlagComplex, Simplex
-from .flatgeom import TriangulatedDisc, as_disc, is_flat
+from .flatgeom import TriangulatedDisc, as_disc
 from .generators import gen_flat_region
 from .lattice import HALF
 from .metric import dist, dist_map, all_geodesics
@@ -31,11 +34,12 @@ class SurfaceError(ValueError):
 
 @dataclass
 class CharDisc:
-    """Flat disc of a thick interval with its lattice embedding.
+    """Flat disc of a thick interval as a lattice row stack.
 
     Row k (interval start i <= k <= j) spans [left_x[k-i], left_x[k-i] +
-    widths[k-i]] on lattice row k; `rows_ids` lists the disc vertex ids of
-    each row left to right; the boundary rows map to s/t under any
+    widths[k-i]] on lattice row k, and consecutive left ends differ by 1/2;
+    `rows_ids` lists the disc vertex ids of each row left to right, numbered
+    row by row from 0; the boundary rows map to s/t under any
     characteristic surface.
     """
     interval: tuple[int, int]
@@ -43,11 +47,17 @@ class CharDisc:
     t: list[int]
     widths: list[int]
     left_x: list[Fraction]
-    disc: TriangulatedDisc
     rows_ids: list[list[int]]
     sigma_seq: list[Simplex]
     tau_seq: list[Simplex]
     thin_endpoints: bool
+
+    @cached_property
+    def disc(self) -> TriangulatedDisc:
+        """The disc as a validated triangulated complex (built on first use)."""
+        return as_disc(gen_flat_region(
+            [(lx, lx + a) for lx, a in zip(self.left_x, self.widths)],
+            first_row=self.interval[0]))
 
     @property
     def complex(self) -> FlagComplex:
@@ -58,16 +68,50 @@ class CharDisc:
         offs = tuple(b - a for a, b in zip(self.left_x, self.left_x[1:]))
         return (tuple(self.widths), offs)
 
+    def place(self, vid: int) -> tuple[int, int]:
+        """(row relative to the interval start, index in the row) of vid."""
+        for k, ids in enumerate(self.rows_ids):
+            if ids[0] <= vid <= ids[-1]:
+                return k, vid - ids[0]
+        raise ValueError(f"{vid} is not a disc vertex")
+
     def row_of(self, vid: int) -> int:
-        return self.complex.coords[vid][0]
+        return self.interval[0] + self.place(vid)[0]
 
     def is_left_boundary(self, vid: int) -> bool:
-        k = self.row_of(vid) - self.interval[0]
-        return self.rows_ids[k][0] == vid
+        return self.place(vid)[1] == 0
 
     def is_right_boundary(self, vid: int) -> bool:
-        k = self.row_of(vid) - self.interval[0]
-        return self.rows_ids[k][-1] == vid
+        k, idx = self.place(vid)
+        return idx == self.widths[k]
+
+    def neighbours(self, vid: int) -> set[int]:
+        """Disc vertices adjacent to vid."""
+        k, a = self.place(vid)
+        ids = self.rows_ids
+        out = {ids[k][b] for b in (a - 1, a + 1) if 0 <= b <= self.widths[k]}
+        if k > 0:
+            out |= {ids[k - 1][p] for p, q in _cross_pairs(self, k - 1) if q == a}
+        if k + 1 < len(ids):
+            out |= {ids[k + 1][q] for p, q in _cross_pairs(self, k) if p == a}
+        return out
+
+
+def check_row_stack(widths, left_x, first_row: int) -> None:
+    """The shape rule of a characteristic disc, whose left ends step by 1/2.
+
+    The stack spans a flat disc on its defining loop (wide when its end
+    rows are thin) iff its right ends step by 1/2 too and thin end rows
+    enclose at least one row.  Raises CharDiscError naming the rows.
+    """
+    if widths[0] == widths[-1] == 1 and len(widths) < 3:
+        raise CharDiscError(f"rows {first_row}..{first_row + 1}: thin end rows "
+                            "need a row between them")
+    for k in range(len(widths) - 1):
+        step = 2 * (left_x[k + 1] + widths[k + 1] - left_x[k] - widths[k])
+        if abs(step) != 1:
+            raise CharDiscError(f"rows {first_row + k} and {first_row + k + 1}: "
+                                f"right ends step {step} half-units")
 
 
 def _maximizing_pairs(X: FlagComplex, sigma: Simplex, tau: Simplex):
@@ -112,8 +156,6 @@ def build_char_disc(X: FlagComplex, sigma_seq, tau_seq, interval,
     interior = widths[1:-1] if thin_endpoints else widths
     if any(a < 2 for a in interior):
         raise CharDiscError(f"interval {interval} has a thin interior layer")
-    if not thin_endpoints and (widths[0] < 2 or widths[-1] < 2):
-        raise CharDiscError("partial interval requires thickness >= 2 throughout")
     if thin_endpoints:
         for k in (0, len(widths) - 1):
             if set(sigma_seq[i + k]) & set(tau_seq[i + k]):
@@ -131,70 +173,43 @@ def build_char_disc(X: FlagComplex, sigma_seq, tau_seq, interval,
             raise CharDiscError(
                 f"|s_{i + k} t_{i + k + 1}| = {b} incompatible with width {widths[k + 1]}")
         left_x.append(left_x[-1] + off)
+    check_row_stack(widths, left_x, i)
 
-    region = gen_flat_region(
-        [(lx, lx + a) for lx, a in zip(left_x, widths)], first_row=i)
-    disc = as_disc(region)
-    rows_ids: list[list[int]] = [[] for _ in widths]
-    for vid in region.vertices:
-        rows_ids[region.coords[vid][0] - i].append(vid)
-    for ids in rows_ids:
-        ids.sort(key=lambda v: region.coords[v][1])
-
-    expected_boundary = set(rows_ids[0]) | set(rows_ids[-1])
-    expected_boundary |= {ids[0] for ids in rows_ids} | {ids[-1] for ids in rows_ids}
-    if frozenset(disc.boundary_cycle) != frozenset(expected_boundary):
-        raise CharDiscError("disc boundary is not the defining loop")
-    if thin_endpoints:
-        cyc = disc.boundary_cycle
-        m = len(cyc)
-        for a in range(m):
-            for b in range(a + 2, m):
-                if (a, b) != (0, m - 1) and region.is_edge(cyc[a], cyc[b]):
-                    raise CharDiscError(
-                        f"disc is not wide: boundary chord ({cyc[a]}, {cyc[b]})")
-    flat = is_flat(disc)
-    if not flat.ok:
-        raise CharDiscError(f"disc is not flat: {flat.witness}")
-
-    return CharDisc((i, j), s_rep, t_rep, widths, left_x, disc, rows_ids,
+    rows_ids, start = [], 0
+    for a in widths:
+        rows_ids.append(list(range(start, start + a + 1)))
+        start += a + 1
+    return CharDisc((i, j), s_rep, t_rep, widths, left_x, rows_ids,
                     sigma_seq[i:j + 1], tau_seq[i:j + 1], thin_endpoints)
 
 
 def _cross_pairs(cd: CharDisc, k: int) -> list[tuple[int, int]]:
-    """Disc edges between row k and row k+1 (relative indices)."""
-    out = []
-    for a_idx, a in enumerate(cd.rows_ids[k]):
-        ax = cd.left_x[k] + a_idx
-        for b_idx, b in enumerate(cd.rows_ids[k + 1]):
-            if abs(cd.left_x[k + 1] + b_idx - ax) == HALF:
-                out.append((a_idx, b_idx))
-    return out
+    """Disc edges between row k and row k+1 (relative indices): a row shifted
+    right by 1/2 meets index a at a-1 and a, one shifted left at a and a+1."""
+    lo = -1 if cd.left_x[k + 1] > cd.left_x[k] else 0
+    return [(a, b) for a in range(cd.widths[k] + 1)
+            for b in (a + lo, a + lo + 1) if 0 <= b <= cd.widths[k + 1]]
 
 
-def _surface_rows(X: FlagComplex, cd: CharDisc, cap: int = 10000):
-    """Per-row geodesic candidates (lexicographic) and cross-row edge lists."""
+def _surfaces(X: FlagComplex, cd: CharDisc, cap: int = 10000):
+    """Characteristic surfaces on the disc's boundary representatives:
+    backtracking over per-row geodesics s_k..t_k, bottom-up, lexicographic."""
     rows = []
-    for k, (s, t) in enumerate(zip(cd.s, cd.t)):
+    for s, t in zip(cd.s, cd.t):
         paths, truncated = all_geodesics(X, s, t, cap)
-        paths = [p for p in paths if len(p) == cd.widths[k] + 1]
         if truncated:
             raise SurfaceError("geodesic enumeration cap hit; raise the cap")
         rows.append(sorted(paths))
     crosses = [_cross_pairs(cd, k) for k in range(len(cd.widths) - 1)]
-    return rows, crosses
-
-
-def _row_fillings(X, cd, row_candidates, crosses):
-    """Backtracking over per-row geodesics, bottom-up, lexicographic."""
-    n_rows = len(cd.widths)
 
     def extend(chosen):
         k = len(chosen)
-        if k == n_rows:
-            yield list(chosen)
+        if k == len(rows):
+            yield {vid: chosen[r][idx]
+                   for r, ids in enumerate(cd.rows_ids)
+                   for idx, vid in enumerate(ids)}
             return
-        for path in row_candidates[k]:
+        for path in rows[k]:
             if k > 0:
                 prev = chosen[-1]
                 if any(not X.is_edge(prev[a], path[b]) for a, b in crosses[k - 1]):
@@ -210,11 +225,8 @@ def build_char_surface(X: FlagComplex, cd: CharDisc) -> dict[int, int]:
     """A characteristic surface realizing the disc: maps each disc vertex to
     a complex vertex so rows land on 1-skeleton geodesics s_k..t_k and every
     disc edge maps to an edge."""
-    rows, crosses = _surface_rows(X, cd)
-    for filling in _row_fillings(X, cd, rows, crosses):
-        return {vid: filling[k][idx]
-                for k, ids in enumerate(cd.rows_ids)
-                for idx, vid in enumerate(ids)}
+    for surface in _surfaces(X, cd):
+        return surface
     raise SurfaceError(f"no surface fills the disc for interval {cd.interval}")
 
 
@@ -232,14 +244,9 @@ def enumerate_char_surfaces(X: FlagComplex, cd: CharDisc, limit: int = 100000,
         _, pairs = _maximizing_pairs(X, sig, tau)
         choices.append(pairs if vary_boundary else [(cd.s[k], cd.t[k])])
     for combo in product(*choices):
-        alt = CharDisc(cd.interval, [c[0] for c in combo], [c[1] for c in combo],
-                       cd.widths, cd.left_x, cd.disc, cd.rows_ids,
-                       cd.sigma_seq, cd.tau_seq, cd.thin_endpoints)
-        rows, crosses = _surface_rows(X, alt)
-        for filling in _row_fillings(X, alt, rows, crosses):
-            yield {vid: filling[k][idx]
-                   for k, ids in enumerate(alt.rows_ids)
-                   for idx, vid in enumerate(ids)}
+        alt = replace(cd, s=[c[0] for c in combo], t=[c[1] for c in combo])
+        for surface in _surfaces(X, alt):
+            yield surface
             count += 1
             if count >= limit:
                 raise SurfaceError("surface enumeration limit hit")
@@ -256,7 +263,7 @@ def characteristic_image(X: FlagComplex, sigma, tau, cd: CharDisc,
     simplex.
     """
     rho = tuple(sorted(rho))
-    if not cd.complex.is_simplex(rho):
+    if not rho or any(b not in cd.neighbours(a) for a, b in combinations(rho, 2)):
         raise ValueError(f"{rho} is not a simplex of the disc")
     n = dist(X, sigma, tau)
     ds, dt = dist_map(X, sigma), dist_map(X, tau)
@@ -273,7 +280,7 @@ def characteristic_image(X: FlagComplex, sigma, tau, cd: CharDisc,
             cands = {z for z in cd.tau_seq[rel]
                      if dist(X, (s_k,), (z,)) == cd.widths[rel]}
         else:
-            nbs = [surface[w] for w in cd.complex.adjacency[u]]
+            nbs = [surface[w] for w in cd.neighbours(u)]
             common = set.intersection(*(set(X.adjacency[img]) for img in nbs))
             cands = {z for z in common if ds.get(z) == k and dt.get(z) == n - k}
         out |= cands

@@ -25,14 +25,18 @@ class UsageError(Exception):
     with exit code 2."""
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, seed: bool = False,
+                svg: bool = False, C: bool = False) -> None:
     p.add_argument("--complex", dest="complex_path", help="complex file to load")
     p.add_argument("--from", dest="src", type=int, help="source vertex")
     p.add_argument("--to", dest="dst", type=int, help="target vertex")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--svg", dest="svg_path", help="write an SVG rendering here")
-    p.add_argument("--C", dest="C", type=int, default=C_DEFAULT)
     p.add_argument("--json", action="store_true", help="structured output")
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
+    if svg:
+        p.add_argument("--svg", dest="svg_path", help="write an SVG rendering here")
+    if C:
+        p.add_argument("--C", dest="C", type=int, default=C_DEFAULT)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="emit a complex file from a generator")
-    _add_common(p)
+    _add_common(p, seed=True, svg=True)
     p.add_argument("--kind", choices=["parallelogram", "rectangle", "disc"],
                    required=True)
     p.add_argument("--height", type=int, default=8)
@@ -61,18 +65,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("egeo", help="Euclidean geodesic between two vertices")
-    _add_common(p)
+    _add_common(p, svg=True)
 
     p = sub.add_parser("good", help="make and verify a good geodesic")
-    _add_common(p)
+    _add_common(p, C=True)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    _add_common(p)
+    _add_common(p, seed=True, C=True)
     p.add_argument("--suite", choices=SUITE_NAMES, required=True)
     p.add_argument("--count", type=int, default=8)
 
     p = sub.add_parser("atlas", help="finite-radius boundary atlas at a basepoint")
-    _add_common(p)
+    _add_common(p, C=True)
     p.add_argument("--radius", type=int, default=2)
     p.add_argument("--D", dest="D", type=int, default=None)
     p.add_argument("--cap", type=int, default=10000)

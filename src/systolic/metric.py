@@ -215,6 +215,27 @@ def spans_simplex(X: FlagComplex, *simplices: Iterable[int]) -> bool:
     return X.is_simplex(vs)
 
 
+def graded_paths(X: FlagComplex, u: int, level: dict[int, int], step: int,
+                 length: int, cap: int):
+    """Every path of `length` edges from u along which the distance map
+    `level` changes by `step` (-1 or +1) at each edge: the lexicographic,
+    capped DFS of a distance-graded DAG.  Returns (paths, truncated)."""
+    paths: list[list[int]] = []
+    stack = [[u]]
+    while stack:
+        path = stack.pop()
+        if len(path) == length + 1:
+            paths.append(path)
+            if len(paths) >= cap:
+                return paths, bool(stack)
+            continue
+        want = level[path[-1]] + step
+        for w in sorted(X.adjacency[path[-1]], reverse=True):
+            if level.get(w) == want:
+                stack.append(path + [w])
+    return paths, False
+
+
 def all_geodesics(X: FlagComplex, u: int, v: int, cap: int = 10000):
     """Every 1-skeleton geodesic from u to v, truncated at `cap` paths.
 
@@ -224,23 +245,7 @@ def all_geodesics(X: FlagComplex, u: int, v: int, cap: int = 10000):
     dm = dist_map(X, (v,))
     if u not in dm:
         raise ValueError("u and v lie in different components")
-    paths: list[list[int]] = []
-    truncated = False
-    stack = [[u]]
-    while stack:
-        path = stack.pop()
-        last = path[-1]
-        if last == v:
-            paths.append(path)
-            if len(paths) >= cap:
-                truncated = bool(stack)
-                break
-            continue
-        d = dm[last]
-        for w in sorted(X.adjacency[last], reverse=True):
-            if dm.get(w) == d - 1:
-                stack.append(path + [w])
-    return paths, truncated
+    return graded_paths(X, u, dm, -1, dm[u], cap)
 
 
 def is_geodesic_path(X: FlagComplex, path: list[int]) -> bool:

@@ -6,16 +6,23 @@ from fractions import Fraction
 
 import pytest
 
-from systolic.charsurf import (CharDiscError, build_char_disc,
+from systolic import charsurf
+from systolic.charsurf import (CharDiscError, _cross_pairs, build_char_disc,
                                build_char_surface, char_image_oracle,
-                               characteristic_image, enumerate_char_surfaces,
-                               is_triangulable, minimal_surface_bruteforce)
+                               characteristic_image, check_row_stack,
+                               enumerate_char_surfaces, is_triangulable,
+                               minimal_surface_bruteforce)
 from systolic.complex import FlagComplex
-from systolic.flatgeom import gauss_bonnet_sum, is_flat
-from systolic.generators import flat_parallelogram, flat_rectangle, gen_disc_with_degrees
+from systolic.eucgeo import euclidean_geodesic
+from systolic.flatgeom import as_disc, gauss_bonnet_sum, is_flat
+from systolic.generators import (flat_parallelogram, flat_rectangle,
+                                 gen_disc_with_degrees, gen_flat_region)
 from systolic.layers import layers, thickness_profile
 from systolic.lattice import canonical_placement, lattice_dist
 from systolic.metric import dist, dist_map, directed_geodesic
+from systolic.suites import instance_suite
+
+HALF = Fraction(1, 2)
 
 
 def corner_pair(X):
@@ -281,3 +288,89 @@ def test_char_preimage_decodes_surface():
     outside = c0
     with pytest.raises(ValueError):
         char_preimage(X, (c0,), (c1,), cd, surf, outside)
+
+
+def audits_accept(widths, left, first_row):
+    """The generic audits a characteristic disc once went through: build the
+    row stack as a complex, validate it as a disc whose boundary is the
+    defining loop, wide (no boundary chord) when its end rows are thin, and
+    flat by the defect characterization."""
+    try:
+        region = gen_flat_region([(lx, lx + a) for lx, a in zip(left, widths)],
+                                 first_row=first_row)
+        disc = as_disc(region)
+    except ValueError:
+        return False
+    rows = [sorted((v for v in region.vertices if region.coords[v][0] == first_row + k),
+                   key=lambda v: region.coords[v][1]) for k in range(len(widths))]
+    loop = set(rows[0]) | set(rows[-1]) | {r[0] for r in rows} | {r[-1] for r in rows}
+    if set(disc.boundary_cycle) != loop:
+        return False
+    cyc = disc.boundary_cycle
+    m = len(cyc)
+    if widths[0] == widths[-1] == 1 and any(
+            region.is_edge(cyc[a], cyc[b])
+            for a in range(m) for b in range(a + 2, m) if (a, b) != (0, m - 1)):
+        return False
+    return is_flat(disc).ok
+
+
+def test_shape_rule_matches_generic_audits():
+    # every row stack build_char_disc can reach with up to 4 rows of width
+    # <= 4: thin end rows around thick ones, or thick rows throughout
+    verdicts = []
+    for n_rows in (2, 3, 4):
+        for widths in itertools.product(range(1, 5), repeat=n_rows):
+            thin = widths[0] == widths[-1] == 1
+            if min(widths[1:-1] if thin else widths, default=2) < 2:
+                continue
+            for steps in itertools.product((-1, 1), repeat=n_rows - 1):
+                for first_row in (0, 1):
+                    left = [Fraction(first_row % 2, 2)]
+                    for o in steps:
+                        left.append(left[-1] + o * HALF)
+                    try:
+                        check_row_stack(widths, left, first_row)
+                        ok = True
+                    except CharDiscError:
+                        ok = False
+                    assert ok == audits_accept(widths, left, first_row), \
+                        (widths, steps, first_row)
+                    verdicts.append(ok)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_euclidean_geodesic_builds_no_disc_complex(monkeypatch):
+    X = flat_parallelogram(8, 2)
+    c0, c1 = corner_pair(X)
+    expected = euclidean_geodesic(X, (c0,), (c1,)).deltas
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a disc complex was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(charsurf, "gen_flat_region", refuse)
+        patch.setattr(charsurf, "as_disc", refuse)
+        assert euclidean_geodesic(flat_parallelogram(8, 2), (c0,), (c1,)).deltas == expected
+
+    checked = 0
+    for inst in instance_suite(1, 6):
+        for data in euclidean_geodesic(inst.X, inst.sigma, inst.tau).intervals:
+            cd = data.disc
+            C = cd.complex
+            i = cd.interval[0]
+            rows = [sorted((v for v in C.vertices if C.coords[v][0] == i + k),
+                           key=lambda v: C.coords[v][1]) for k in range(len(cd.widths))]
+            assert cd.rows_ids == rows
+            for v in C.vertices:
+                assert cd.neighbours(v) == set(C.adjacency[v])
+                assert cd.row_of(v) == C.coords[v][0]
+                row = rows[C.coords[v][0] - i]
+                assert cd.is_left_boundary(v) == (v == row[0])
+                assert cd.is_right_boundary(v) == (v == row[-1])
+            for k in range(len(rows) - 1):
+                assert _cross_pairs(cd, k) == [
+                    (a, b) for a, u in enumerate(rows[k])
+                    for b, w in enumerate(rows[k + 1]) if C.is_edge(u, w)]
+            checked += 1
+    assert checked

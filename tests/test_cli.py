@@ -203,3 +203,11 @@ def test_cap_only_on_atlas(flat_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "gauss-bonnet", "--cap", "5"])
     assert exc.value.code == 2
+
+
+def test_flags_only_where_read(capsys):
+    # --svg is read by gen and egeo only, --seed by gen and verify only
+    for argv in (["check", "--svg", "x"], ["dist", "--seed", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv

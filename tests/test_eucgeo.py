@@ -12,7 +12,6 @@ from systolic.eucgeo import (cat0_closeness_check, cat0_diagonal,
                              euclidean_diagonal, euclidean_geodesic,
                              modified_disc, subsegment_check,
                              thread_vertex_path, verify_euc_properties)
-from systolic.flatgeom import as_disc
 from systolic.generators import (flat_parallelogram, flat_rectangle,
                                  gen_disc_with_degrees, gen_flat_region)
 from systolic.layers import thickness_profile
@@ -43,7 +42,6 @@ def synthetic_disc(widths, offsets, first_row=0):
         left.append(left[-1] + off)
     region = gen_flat_region([(lx, lx + a) for lx, a in zip(left, widths)],
                              first_row=first_row)
-    disc = as_disc(region)
     rows_ids = [[] for _ in widths]
     for vid in region.vertices:
         rows_ids[region.coords[vid][0] - first_row].append(vid)
@@ -52,7 +50,7 @@ def synthetic_disc(widths, offsets, first_row=0):
     n = len(widths) - 1
     return CharDisc((first_row, first_row + n),
                     [ids[0] for ids in rows_ids], [ids[-1] for ids in rows_ids],
-                    list(widths), left, disc, rows_ids,
+                    list(widths), left, rows_ids,
                     [(ids[0],) for ids in rows_ids],
                     [(ids[-1],) for ids in rows_ids],
                     widths[0] == 1 and widths[-1] == 1)
