@@ -40,15 +40,27 @@ def is_good_geodesic(X: FlagComplex, path: list[int], C: int = C_DEFAULT):
 
     Returns (GoodGeodesic, None) or (None, witness (i, j, k, distance)).
     """
+    return _certify(X, path, C, {})
+
+
+def _certify(X: FlagComplex, path: list[int], C: int,
+             memo: dict[tuple[int, int], list]):
+    """is_good_geodesic, reading the Euclidean geodesic of each endpoint pair
+    (path[i], path[j]) from `memo` (its deltas) and filling in the misses."""
     if not is_geodesic_path(X, path):
         raise ValueError("path is not a 1-skeleton geodesic")
+    rows = [dist_map(X, (v,)) for v in path]
     cert: dict[tuple[int, int, int], int] = {}
     n = len(path) - 1
     for i in range(n):
         for j in range(i + 1, n + 1):
-            eg = euclidean_geodesic(X, (path[i],), (path[j],))
+            deltas = memo.get((path[i], path[j]))
+            if deltas is None:
+                deltas = euclidean_geodesic(X, (path[i],), (path[j],)).deltas
+                memo[(path[i], path[j])] = deltas
             for k in range(i, j + 1):
-                d = dist(X, (path[k],), eg.deltas[k - i])
+                row = rows[k]
+                d = min(row[v] for v in deltas[k - i])
                 cert[(i, j, k)] = d
                 if d > C + 1:
                     return None, (i, j, k, d)
@@ -142,7 +154,7 @@ class BoundaryAtlas:
     N: int
     D: int
     rays: list[GoodGeodesic]
-    classes: list[list[int]]             # indices into rays, union-find closure
+    classes: list[list[int]]             # indices into rays, closure of the relation
     raw_violations: int                  # transitivity failures of the raw relation
     rep_distance_matrix: list[list[int]]
     capped: bool
@@ -153,56 +165,68 @@ def boundary_atlas(X: FlagComplex, O: int, N: int, D: int = D_DEFAULT,
     """Finite-radius boundary approximation at basepoint O.
 
     Enumerates good geodesics of length N from O (deterministic order,
-    capped), partitions them by union-find closure of the all-indices
-    threshold D, and reports raw-relation transitivity violations (a
-    truncation artifact: the threshold relation is only transitive in the
-    limit) plus the distance matrix of class representatives.
+    capped), partitions them by the closure of the all-indices threshold D,
+    and reports raw-relation transitivity violations (a truncation artifact:
+    the threshold relation is only transitive in the limit) plus the
+    distance matrix of class representatives.
+
+    One call builds each endpoint pair's Euclidean geodesic once for all its
+    rays, and classes them with int bitsets: the rays related to ray a are
+    the AND over i of the rays whose i-th vertex lies within D of a's.
     """
     ecc_map = dist_map(X, (O,))
     if N > max(ecc_map.values()):
         raise ValueError(f"N exceeds the eccentricity of {O}")
     paths, capped = graded_paths(X, O, ecc_map, 1, N, cap)
+    memo: dict[tuple[int, int], list] = {}
     rays = []
     for p in paths:
-        good, _ = is_good_geodesic(X, p, C)
+        good, _ = _certify(X, p, C, memo)
         if good is not None:
             rays.append(good)
 
-    parent = list(range(len(rays)))
+    full = (1 << len(rays)) - 1
+    related = [full] * len(rays)
+    for i in range(N + 1):
+        groups: dict[int, int] = {}
+        for a, ray in enumerate(rays):
+            groups[ray.path[i]] = groups.get(ray.path[i], 0) | 1 << a
+        near = {}
+        for v in groups:
+            row = dist_map(X, (v,))
+            # the groups are disjoint, so their sum is their union
+            near[v] = sum(members for w, members in groups.items() if row[w] <= D)
+        for a, ray in enumerate(rays):
+            related[a] &= near[ray.path[i]]
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    related = [[False] * len(rays) for _ in rays]
-    for a in range(len(rays)):
-        related[a][a] = True
-        for b in range(a + 1, len(rays)):
-            verdict, _ = rays_equivalent_truncated(X, rays[a], rays[b], D)
-            if verdict == "equivalent-so-far":
-                related[a][b] = related[b][a] = True
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
+    classes = []
+    unclassed = full
+    while unclassed:
+        cls = frontier = unclassed & -unclassed
+        while frontier:
+            reached = 0
+            for a in _bits(frontier):
+                reached |= related[a]
+            frontier = reached & ~cls
+            cls |= frontier
+        unclassed &= ~cls
+        classes.append(_bits(cls))
 
     violations = 0
-    for a in range(len(rays)):
-        for b in range(a + 1, len(rays)):
-            if not related[a][b]:
-                continue
-            for c in range(b + 1, len(rays)):
-                if related[b][c] and not related[a][c]:
-                    violations += 1
+    for b in range(len(rays)):
+        above = related[b] >> (b + 1) << (b + 1)
+        if above:
+            for a in _bits(related[b] & ((1 << b) - 1)):
+                violations += (above & ~related[a]).bit_count()
 
-    groups: dict[int, list[int]] = {}
-    for idx in range(len(rays)):
-        groups.setdefault(find(idx), []).append(idx)
-    classes = [sorted(g) for g in sorted(groups.values())]
-    reps = [rays[g[0]] for g in classes]
-    matrix = [[dist(X, (p.path[N],), (q.path[N],)) for q in reps] for p in reps]
+    reps = [rays[g[0]].path[N] for g in classes]
+    matrix = [[dist_map(X, (p,))[q] for q in reps] for p in reps]
     return BoundaryAtlas(O, N, D, rays, classes, violations, matrix, capped)
+
+
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of mask, ascending."""
+    return [i for i, bit in enumerate(reversed(bin(mask))) if bit == "1"]
 
 
 def atlas_report(atlas: BoundaryAtlas, as_json: bool = False) -> str:

@@ -15,7 +15,7 @@ from .complex import (dumps_complex, is_k_large, is_locally_6_large, load_comple
                       simply_connected_heuristic, INFINITY)
 from .eucgeo import euclidean_geodesic, thread_vertex_path
 from .generators import flat_parallelogram, flat_rectangle, gen_disc_with_degrees
-from .metric import dist, directed_geodesic
+from .metric import dist, dist_map, directed_geodesic
 from .suites import SUITE_NAMES, SuiteConfig, run_suite
 from .svg import poly_path_points, render_svg
 
@@ -92,10 +92,16 @@ def _load(args) -> "FlagComplex":
         raise UsageError(f"cannot load {args.complex_path}: {exc}") from exc
 
 
-def _need_endpoints(args) -> tuple[int, int]:
+def _need_vertex(X, v: int) -> int:
+    if v not in X:
+        raise UsageError(f"vertex {v} not in complex")
+    return v
+
+
+def _need_endpoints(args, X) -> tuple[int, int]:
     if args.src is None or args.dst is None:
         raise UsageError("--from and --to are required for this command")
-    return args.src, args.dst
+    return _need_vertex(X, args.src), _need_vertex(X, args.dst)
 
 
 def _write(path, text: str) -> None:
@@ -157,14 +163,14 @@ def cmd_check(args) -> int:
 
 def cmd_dist(args) -> int:
     X = _load(args)
-    u, v = _need_endpoints(args)
+    u, v = _need_endpoints(args, X)
     print(dist(X, (u,), (v,)))
     return 0
 
 
 def cmd_dgeo(args) -> int:
     X = _load(args)
-    u, v = _need_endpoints(args)
+    u, v = _need_endpoints(args, X)
     seq = directed_geodesic(X, (u,), frozenset((v,)))
     for k, simplex in enumerate(seq):
         print(f"{k}: {list(simplex)}")
@@ -173,7 +179,7 @@ def cmd_dgeo(args) -> int:
 
 def cmd_egeo(args) -> int:
     X = _load(args)
-    u, v = _need_endpoints(args)
+    u, v = _need_endpoints(args, X)
     eg = euclidean_geodesic(X, (u,), (v,))
     for k, simplex in enumerate(eg.deltas):
         tag = "thin " if eg.profile.thin[k] else "thick"
@@ -194,7 +200,7 @@ def cmd_egeo(args) -> int:
 
 def cmd_good(args) -> int:
     X = _load(args)
-    u, v = _need_endpoints(args)
+    u, v = _need_endpoints(args, X)
     good = make_good_geodesic(X, u, v, C=args.C)
     verified, witness = is_good_geodesic(X, good.path, C=args.C)
     print(f"path: {good.path}")
@@ -222,10 +228,15 @@ def cmd_atlas(args) -> int:
     X = _load(args)
     if args.src is None:
         raise UsageError("--from (basepoint) is required for atlas")
+    O = _need_vertex(X, args.src)
+    ecc = max(dist_map(X, (O,)).values())
+    if not 0 <= args.radius <= ecc:
+        raise UsageError(f"--radius {args.radius} outside 0..{ecc}, the "
+                         f"eccentricity of vertex {O}")
     kwargs = {"C": args.C, "cap": args.cap}
     if args.D is not None:
         kwargs["D"] = args.D
-    atlas = boundary_atlas(X, args.src, args.radius, **kwargs)
+    atlas = boundary_atlas(X, O, args.radius, **kwargs)
     sys.stdout.write(atlas_report(atlas, as_json=args.json))
     return 0
 

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from .complex import FlagComplex
-from .lattice import HALF, lattice_adjacent
+from .lattice import HALF
 
 
 def gen_flat_region(rows, first_row: int = 0) -> FlagComplex:
@@ -55,11 +55,12 @@ def gen_flat_region(rows, first_row: int = 0) -> FlagComplex:
     edges = []
     for ids in ids_by_row:
         edges += [(a, b) for a, b in zip(ids, ids[1:])]
-    for ids_a, ids_b in zip(ids_by_row, ids_by_row[1:]):
-        for a in ids_a:
-            for b in ids_b:
-                if lattice_adjacent(coords[a], coords[b]):
-                    edges.append((a, b))
+    for (_, lo1, _), (_, lo2, _), ids_a, ids_b in zip(spans, spans[1:],
+                                                      ids_by_row, ids_by_row[1:]):
+        # index p of the lower row meets indices p + shift and p + shift + 1
+        shift = int(lo1 - lo2 - HALF)
+        edges += [(a, ids_b[q]) for p, a in enumerate(ids_a)
+                  for q in (p + shift, p + shift + 1) if 0 <= q < len(ids_b)]
 
     X = FlagComplex.from_edges(edges, vertices=coords.keys(), coords=coords)
     if not X.is_connected():

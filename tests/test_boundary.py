@@ -2,10 +2,12 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from systolic import boundary
 from systolic.boundary import (C_DEFAULT, D_DEFAULT, GoodnessError,
                                atlas_report, boundary_atlas, contracting_check,
                                corollary_contr_check, in_standard_neighborhood,
@@ -242,3 +244,105 @@ def test_atlas_report_deterministic():
     import json
     parsed = json.loads(as_json)
     assert parsed["basepoint"] == center and parsed["D"] == 1
+
+
+def atlas_classing_oracle(X, atlas):
+    """Classes, raw violations and representative distances of the atlas's
+    rays, as the pairwise relation, union-find and triple loop give them."""
+    rays, R = atlas.rays, len(atlas.rays)
+    related = [[a == b or rays_equivalent_truncated(X, rays[a], rays[b], atlas.D)[0]
+                == "equivalent-so-far" for b in range(R)] for a in range(R)]
+    parent = list(range(R))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in itertools.combinations(range(R), 2):
+        if related[a][b]:
+            ra, rb = find(a), find(b)
+            parent[max(ra, rb)] = min(ra, rb)
+    violations = sum(1 for a, b, c in itertools.combinations(range(R), 3)
+                     if related[a][b] and related[b][c] and not related[a][c])
+    groups = {}
+    for a in range(R):
+        groups.setdefault(find(a), []).append(a)
+    classes = sorted(groups.values())
+    ends = [rays[g[0]].path[-1] for g in classes]
+    matrix = [[dist(X, (p,), (q,)) for q in ends] for p in ends]
+    return classes, violations, matrix
+
+
+def two_sheets(height: int, width: int) -> FlagComplex:
+    """Two copies of flat_rectangle(height, width) glued at corner vertex 0."""
+    edges = flat_rectangle(height, width).edges()
+    shift = len(flat_rectangle(height, width))
+
+    def moved(v):
+        return v if v == 0 else v + shift
+
+    return FlagComplex.from_edges(edges + [(moved(u), moved(v)) for u, v in edges])
+
+
+def _oracle_cases():
+    """(complex, basepoint, N, D, class count) for the classing oracle."""
+    for D in (1, 2):
+        yield two_sheets(6, 4), 0, 4, D, 2
+    X = flat_rectangle(6, 6)
+    yield X, next(v for v in X.vertices if X.coords[v] == (3, Fraction(7, 2))), 3, 1, 1
+    for arms in (3, 5):
+        yield spider(arms, 4), 0, 4, 1, arms
+    for D in (1, 2, 3, D_DEFAULT):
+        yield flat_rectangle(10, 5), 0, 4, D, 1
+    X = gen_disc_with_degrees(3, rings=4)
+    for O in (0, 7, 25):
+        yield X, O, 3, 1, 1
+
+
+def test_atlas_classing_matches_pairwise_oracle():
+    seen_violations = []
+    for X, O, N, D, class_count in _oracle_cases():
+        atlas = boundary_atlas(X, O, N, D=D)
+        assert len(atlas.rays) > 1 and len(atlas.classes) == class_count
+        classes, violations, matrix = atlas_classing_oracle(X, atlas)
+        assert atlas.classes == classes, (O, N, D)
+        assert atlas.raw_violations == violations, (O, N, D)
+        assert atlas.rep_distance_matrix == matrix, (O, N, D)
+        seen_violations.append(violations)
+    assert seen_violations[2] > 0  # the flat centre case is non-transitive
+    assert len(set(seen_violations)) > 2
+
+
+def _geodesic_rays_oracle(X, O, N):
+    """Every geodesic of length N from O, in lexicographic order."""
+    dm = dist_map(X, (O,))
+    paths = [[O]]
+    for step in range(1, N + 1):
+        paths = [p + [w] for p in paths for w in sorted(X.adjacency[p[-1]])
+                 if dm[w] == step]
+    return paths
+
+
+def test_atlas_builds_one_euclidean_geodesic_per_pair(monkeypatch):
+    X = flat_rectangle(10, 5)
+    calls = Counter()
+    original = boundary.euclidean_geodesic
+
+    def counting(X, sigma, tau, *args, **kwargs):
+        calls[(sigma, tau)] += 1
+        return original(X, sigma, tau, *args, **kwargs)
+
+    monkeypatch.setattr(boundary, "euclidean_geodesic", counting)
+    atlas = boundary_atlas(X, 0, 4)
+    monkeypatch.undo()
+    paths = _geodesic_rays_oracle(X, 0, 4)
+    assert [r.path for r in atlas.rays] == paths
+    pairs = {((p[i],), (p[j],)) for p in paths
+             for i, j in itertools.combinations(range(len(p)), 2)}
+    assert set(calls) == pairs and set(calls.values()) == {1}
+    for ray in atlas.rays:
+        alone, witness = is_good_geodesic(X, ray.path)
+        assert witness is None
+        assert (alone.path, alone.C, alone.certificate) == (ray.path, ray.C,
+                                                             ray.certificate)

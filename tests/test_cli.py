@@ -211,3 +211,27 @@ def test_flags_only_where_read(capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
+
+
+def test_atlas_radius_beyond_eccentricity_exits_2(flat_file, capsys):
+    path, c0, _ = flat_file
+    for radius in ("11", "-1"):  # the corner's eccentricity is 10
+        code, err = run_err(capsys, "atlas", "--complex", path, "--from", str(c0),
+                            "--radius", radius)
+        assert code == 2 and err.startswith("error: ") and "eccentricity" in err, radius
+    code, out = run(capsys, "atlas", "--complex", path, "--from", str(c0),
+                    "--radius", "10", "--D", "1")
+    assert code == 0 and "N=10" in out
+
+
+def test_unknown_vertex_exits_2(flat_file, capsys):
+    path, c0, _ = flat_file
+    for command in ("dist", "dgeo", "egeo", "good"):
+        code, err = run_err(capsys, command, "--complex", path, "--from", str(c0),
+                            "--to", "999")
+        assert code == 2 and "vertex 999 not in complex" in err, command
+        code, err = run_err(capsys, command, "--complex", path, "--from", "-4",
+                            "--to", str(c0))
+        assert code == 2 and "vertex -4 not in complex" in err, command
+    code, err = run_err(capsys, "atlas", "--complex", path, "--from", "999")
+    assert code == 2 and "vertex 999 not in complex" in err
