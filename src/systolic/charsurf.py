@@ -230,19 +230,12 @@ def build_char_surface(X: FlagComplex, cd: CharDisc) -> dict[int, int]:
     raise SurfaceError(f"no surface fills the disc for interval {cd.interval}")
 
 
-def enumerate_char_surfaces(X: FlagComplex, cd: CharDisc, limit: int = 100000,
-                            vary_boundary: bool = True):
-    """All characteristic surfaces (oracle-grade, small discs only).
-
-    With `vary_boundary`, every choice of thickness-realizing boundary
-    representatives is enumerated as well.
-    """
+def enumerate_char_surfaces(X: FlagComplex, cd: CharDisc, limit: int = 100000):
+    """All characteristic surfaces (oracle-grade, small discs only), over
+    every choice of thickness-realizing boundary representatives."""
     count = 0
-    choices = []
-    for k in range(len(cd.widths)):
-        sig, tau = cd.sigma_seq[k], cd.tau_seq[k]
-        _, pairs = _maximizing_pairs(X, sig, tau)
-        choices.append(pairs if vary_boundary else [(cd.s[k], cd.t[k])])
+    choices = [_maximizing_pairs(X, sig, tau)[1]
+               for sig, tau in zip(cd.sigma_seq, cd.tau_seq)]
     for combo in product(*choices):
         alt = replace(cd, s=[c[0] for c in combo], t=[c[1] for c in combo])
         for surface in _surfaces(X, alt):

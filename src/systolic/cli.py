@@ -13,7 +13,7 @@ import sys
 from .boundary import C_DEFAULT, boundary_atlas, atlas_report, is_good_geodesic, make_good_geodesic
 from .complex import (dumps_complex, is_k_large, is_locally_6_large, load_complex,
                       simply_connected_heuristic, INFINITY)
-from .eucgeo import euclidean_geodesic, thread_vertex_path
+from .eucgeo import euclidean_geodesic
 from .generators import flat_parallelogram, flat_rectangle, gen_disc_with_degrees
 from .metric import dist, dist_map, directed_geodesic
 from .suites import SUITE_NAMES, SuiteConfig, run_suite
@@ -101,7 +101,10 @@ def _need_vertex(X, v: int) -> int:
 def _need_endpoints(args, X) -> tuple[int, int]:
     if args.src is None or args.dst is None:
         raise UsageError("--from and --to are required for this command")
-    return _need_vertex(X, args.src), _need_vertex(X, args.dst)
+    u, v = _need_vertex(X, args.src), _need_vertex(X, args.dst)
+    if v not in dist_map(X, (u,)):
+        raise UsageError(f"vertices {u} and {v} lie in different components")
+    return u, v
 
 
 def _write(path, text: str) -> None:

@@ -49,9 +49,6 @@ class FlagComplex:
     def __len__(self) -> int:
         return len(self.adjacency)
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adjacency[v]
-
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 

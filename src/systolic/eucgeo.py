@@ -87,8 +87,7 @@ def euclidean_diagonal(cd: CharDisc, diagonal: PolyPath | None = None) -> dict[i
     return out
 
 
-def euclidean_geodesic(X: FlagComplex, sigma, tau,
-                       tie_seed: int | None = None) -> EuclideanGeodesic:
+def euclidean_geodesic(X: FlagComplex, sigma, tau) -> EuclideanGeodesic:
     """The Euclidean geodesic between simplices sigma and tau."""
     sigma = tuple(sorted(sigma)) if not isinstance(sigma, int) else (sigma,)
     tau = tuple(sorted(tau)) if not isinstance(tau, int) else (tau,)
@@ -118,7 +117,7 @@ def euclidean_geodesic(X: FlagComplex, sigma, tau,
 
     intervals = []
     for (i, j) in profile.thick_intervals:
-        cd = build_char_disc(X, sigma_seq, tau_seq, (i, j), tie_seed=tie_seed)
+        cd = build_char_disc(X, sigma_seq, tau_seq, (i, j))
         surface = build_char_surface(X, cd)
         diagonal = cat0_diagonal(cd)
         rho = euclidean_diagonal(cd, diagonal)
@@ -134,12 +133,9 @@ def euclidean_geodesic(X: FlagComplex, sigma, tau,
                              deltas, intervals)
 
 
-def thread_vertex_path(X: FlagComplex, eg: EuclideanGeodesic,
-                       start: int | None = None) -> list[int]:
+def thread_vertex_path(X: FlagComplex, eg: EuclideanGeodesic) -> list[int]:
     """A 1-skeleton geodesic r_0..r_n with r_k in delta_k (least choices)."""
-    r = [start if start is not None else eg.deltas[0][0]]
-    if r[0] not in eg.deltas[0]:
-        raise ValueError("start vertex not in the first simplex")
+    r = [eg.deltas[0][0]]
     for k in range(1, eg.n + 1):
         nxt = min(v for v in eg.deltas[k] if X.is_edge(r[-1], v))
         r.append(nxt)
@@ -181,23 +177,20 @@ def verify_euc_properties(X: FlagComplex, eg: EuclideanGeodesic,
 
 
 def subsegment_check(X: FlagComplex, eg: EuclideanGeodesic, l: int, m: int,
-                     mode: str = "weak",
-                     r_path: list[int] | None = None) -> tuple[int, list[int]]:
+                     mode: str = "weak") -> tuple[int, list[int]]:
     """Rebuild the Euclidean geodesic of a subsegment and measure drift.
 
     weak: between the simplices delta_l, delta_m.  strong: between vertices
-    r_l, r_m of a 1-skeleton geodesic with r_k in delta_k (threaded here
-    when not supplied).  Returns (max over k of the distance between
-    delta_k and the subsegment's simplex at k, per-k distances).
+    r_l, r_m of the threaded 1-skeleton geodesic (`thread_vertex_path`).
+    Returns (max over k of the distance between delta_k and the
+    subsegment's simplex at k, per-k distances).
     """
     if not 0 <= l < m <= eg.n:
         raise ValueError("need 0 <= l < m <= n")
     if mode == "weak":
         a, b = eg.deltas[l], eg.deltas[m]
     elif mode == "strong":
-        r = r_path if r_path is not None else thread_vertex_path(X, eg)
-        if any(r[k] not in eg.deltas[k] for k in range(l, m + 1)):
-            raise ValueError("r_path does not thread the simplex sequence")
+        r = thread_vertex_path(X, eg)
         a, b = (r[l],), (r[m],)
     else:
         raise ValueError(f"unknown mode {mode!r}")

@@ -1,10 +1,12 @@
-"""Exact geometry of the flat plane: discs, defects, embeddings, and CAT(0)
-geodesics through stacked-trapezoid domains.
+"""Exact geometry of the flat plane: discs, defects, embeddings, and the
+CAT(0) geodesic through a stack of horizontal row intervals.
 
 All plane geometry is exact-rational: a point is (row, x) with x a Fraction,
-rows are sqrt(3)/2 apart, and sqrt(3) is never materialized (orientation
-tests factor it out, squared lengths are dx^2 + 3/4 dr^2).  Bit-exact tie
-detection at edge barycenters depends on this.
+rows are sqrt(3)/2 apart, and sqrt(3) is never materialized (slope tests
+factor it out, squared lengths are dx^2 + 3/4 dr^2).  Bit-exact tie
+detection at edge barycenters depends on this.  The geodesic is a taut
+string pulled through the rows' doors, one slope window at a time;
+`polygon_geodesic_bruteforce` is its break-point oracle.
 """
 
 from __future__ import annotations
@@ -13,10 +15,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import NamedTuple
 
 from .complex import FlagComplex, Simplex
-from .lattice import HALF, canonical_placement, lattice_dist
+from .lattice import canonical_placement, lattice_dist
 from .metric import dist_map
 
 
@@ -221,9 +224,6 @@ class GenCharDisc:
     def last_row(self) -> int:
         return self.first_row + len(self.rows) - 1
 
-    def row_interval(self, row: int) -> tuple[Fraction, Fraction]:
-        return self.rows[row - self.first_row]
-
 
 @dataclass(frozen=True)
 class PolyPath:
@@ -242,23 +242,19 @@ def d_close(a: PolyPath, b: PolyPath) -> Fraction:
     return max((abs(x - y) for x, y in zip(a.xs, b.xs)), default=Fraction(0))
 
 
-def _turn(a, b, c) -> int:
-    """Orientation of (a, b, c); points are (x, row).  >0 is a left turn.
-
-    The sqrt(3)/2 row scale multiplies the cross product by a positive
-    constant, so the sign is computed on unscaled rows.
-    """
-    v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    return (v > 0) - (v < 0)
-
-
 def polygon_geodesic(disc: GenCharDisc, p, q) -> PolyPath:
     """Exact shortest path from p on the first row to q on the last row.
 
-    Funnel over the horizontal door intervals: the slab between consecutive
-    rows is the convex hull of its two doors, so the corridor decomposition
-    is valid.  Break points land on boundary vertices; every crossing x is
-    rational.
+    A taut string over the doors: the interior rows, then the point q.  The
+    slab between consecutive rows is the convex hull of its two doors, so
+    the path is straight between bends, and it bends only at door ends.
+    From the last bend (the apex) two rows bound the window of feasible
+    slopes: the left door end that needs the steepest slope and the right
+    door end that allows the shallowest.  A door wholly past one bound
+    makes that bound's door end the next bend, and the rows after it are
+    read again.  Bends sit on strictly increasing rows.  The x values are
+    scaled to integers by their common denominator and slopes compared by
+    cross-multiplying, so every crossing is an exact Fraction.
     """
     m = len(disc.rows) - 1
     pr, px = p
@@ -271,80 +267,41 @@ def polygon_geodesic(disc: GenCharDisc, p, q) -> PolyPath:
     lo, hi = disc.rows[-1]
     if not lo <= qx <= hi:
         raise ValueError("end point outside its row interval")
-    start = (Fraction(px), pr)
-    goal = (Fraction(qx), qr)
     if m == 0:
         if px != qx:
             raise ValueError("degenerate disc with distinct endpoints")
         return PolyPath(pr, (Fraction(px),))
 
-    tail = [start]
-    apex = start
-    left: list = []
-    right: list = []
-
-    # Chain points sit on strictly increasing rows, so a collinear point of
-    # the opposite chain always lies between the apex and the new point and
-    # apex advance on ties is sound.
-
-    def add_left(newpt) -> None:
-        nonlocal apex
-        if (left and left[-1] == newpt) or (not left and apex == newpt):
-            return
-        while len(left) >= 2 and _turn(left[-2], left[-1], newpt) <= 0:
-            left.pop()
-        if len(left) == 1 and _turn(apex, left[0], newpt) <= 0:
-            left.pop()
-        if not left:
-            while right and right[0] != newpt and _turn(apex, right[0], newpt) <= 0:
-                apex = right.pop(0)
-                tail.append(apex)
-        left.append(newpt)
-
-    def add_right(newpt) -> None:
-        nonlocal apex
-        if (right and right[-1] == newpt) or (not right and apex == newpt):
-            return
-        while len(right) >= 2 and _turn(right[-2], right[-1], newpt) >= 0:
-            right.pop()
-        if len(right) == 1 and _turn(apex, right[0], newpt) >= 0:
-            right.pop()
-        if not right:
-            while left and left[0] != newpt and _turn(apex, left[0], newpt) >= 0:
-                apex = left.pop(0)
-                tail.append(apex)
-        right.append(newpt)
-
-    for k in range(1, m):
-        row = disc.first_row + k
-        lo, hi = disc.rows[k]
-        add_left((lo, row))
-        add_right((hi, row))
-    add_left(goal)
-
-    path = tail + left
-    cleaned = [path[0]]
-    for pt in path[1:]:
-        if pt != cleaned[-1]:
-            cleaned.append(pt)
-    for a, b in zip(cleaned, cleaned[1:]):
-        if b[1] <= a[1]:
-            raise AssertionError("geodesic fails to advance through the rows")
+    start, goal = Fraction(px), Fraction(qx)
+    ends = (*disc.rows[:-1], (goal, goal))      # ends[k] is row k's door; row 0 unused
+    den = lcm(start.denominator, *(x.denominator for door in ends for x in door))
+    doors = [(lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator))
+             for lo, hi in ends]
+    k0, x0 = 0, start.numerator * (den // start.denominator)
+    bends = [(k0, x0)]
+    left = right = k = 1    # rows of the steepest left end and shallowest right end
+    while k <= m:
+        lo, hi = doors[k]
+        if (lo - x0) * (right - k0) > (doors[right][1] - x0) * (k - k0):
+            k0, x0 = right, doors[right][1]
+        elif (hi - x0) * (left - k0) < (doors[left][0] - x0) * (k - k0):
+            k0, x0 = left, doors[left][0]
+        else:
+            if (lo - x0) * (left - k0) >= (doors[left][0] - x0) * (k - k0):
+                left = k
+            if (hi - x0) * (right - k0) <= (doors[right][1] - x0) * (k - k0):
+                right = k
+            k += 1
+            continue
+        bends.append((k0, x0))
+        left = right = k = k0 + 1
+    bends.append((m, doors[m][0]))
 
     xs = []
-    seg = 0
-    for k in range(m + 1):
-        row = disc.first_row + k
-        while cleaned[seg + 1][1] < row:
-            seg += 1
-        a, b = cleaned[seg], cleaned[seg + 1]
-        if a[1] == row:
-            xs.append(a[0])
-        elif b[1] == row:
-            xs.append(b[0])
-        else:
-            t = Fraction(row - a[1], b[1] - a[1])
-            xs.append(a[0] + (b[0] - a[0]) * t)
+    for (k1, x1), (k2, x2) in zip(bends, bends[1:]):
+        n = k2 - k1
+        xs.extend(Fraction(x1 * n + (x2 - x1) * j, n * den) for j in range(n))
+    xs.append(goal)
     return PolyPath(disc.first_row, tuple(xs))
 
 

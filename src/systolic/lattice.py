@@ -2,9 +2,8 @@
 
 Vertices live on horizontal rows spaced sqrt(3)/2 apart and are stored as
 (row, x) with row an integer and x a Fraction; 2*x is an integer with the
-same parity as the row.  sqrt(3) is never materialized: squared lengths are
-dx^2 + (3/4)*dr^2 and orientation tests factor the row scale out, so every
-predicate is a rational comparison.
+same parity as the row.  sqrt(3) is never materialized, so every predicate
+is a rational comparison.
 """
 
 from __future__ import annotations
@@ -14,25 +13,6 @@ from fractions import Fraction
 HALF = Fraction(1, 2)
 
 Point = tuple[int, Fraction]
-
-
-def is_lattice_point(p: Point) -> bool:
-    row, x = p
-    two_x = 2 * Fraction(x)
-    return two_x.denominator == 1 and (two_x.numerator - row) % 2 == 0
-
-
-def lattice_neighbors(p: Point) -> list[Point]:
-    """The six neighbors of a lattice vertex."""
-    row, x = p
-    return [
-        (row, x - 1),
-        (row, x + 1),
-        (row - 1, x - HALF),
-        (row - 1, x + HALF),
-        (row + 1, x - HALF),
-        (row + 1, x + HALF),
-    ]
 
 
 def lattice_adjacent(p: Point, q: Point) -> bool:
@@ -51,21 +31,6 @@ def lattice_dist(p: Point, q: Point) -> int:
     if extra.denominator != 1:
         raise ValueError(f"not lattice vertices: {p}, {q}")
     return dr + extra.numerator
-
-
-def edge_apexes(p: Point, q: Point) -> list[Point]:
-    """The two lattice points completing edge (p, q) to a triangle."""
-    if not lattice_adjacent(p, q):
-        raise ValueError(f"not a lattice edge: {p}, {q}")
-    nq = set(lattice_neighbors(q))
-    return [z for z in lattice_neighbors(p) if z in nq]
-
-
-def sq_length(p: Point, q: Point) -> Fraction:
-    """Squared Euclidean length, exact (unit triangle side)."""
-    dr = q[0] - p[0]
-    dx = Fraction(q[1]) - Fraction(p[1])
-    return dx * dx + Fraction(3, 4) * dr * dr
 
 
 # Cube coordinates (a + b + c = 0) for applying the 12-element point group.

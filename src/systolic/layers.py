@@ -68,12 +68,6 @@ class ThicknessProfile:
             else:
                 k += 1
 
-    def interval_of(self, k: int) -> tuple[int, int] | None:
-        for (i, j) in self.thick_intervals:
-            if i < k < j:
-                return (i, j)
-        return None
-
 
 def thickness_profile(X: FlagComplex, sigma_seq, tau_seq,
                       sigma=None, tau=None) -> ThicknessProfile:

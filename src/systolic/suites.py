@@ -13,8 +13,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .boundary import (C_DEFAULT, D_DEFAULT, contracting_check,
-                       corollary_contr_check, is_good_geodesic,
+from .boundary import (C_DEFAULT, contracting_check, corollary_contr_check,
                        make_good_geodesic)
 from .complex import FlagComplex
 from .eucgeo import (cat0_closeness_check, euclidean_geodesic,
@@ -30,12 +29,11 @@ class SuiteConfig:
     seed: int = 0
     count: int = 20
     C: int = C_DEFAULT
-    D: int | None = None
 
-    def __post_init__(self):
-        if self.D is None:
-            self.D = 3 * self.C + 2
-        self.d_overridden = self.D != 3 * self.C + 2
+    @property
+    def D(self) -> int:
+        """The basepoint bound of the contracting corollary, 3C + 2."""
+        return 3 * self.C + 2
 
 
 @dataclass
@@ -117,8 +115,6 @@ def run_suite(name: str, config: SuiteConfig) -> SuiteReport:
     if runner is None:
         raise ValueError(f"unknown suite {name!r}; have {sorted(_SUITES)}")
     report = SuiteReport(name, config.seed)
-    if config.d_overridden:
-        report.lines.append(f"D overridden to {config.D} (default 3C+2 = {3 * config.C + 2})")
     runner(config, report)
     return report
 

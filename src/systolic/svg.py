@@ -21,7 +21,7 @@ def _fmt(v: float) -> str:
 
 
 def render_svg(coords: dict[int, tuple[int, Fraction]], edges, triangles=(),
-               paths=(), labels: bool = False) -> str:
+               paths=()) -> str:
     """Render an embedded complex plus optional (row, x) polyline paths."""
     if not coords:
         raise ValueError("nothing to render")
@@ -58,9 +58,6 @@ def render_svg(coords: dict[int, tuple[int, Fraction]], edges, triangles=(),
     for v in sorted(coords):
         x, y = px(coords[v]).split(",")
         out.append(f'<circle cx="{x}" cy="{y}" r="3" fill="#333333"/>')
-        if labels:
-            out.append(f'<text x="{x}" y="{y}" dx="5" dy="-5" '
-                       f'font-size="10">{v}</text>')
     for i, path in enumerate(paths):
         color = _PATH_COLORS[i % len(_PATH_COLORS)]
         points = " ".join(px(p) for p in path)

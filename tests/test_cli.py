@@ -235,3 +235,24 @@ def test_unknown_vertex_exits_2(flat_file, capsys):
         assert code == 2 and "vertex -4 not in complex" in err, command
     code, err = run_err(capsys, "atlas", "--complex", path, "--from", "999")
     assert code == 2 and "vertex 999 not in complex" in err
+
+
+@pytest.fixture
+def two_components(tmp_path):
+    path = tmp_path / "two.cx"
+    path.write_text("e 0 1\ne 2 3\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["dist", "dgeo", "egeo", "good"])
+def test_endpoints_in_different_components_exit_2(two_components, capsys, command):
+    code, err = run_err(capsys, command, "--complex", two_components,
+                        "--from", "0", "--to", "2")
+    assert code == 2, err
+    assert err == "error: vertices 0 and 2 lie in different components\n"
+
+
+def test_atlas_covers_the_basepoint_component(two_components, capsys):
+    code, out = run(capsys, "atlas", "--complex", two_components, "--from", "0",
+                    "--radius", "1")
+    assert code == 0 and "N=1" in out

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from systolic.complex import FlagComplex
+from systolic.eucgeo import cat0_diagonal, euclidean_geodesic, modified_disc
 from systolic.flatgeom import (DiscError, EmbedError, GenCharDisc, PolyPath,
                                as_disc, d_close, defect, embed_flat_disc,
                                gauss_bonnet_sum, is_flat,
@@ -182,6 +183,75 @@ def test_funnel_equals_bruteforce_randomized():
         q = (disc.last_row, lom + (him - lom) * Fraction(rng.randint(0, 3), 3))
         assert polygon_geodesic(disc, p, q).xs == \
             polygon_geodesic_bruteforce(disc, p, q).xs
+
+
+def stationary(rows, p, q, xs) -> bool:
+    """Certificate for the row-stack geodesic, independent of flatgeom.
+
+    The length sum_k sqrt((x_{k+1} - x_k)^2 + 3/4) is strictly convex in the
+    crossings, and its x_k-derivative has the sign of u - v, where u and v
+    are the horizontal steps into and out of row k.  So crossings boxed to
+    their doors are the unique geodesic iff at every interior row that is
+    not a point u = v strictly inside the door, u >= v at its left end and
+    u <= v at its right end.
+    """
+    m = len(rows) - 1
+    if len(xs) != m + 1 or xs[0] != p or xs[-1] != q:
+        return False
+    if any(not lo <= x <= hi for (lo, hi), x in zip(rows, xs)):
+        return False
+    for k in range(1, m):
+        lo, hi = rows[k]
+        u, v = xs[k] - xs[k - 1], xs[k + 1] - xs[k]
+        if lo == hi:
+            continue
+        if xs[k] == lo:
+            if u < v:
+                return False
+        elif xs[k] == hi:
+            if u > v:
+                return False
+        elif u != v:
+            return False
+    return True
+
+
+def test_geodesic_stationary_on_tall_stacks():
+    # the break-point oracle costs 3^(m-1), so tall stacks get the certificate
+    rng = random.Random(14)
+    for _ in range(300):
+        nrows = rng.randint(9, 40)
+        rows = []
+        lo = Fraction(0)
+        for _ in range(nrows):
+            if rng.random() < 0.3:
+                lo = Fraction(rng.randint(-8, 8), 2)
+            else:
+                lo = lo + Fraction(rng.randint(-2, 2), 2)
+            width = 0 if rng.random() < 0.15 else rng.randint(0, 9)
+            rows.append((lo, lo + Fraction(width, 2)))
+        (lo0, hi0), (lom, him) = rows[0], rows[-1]
+        px = lo0 + (hi0 - lo0) * Fraction(rng.randint(0, 4), 4)
+        qx = lom + (him - lom) * Fraction(rng.randint(0, 4), 4)
+        disc = GenCharDisc(rng.randint(-3, 3), tuple(rows))
+        path = polygon_geodesic(disc, (disc.first_row, px), (disc.last_row, qx))
+        assert stationary(rows, px, qx, path.xs), (rows, px, qx)
+
+
+def test_geodesic_stationary_on_rectangle_diagonals():
+    X = flat_rectangle(30, 6)
+    c0 = min(X.vertices, key=lambda v: X.coords[v])
+    c1 = max(X.vertices, key=lambda v: X.coords[v])
+    eg = euclidean_geodesic(X, (c0,), (c1,))
+    assert eg.intervals
+    for data in eg.intervals:
+        rows = modified_disc(data.disc).rows
+        p, q = rows[0][0], rows[-1][0]
+        path = cat0_diagonal(data.disc)
+        assert stationary(rows, p, q, path.xs)
+        # the certificate is not vacuous: the left wall is no geodesic here
+        wall = (p,) + tuple(lo for lo, _ in rows[1:-1]) + (q,)
+        assert wall != path.xs and not stationary(rows, p, q, wall)
 
 
 def test_geodesic_endpoint_validation():
