@@ -151,7 +151,6 @@ def cmd_check(args) -> int:
         "locally_6_large": loc.ok,
         "simply_connected": collapse,
         "infinity_large": inf_large.ok,
-        "cycle_search_capped": loc.capped or inf_large.capped,
     }
     if args.json:
         print(json.dumps(report, sort_keys=True, indent=2))

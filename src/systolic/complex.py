@@ -3,17 +3,22 @@
 A complex is determined by a symmetric adjacency map; simplices are exactly
 the cliques, so non-flag input is unrepresentable.  Complexes are immutable
 after construction and safe to share across workers.
+
+Largeness verdicts are exact and carry an induced cycle as their witness.
+k-largeness for finite k searches induced cycles of lengths 4..k-1; link
+checks (k = 6) search lengths 4 and 5 on each simplex's common neighbours.
+Infinity-largeness means the 1-skeleton is chordal, which maximum
+cardinality search decides in near-linear time (`chordless_cycle`).
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import OrderedDict, deque
 from typing import Iterable, NamedTuple
 
 Simplex = tuple[int, ...]
 
-# Induced-cycle search cap (complexes up to desk scale; warn when it binds).
-CYCLE_CAP = 12
 INFINITY = float("inf")
 
 
@@ -131,14 +136,16 @@ class FlagComplex:
 class KLargeResult(NamedTuple):
     ok: bool
     witness: tuple[int, ...] | None  # an induced cycle, on failure
-    capped: bool                     # search cap bound the verdict
+    capped: bool                     # always False: no search is capped; kept
+                                     # because perfbench's cold-check reads it
 
 
-def find_induced_cycle(X: FlagComplex, min_len: int = 4, max_len: int = CYCLE_CAP):
+def find_induced_cycle(X: FlagComplex, min_len: int, max_len: int):
     """Some induced (full) cycle of length in [min_len, max_len], or None.
 
     DFS over induced paths anchored at their least vertex; prunes on any
-    chord to an earlier path vertex.
+    chord to an earlier path vertex.  Exponential in max_len: the verdicts
+    use it for short cycles only, and the tests use it as an oracle.
     """
     adj = X.adjacency
     for s in sorted(adj):
@@ -165,32 +172,125 @@ def find_induced_cycle(X: FlagComplex, min_len: int = 4, max_len: int = CYCLE_CA
     return None
 
 
+def chordless_cycle(X: FlagComplex) -> tuple[int, ...] | None:
+    """None if the 1-skeleton is chordal, else an induced cycle of length >= 4.
+
+    Maximum cardinality search (Tarjan-Yannakakis, SIAM J. Comput. 13, 1984)
+    visits next an unvisited vertex with the most visited neighbours, the
+    least id among those.  A vertex's visited neighbours when it is visited
+    are its earlier neighbours E(v); let p be the latest visited of them.
+    The check (Rose-Tarjan-Lueker, SIAM J. Comput. 5, 1976) asks that every
+    other u in E(v) be adjacent to p.
+
+    * If every vertex passes, each E(v) is a clique, by induction on the
+      visit order: E(v) - {p} lies in E(p), which is a clique.  In a cycle of
+      length >= 4 the vertex visited last then has its two cycle neighbours
+      adjacent, a chord.  So the graph is chordal.
+    * If v fails with u, the witness is v followed by a shortest u-p path in
+      the graph minus N[v] - {u, p}.  A shortest path is induced, its inner
+      vertices miss N(v), and u, p are not adjacent: the cycle is induced and
+      has length >= 4.
+
+    The u-p path exists.  Call the number of visited neighbours a vertex's
+    weight, and say that two vertices are joined past v if they are adjacent
+    or linked by a path whose inner vertices are visited and outside N[v].
+    At every moment of the search, for distinct unvisited v, z, z':
+      (A) if z and z' both outweigh v, they are joined past v;
+      (B) if z weighs at least as much as v, and a is a visited neighbour of
+          v not adjacent to z, then z and a are joined past v.
+    Both hold vacuously before the first visit.  Let x be visited next; its
+    weight is at least every unvisited vertex's.  Weights then rise by one
+    for x's neighbours, and a path joining past v before still does.
+      (A) If x ~ v, or z and z' both outweighed v before, (A) applied
+          before.  Otherwise x is not adjacent to v, so it is a possible
+          inner vertex, and one of them, say z, tied v before and z ~ x.
+          Then either z' ~ x, or z' outweighed v before and x did too, and
+          (A) joins x and z'.
+      (B) If a = x, then z, which does not see x, outweighed v before, and
+          so did x: (A) joins them.  If a != x and z weighed at least as
+          much as v before, (B) applied before.  Otherwise z ~ x and x is
+          not adjacent to v, so x is a possible inner vertex; then either
+          x ~ a, or (B) joins x and a.
+    Just before p is visited, p weighs at least as much as v, and u is a
+    visited neighbour of v not adjacent to p, so (B) gives the path.
+    """
+    adj = X.adjacency
+    visit: dict[int, int] = {}
+    weight = dict.fromkeys(adj, 0)
+    heap = [(0, v) for v in sorted(adj)]
+    while heap:
+        w, v = heapq.heappop(heap)
+        if -w != weight[v]:
+            continue  # stale: v has gained weight since, or was visited
+        earlier = [x for x in adj[v] if x in visit]
+        if earlier:
+            p = max(earlier, key=visit.__getitem__)
+            bad = [u for u in earlier if u != p and u not in adj[p]]
+            if bad:
+                return _close_cycle(adj, v, min(bad), p)
+        visit[v] = len(visit)
+        for x in adj[v]:
+            if x not in visit:
+                weight[x] += 1
+                heapq.heappush(heap, (-weight[x], x))
+    return None
+
+
+def _close_cycle(adj, v: int, u: int, p: int) -> tuple[int, ...]:
+    """v followed by a shortest u-p path avoiding N[v] - {u, p}."""
+    banned = (adj[v] - {u, p}) | {v}
+    parent = {u: u}
+    frontier = [u]
+    while frontier and p not in parent:
+        nxt = []
+        for x in frontier:
+            for y in sorted(adj[x]):
+                if y not in parent and y not in banned:
+                    parent[y] = x
+                    nxt.append(y)
+        frontier = nxt
+    if p not in parent:
+        raise AssertionError(f"no {u}-{p} path avoids N[{v}]: search order broken")
+    path = [p]
+    while path[-1] != u:
+        path.append(parent[path[-1]])
+    return (v, *reversed(path))
+
+
 def is_k_large(X: FlagComplex, k) -> KLargeResult:
-    """No induced cycles of length < k (k >= 4 or infinity); flagness is built in."""
-    if k != INFINITY and k < 4:
+    """No induced cycles of length < k (k >= 4 or infinity); flagness is built in.
+
+    Exact for every k: infinity-largeness is chordality (`chordless_cycle`),
+    and finite k searches lengths 4..k-1.
+    """
+    if k == INFINITY:
+        witness = chordless_cycle(X)
+    elif k < 4:
         raise ValueError("k must be >= 4 or infinity")
-    bound = CYCLE_CAP if k == INFINITY else min(k - 1, CYCLE_CAP)
-    witness = find_induced_cycle(X, 4, bound)
-    capped = (witness is None and len(X.adjacency) > CYCLE_CAP
-              and (k == INFINITY or k - 1 > CYCLE_CAP))
-    return KLargeResult(witness is None, witness, capped)
+    else:
+        witness = find_induced_cycle(X, 4, k - 1)
+    return KLargeResult(witness is None, witness, False)
 
 
 class Locally6LargeResult(NamedTuple):
     ok: bool
     witness: tuple[Simplex, tuple[int, ...]] | None  # (simplex, bad link cycle)
-    capped: bool
+    capped: bool  # always False; kept because perfbench's cold-check reads it
 
 
 def is_locally_6_large(X: FlagComplex) -> Locally6LargeResult:
-    """Every simplex link is 6-large."""
-    capped = False
+    """Every simplex link is 6-large: no induced 4- or 5-cycle among the
+    common neighbours of any simplex."""
+    adj = X.adjacency
     for sigma in X.simplices():
-        res = is_k_large(X.link(sigma), 6)
-        capped = capped or res.capped
-        if not res.ok:
-            return Locally6LargeResult(False, (sigma, res.witness), capped)
-    return Locally6LargeResult(True, None, capped)
+        common = adj[sigma[0]].intersection(*(adj[v] for v in sigma[1:]))
+        if len(common) < 4:
+            continue  # too few vertices for a 4-cycle
+        link = FlagComplex({w: adj[w] & common for w in common})
+        cycle = find_induced_cycle(link, 4, 5)
+        if cycle is not None:
+            return Locally6LargeResult(False, (sigma, cycle), False)
+    return Locally6LargeResult(True, None, False)
 
 
 def simply_connected_heuristic(X: FlagComplex) -> str:

@@ -142,8 +142,7 @@ def thread_vertex_path(X: FlagComplex, eg: EuclideanGeodesic) -> list[int]:
     return r
 
 
-def verify_euc_properties(X: FlagComplex, eg: EuclideanGeodesic,
-                          check_reversal: bool = True) -> dict:
+def verify_euc_properties(X: FlagComplex, eg: EuclideanGeodesic) -> dict:
     """Sphere containments for all index pairs, simplex spanning across
     thick layers, exact vertex distances through thick stretches, and
     reversal symmetry.  Failures are report entries."""
@@ -169,10 +168,9 @@ def verify_euc_properties(X: FlagComplex, eg: EuclideanGeodesic,
                         failures.append(f"vertex distances between layers {l},{m} "
                                         f"are not all {m - l}")
                         break
-    if check_reversal:
-        rev = euclidean_geodesic(X, eg.tau, eg.sigma)
-        if rev.deltas != list(reversed(eg.deltas)):
-            failures.append("reversal does not reverse the simplex sequence")
+    rev = euclidean_geodesic(X, eg.tau, eg.sigma)
+    if rev.deltas != list(reversed(eg.deltas)):
+        failures.append("reversal does not reverse the simplex sequence")
     return {"n": n, "failures": failures, "ok": not failures}
 
 

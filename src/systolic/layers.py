@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .complex import CYCLE_CAP, FlagComplex, Simplex, find_induced_cycle
+from .complex import FlagComplex, Simplex, chordless_cycle
 from .metric import dist, dist_map, max_dist
 
 
@@ -134,22 +134,18 @@ def verify_layer_lemmas(X: FlagComplex, V, W, rng=None, samples: int = 50,
                         include_layer_union_check: bool = False) -> dict:
     """Report on the layer structure between convex V and W.
 
-    For interior layers: no induced cycles of length >= 4 (capped search), no
-    isometric trapezoid in the layer's 1-skeleton, and the unit difference
-    bound on sampled cross-layer edge pairs.  Failures are report entries,
-    each falsifying systolicity of the input.
+    For interior layers: chordality (no induced cycle of any length >= 4),
+    no isometric trapezoid in the layer's 1-skeleton, and the unit
+    difference bound on sampled cross-layer edge pairs.  Failures are report
+    entries, each falsifying systolicity of the input.
     """
     dec = layers(X, V, W)
     failures: list[str] = []
-    capped = False
 
     for i in range(1, dec.n):
-        sub = X.induced(dec.layers[i])
-        cycle = find_induced_cycle(sub, 4, CYCLE_CAP)
+        cycle = chordless_cycle(X.induced(dec.layers[i]))
         if cycle is not None:
             failures.append(f"layer {i} has induced cycle {cycle}")
-        elif len(sub) > CYCLE_CAP:
-            capped = True
 
     for i in range(dec.n + 1):
         bad = _find_trapezoid(X.induced(dec.layers[i]))
@@ -158,12 +154,9 @@ def verify_layer_lemmas(X: FlagComplex, V, W, rng=None, samples: int = 50,
 
     if include_layer_union_check:
         for i in range(1, dec.n - 1):
-            sub = X.induced(dec.layers[i] | dec.layers[i + 1])
-            cycle = find_induced_cycle(sub, 4, CYCLE_CAP)
+            cycle = chordless_cycle(X.induced(dec.layers[i] | dec.layers[i + 1]))
             if cycle is not None:
                 failures.append(f"layers {i},{i + 1} union has induced cycle {cycle}")
-            elif len(sub) > CYCLE_CAP:
-                capped = True
 
     import random
     rng = rng or random.Random(0)
@@ -177,8 +170,8 @@ def verify_layer_lemmas(X: FlagComplex, V, W, rng=None, samples: int = 50,
                 failures.append(f"edges ({v},{w}) and ({x},{y}) differ by more than 1")
         cross.append(len(cross_edges))
 
-    return {"n": dec.n, "failures": failures, "capped": capped,
-            "cross_edge_counts": cross, "ok": not failures}
+    return {"n": dec.n, "failures": failures, "cross_edge_counts": cross,
+            "ok": not failures}
 
 
 def _find_trapezoid(L: FlagComplex):
