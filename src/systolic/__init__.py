@@ -15,18 +15,16 @@ from .complex import (FlagComplex, dump_complex, dumps_complex, is_k_large,
                       is_locally_6_large, load_complex, loads_complex,
                       simply_connected_heuristic, INFINITY)
 from .charsurf import (CharDisc, build_char_disc, build_char_surface,
-                       characteristic_image, char_image_oracle, char_preimage,
-                       enumerate_char_surfaces, is_triangulable,
-                       minimal_surface_bruteforce)
+                       characteristic_image)
 from .eucgeo import (EuclideanGeodesic, cat0_closeness_check, cat0_diagonal,
                      euclidean_diagonal, euclidean_geodesic, modified_disc,
                      subsegment_check, thread_vertex_path,
                      verify_euc_properties)
-from .flatgeom import (GenCharDisc, PolyPath, TriangulatedDisc, as_disc,
-                       d_close, defect, embed_flat_disc, gauss_bonnet_sum,
-                       is_flat, polygon_geodesic, polygon_geodesic_bruteforce)
+from .flatgeom import (PolyPath, TriangulatedDisc, as_disc, defect,
+                       gauss_bonnet_sum, is_flat, polygon_geodesic)
 from .generators import (flat_parallelogram, flat_rectangle,
                          gen_disc_with_degrees, gen_flat_region)
+from .lattice import RowStack
 from .layers import (LayerDecomposition, ThicknessProfile, layers,
                      thickness_profile, verify_layer_lemmas,
                      verify_profile_lemmas)

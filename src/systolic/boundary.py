@@ -17,7 +17,7 @@ from .metric import dist, dist_map, graded_paths, is_geodesic_path
 C_DEFAULT = 208          # universal constant serving both verification suites
 D_DEFAULT = 3 * C_DEFAULT + 2
 
-DEFAULT_C_SAMPLES = tuple(Fraction(i, 8) for i in range(9))
+C_SAMPLES = tuple(Fraction(i, 8) for i in range(9))
 
 
 class GoodnessError(ValueError):
@@ -78,8 +78,7 @@ def make_good_geodesic(X: FlagComplex, v: int, w: int, C: int = C_DEFAULT) -> Go
     return good
 
 
-def contracting_check(X: FlagComplex, t: int, s: int, s2: int,
-                      c_samples=DEFAULT_C_SAMPLES):
+def contracting_check(X: FlagComplex, t: int, s: int, s2: int):
     """Max over sampled c of |r_[cn] r'_[cn']| - c*|s s'| for the threaded
     Euclidean geodesics from t to s and from t to s'."""
     eg1 = euclidean_geodesic(X, (t,), (s,))
@@ -90,7 +89,7 @@ def contracting_check(X: FlagComplex, t: int, s: int, s2: int,
     dss = dist(X, (s,), (s2,))
     worst = None
     details = []
-    for c in c_samples:
+    for c in C_SAMPLES:
         k1 = int(c * n1)
         k2 = int(c * n2)
         excess = Fraction(dist(X, (r1[k1],), (r2[k2],))) - c * dss
@@ -100,8 +99,7 @@ def contracting_check(X: FlagComplex, t: int, s: int, s2: int,
     return worst, details
 
 
-def corollary_contr_check(X: FlagComplex, path_v: list[int], path_w: list[int],
-                          c_samples=DEFAULT_C_SAMPLES):
+def corollary_contr_check(X: FlagComplex, path_v: list[int], path_w: list[int]):
     """Max over sampled c of |v_[cn] w_[cm]| - c*|v_n w_m| for two good
     geodesics from a common basepoint."""
     if path_v[0] != path_w[0]:
@@ -109,7 +107,7 @@ def corollary_contr_check(X: FlagComplex, path_v: list[int], path_w: list[int],
     n, m = len(path_v) - 1, len(path_w) - 1
     dend = dist(X, (path_v[-1],), (path_w[-1],))
     worst = None
-    for c in c_samples:
+    for c in C_SAMPLES:
         excess = Fraction(dist(X, (path_v[int(c * n)],), (path_w[int(c * m)],))) - c * dend
         if worst is None or excess > worst:
             worst = excess

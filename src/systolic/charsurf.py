@@ -1,26 +1,30 @@
-"""Characteristic discs, surfaces, images, and the minimal-surface oracle.
+"""Characteristic discs, surfaces and images.
 
 A characteristic disc for a thick interval is the flat disc spanned on the
 loop through distance-maximizing representatives of the two simplex
 sequences; its shape is determined by the per-layer widths |s_k t_k| and the
-consecutive offsets read off |s_k t_{k+1}|.  It is kept as that integer row
-stack, checked by one shape rule (`check_row_stack`); disc vertex ids, row
-neighbours and cross-row edges are index arithmetic on it.  The disc as a
-triangulated complex is a view built on first use, for audits and rendering.
+consecutive offsets read off |s_k t_{k+1}|.  It is kept as that `RowStack`
+(row ends in half-units), checked by one integer shape rule
+(`check_row_stack`); disc vertex ids, row neighbours and cross-row edges are
+index arithmetic on it.  The disc as a triangulated complex is a view built
+on first use, for audits and rendering.  The all-surfaces enumeration, the
+preimage decoder and the minimal-surface and triangulability searches that
+cross-check this module live with the tests.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from bisect import bisect_right
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import accumulate, combinations
+from operator import itemgetter
 
 from .complex import FlagComplex, Simplex
 from .flatgeom import TriangulatedDisc, as_disc
 from .generators import gen_flat_region
-from .lattice import HALF
+from .lattice import RowStack
 from .metric import dist, dist_map, all_geodesics
 
 
@@ -36,44 +40,49 @@ class SurfaceError(ValueError):
 class CharDisc:
     """Flat disc of a thick interval as a lattice row stack.
 
-    Row k (interval start i <= k <= j) spans [left_x[k-i], left_x[k-i] +
-    widths[k-i]] on lattice row k, and consecutive left ends differ by 1/2;
-    `rows_ids` lists the disc vertex ids of each row left to right, numbered
-    row by row from 0; the boundary rows map to s/t under any
-    characteristic surface.
+    Row k (interval start i <= k <= j) is `stack.rows[k - i]`, on lattice
+    row k, and consecutive left ends differ by one half-unit.  Disc vertex
+    ids are numbered row by row from 0, left to right; the boundary rows
+    map to s/t under any characteristic surface.
     """
     interval: tuple[int, int]
     s: list[int]
     t: list[int]
-    widths: list[int]
-    left_x: list[Fraction]
-    rows_ids: list[list[int]]
+    stack: RowStack
     sigma_seq: list[Simplex]
     tau_seq: list[Simplex]
-    thin_endpoints: bool
+
+    @cached_property
+    def widths(self) -> list[int]:
+        """Lattice steps per row."""
+        return [(hi - lo) // 2 for lo, hi in self.stack.rows]
+
+    @cached_property
+    def rows_ids(self) -> list[list[int]]:
+        """The disc vertex ids of each row, left to right."""
+        ends = accumulate(a + 1 for a in self.widths)
+        return [list(range(end - a - 1, end)) for a, end in zip(self.widths, ends)]
+
+    @property
+    def thin_endpoints(self) -> bool:
+        return self.widths[0] == 1 and self.widths[-1] == 1
 
     @cached_property
     def disc(self) -> TriangulatedDisc:
         """The disc as a validated triangulated complex (built on first use)."""
-        return as_disc(gen_flat_region(
-            [(lx, lx + a) for lx, a in zip(self.left_x, self.widths)],
-            first_row=self.interval[0]))
+        return as_disc(gen_flat_region(self.stack))
 
     @property
     def complex(self) -> FlagComplex:
         return self.disc.complex
 
-    def shape(self) -> tuple:
-        """Isometry-invariant shape key (widths plus offset pattern)."""
-        offs = tuple(b - a for a, b in zip(self.left_x, self.left_x[1:]))
-        return (tuple(self.widths), offs)
-
     def place(self, vid: int) -> tuple[int, int]:
         """(row relative to the interval start, index in the row) of vid."""
-        for k, ids in enumerate(self.rows_ids):
-            if ids[0] <= vid <= ids[-1]:
-                return k, vid - ids[0]
-        raise ValueError(f"{vid} is not a disc vertex")
+        ids = self.rows_ids
+        k = bisect_right(ids, vid, key=itemgetter(0)) - 1
+        if k < 0 or vid > ids[k][-1]:
+            raise ValueError(f"{vid} is not a disc vertex")
+        return k, vid - ids[k][0]
 
     def row_of(self, vid: int) -> int:
         return self.interval[0] + self.place(vid)[0]
@@ -97,20 +106,21 @@ class CharDisc:
         return out
 
 
-def check_row_stack(widths, left_x, first_row: int) -> None:
+def check_row_stack(stack: RowStack) -> None:
     """The shape rule of a characteristic disc, whose left ends step by 1/2.
 
     The stack spans a flat disc on its defining loop (wide when its end
     rows are thin) iff its right ends step by 1/2 too and thin end rows
     enclose at least one row.  Raises CharDiscError naming the rows.
     """
-    if widths[0] == widths[-1] == 1 and len(widths) < 3:
-        raise CharDiscError(f"rows {first_row}..{first_row + 1}: thin end rows "
+    rows, first = stack.rows, stack.first_row
+    if rows[0][1] - rows[0][0] == rows[-1][1] - rows[-1][0] == 2 and len(rows) < 3:
+        raise CharDiscError(f"rows {first}..{first + 1}: thin end rows "
                             "need a row between them")
-    for k in range(len(widths) - 1):
-        step = 2 * (left_x[k + 1] + widths[k + 1] - left_x[k] - widths[k])
+    for k in range(len(rows) - 1):
+        step = rows[k + 1][1] - rows[k][1]
         if abs(step) != 1:
-            raise CharDiscError(f"rows {first_row + k} and {first_row + k + 1}: "
+            raise CharDiscError(f"rows {first + k} and {first + k + 1}: "
                                 f"right ends step {step} half-units")
 
 
@@ -162,31 +172,27 @@ def build_char_disc(X: FlagComplex, sigma_seq, tau_seq, interval,
                 raise CharDiscError(
                     f"endpoint layer {i + k} members intersect; not a thick interval")
 
-    left_x = [Fraction(0) if i % 2 == 0 else HALF]
+    lo = i % 2
+    rows = [(lo, lo + 2 * widths[0])]
     for k in range(len(widths) - 1):
         b = dist(X, (s_rep[k],), (t_rep[k + 1],))
         if b == widths[k + 1] + 1:
-            off = HALF
+            lo += 1
         elif b == widths[k + 1]:
-            off = -HALF
+            lo -= 1
         else:
             raise CharDiscError(
                 f"|s_{i + k} t_{i + k + 1}| = {b} incompatible with width {widths[k + 1]}")
-        left_x.append(left_x[-1] + off)
-    check_row_stack(widths, left_x, i)
-
-    rows_ids, start = [], 0
-    for a in widths:
-        rows_ids.append(list(range(start, start + a + 1)))
-        start += a + 1
-    return CharDisc((i, j), s_rep, t_rep, widths, left_x, rows_ids,
-                    sigma_seq[i:j + 1], tau_seq[i:j + 1], thin_endpoints)
+        rows.append((lo, lo + 2 * widths[k + 1]))
+    stack = RowStack(i, tuple(rows))
+    check_row_stack(stack)
+    return CharDisc((i, j), s_rep, t_rep, stack, sigma_seq[i:j + 1], tau_seq[i:j + 1])
 
 
 def _cross_pairs(cd: CharDisc, k: int) -> list[tuple[int, int]]:
     """Disc edges between row k and row k+1 (relative indices): a row shifted
     right by 1/2 meets index a at a-1 and a, one shifted left at a and a+1."""
-    lo = -1 if cd.left_x[k + 1] > cd.left_x[k] else 0
+    lo = -1 if cd.stack.rows[k + 1][0] > cd.stack.rows[k][0] else 0
     return [(a, b) for a in range(cd.widths[k] + 1)
             for b in (a + lo, a + lo + 1) if 0 <= b <= cd.widths[k + 1]]
 
@@ -230,21 +236,6 @@ def build_char_surface(X: FlagComplex, cd: CharDisc) -> dict[int, int]:
     raise SurfaceError(f"no surface fills the disc for interval {cd.interval}")
 
 
-def enumerate_char_surfaces(X: FlagComplex, cd: CharDisc, limit: int = 100000):
-    """All characteristic surfaces (oracle-grade, small discs only), over
-    every choice of thickness-realizing boundary representatives."""
-    count = 0
-    choices = [_maximizing_pairs(X, sig, tau)[1]
-               for sig, tau in zip(cd.sigma_seq, cd.tau_seq)]
-    for combo in product(*choices):
-        alt = replace(cd, s=[c[0] for c in combo], t=[c[1] for c in combo])
-        for surface in _surfaces(X, alt):
-            yield surface
-            count += 1
-            if count >= limit:
-                raise SurfaceError("surface enumeration limit hit")
-
-
 def characteristic_image(X: FlagComplex, sigma, tau, cd: CharDisc,
                          surface: dict[int, int], rho) -> Simplex:
     """Span of the images of the disc simplex rho over all characteristic
@@ -281,146 +272,3 @@ def characteristic_image(X: FlagComplex, sigma, tau, cd: CharDisc,
     if not X.is_simplex(image):
         raise CharDiscError(f"characteristic image of {rho} is not a simplex: {image}")
     return image
-
-
-def char_image_oracle(X: FlagComplex, cd: CharDisc, rho, limit: int = 100000) -> Simplex:
-    """Span of images of rho over exhaustively enumerated surfaces."""
-    rho = tuple(sorted(rho))
-    out: set[int] = set()
-    for surf in enumerate_char_surfaces(X, cd, limit):
-        out |= {surf[u] for u in rho}
-    return tuple(sorted(out))
-
-
-def char_preimage(X: FlagComplex, sigma, tau, cd: CharDisc,
-                  surface: dict[int, int], x: int) -> int:
-    """The unique disc vertex whose characteristic image contains x.
-
-    Decodes by layer and image membership; ambiguity or absence raises (the
-    preimage is single-valued on the characteristic image).
-    """
-    n = dist(X, sigma, tau)
-    k = dist(X, (x,), sigma)
-    if dist(X, (x,), tau) != n - k or not cd.interval[0] <= k <= cd.interval[1]:
-        raise ValueError(f"vertex {x} lies outside the disc's layers")
-    matches = [u for u in cd.rows_ids[k - cd.interval[0]]
-               if x in characteristic_image(X, sigma, tau, cd, surface, (u,))]
-    if len(matches) != 1:
-        raise CharDiscError(f"preimage of {x} is not unique: {matches}")
-    return matches[0]
-
-
-# ---------------------------------------------------------------------------
-# Minimal-surface search (oracle-grade).
-
-
-@dataclass(frozen=True)
-class FillingResult:
-    area: int | None
-    triangles: tuple[Simplex, ...] | None
-    capped: bool
-
-
-def _canon_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
-    m = len(cycle)
-    best = None
-    for rev in (cycle, cycle[::-1]):
-        for r in range(m):
-            rot = rev[r:] + rev[:r]
-            if best is None or rot < best:
-                best = rot
-    return best
-
-
-def minimal_surface_bruteforce(X: FlagComplex, loop, max_area: int = 24) -> FillingResult:
-    """Minimum-area simplicial disc spanned on an embedded loop.
-
-    Recursion on the triangle attached to a fixed edge of the hole: ears,
-    chord splits (memoized on the canonical cycle), or an interior vertex
-    insertion.  Explores fillings whose intermediate boundaries stay
-    embedded; exhaustive at oracle scale, capped by `max_area`.
-    """
-    loop = tuple(loop)
-    if len(loop) < 3 or len(set(loop)) != len(loop):
-        raise ValueError("loop must be an embedded cycle")
-    for a, b in zip(loop, loop[1:] + loop[:1]):
-        if not X.is_edge(a, b):
-            raise ValueError(f"loop edge ({a}, {b}) missing")
-
-    memo: dict[tuple, tuple[int, object]] = {}
-
-    def fill(cycle: tuple[int, ...], budget: int):
-        if budget < 1:
-            return None
-        if len(cycle) == 3:
-            return [cycle] if X.is_simplex(cycle) else None
-        key = _canon_cycle(cycle)
-        if key in memo:
-            known_budget, known = memo[key]
-            if known is not None and len(known) <= budget:
-                return known
-            if known is None and known_budget >= budget:
-                return None
-        cycle = key
-        c0, c1 = cycle[0], cycle[1]
-        cset = set(cycle)
-        index = {v: idx for idx, v in enumerate(cycle)}
-        best = None
-        for z in sorted(X.adjacency[c0] & X.adjacency[c1]):
-            tri = tuple(sorted((c0, c1, z)))
-            sub_budget = (budget if best is None else len(best) - 1) - 1
-            if sub_budget < 0:
-                break
-            if z in cset:
-                pos = index[z]
-                if pos == 2:
-                    rest = fill(cycle[:1] + cycle[2:], sub_budget)
-                    cand = None if rest is None else [tri] + rest
-                elif pos == len(cycle) - 1:
-                    rest = fill(cycle[1:], sub_budget)
-                    cand = None if rest is None else [tri] + rest
-                else:
-                    part_a = fill(cycle[1:pos + 1], sub_budget)
-                    if part_a is None:
-                        continue
-                    part_b = fill(cycle[pos:] + cycle[:1],
-                                  sub_budget - len(part_a))
-                    cand = None if part_b is None else [tri] + part_a + part_b
-            else:
-                rest = fill((c0, z) + cycle[1:], sub_budget)
-                cand = None if rest is None else [tri] + rest
-            if cand is not None and (best is None or len(cand) < len(best)):
-                best = cand
-        memo[key] = (budget, best)
-        return best
-
-    result = fill(loop, max_area)
-    if result is None:
-        return FillingResult(None, None, True)
-    return FillingResult(len(result), tuple(result), False)
-
-
-def is_triangulable(X: FlagComplex, loop) -> bool:
-    """Whether the loop bounds a filling with no interior vertices (chord DP)."""
-    loop = tuple(loop)
-    m = len(loop)
-    if m < 3 or len(set(loop)) != m:
-        raise ValueError("loop must be an embedded cycle")
-    for a, b in zip(loop, loop[1:] + loop[:1]):
-        if not X.is_edge(a, b):
-            raise ValueError(f"loop edge ({a}, {b}) missing")
-
-    from functools import lru_cache
-
-    @lru_cache(maxsize=None)
-    def arc(i: int, j: int) -> bool:
-        # arc loop[i..j] closed by the (present) edge loop[i]-loop[j]
-        if j - i == 1:
-            return True
-        return any(
-            (k == i + 1 or X.is_edge(loop[i], loop[k]))
-            and (k == j - 1 or X.is_edge(loop[k], loop[j]))
-            and arc(i, k) and arc(k, j)
-            for k in range(i + 1, j))
-
-    return arc(0, m - 1)

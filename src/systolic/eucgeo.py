@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from .charsurf import CharDisc, build_char_disc, build_char_surface, characteristic_image
 from .complex import FlagComplex, Simplex
-from .flatgeom import GenCharDisc, PolyPath, polygon_geodesic
-from .lattice import HALF
+from .flatgeom import PolyPath, polygon_geodesic
+from .lattice import RowStack
 from .layers import ThicknessProfile, thickness_profile
 from .metric import dist, dist_map, directed_geodesic, spans_simplex
 
@@ -40,22 +40,20 @@ class EuclideanGeodesic:
     intervals: list[ThickIntervalData]
 
 
-def modified_disc(cd: CharDisc) -> GenCharDisc:
+def modified_disc(cd: CharDisc) -> RowStack:
     """Corner-trimmed disc: every row loses 1/2 on each side, so endpoint
     rows of a standard thick interval collapse to edge barycenters."""
-    rows = tuple((lx + HALF, lx + a - HALF)
-                 for lx, a in zip(cd.left_x, cd.widths))
-    return GenCharDisc(cd.interval[0], rows)
+    return RowStack(cd.interval[0], tuple((lo + 1, hi - 1) for lo, hi in cd.stack.rows))
 
 
 def cat0_diagonal(cd: CharDisc) -> PolyPath:
     """Exact CAT(0) geodesic of the modified disc between its endpoints."""
     md = modified_disc(cd)
-    p = (md.first_row, md.rows[0][0])
-    q = (md.last_row, md.rows[-1][0])
-    if md.rows[0][0] != md.rows[0][1] or md.rows[-1][0] != md.rows[-1][1]:
+    (lo0, hi0), (lom, him) = md.rows[0], md.rows[-1]
+    if lo0 != hi0 or lom != him:
         raise ValueError("diagonal endpoints require point rows (thin endpoints)")
-    return polygon_geodesic(md, p, q)
+    return polygon_geodesic(md, (md.first_row, Fraction(lo0, 2)),
+                            (md.last_row, Fraction(lom, 2)))
 
 
 def euclidean_diagonal(cd: CharDisc, diagonal: PolyPath | None = None) -> dict[int, Simplex]:
@@ -71,19 +69,15 @@ def euclidean_diagonal(cd: CharDisc, diagonal: PolyPath | None = None) -> dict[i
         a = cd.widths[rel]
         if a < 2:
             raise AssertionError(f"interior layer {k} of a thick interval has width {a}")
-        t = diagonal.x_at(k) - cd.left_x[rel]
+        x = diagonal.x_at(k)
+        # the crossing sits t / den lattice steps right of the row's left end
+        den = 2 * x.denominator
+        t = 2 * x.numerator - cd.stack.rows[rel][0] * x.denominator
         ids = cd.rows_ids[rel]
-        best, best_d = [], None
-        for h in range(1, a):
-            d = abs(t - h)
-            if best_d is None or d < best_d:
-                best, best_d = [h], d
-            elif d == best_d:
-                best.append(h)
-        if len(best) == 2:
-            out[k] = (ids[best[0]], ids[best[1]])
-        else:
-            out[k] = (ids[best[0]],)
+        gaps = {h: abs(t - h * den) for h in range(1, a)}
+        nearest = min(gaps.values())
+        # two interior vertices tie only at the barycenter of their edge
+        out[k] = tuple(ids[h] for h, gap in gaps.items() if gap == nearest)
     return out
 
 
@@ -214,8 +208,6 @@ def cat0_closeness_check(X: FlagComplex, p_path: list[int],
     for (i, j) in profile.thick_intervals:
         cd = build_char_disc(X, p_seq, r_seq, (i, j))
         diag = cat0_diagonal(cd)
-        for k in range(i, j + 1):
-            rel = k - i
-            w_x = cd.left_x[rel] + cd.widths[rel]
-            worst = max(worst, abs(diag.x_at(k) - w_x))
+        for k, (_, hi) in enumerate(cd.stack.rows, start=i):
+            worst = max(worst, abs(diag.x_at(k) - Fraction(hi, 2)))
     return worst

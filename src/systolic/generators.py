@@ -11,54 +11,46 @@ import random
 from fractions import Fraction
 
 from .complex import FlagComplex
-from .lattice import HALF
+from .lattice import RowStack
 
 
-def gen_flat_region(rows, first_row: int = 0) -> FlagComplex:
+def gen_flat_region(stack: RowStack) -> FlagComplex:
     """Induced subcomplex of the flat plane on a stack of row intervals.
 
-    `rows[k]` = (leftX, rightX) for lattice row `first_row + k`; both are
-    integers or half-integers matching the row parity and rightX - leftX is a
-    nonnegative integer.  Consecutive rows must share at least one lattice
-    adjacency.  The lattice embedding is kept in `coords`.
+    Each row's ends, in half-units, must match the row parity, and its
+    width must be a whole number of lattice steps.  Consecutive rows must
+    share at least one lattice adjacency.  The lattice embedding is kept in
+    `coords`.
     """
-    if not rows:
+    if not stack.rows:
         raise ValueError("empty row spec")
-    spans = []
-    for k, (lo, hi) in enumerate(rows):
-        row = first_row + k
-        lo, hi = Fraction(lo), Fraction(hi)
-        if hi < lo:
-            raise ValueError(f"row {row}: rightX < leftX")
-        if (2 * lo).denominator != 1 or ((2 * lo).numerator - row) % 2 != 0:
-            raise ValueError(f"row {row}: leftX {lo} violates row parity")
-        if (hi - lo).denominator != 1:
-            raise ValueError(f"row {row}: width {hi - lo} not an integer")
-        spans.append((row, lo, hi))
-    for (r1, lo1, hi1), (r2, lo2, hi2) in zip(spans, spans[1:]):
-        if max(lo1, lo2) - min(hi1, hi2) > HALF:
-            raise ValueError(f"rows {r1} and {r2} share no lattice adjacency")
+    for row, (lo, hi) in enumerate(stack.rows, start=stack.first_row):
+        if (lo - row) % 2:
+            raise ValueError(f"row {row}: leftX {Fraction(lo, 2)} violates row parity")
+        if (hi - lo) % 2:
+            raise ValueError(f"row {row}: width {Fraction(hi - lo, 2)} not an integer")
+    for row, ((lo1, hi1), (lo2, hi2)) in enumerate(zip(stack.rows, stack.rows[1:]),
+                                                   start=stack.first_row):
+        if max(lo1, lo2) - min(hi1, hi2) > 1:
+            raise ValueError(f"rows {row} and {row + 1} share no lattice adjacency")
 
     coords = {}
     ids_by_row = []
     vid = 0
-    for row, lo, hi in spans:
-        ids = []
-        x = lo
-        while x <= hi:
-            coords[vid] = (row, x)
-            ids.append(vid)
-            vid += 1
-            x += 1
+    for row, (lo, hi) in enumerate(stack.rows, start=stack.first_row):
+        ids = list(range(vid, vid + (hi - lo) // 2 + 1))
+        for x2, v in zip(range(lo, hi + 1, 2), ids):
+            coords[v] = (row, Fraction(x2, 2))
+        vid += len(ids)
         ids_by_row.append(ids)
 
     edges = []
     for ids in ids_by_row:
         edges += [(a, b) for a, b in zip(ids, ids[1:])]
-    for (_, lo1, _), (_, lo2, _), ids_a, ids_b in zip(spans, spans[1:],
-                                                      ids_by_row, ids_by_row[1:]):
+    for (lo1, _), (lo2, _), ids_a, ids_b in zip(stack.rows, stack.rows[1:],
+                                                ids_by_row, ids_by_row[1:]):
         # index p of the lower row meets indices p + shift and p + shift + 1
-        shift = int(lo1 - lo2 - HALF)
+        shift = (lo1 - lo2 - 1) // 2
         edges += [(a, ids_b[q]) for p, a in enumerate(ids_a)
                   for q in (p + shift, p + shift + 1) if 0 <= q < len(ids_b)]
 
@@ -68,19 +60,18 @@ def gen_flat_region(rows, first_row: int = 0) -> FlagComplex:
     return X
 
 
-def flat_parallelogram(height: int, width: int, first_row: int = 0) -> FlagComplex:
+def flat_parallelogram(height: int, width: int) -> FlagComplex:
     """Flat parallelogram with 60-degree sides: row k spans [k/2, k/2 + width].
 
     Convex as a subcomplex of the flat plane.
     """
-    rows = [(Fraction(k, 2), Fraction(k, 2) + width) for k in range(height + 1)]
-    return gen_flat_region(rows, first_row)
+    return gen_flat_region(RowStack(0, tuple((k, k + 2 * width) for k in range(height + 1))))
 
 
-def flat_rectangle(height: int, width: int, first_row: int = 0) -> FlagComplex:
+def flat_rectangle(height: int, width: int) -> FlagComplex:
     """Flat region with zigzag vertical sides: row k spans [(k mod 2)/2, ... + width]."""
-    rows = [(Fraction(k % 2, 2), Fraction(k % 2, 2) + width) for k in range(height + 1)]
-    return gen_flat_region(rows, first_row)
+    return gen_flat_region(RowStack(0, tuple((k % 2, k % 2 + 2 * width)
+                                             for k in range(height + 1))))
 
 
 def random_flat_disc(seed: int, max_vertices: int = 400) -> FlagComplex:
@@ -93,15 +84,15 @@ def random_flat_disc(seed: int, max_vertices: int = 400) -> FlagComplex:
     for _ in range(100):
         height = rng.randint(2, 9)
         width = rng.randint(2, 6)
-        lo = Fraction(0)
-        rows = [(lo, lo + width)]
+        lo = 0
+        rows = [(lo, lo + 2 * width)]
         for k in range(1, height + 1):
-            lo = lo + rng.choice([-HALF, HALF])
+            lo += rng.choice([-1, 1])
             if rng.random() < 0.25:
                 width = max(1, width + rng.choice([-1, 1]))
-            rows.append((lo, lo + width))
+            rows.append((lo, lo + 2 * width))
         try:
-            X = gen_flat_region(rows)
+            X = gen_flat_region(RowStack(0, tuple(rows)))
         except ValueError:
             continue
         if len(X) > max_vertices:

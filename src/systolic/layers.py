@@ -130,14 +130,14 @@ def verify_profile_lemmas(X: FlagComplex, profile: ThicknessProfile) -> list[str
     return failures
 
 
-def verify_layer_lemmas(X: FlagComplex, V, W, rng=None, samples: int = 50,
-                        include_layer_union_check: bool = False) -> dict:
+def verify_layer_lemmas(X: FlagComplex, V, W, rng=None) -> dict:
     """Report on the layer structure between convex V and W.
 
-    For interior layers: chordality (no induced cycle of any length >= 4),
-    no isometric trapezoid in the layer's 1-skeleton, and the unit
-    difference bound on sampled cross-layer edge pairs.  Failures are report
-    entries, each falsifying systolicity of the input.
+    For interior layers and the unions of consecutive interior layers:
+    chordality (no induced cycle of any length >= 4).  For every layer: no
+    isometric trapezoid in its 1-skeleton.  Between consecutive layers: the
+    unit difference bound on up to 50 sampled cross-layer edge pairs.
+    Failures are report entries, each falsifying systolicity of the input.
     """
     dec = layers(X, V, W)
     failures: list[str] = []
@@ -152,11 +152,10 @@ def verify_layer_lemmas(X: FlagComplex, V, W, rng=None, samples: int = 50,
         if bad is not None:
             failures.append(f"layer {i} contains an isometric trapezoid {bad}")
 
-    if include_layer_union_check:
-        for i in range(1, dec.n - 1):
-            cycle = chordless_cycle(X.induced(dec.layers[i] | dec.layers[i + 1]))
-            if cycle is not None:
-                failures.append(f"layers {i},{i + 1} union has induced cycle {cycle}")
+    for i in range(1, dec.n - 1):
+        cycle = chordless_cycle(X.induced(dec.layers[i] | dec.layers[i + 1]))
+        if cycle is not None:
+            failures.append(f"layers {i},{i + 1} union has induced cycle {cycle}")
 
     import random
     rng = rng or random.Random(0)
@@ -164,7 +163,7 @@ def verify_layer_lemmas(X: FlagComplex, V, W, rng=None, samples: int = 50,
     for i in range(dec.n):
         li, lj = dec.layers[i], dec.layers[i + 1]
         cross_edges = [(v, w) for v in li for w in X.adjacency[v] if w in lj]
-        for _ in range(min(samples, len(cross_edges) ** 2)):
+        for _ in range(min(50, len(cross_edges) ** 2)):
             (v, w), (x, y) = rng.choice(cross_edges), rng.choice(cross_edges)
             if abs(dist(X, (v,), (x,)) - dist(X, (w,), (y,))) > 1:
                 failures.append(f"edges ({v},{w}) and ({x},{y}) differ by more than 1")

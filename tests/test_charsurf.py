@@ -1,28 +1,27 @@
 """Characteristic discs, surfaces, images, and the minimal-surface oracle."""
 
 import itertools
-import random
 from fractions import Fraction
 
 import pytest
 
 from systolic import charsurf
 from systolic.charsurf import (CharDiscError, _cross_pairs, build_char_disc,
-                               build_char_surface, char_image_oracle,
-                               characteristic_image, check_row_stack,
-                               enumerate_char_surfaces, is_triangulable,
-                               minimal_surface_bruteforce)
+                               build_char_surface, characteristic_image,
+                               check_row_stack)
 from systolic.complex import FlagComplex
 from systolic.eucgeo import euclidean_geodesic
 from systolic.flatgeom import as_disc, gauss_bonnet_sum, is_flat
 from systolic.generators import (flat_parallelogram, flat_rectangle,
                                  gen_disc_with_degrees, gen_flat_region)
 from systolic.layers import layers, thickness_profile
-from systolic.lattice import canonical_placement, lattice_dist
+from systolic.lattice import RowStack
 from systolic.metric import dist, dist_map, directed_geodesic
 from systolic.suites import instance_suite
 
-HALF = Fraction(1, 2)
+from oracles import (canonical_placement, char_image_oracle, char_preimage,
+                     enumerate_char_surfaces, is_triangulable, lattice_dist,
+                     minimal_surface_bruteforce)
 
 
 def corner_pair(X):
@@ -69,9 +68,9 @@ def test_minimal_thick_interval_three_rows():
 def test_tie_break_seeds_give_identical_shape():
     X, c0, c1, sseq, tseq, prof = instance(flat_parallelogram, 10, 2)
     (iv,) = prof.thick_intervals
-    shapes = {repr(build_char_disc(X, sseq, tseq, iv, tie_seed=s).shape())
+    stacks = {build_char_disc(X, sseq, tseq, iv, tie_seed=s).stack
               for s in (None, 1, 2, 3, 4, 5)}
-    assert len(shapes) == 1
+    assert len(stacks) == 1
 
 
 def test_partial_interval_disc():
@@ -277,8 +276,6 @@ def test_loops_inside_layers_are_triangulable():
 
 
 def test_char_preimage_decodes_surface():
-    from systolic.charsurf import char_preimage
-
     X, c0, c1, sseq, tseq, prof = instance(flat_parallelogram, 8, 2)
     (iv,) = prof.thick_intervals
     cd = build_char_disc(X, sseq, tseq, iv)
@@ -290,25 +287,25 @@ def test_char_preimage_decodes_surface():
         char_preimage(X, (c0,), (c1,), cd, surf, outside)
 
 
-def audits_accept(widths, left, first_row):
+def audits_accept(stack):
     """The generic audits a characteristic disc once went through: build the
     row stack as a complex, validate it as a disc whose boundary is the
     defining loop, wide (no boundary chord) when its end rows are thin, and
     flat by the defect characterization."""
     try:
-        region = gen_flat_region([(lx, lx + a) for lx, a in zip(left, widths)],
-                                 first_row=first_row)
+        region = gen_flat_region(stack)
         disc = as_disc(region)
     except ValueError:
         return False
-    rows = [sorted((v for v in region.vertices if region.coords[v][0] == first_row + k),
-                   key=lambda v: region.coords[v][1]) for k in range(len(widths))]
+    rows = [sorted((v for v in region.vertices if region.coords[v][0] == row),
+                   key=lambda v: region.coords[v][1])
+            for row in range(stack.first_row, stack.last_row + 1)]
     loop = set(rows[0]) | set(rows[-1]) | {r[0] for r in rows} | {r[-1] for r in rows}
     if set(disc.boundary_cycle) != loop:
         return False
     cyc = disc.boundary_cycle
     m = len(cyc)
-    if widths[0] == widths[-1] == 1 and any(
+    if len(rows[0]) == len(rows[-1]) == 2 and any(
             region.is_edge(cyc[a], cyc[b])
             for a in range(m) for b in range(a + 2, m) if (a, b) != (0, m - 1)):
         return False
@@ -326,16 +323,15 @@ def test_shape_rule_matches_generic_audits():
                 continue
             for steps in itertools.product((-1, 1), repeat=n_rows - 1):
                 for first_row in (0, 1):
-                    left = [Fraction(first_row % 2, 2)]
-                    for o in steps:
-                        left.append(left[-1] + o * HALF)
+                    left = list(itertools.accumulate(steps, initial=first_row % 2))
+                    stack = RowStack(first_row, tuple((lo, lo + 2 * a)
+                                                      for lo, a in zip(left, widths)))
                     try:
-                        check_row_stack(widths, left, first_row)
+                        check_row_stack(stack)
                         ok = True
                     except CharDiscError:
                         ok = False
-                    assert ok == audits_accept(widths, left, first_row), \
-                        (widths, steps, first_row)
+                    assert ok == audits_accept(stack), (widths, steps, first_row)
                     verdicts.append(ok)
     assert any(verdicts) and not all(verdicts)
 

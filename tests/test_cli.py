@@ -145,8 +145,11 @@ def run_err(capsys, *argv):
 
 
 def test_missing_complex_exits_2(capsys):
-    for command in ("check", "dist", "dgeo", "egeo", "good", "atlas"):
-        code, err = run_err(capsys, command, "--from", "0", "--to", "1")
+    endpoints = ("--from", "0", "--to", "1")
+    for command, flags in (("check", ()), ("dist", endpoints), ("dgeo", endpoints),
+                           ("egeo", endpoints), ("good", endpoints),
+                           ("atlas", ("--from", "0"))):
+        code, err = run_err(capsys, command, *flags)
         assert code == 2, command
         assert "--complex is required" in err
 
@@ -206,8 +209,20 @@ def test_cap_only_on_atlas(flat_file, capsys):
 
 
 def test_flags_only_where_read(capsys):
-    # --svg is read by gen and egeo only, --seed by gen and verify only
-    for argv in (["check", "--svg", "x"], ["dist", "--seed", "1"]):
+    # --svg is read by gen and egeo only, --seed by gen and verify only;
+    # --complex, --from and --to by the commands that load a complex (atlas
+    # reads no --to), and --json by check, verify and atlas only
+    for argv in (["check", "--svg", "x"], ["dist", "--seed", "1"],
+                 ["gen", "--kind", "disc", "--out", "x.cx", "--complex", "nothere.cx"],
+                 ["gen", "--kind", "disc", "--out", "x.cx", "--from", "1"],
+                 ["gen", "--kind", "disc", "--out", "x.cx", "--to", "99"],
+                 ["gen", "--kind", "disc", "--out", "x.cx", "--json"],
+                 ["verify", "--suite", "gauss-bonnet", "--complex", "nothere.cx"],
+                 ["verify", "--suite", "gauss-bonnet", "--from", "1"],
+                 ["check", "--from", "999"], ["check", "--to", "1"],
+                 ["atlas", "--to", "12345"],
+                 ["dist", "--complex", "x.cx", "--from", "0", "--to", "1", "--json"],
+                 ["dgeo", "--json"], ["egeo", "--json"], ["good", "--json"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv

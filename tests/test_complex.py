@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -12,8 +11,7 @@ from systolic.complex import (FlagComplex, INFINITY, dumps_complex, is_k_large,
 from systolic.flatgeom import as_disc, defect, gauss_bonnet_sum
 from systolic.generators import (flat_parallelogram, flat_rectangle,
                                  gen_disc_with_degrees, gen_flat_region)
-
-HALF = Fraction(1, 2)
+from systolic.lattice import RowStack
 
 
 def hexagon_wheel():
@@ -154,7 +152,7 @@ def test_simply_connected_heuristic():
 
 
 def test_gen_flat_region_single_triangle():
-    X = gen_flat_region([(Fraction(0), Fraction(1)), (HALF, HALF)])
+    X = gen_flat_region(RowStack(0, ((0, 2), (1, 1))))
     assert len(X) == 3 and len(X.triangles()) == 1
 
 
@@ -177,9 +175,9 @@ def test_gen_flat_region_parallelogram_corner_defects():
 
 def test_gen_flat_region_errors():
     with pytest.raises(ValueError):
-        gen_flat_region([(Fraction(0), Fraction(1)), (Fraction(5), Fraction(6))])
+        gen_flat_region(RowStack(0, ((0, 2), (10, 12))))
     with pytest.raises(ValueError):
-        gen_flat_region([(HALF, Fraction(3, 2))])  # parity of row 0 violated
+        gen_flat_region(RowStack(0, ((1, 3),)))  # parity of row 0 violated
 
 
 def test_generated_regions_pass_checks():

@@ -1,6 +1,7 @@
 """The Euclidean-geodesic pipeline: modified discs, diagonals, assembly,
 and the quantitative checks."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from systolic.eucgeo import (cat0_closeness_check, cat0_diagonal,
                              thread_vertex_path, verify_euc_properties)
 from systolic.generators import (flat_parallelogram, flat_rectangle,
                                  gen_disc_with_degrees, gen_flat_region)
+from systolic.lattice import RowStack
 from systolic.layers import thickness_profile
 from systolic.metric import dist, dist_map, directed_geodesic, is_geodesic_path
 from systolic.suites import extremal_geodesic
@@ -36,44 +38,42 @@ def far_pair(X, seed=0):
 
 def synthetic_disc(widths, offsets, first_row=0):
     """A CharDisc built directly from a lattice row stack (for unit tests of
-    the diagonal machinery)."""
-    left = [Fraction(0) if first_row % 2 == 0 else HALF]
-    for off in offsets:
-        left.append(left[-1] + off)
-    region = gen_flat_region([(lx, lx + a) for lx, a in zip(left, widths)],
-                             first_row=first_row)
+    the diagonal machinery); `offsets` are the left-end steps in half-units."""
+    left = list(itertools.accumulate(offsets, initial=first_row % 2))
+    stack = RowStack(first_row, tuple((lo, lo + 2 * a) for lo, a in zip(left, widths)))
+    region = gen_flat_region(stack)
     rows_ids = [[] for _ in widths]
     for vid in region.vertices:
         rows_ids[region.coords[vid][0] - first_row].append(vid)
     for ids in rows_ids:
         ids.sort(key=lambda v: region.coords[v][1])
     n = len(widths) - 1
-    return CharDisc((first_row, first_row + n),
-                    [ids[0] for ids in rows_ids], [ids[-1] for ids in rows_ids],
-                    list(widths), left, rows_ids,
-                    [(ids[0],) for ids in rows_ids],
-                    [(ids[-1],) for ids in rows_ids],
-                    widths[0] == 1 and widths[-1] == 1)
+    cd = CharDisc((first_row, first_row + n),
+                  [ids[0] for ids in rows_ids], [ids[-1] for ids in rows_ids], stack,
+                  [(ids[0],) for ids in rows_ids],
+                  [(ids[-1],) for ids in rows_ids])
+    assert cd.rows_ids == rows_ids
+    return cd
 
 
 def test_modified_disc_rows():
-    cd = synthetic_disc([1, 2, 1], [-HALF, HALF])
+    cd = synthetic_disc([1, 2, 1], [-1, 1])
     md = modified_disc(cd)
     assert md.rows[0][0] == md.rows[0][1]          # endpoint rows are points
     assert md.rows[2][0] == md.rows[2][1]
     lo, hi = md.rows[1]
-    assert hi - lo == 1                            # width 2 shrinks to 1
+    assert hi - lo == 2                            # width 2 shrinks to 1 (2 half-units)
 
 
 def test_modified_disc_parallelogram_shrink():
-    cd = synthetic_disc([1, 2, 3, 3, 2, 1], [-HALF, -HALF, -HALF, HALF, HALF])
+    cd = synthetic_disc([1, 2, 3, 3, 2, 1], [-1, -1, -1, 1, 1])
     md = modified_disc(cd)
     for (lo, hi), w in zip(md.rows, cd.widths):
-        assert hi - lo == w - 1
+        assert hi - lo == 2 * (w - 1)
 
 
 def test_cat0_diagonal_symmetric_disc_is_vertical():
-    cd = synthetic_disc([1, 2, 3, 2, 1], [-HALF, -HALF, HALF, HALF])
+    cd = synthetic_disc([1, 2, 3, 2, 1], [-1, -1, 1, 1])
     diag = cat0_diagonal(cd)
     assert len(set(diag.xs)) == 1
 
@@ -95,7 +95,7 @@ def test_cat0_diagonal_slope_bound():
 
 def test_euclidean_diagonal_symmetric_middle_vertex():
     cd = synthetic_disc([1, 2, 3, 4, 3, 2, 1],
-                        [-HALF, -HALF, -HALF, HALF, HALF, HALF])
+                        [-1, -1, -1, 1, 1, 1])
     rho = euclidean_diagonal(cd)
     mid_row = cd.rows_ids[3]
     assert rho[3] == (mid_row[len(mid_row) // 2],)
@@ -108,7 +108,7 @@ def test_euclidean_diagonal_symmetric_middle_vertex():
 def test_euclidean_diagonal_barycenter_tie_gives_edge():
     # diagonal runs straight down x = 1/2 and crosses the width-3 middle row
     # exactly at the barycenter of its middle edge
-    cd = synthetic_disc([1, 2, 3, 2, 1], [-HALF, -HALF, HALF, HALF])
+    cd = synthetic_disc([1, 2, 3, 2, 1], [-1, -1, 1, 1])
     diag = cat0_diagonal(cd)
     assert len(set(diag.xs)) == 1
     rho = euclidean_diagonal(cd, diag)
@@ -119,7 +119,7 @@ def test_euclidean_diagonal_barycenter_tie_gives_edge():
 
 def test_euclidean_diagonal_never_contains_row_ends():
     # crossing nearest a row end still picks the interior neighbor
-    cd = synthetic_disc([1, 2, 2, 2, 1], [-HALF, HALF, HALF, HALF])
+    cd = synthetic_disc([1, 2, 2, 2, 1], [-1, 1, 1, 1])
     rho = euclidean_diagonal(cd)
     for k, r in rho.items():
         rel = k - cd.interval[0]

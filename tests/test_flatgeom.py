@@ -8,17 +8,16 @@ import pytest
 
 from systolic.complex import FlagComplex
 from systolic.eucgeo import cat0_diagonal, euclidean_geodesic, modified_disc
-from systolic.flatgeom import (DiscError, EmbedError, GenCharDisc, PolyPath,
-                               as_disc, d_close, defect, embed_flat_disc,
-                               gauss_bonnet_sum, is_flat,
-                               placements_congruent, polygon_geodesic,
-                               polygon_geodesic_bruteforce)
+from systolic.flatgeom import (DiscError, PolyPath, as_disc, defect,
+                               gauss_bonnet_sum, is_flat, polygon_geodesic)
 from systolic.generators import (flat_parallelogram, flat_rectangle,
-                                 gen_disc_with_degrees, gen_flat_region,
-                                 random_flat_disc)
+                                 gen_disc_with_degrees, random_flat_disc)
+from systolic.lattice import RowStack
 from systolic.svg import poly_path_points, render_svg
 
-HALF = Fraction(1, 2)
+from oracles import (EmbedError, canonical_placement, d_close, embed_flat_disc,
+                     from_cube, placements_congruent, point_group,
+                     polygon_geodesic_bruteforce, to_cube)
 
 
 def single_triangle():
@@ -94,25 +93,20 @@ def test_random_flat_discs_embed():
 
 
 def test_geodesic_straight_vertical():
-    disc = GenCharDisc(0, tuple((Fraction(-2), Fraction(2)) for _ in range(5)))
+    disc = RowStack(0, tuple((-4, 4) for _ in range(5)))
     path = polygon_geodesic(disc, (0, Fraction(1)), (4, Fraction(1)))
     assert path.xs == (1, 1, 1, 1, 1)
 
 
 def test_geodesic_bends_at_boundary_vertex():
     # middle row pinched to [1, 3]: the straight chord would cross at 0
-    disc = GenCharDisc(0, ((Fraction(-4), Fraction(4)),
-                           (Fraction(1), Fraction(3)),
-                           (Fraction(-4), Fraction(4))))
+    disc = RowStack(0, ((-8, 8), (2, 6), (-8, 8)))
     path = polygon_geodesic(disc, (0, Fraction(0)), (2, Fraction(0)))
     assert path.xs == (0, 1, 0)
 
 
 def test_geodesic_staircase_matches_oracle():
-    disc = GenCharDisc(0, ((Fraction(0), Fraction(0)),
-                           (Fraction(-1), Fraction(1, 2)),
-                           (Fraction(1, 2), Fraction(3)),
-                           (Fraction(2), Fraction(2))))
+    disc = RowStack(0, ((0, 0), (-2, 1), (1, 6), (4, 4)))
     p, q = (0, Fraction(0)), (3, Fraction(2))
     funnel = polygon_geodesic(disc, p, q)
     brute = polygon_geodesic_bruteforce(disc, p, q)
@@ -120,9 +114,7 @@ def test_geodesic_staircase_matches_oracle():
 
 
 def test_geodesic_point_doors():
-    disc = GenCharDisc(0, ((Fraction(0), Fraction(2)),
-                           (Fraction(1), Fraction(1)),
-                           (Fraction(-1), Fraction(3))))
+    disc = RowStack(0, ((0, 4), (2, 2), (-2, 6)))
     path = polygon_geodesic(disc, (0, Fraction(0)), (2, Fraction(3)))
     assert path.xs[1] == 1
 
@@ -132,16 +124,16 @@ def test_geodesic_reversal_symmetry():
     for _ in range(60):
         nrows = rng.randint(2, 7)
         rows = []
-        lo = Fraction(rng.randint(-4, 4), 2)
+        lo = rng.randint(-4, 4)
         for _ in range(nrows):
-            lo = lo + Fraction(rng.randint(-2, 2), 2)
-            rows.append((lo, lo + Fraction(rng.randint(0, 8), 2)))
-        disc = GenCharDisc(0, tuple(rows))
-        p = (0, rows[0][0])
-        q = (nrows - 1, rows[-1][1])
+            lo = lo + rng.randint(-2, 2)
+            rows.append((lo, lo + rng.randint(0, 8)))
+        disc = RowStack(0, tuple(rows))
+        p = (0, Fraction(rows[0][0], 2))
+        q = (nrows - 1, Fraction(rows[-1][1], 2))
         fwd = polygon_geodesic(disc, p, q)
-        rev_disc = GenCharDisc(0, tuple(reversed(rows)))
-        rev = polygon_geodesic(rev_disc, (0, rows[-1][1]), (nrows - 1, rows[0][0]))
+        rev_disc = RowStack(0, tuple(reversed(rows)))
+        rev = polygon_geodesic(rev_disc, (0, q[1]), (nrows - 1, p[1]))
         assert fwd.xs == tuple(reversed(rev.xs))
 
 
@@ -154,16 +146,16 @@ def test_geodesic_not_longer_than_boundary_paths():
     for _ in range(30):
         nrows = rng.randint(2, 6)
         rows = []
-        lo = Fraction(0)
+        lo = 0
         for _ in range(nrows):
-            lo = lo + Fraction(rng.randint(-1, 1), 2)
-            rows.append((lo, lo + Fraction(rng.randint(1, 6), 2)))
-        disc = GenCharDisc(0, tuple(rows))
-        p = (0, rows[0][0])
-        q = (nrows - 1, rows[-1][1])
+            lo = lo + rng.randint(-1, 1)
+            rows.append((lo, lo + rng.randint(1, 6)))
+        disc = RowStack(0, tuple(rows))
+        p = (0, Fraction(rows[0][0], 2))
+        q = (nrows - 1, Fraction(rows[-1][1], 2))
         geo = polygon_geodesic(disc, p, q)
-        left = [r[0] for r in rows[:-1]] + [rows[-1][1]]
-        right = [rows[0][0]] + [r[1] for r in rows[1:]]
+        left = [Fraction(r[0], 2) for r in rows[:-1]] + [q[1]]
+        right = [p[1]] + [Fraction(r[1], 2) for r in rows[1:]]
         assert _length(geo.xs) <= _length(left) + 1e-9
         assert _length(geo.xs) <= _length(right) + 1e-9
 
@@ -174,13 +166,13 @@ def test_funnel_equals_bruteforce_randomized():
         nrows = rng.randint(2, 8)
         rows = []
         for _ in range(nrows):
-            lo = Fraction(rng.randint(-8, 8), 2)
-            rows.append((lo, lo + Fraction(rng.randint(0, 9), 2)))
-        disc = GenCharDisc(rng.randint(-3, 3), tuple(rows))
+            lo = rng.randint(-8, 8)
+            rows.append((lo, lo + rng.randint(0, 9)))
+        disc = RowStack(rng.randint(-3, 3), tuple(rows))
         lo0, hi0 = rows[0]
         lom, him = rows[-1]
-        p = (disc.first_row, lo0 + (hi0 - lo0) * Fraction(rng.randint(0, 3), 3))
-        q = (disc.last_row, lom + (him - lom) * Fraction(rng.randint(0, 3), 3))
+        p = (disc.first_row, (lo0 + (hi0 - lo0) * Fraction(rng.randint(0, 3), 3)) / 2)
+        q = (disc.last_row, (lom + (him - lom) * Fraction(rng.randint(0, 3), 3)) / 2)
         assert polygon_geodesic(disc, p, q).xs == \
             polygon_geodesic_bruteforce(disc, p, q).xs
 
@@ -233,7 +225,8 @@ def test_geodesic_stationary_on_tall_stacks():
         (lo0, hi0), (lom, him) = rows[0], rows[-1]
         px = lo0 + (hi0 - lo0) * Fraction(rng.randint(0, 4), 4)
         qx = lom + (him - lom) * Fraction(rng.randint(0, 4), 4)
-        disc = GenCharDisc(rng.randint(-3, 3), tuple(rows))
+        disc = RowStack(rng.randint(-3, 3),
+                        tuple((int(2 * lo), int(2 * hi)) for lo, hi in rows))
         path = polygon_geodesic(disc, (disc.first_row, px), (disc.last_row, qx))
         assert stationary(rows, px, qx, path.xs), (rows, px, qx)
 
@@ -245,7 +238,8 @@ def test_geodesic_stationary_on_rectangle_diagonals():
     eg = euclidean_geodesic(X, (c0,), (c1,))
     assert eg.intervals
     for data in eg.intervals:
-        rows = modified_disc(data.disc).rows
+        rows = [(Fraction(lo, 2), Fraction(hi, 2))
+                for lo, hi in modified_disc(data.disc).rows]
         p, q = rows[0][0], rows[-1][0]
         path = cat0_diagonal(data.disc)
         assert stationary(rows, p, q, path.xs)
@@ -255,7 +249,7 @@ def test_geodesic_stationary_on_rectangle_diagonals():
 
 
 def test_geodesic_endpoint_validation():
-    disc = GenCharDisc(0, ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(1))))
+    disc = RowStack(0, ((0, 2), (0, 2)))
     with pytest.raises(ValueError):
         polygon_geodesic(disc, (0, Fraction(5)), (1, Fraction(0)))
     with pytest.raises(ValueError):
@@ -283,9 +277,6 @@ def test_svg_deterministic():
 
 
 def test_canonical_placement_isometry_invariant():
-    from systolic.lattice import (canonical_placement, from_cube, point_group,
-                                  to_cube)
-
     rng = random.Random(21)
     X = flat_parallelogram(4, 3)
     pts = list(X.coords.values())

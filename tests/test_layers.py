@@ -1,7 +1,6 @@
 """Layer decompositions, thickness profiles, and the layer lemma report."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -10,6 +9,8 @@ from systolic.generators import flat_parallelogram, flat_rectangle
 from systolic.layers import (layers, thickness_profile, verify_layer_lemmas,
                              verify_profile_lemmas)
 from systolic.metric import dist, dist_map, directed_geodesic, sphere
+
+from oracles import lattice_dist
 
 
 def corner_pair(X):
@@ -37,7 +38,6 @@ def test_layers_flat_rectangle_are_antidiagonal_segments():
     X = flat_rectangle(4, 4)
     c0, c1 = corner_pair(X)
     dec = layers(X, {c0}, {c1})
-    from systolic.lattice import lattice_dist
     for i, layer in enumerate(dec.layers):
         expected = {v for v in X.vertices
                     if lattice_dist(X.coords[v], X.coords[c0]) == i
@@ -132,6 +132,5 @@ def test_verify_layer_lemmas_detects_bad_layer():
 def test_optional_layer_union_check_runs():
     X = flat_parallelogram(6, 2)
     c0, c1 = corner_pair(X)
-    report = verify_layer_lemmas(X, {c0}, {c1}, rng=random.Random(0),
-                                 include_layer_union_check=True)
+    report = verify_layer_lemmas(X, {c0}, {c1}, rng=random.Random(0))
     assert report["ok"], report["failures"]

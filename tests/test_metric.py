@@ -8,11 +8,13 @@ import pytest
 from systolic.complex import FlagComplex
 from systolic.generators import (flat_parallelogram, flat_rectangle,
                                  gen_disc_with_degrees, gen_flat_region)
-from systolic.lattice import HALF, lattice_adjacent, lattice_dist
+from systolic.lattice import RowStack, lattice_adjacent
 from systolic.metric import (ProjectionError, all_geodesics, ball, dist,
                              directed_geodesic, dist_map, is_convex,
                              is_geodesic_path, max_dist, projection, residue,
                              sphere)
+
+from oracles import lattice_dist
 
 
 def hexagon_wheel():
@@ -165,7 +167,7 @@ def test_directed_geodesic_adjacent():
 
 
 def test_directed_geodesic_on_lattice_line():
-    X = gen_flat_region([(Fraction(0), Fraction(4))])
+    X = gen_flat_region(RowStack(0, ((0, 8),)))
     left = min(X.vertices, key=lambda v: X.coords[v][1])
     right = max(X.vertices, key=lambda v: X.coords[v][1])
     seq = directed_geodesic(X, (left,), frozenset({right}))
