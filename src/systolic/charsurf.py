@@ -128,9 +128,8 @@ def _maximizing_pairs(X: FlagComplex, sigma: Simplex, tau: Simplex):
     best = -1
     pairs = []
     for s in sigma:
-        dm = dist_map(X, (s,))
         for t in tau:
-            d = dm[t]
+            d = dist(X, s, t)
             if d > best:
                 best, pairs = d, [(s, t)]
             elif d == best:
@@ -250,7 +249,7 @@ def characteristic_image(X: FlagComplex, sigma, tau, cd: CharDisc,
     if not rho or any(b not in cd.neighbours(a) for a, b in combinations(rho, 2)):
         raise ValueError(f"{rho} is not a simplex of the disc")
     n = dist(X, sigma, tau)
-    ds, dt = dist_map(X, sigma), dist_map(X, tau)
+    ds, dt = dist_map(X, sigma, radius=n), dist_map(X, tau, radius=n)
     out: set[int] = set()
     for u in rho:
         k = cd.row_of(u)

@@ -35,6 +35,15 @@ _FLAGS = {
     "C": {"dest": "C", "type": int, "default": C_DEFAULT},
 }
 
+# The generators `gen --kind` names, with the parameters each reads and their
+# defaults; gen rejects a parameter its kind does not read.
+_GENERATORS = {
+    "parallelogram": (flat_parallelogram, {"height": 8, "width": 2}),
+    "rectangle": (flat_rectangle, {"height": 8, "width": 2}),
+    "disc": (gen_disc_with_degrees, {"seed": 0, "rings": 2}),
+}
+_GEN_PARAMS = ("height", "width", "rings", "seed")
+
 
 def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
     """The shared flags a command reads; it rejects any other as a usage error."""
@@ -50,12 +59,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="emit a complex file from a generator")
-    _add_flags(p, "seed", "svg")
-    p.add_argument("--kind", choices=["parallelogram", "rectangle", "disc"],
-                   required=True)
-    p.add_argument("--height", type=int, default=8)
-    p.add_argument("--width", type=int, default=2)
-    p.add_argument("--rings", type=int, default=2)
+    _add_flags(p, "svg")
+    p.add_argument("--kind", choices=list(_GENERATORS), required=True)
+    for name in _GEN_PARAMS:
+        # absent unless given, so main can reject what --kind does not read
+        p.add_argument(f"--{name}", type=int, default=argparse.SUPPRESS)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("check", help="flagness, local 6-largeness, collapsibility")
@@ -105,8 +113,10 @@ def _need_endpoints(args, X) -> tuple[int, int]:
     if args.src is None or args.dst is None:
         raise UsageError("--from and --to are required for this command")
     u, v = _need_vertex(X, args.src), _need_vertex(X, args.dst)
-    if v not in dist_map(X, (u,)):
-        raise UsageError(f"vertices {u} and {v} lie in different components")
+    try:
+        dist(X, u, v)
+    except ValueError:
+        raise UsageError(f"vertices {u} and {v} lie in different components") from None
     return u, v
 
 
@@ -128,14 +138,12 @@ def _emit_svg(args, X, paths=()) -> None:
 
 
 def cmd_gen(args) -> int:
-    if args.kind == "parallelogram":
-        X = flat_parallelogram(args.height, args.width)
-    elif args.kind == "rectangle":
-        X = flat_rectangle(args.height, args.width)
-    else:
-        X = gen_disc_with_degrees(args.seed, rings=args.rings)
+    generator, defaults = _GENERATORS[args.kind]
+    params = {name: getattr(args, name, default) for name, default in defaults.items()}
+    X = generator(**params)
     _write(args.out, dumps_complex(X))
-    print(f"seed={args.seed} kind={args.kind} vertices={len(X)} "
+    seed = f"seed={params['seed']} " if "seed" in params else ""
+    print(f"{seed}kind={args.kind} vertices={len(X)} "
           f"edges={X.edge_count()} -> {args.out}")
     _emit_svg(args, X)
     return 0
@@ -259,7 +267,13 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "gen":
+        unread = [f"--{name}" for name in _GEN_PARAMS
+                  if hasattr(args, name) and name not in _GENERATORS[args.kind][1]]
+        if unread:
+            parser.error(f"gen --kind {args.kind} does not read {', '.join(unread)}")
     try:
         return _COMMANDS[args.command](args)
     except UsageError as exc:

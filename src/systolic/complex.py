@@ -2,7 +2,8 @@
 
 A complex is determined by a symmetric adjacency map; simplices are exactly
 the cliques, so non-flag input is unrepresentable.  Complexes are immutable
-after construction and safe to share across workers.
+after construction, but each holds a BFS cache that is not thread-safe:
+share complexes across processes, not threads.
 
 Largeness verdicts are exact and carry an induced cycle as their witness.
 k-largeness for finite k searches induced cycles of lengths 4..k-1; link
@@ -25,12 +26,15 @@ INFINITY = float("inf")
 class FlagComplex:
     """Immutable flag complex over integer vertex ids."""
 
-    __slots__ = ("adjacency", "coords", "_dist_cache")
+    __slots__ = ("adjacency", "coords", "_dist_cache", "_dist_labelled")
 
     def __init__(self, adjacency: dict[int, frozenset[int]], coords=None):
         self.adjacency = adjacency
         self.coords = coords
+        # BFS sweeps by frozen source set, least recently used first, and
+        # the number of vertices they label (see systolic.metric)
         self._dist_cache: OrderedDict = OrderedDict()
+        self._dist_labelled = 0
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int]], vertices: Iterable[int] = (),
@@ -67,11 +71,19 @@ class FlagComplex:
         return u != v and v in self.adjacency.get(u, ())
 
     def is_simplex(self, vs: Iterable[int]) -> bool:
-        vs = list(vs)
-        if len(set(vs)) != len(vs) or not vs:
-            return False
-        return all(v in self.adjacency for v in vs) and all(
-            self.is_edge(u, v) for i, u in enumerate(vs) for v in vs[i + 1:])
+        # each vertex must neighbour every earlier one; with no self-loops, a
+        # repeated vertex fails that test
+        adjacency = self.adjacency
+        earlier = []
+        for u in vs:
+            nbrs = adjacency.get(u)
+            if nbrs is None:
+                return False
+            for v in earlier:
+                if v not in nbrs:
+                    return False
+            earlier.append(u)
+        return bool(earlier)
 
     def induced(self, vs: Iterable[int]) -> "FlagComplex":
         """Full subcomplex on a vertex set."""

@@ -88,8 +88,9 @@ def euclidean_geodesic(X: FlagComplex, sigma, tau) -> EuclideanGeodesic:
     if not X.is_simplex(sigma) or not X.is_simplex(tau):
         raise ValueError("endpoints must be simplices")
     n = dist(X, sigma, tau)
-    ds, dt = dist_map(X, sigma), dist_map(X, tau)
-    if any(dt[v] != n for v in sigma) or any(ds[v] != n for v in tau):
+    # every layer between sigma and tau lies within n of both
+    ds, dt = dist_map(X, sigma, radius=n), dist_map(X, tau, radius=n)
+    if any(dt.get(v) != n for v in sigma) or any(ds.get(v) != n for v in tau):
         raise ValueError("endpoints must lie inside each other's n-sphere")
     if n == 0:
         if sigma != tau:
@@ -120,7 +121,7 @@ def euclidean_geodesic(X: FlagComplex, sigma, tau) -> EuclideanGeodesic:
         intervals.append(ThickIntervalData((i, j), cd, surface, diagonal, rho))
 
     for k, d in enumerate(deltas):
-        if any(ds[v] != k or dt[v] != n - k for v in d):
+        if any(ds.get(v) != k or dt.get(v) != n - k for v in d):
             raise AssertionError(f"delta_{k} leaves layer {k}")
     assert deltas[0] == sigma and deltas[n] == tau
     return EuclideanGeodesic(sigma, tau, n, sigma_seq, tau_seq, profile,

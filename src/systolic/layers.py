@@ -86,7 +86,7 @@ def thickness_profile(X: FlagComplex, sigma_seq, tau_seq,
         sigma = set(sigma_seq[0]) | set(tau_seq[0])
     if tau is None:
         tau = set(sigma_seq[-1]) | set(tau_seq[-1])
-    ds, dt = dist_map(X, sigma), dist_map(X, tau)
+    ds, dt = dist_map(X, sigma, radius=n), dist_map(X, tau, radius=n)
     for k in range(n + 1):
         for v in sigma_seq[k] + tau_seq[k]:
             if ds.get(v) != k or dt.get(v) != n - k:

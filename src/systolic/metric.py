@@ -1,63 +1,140 @@
 """Combinatorial metric structure on flag complexes.
 
 Distances are 1-skeleton path lengths from multi-source BFS; every query is
-a pure function of an immutable complex, with per-complex bounded caching of
-BFS maps (distance queries dominate everything downstream).
+a pure function of an immutable complex.  Each complex caches one resumable
+BFS sweep per source set, grown level by level only as far as a reader asks
+(`dist_map`'s `radius`, or the level where `dist` meets its target), and
+evicts least recently used sweeps once they label more than
+`_LABEL_BOUND` vertices in all.
+
+The radius contract: `dist_map(X, Y, radius=r)` holds every vertex within
+r of Y with its true distance, and may hold farther vertices, also with
+their true distances.  Such a partial map grows in place when a later call
+asks for more, so its readers look vertices up, or keep only the entries
+within r; only a map asked for with `radius=None` is complete, never
+changes again, and may be iterated.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable
 
 from .complex import FlagComplex, Simplex
 
-_CACHE_BOUND = 4096
+_LABEL_BOUND = 2 ** 21   # labelled vertices over one complex's sweeps
+_WHOLE = float("inf")    # the radius of a sweep that labels its whole component
 
 
 class ProjectionError(ValueError):
     """Residue-intersection is empty or not a simplex: input is not systolic."""
 
 
-def dist_map(X: FlagComplex, sources: Iterable[int]) -> dict[int, int]:
-    """BFS distance from a vertex set to every reachable vertex (cached)."""
-    key = frozenset(sources)
+class _Sweep:
+    """A BFS from one source set, paused after a whole level.
+
+    `dist` labels exactly the vertices within `radius` of the sources, in
+    the order of a deque BFS; `frontier` lists those at distance `radius`.
+    When a level comes out empty, the sweep is complete and `radius` is
+    infinite.
+    """
+
+    __slots__ = ("dist", "frontier", "radius")
+
+    def __init__(self, sources: frozenset[int]):
+        self.dist = dict.fromkeys(sources, 0)
+        self.frontier = list(self.dist)
+        self.radius = 0
+
+
+def _new_sweep(X: FlagComplex, key: frozenset[int]) -> _Sweep:
     if not key:
         raise ValueError("empty source set")
+    for v in key:
+        if v not in X.adjacency:
+            raise KeyError(v)
+    sweep = X._dist_cache[key] = _Sweep(key)
+    X._dist_labelled += len(key)
+    _evict(X)
+    return sweep
+
+
+def _evict(X: FlagComplex) -> None:
+    """Drop least recently used sweeps, never the most recent one, while the
+    cache labels more than _LABEL_BOUND vertices."""
     cache = X._dist_cache
-    hit = cache.get(key)
-    if hit is not None:
+    while X._dist_labelled > _LABEL_BOUND and len(cache) > 1:
+        X._dist_labelled -= len(cache.popitem(last=False)[1].dist)
+
+
+def _grow(X: FlagComplex, sweep: _Sweep, radius: float) -> None:
+    """Label whole levels until the most recent sweep reaches radius or
+    completes."""
+    adjacency = X.adjacency
+    dm, frontier, r = sweep.dist, sweep.frontier, sweep.radius
+    before = len(dm)
+    while r < radius:
+        r += 1
+        level = []
+        for v in frontier:
+            for w in adjacency[v]:
+                if w not in dm:
+                    dm[w] = r
+                    level.append(w)
+        if not level:
+            r = _WHOLE
+        frontier = level
+    sweep.frontier, sweep.radius = frontier, r
+    X._dist_labelled += len(dm) - before
+    _evict(X)
+
+
+def dist_map(X: FlagComplex, sources: Iterable[int], *,
+             radius: int | None = None) -> dict[int, int]:
+    """BFS distances from a vertex set, complete through `radius`.
+
+    Every vertex within `radius` of the sources is present with its true
+    distance; farther ones may be present, also with true distances.  The
+    map is shared with the cache and grows in place, so iterate it only
+    when asked with `radius=None`: then it holds the sources' whole
+    component and never changes again.  Otherwise look vertices up.
+    """
+    key = frozenset(sources)
+    cache = X._dist_cache
+    sweep = cache.get(key)
+    if sweep is None:
+        sweep = _new_sweep(X, key)
+    else:
         cache.move_to_end(key)
-        return hit
-    dist = {v: 0 for v in key}
-    queue = deque(key)
-    while queue:
-        v = queue.popleft()
-        d = dist[v] + 1
-        for w in X.adjacency[v]:
-            if w not in dist:
-                dist[w] = d
-                queue.append(w)
-    cache[key] = dist
-    if len(cache) > _CACHE_BOUND:
-        cache.popitem(last=False)
-    return dist
+    if radius is None:
+        radius = _WHOLE
+    if sweep.radius < radius:
+        _grow(X, sweep, radius)
+    return sweep.dist
 
 
 def dist(X: FlagComplex, A: Iterable[int] | int, B: Iterable[int] | int) -> int:
-    """Minimum 1-skeleton distance between two nonempty vertex sets."""
-    if isinstance(A, int):
-        A = (A,)
-    if isinstance(B, int):
-        B = (B,)
-    dm = dist_map(X, A)
+    """Minimum 1-skeleton distance between two nonempty vertex sets: A's
+    sweep grows until a level holds a vertex of B."""
+    key = frozenset((A,) if isinstance(A, int) else A)
+    targets = frozenset((B,) if isinstance(B, int) else B)
+    sweep = X._dist_cache.get(key)
+    if sweep is None:
+        sweep = _new_sweep(X, key)
+    else:
+        X._dist_cache.move_to_end(key)
+    dm = sweep.dist
     best = None
-    for b in B:
+    for b in targets:
         d = dm.get(b)
         if d is not None and (best is None or d < best):
             best = d
-    if best is None:
-        raise ValueError("vertex sets lie in different components")
+    # every labelled vertex lies within the radius, so a target found is nearest
+    while best is None:
+        if sweep.radius == _WHOLE:
+            raise ValueError("vertex sets lie in different components")
+        _grow(X, sweep, sweep.radius + 1)
+        if not targets.isdisjoint(sweep.frontier):
+            best = sweep.radius
     return best
 
 
@@ -99,7 +176,7 @@ def ball(X: FlagComplex, Y: Iterable[int], n: int) -> frozenset[int]:
     """Vertex set of the combinatorial ball B_n(Y)."""
     if n < 0:
         raise ValueError("radius must be >= 0")
-    dm = dist_map(X, Y)
+    dm = dist_map(X, Y, radius=n)
     return frozenset(v for v, d in dm.items() if d <= n)
 
 
@@ -107,7 +184,7 @@ def sphere(X: FlagComplex, Y: Iterable[int], n: int) -> frozenset[int]:
     """Vertex set of the combinatorial sphere S_n(Y)."""
     if n < 0:
         raise ValueError("radius must be >= 0")
-    dm = dist_map(X, Y)
+    dm = dist_map(X, Y, radius=n)
     return frozenset(v for v, d in dm.items() if d == n)
 
 
@@ -176,7 +253,7 @@ def projection(X: FlagComplex, sigma: Iterable[int], Y: Iterable[int]) -> Simple
     sigma = tuple(sorted(sigma))
     if not X.is_simplex(sigma):
         raise ValueError(f"{sigma} is not a simplex")
-    return _project(X, sigma, dist_map(X, Y), 0)
+    return _project(X, sigma, dist_map(X, Y, radius=1), 0)
 
 
 def directed_geodesic(X: FlagComplex, sigma: Iterable[int], W: Iterable[int]) -> list[Simplex]:
@@ -185,14 +262,16 @@ def directed_geodesic(X: FlagComplex, sigma: Iterable[int], W: Iterable[int]) ->
 
     Requires sigma inside a single sphere S_n(W), or meeting S_n(W) and
     S_{n-1}(W) (then the sequence starts with the inner intersection).
-    Every ball B_m(W) is read off the one distance map of W.
+    Every ball B_m(W) is read off the one distance map of W, which need
+    reach only m = d(sigma, W): sigma's vertices lie at m or m + 1.
     """
     sigma = tuple(sorted(sigma))
     wset = frozenset(W)
     if not X.is_simplex(sigma):
         raise ValueError(f"{sigma} is not a simplex")
-    dm = dist_map(X, wset)
-    dists = {dm[v] for v in sigma}
+    m = dist(X, wset, sigma)
+    dm = dist_map(X, wset, radius=m)
+    dists = {dm.get(v, m + 1) for v in sigma}
     n = max(dists)
     if dists == {n} or (n > 0 and dists == {n, n - 1}):
         pass
@@ -200,7 +279,7 @@ def directed_geodesic(X: FlagComplex, sigma: Iterable[int], W: Iterable[int]) ->
         raise ValueError(f"sigma spreads over spheres {sorted(dists)} around W")
     seq = [sigma]
     if len(dists) == 2:
-        sigma = tuple(v for v in sigma if dm[v] == n - 1)
+        sigma = tuple(v for v in sigma if dm.get(v) == n - 1)
         n -= 1
         seq.append(sigma)
     for m in range(n - 1, -1, -1):
@@ -242,10 +321,11 @@ def all_geodesics(X: FlagComplex, u: int, v: int, cap: int = 10000):
     Returns (paths, truncated).  Exponential on flat regions; the cap keeps
     oracle uses bounded.
     """
-    dm = dist_map(X, (v,))
-    if u not in dm:
-        raise ValueError("u and v lie in different components")
-    return graded_paths(X, u, dm, -1, dm[u], cap)
+    try:
+        n = dist(X, v, u)
+    except ValueError:
+        raise ValueError("u and v lie in different components") from None
+    return graded_paths(X, u, dist_map(X, (v,), radius=n), -1, n, cap)
 
 
 def is_geodesic_path(X: FlagComplex, path: list[int]) -> bool:

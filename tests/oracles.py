@@ -1,16 +1,18 @@
 """Oracles that cross-check the library, kept off its production path.
 
-Closed-form lattice distance and the point-group canonicalization of
-lattice placements; the isometric embedding of flat discs; the break-point
-enumeration oracle of `flatgeom.polygon_geodesic`; the all-surfaces
-enumeration, characteristic-image span and preimage decoder for
-characteristic discs; the minimal-surface search and the
-no-interior-vertex triangulability test.  Tests import them from here.
+A whole-component deque BFS; closed-form lattice distance and the
+point-group canonicalization of lattice placements; the isometric embedding
+of flat discs; the break-point enumeration oracle of
+`flatgeom.polygon_geodesic`; the all-surfaces enumeration,
+characteristic-image span and preimage decoder for characteristic discs;
+the minimal-surface search and the no-interior-vertex triangulability
+test.  Tests import them from here.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -36,7 +38,19 @@ def lattice_dist(p: Point, q: Point) -> int:
     return dr + extra.numerator
 
 
-# Cube coordinates (a + b + c = 0) for applying the 12-element point group.
+def bfs_oracle(adjacency, sources) -> dict[int, int]:
+    """Distances from a source set to its whole component, by a deque BFS
+    that labels vertices in the order the library's maps hold them."""
+    key = frozenset(sources)
+    dist = {v: 0 for v in key}
+    queue = deque(key)
+    while queue:
+        v = queue.popleft()
+        for w in adjacency[v]:
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
 
 
 # Cube coordinates (a + b + c = 0) for applying the 12-element point group.

@@ -36,6 +36,15 @@ def test_gen_and_check(tmp_path, capsys):
     assert "simply_connected: verified" in out
 
 
+def test_gen_prints_seed_only_for_disc(tmp_path, capsys):
+    out_path = str(tmp_path / "g.cx")
+    code, out = run(capsys, "gen", "--kind", "disc", "--seed", "4", "--out", out_path)
+    assert code == 0 and out.startswith("seed=4 kind=disc ")
+    for kind in ("parallelogram", "rectangle"):
+        code, out = run(capsys, "gen", "--kind", kind, "--height", "3", "--out", out_path)
+        assert code == 0 and out.startswith(f"kind={kind} "), kind
+
+
 def test_check_json(tmp_path, capsys):
     out_path = tmp_path / "p.cx"
     run(capsys, "gen", "--kind", "parallelogram", "--height", "4",
@@ -211,7 +220,8 @@ def test_cap_only_on_atlas(flat_file, capsys):
 def test_flags_only_where_read(capsys):
     # --svg is read by gen and egeo only, --seed by gen and verify only;
     # --complex, --from and --to by the commands that load a complex (atlas
-    # reads no --to), and --json by check, verify and atlas only
+    # reads no --to), and --json by check, verify and atlas only; gen reads
+    # --seed and --rings for discs only, --height and --width for the others
     for argv in (["check", "--svg", "x"], ["dist", "--seed", "1"],
                  ["gen", "--kind", "disc", "--out", "x.cx", "--complex", "nothere.cx"],
                  ["gen", "--kind", "disc", "--out", "x.cx", "--from", "1"],
@@ -222,7 +232,14 @@ def test_flags_only_where_read(capsys):
                  ["check", "--from", "999"], ["check", "--to", "1"],
                  ["atlas", "--to", "12345"],
                  ["dist", "--complex", "x.cx", "--from", "0", "--to", "1", "--json"],
-                 ["dgeo", "--json"], ["egeo", "--json"], ["good", "--json"]):
+                 ["dgeo", "--json"], ["egeo", "--json"], ["good", "--json"],
+                 ["gen", "--kind", "parallelogram", "--out", "x.cx", "--rings", "3"],
+                 ["gen", "--kind", "parallelogram", "--out", "x.cx", "--seed", "5"],
+                 ["gen", "--kind", "rectangle", "--out", "x.cx", "--rings", "9"],
+                 ["gen", "--kind", "rectangle", "--out", "x.cx", "--height", "3",
+                  "--seed", "5"],
+                 ["gen", "--kind", "disc", "--out", "x.cx", "--height", "3"],
+                 ["gen", "--kind", "disc", "--out", "x.cx", "--width", "2"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv

@@ -56,6 +56,30 @@ def test_self_loop_rejected():
         FlagComplex.from_edges([(3, 3)])
 
 
+def _is_simplex_oracle(X, vs):
+    vs = list(vs)
+    return (bool(vs) and len(set(vs)) == len(vs) and all(v in X for v in vs)
+            and all(X.is_edge(u, v) for u, v in itertools.combinations(vs, 2)))
+
+
+def test_is_simplex_against_pairwise_oracle():
+    rng = random.Random(4)
+    for X in (gen_disc_with_degrees(1, rings=3), flat_rectangle(4, 3), octahedron()):
+        top = max(X.vertices)
+        pool = list(X.vertices) + [-1, -top - 3, top + 1, top + 7]
+        cases = [[]]
+        for simplex in X.simplices():
+            s = list(simplex)
+            rng.shuffle(s)
+            cases += [s, s + [rng.choice(s)], s + [rng.choice(pool)],
+                      [rng.choice(pool[-4:])] + s]
+        cases += [rng.choices(pool, k=rng.randint(0, 5)) for _ in range(2000)]
+        for vs in cases:
+            expected = _is_simplex_oracle(X, vs)
+            assert X.is_simplex(vs) is expected, vs
+            assert X.is_simplex(iter(vs)) is expected, vs
+
+
 def test_flat_block_interior_degree_six():
     X = flat_rectangle(6, 6)
     interior = [v for v, (row, x) in X.coords.items()

@@ -20,6 +20,8 @@ from systolic.layers import thickness_profile
 from systolic.metric import dist, dist_map, directed_geodesic, is_geodesic_path
 from systolic.suites import extremal_geodesic
 
+from oracles import bfs_oracle
+
 HALF = Fraction(1, 2)
 
 
@@ -335,3 +337,21 @@ def test_diagonal_close_to_rho_barycenter_path():
                 assert abs(data.diagonal.x_at(k) - bary) <= HALF
                 checked += 1
     assert checked >= 5
+
+
+def test_euclidean_geodesic_sweeps_stop_at_its_balls():
+    """Every layer between sigma and tau lies within n = |sigma tau| of both,
+    so their cached sweeps label exactly B_n(sigma) and B_n(tau), thick
+    intervals included."""
+    X = gen_disc_with_degrees(3, rings=5)
+    rng = random.Random(9)
+    thick = 0
+    for _ in range(80):
+        u, v = rng.sample(X.vertices, 2)
+        fresh = FlagComplex(X.adjacency)
+        eg = euclidean_geodesic(fresh, (u,), (v,))
+        thick += bool(eg.intervals)
+        for end in (eg.sigma, eg.tau):
+            ball = [(w, d) for w, d in bfs_oracle(X.adjacency, end).items() if d <= eg.n]
+            assert list(fresh._dist_cache[frozenset(end)].dist.items()) == ball
+    assert thick >= 5

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from systolic import metric
 from systolic.complex import FlagComplex
 from systolic.generators import (flat_parallelogram, flat_rectangle,
                                  gen_disc_with_degrees, gen_flat_region)
@@ -14,7 +15,7 @@ from systolic.metric import (ProjectionError, all_geodesics, ball, dist,
                              is_geodesic_path, max_dist, projection, residue,
                              sphere)
 
-from oracles import lattice_dist
+from oracles import bfs_oracle, lattice_dist
 
 
 def hexagon_wheel():
@@ -404,3 +405,92 @@ def test_all_geodesics_cap():
     c0, c1 = corner_pair(X)
     paths, truncated = all_geodesics(X, c0, c1, cap=5)
     assert len(paths) == 5 and truncated
+
+
+def _sweep_cases(rng):
+    """Generator outputs and a disconnected complex, each with seeded
+    vertices, edges and triangles as source sets."""
+    disconnected = FlagComplex.from_edges(
+        [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (6, 7), (7, 8), (6, 8)], vertices=(9,))
+    for X in (gen_disc_with_degrees(2, rings=3), flat_rectangle(6, 4),
+              flat_parallelogram(5, 3), disconnected):
+        vertices, edges, triangles = X.vertices, X.edges(), X.triangles()
+        sources = ([(v,) for v in rng.sample(vertices, 4)] + rng.sample(edges, 3)
+                   + rng.sample(triangles, 2))
+        yield X, sources
+
+
+def test_sweep_radius_contract_against_bfs():
+    rng = random.Random(11)
+    for X, sources in _sweep_cases(rng):
+        for src in sources:
+            truth = bfs_oracle(X.adjacency, src)
+            grown = FlagComplex(X.adjacency)
+            for r in range(max(truth.values()) + 2):
+                for Y in (grown, FlagComplex(X.adjacency)):
+                    dm = dist_map(Y, src, radius=r)
+                    assert all(dm.get(v) == d for v, d in truth.items() if d <= r), (src, r)
+                    assert all(truth.get(v) == d for v, d in dm.items()), (src, r)
+            whole = dist_map(FlagComplex(X.adjacency), src)
+            assert list(whole.items()) == list(truth.items())
+            assert list(dist_map(grown, src).items()) == list(whole.items())
+
+
+def test_sweep_dist_against_bfs():
+    rng = random.Random(12)
+    for X, sources in _sweep_cases(rng):
+        warm = FlagComplex(X.adjacency)
+        for src in sources:
+            truth = bfs_oracle(X.adjacency, src)
+            for _ in range(6):
+                targets = rng.sample(X.vertices, rng.randint(1, 3))
+                found = [truth[b] for b in targets if b in truth]
+                for Y in (warm, FlagComplex(X.adjacency)):
+                    if found:
+                        assert dist(Y, src, targets) == min(found)
+                    else:
+                        with pytest.raises(ValueError, match="different components"):
+                            dist(Y, src, targets)
+                    # a sweep grown by dist still keeps the radius contract
+                    dm = dist_map(Y, src, radius=1)
+                    assert all(truth.get(v) == d for v, d in dm.items())
+
+
+def test_cache_bounded_by_labelled_vertices(monkeypatch):
+    X = gen_disc_with_degrees(2, rings=3)
+    bound = 3 * len(X)
+    monkeypatch.setattr(metric, "_LABEL_BOUND", bound)
+    rng = random.Random(13)
+    Y = FlagComplex(X.adjacency)
+    keys = set()
+    for _ in range(300):
+        src = tuple(rng.sample(X.vertices, rng.randint(1, 2)))
+        keys.add(frozenset(src))
+        truth = bfs_oracle(X.adjacency, src)
+        if rng.random() < 0.3:
+            t = rng.choice(X.vertices)
+            assert dist(Y, src, t) == truth[t]
+        else:
+            r = rng.choice((None, 0, 1, 3, 6))
+            dm = dist_map(Y, src, radius=r)
+            reach = max(truth.values()) if r is None else r
+            assert all(dm.get(v) == d for v, d in truth.items() if d <= reach)
+            assert all(truth[v] == d for v, d in dm.items())
+        labelled = sum(len(sweep.dist) for sweep in Y._dist_cache.values())
+        assert Y._dist_labelled == labelled <= bound
+        assert next(reversed(Y._dist_cache)) == frozenset(src)
+    assert len(Y._dist_cache) < len(keys)   # some sweeps were evicted
+    # a sweep larger than the bound is kept while it is the one returned
+    monkeypatch.setattr(metric, "_LABEL_BOUND", 1)
+    dm = dist_map(Y, (X.vertices[0],))
+    assert list(Y._dist_cache) == [frozenset((X.vertices[0],))]
+    assert dm == bfs_oracle(X.adjacency, (X.vertices[0],))
+
+
+def test_unknown_source_leaves_no_sweep():
+    X = hexagon_wheel()
+    for call in (lambda: dist_map(X, (0, 99), radius=0), lambda: dist(X, (99,), (0,))):
+        with pytest.raises(KeyError):
+            call()
+        assert not X._dist_cache and X._dist_labelled == 0
+    assert dist_map(X, (0,)) == bfs_oracle(X.adjacency, (0,))
