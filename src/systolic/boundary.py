@@ -69,10 +69,11 @@ def _certify(X: FlagComplex, path: list[int], C: int,
 
 def make_good_geodesic(X: FlagComplex, v: int, w: int, C: int = C_DEFAULT) -> GoodGeodesic:
     """A good geodesic from v to w: thread the Euclidean geodesic between
-    them and certify the result.  Certification failure is a hard error."""
+    them and certify the result, reusing that geodesic for the whole path.
+    Certification failure is a hard error."""
     eg = euclidean_geodesic(X, (v,), (w,))
     path = thread_vertex_path(X, eg)
-    good, witness = is_good_geodesic(X, path, C)
+    good, witness = _certify(X, path, C, {(v, w): eg.deltas})
     if good is None:
         raise GoodnessError(f"threaded path failed its certificate at {witness}")
     return good

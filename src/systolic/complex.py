@@ -5,11 +5,10 @@ the cliques, so non-flag input is unrepresentable.  Complexes are immutable
 after construction, but each holds a BFS cache that is not thread-safe:
 share complexes across processes, not threads.
 
-Largeness verdicts are exact and carry an induced cycle as their witness.
-k-largeness for finite k searches induced cycles of lengths 4..k-1; link
-checks (k = 6) search lengths 4 and 5 on each simplex's common neighbours.
-Infinity-largeness means the 1-skeleton is chordal, which maximum
-cardinality search decides in near-linear time (`chordless_cycle`).
+Largeness verdicts are exact and carry a hole (an induced cycle of length
+>= 4) as their witness: finite k and the vertex-link checks ask
+`shortest_hole`, and infinity-largeness (chordality) maximum cardinality
+search (`chordless_cycle`); both close their holes with one BFS.
 """
 
 from __future__ import annotations
@@ -152,38 +151,6 @@ class KLargeResult(NamedTuple):
                                      # because perfbench's cold-check reads it
 
 
-def find_induced_cycle(X: FlagComplex, min_len: int, max_len: int):
-    """Some induced (full) cycle of length in [min_len, max_len], or None.
-
-    DFS over induced paths anchored at their least vertex; prunes on any
-    chord to an earlier path vertex.  Exponential in max_len: the verdicts
-    use it for short cycles only, and the tests use it as an oracle.
-    """
-    adj = X.adjacency
-    for s in sorted(adj):
-        # path[0] == s; extensions use vertices > s only.
-        stack = [(s,)]
-        while stack:
-            path = stack.pop()
-            last = path[-1]
-            for w in sorted(adj[last]):
-                if w <= s or w in path:
-                    continue
-                if len(path) == 1:
-                    stack.append(path + (w,))
-                    continue
-                # w may touch the path only at `last` (and possibly s to close)
-                if any(x in adj[w] for x in path[1:-1]):
-                    continue
-                if s in adj[w]:
-                    if len(path) >= min_len - 1 and path[1] < w:
-                        return path + (w,)  # one orientation per cycle
-                    continue
-                if len(path) < max_len - 1:
-                    stack.append(path + (w,))
-    return None
-
-
 def chordless_cycle(X: FlagComplex) -> tuple[int, ...] | None:
     """None if the 1-skeleton is chordal, else an induced cycle of length >= 4.
 
@@ -239,7 +206,10 @@ def chordless_cycle(X: FlagComplex) -> tuple[int, ...] | None:
             p = max(earlier, key=visit.__getitem__)
             bad = [u for u in earlier if u != p and u not in adj[p]]
             if bad:
-                return _close_cycle(adj, v, min(bad), p)
+                cycle = _close_cycle(adj, v, min(bad), p)
+                if cycle is None:
+                    raise AssertionError(f"no path closes {v}: search order broken")
+                return cycle
         visit[v] = len(visit)
         for x in adj[v]:
             if x not in visit:
@@ -248,12 +218,15 @@ def chordless_cycle(X: FlagComplex) -> tuple[int, ...] | None:
     return None
 
 
-def _close_cycle(adj, v: int, u: int, p: int) -> tuple[int, ...]:
-    """v followed by a shortest u-p path avoiding N[v] - {u, p}."""
+def _close_cycle(adj, v: int, u: int, p: int, limit=INFINITY):
+    """v followed by a shortest u-p path avoiding N[v] - {u, p}, or None if
+    none has at most `limit` edges.  BFS from u; neighbours by ascending id."""
     banned = (adj[v] - {u, p}) | {v}
     parent = {u: u}
     frontier = [u]
-    while frontier and p not in parent:
+    depth = 0
+    while frontier and p not in parent and depth < limit:
+        depth += 1
         nxt = []
         for x in frontier:
             for y in sorted(adj[x]):
@@ -262,25 +235,49 @@ def _close_cycle(adj, v: int, u: int, p: int) -> tuple[int, ...]:
                     nxt.append(y)
         frontier = nxt
     if p not in parent:
-        raise AssertionError(f"no {u}-{p} path avoids N[{v}]: search order broken")
+        return None
     path = [p]
     while path[-1] != u:
         path.append(parent[path[-1]])
     return (v, *reversed(path))
 
 
+def shortest_hole(X: FlagComplex, max_len) -> tuple[int, ...] | None:
+    """A shortest hole of length at most max_len, or None.
+
+    A hole through v, with cycle neighbours u and p (not adjacent), is v plus
+    a u-p path avoiding N[v] - {u, p}; a shortest such path is induced and
+    closes a hole.  So the least `_close_cycle` over all (v, u < p) is a
+    shortest hole: the least vertex on one, its first pair that closes one.
+    """
+    adj = X.adjacency
+    best = None
+    limit = max_len - 2  # edges of the u-p path; the hole has two more
+    for v in sorted(adj):
+        nbrs = sorted(adj[v])
+        for i, u in enumerate(nbrs):
+            for p in nbrs[i + 1:]:
+                if limit < 2:
+                    return best  # no hole is shorter than 4
+                if p not in adj[u]:
+                    cycle = _close_cycle(adj, v, u, p, limit)
+                    if cycle is not None:
+                        best, limit = cycle, len(cycle) - 3
+    return best
+
+
 def is_k_large(X: FlagComplex, k) -> KLargeResult:
     """No induced cycles of length < k (k >= 4 or infinity); flagness is built in.
 
     Exact for every k: infinity-largeness is chordality (`chordless_cycle`),
-    and finite k searches lengths 4..k-1.
+    and finite k asks for a shortest hole of length at most k - 1.
     """
     if k == INFINITY:
         witness = chordless_cycle(X)
     elif k < 4:
         raise ValueError("k must be >= 4 or infinity")
     else:
-        witness = find_induced_cycle(X, 4, k - 1)
+        witness = shortest_hole(X, k - 1)
     return KLargeResult(witness is None, witness, False)
 
 
@@ -291,17 +288,21 @@ class Locally6LargeResult(NamedTuple):
 
 
 def is_locally_6_large(X: FlagComplex) -> Locally6LargeResult:
-    """Every simplex link is 6-large: no induced 4- or 5-cycle among the
-    common neighbours of any simplex."""
+    """Every simplex link is 6-large: no hole of length 4 or 5 in any link.
+
+    In a flag complex lk(sigma) is the full subcomplex of lk(v) on sigma's
+    common neighbours, for any v in sigma, so a hole in lk(sigma) is one in
+    lk(v): vertex links decide, and the least failing vertex is the first
+    failing simplex.  Its witness cycle is a shortest hole of its link.
+    """
     adj = X.adjacency
-    for sigma in X.simplices():
-        common = adj[sigma[0]].intersection(*(adj[v] for v in sigma[1:]))
+    for v in sorted(adj):
+        common = adj[v]
         if len(common) < 4:
             continue  # too few vertices for a 4-cycle
-        link = FlagComplex({w: adj[w] & common for w in common})
-        cycle = find_induced_cycle(link, 4, 5)
+        cycle = shortest_hole(FlagComplex({w: adj[w] & common for w in common}), 5)
         if cycle is not None:
-            return Locally6LargeResult(False, (sigma, cycle), False)
+            return Locally6LargeResult(False, ((v,), cycle), False)
     return Locally6LargeResult(True, None, False)
 
 
@@ -345,6 +346,9 @@ def simply_connected_heuristic(X: FlagComplex) -> str:
 # `coord <id> <row> <2x>`.  Vertices may be implicit in edges; duplicate
 # edges are ignored.
 
+_FIELDS = {"v": 1, "e": 2, "coord": 3}  # integer fields after each keyword
+
+
 def loads_complex(text: str) -> FlagComplex:
     from fractions import Fraction
 
@@ -355,23 +359,22 @@ def loads_complex(text: str) -> FlagComplex:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
+        kind, *fields = line.split()
         try:
-            if parts[0] == "v" and len(parts) == 2:
-                vertices.add(int(parts[1]))
-            elif parts[0] == "e" and len(parts) == 3:
-                u, v = int(parts[1]), int(parts[2])
-                if u == v:
-                    raise ValueError(f"line {lineno}: self-loop at {u}")
-                edges.add((min(u, v), max(u, v)))
-            elif parts[0] == "coord" and len(parts) == 4:
-                coords[int(parts[1])] = (int(parts[2]), Fraction(int(parts[3]), 2))
-            else:
-                raise ValueError(f"line {lineno}: cannot parse {raw!r}")
+            nums = [int(f) for f in fields]
         except ValueError:
-            raise
-        except Exception as exc:
-            raise ValueError(f"line {lineno}: cannot parse {raw!r}") from exc
+            nums = None
+        if nums is None or len(nums) != _FIELDS.get(kind):
+            raise ValueError(f"line {lineno}: cannot parse {raw!r}")
+        if kind == "v":
+            vertices.add(nums[0])
+        elif kind == "e":
+            u, v = nums
+            if u == v:
+                raise ValueError(f"line {lineno}: self-loop at {u}")
+            edges.add((min(u, v), max(u, v)))
+        else:
+            coords[nums[0]] = (nums[1], Fraction(nums[2], 2))
     return FlagComplex.from_edges(sorted(edges), vertices=sorted(vertices),
                                   coords=coords or None)
 

@@ -1,12 +1,12 @@
 """Oracles that cross-check the library, kept off its production path.
 
-A whole-component deque BFS; closed-form lattice distance and the
-point-group canonicalization of lattice placements; the isometric embedding
-of flat discs; the break-point enumeration oracle of
-`flatgeom.polygon_geodesic`; the all-surfaces enumeration,
-characteristic-image span and preimage decoder for characteristic discs;
-the minimal-surface search and the no-interior-vertex triangulability
-test.  Tests import them from here.
+A whole-component deque BFS; the induced-path DFS for induced cycles;
+closed-form lattice distance and the point-group canonicalization of
+lattice placements; the isometric embedding of flat discs; the break-point
+enumeration oracle of `flatgeom.polygon_geodesic`; the all-surfaces
+enumeration, characteristic-image span and preimage decoder for
+characteristic discs; the minimal-surface search and the no-interior-vertex
+triangulability test.  Tests import them from here.
 """
 
 from __future__ import annotations
@@ -51,6 +51,38 @@ def bfs_oracle(adjacency, sources) -> dict[int, int]:
                 dist[w] = dist[v] + 1
                 queue.append(w)
     return dist
+
+
+def find_induced_cycle(X: FlagComplex, min_len: int, max_len: int):
+    """Some induced (full) cycle of length in [min_len, max_len], or None.
+
+    DFS over induced paths anchored at their least vertex; prunes on any
+    chord to an earlier path vertex.  Exponential in max_len: the oracle
+    for `complex.shortest_hole` and `complex.chordless_cycle`.
+    """
+    adj = X.adjacency
+    for s in sorted(adj):
+        # path[0] == s; extensions use vertices > s only.
+        stack = [(s,)]
+        while stack:
+            path = stack.pop()
+            last = path[-1]
+            for w in sorted(adj[last]):
+                if w <= s or w in path:
+                    continue
+                if len(path) == 1:
+                    stack.append(path + (w,))
+                    continue
+                # w may touch the path only at `last` (and possibly s to close)
+                if any(x in adj[w] for x in path[1:-1]):
+                    continue
+                if s in adj[w]:
+                    if len(path) >= min_len - 1 and path[1] < w:
+                        return path + (w,)  # one orientation per cycle
+                    continue
+                if len(path) < max_len - 1:
+                    stack.append(path + (w,))
+    return None
 
 
 # Cube coordinates (a + b + c = 0) for applying the 12-element point group.

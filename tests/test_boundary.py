@@ -346,3 +346,24 @@ def test_atlas_builds_one_euclidean_geodesic_per_pair(monkeypatch):
         assert witness is None
         assert (alone.path, alone.C, alone.certificate) == (ray.path, ray.C,
                                                              ray.certificate)
+
+
+def test_good_geodesic_builds_one_euclidean_geodesic_per_pair(monkeypatch):
+    X = flat_rectangle(6, 3)
+    v, w = corner_pair(X)
+    calls = Counter()
+    original = boundary.euclidean_geodesic
+
+    def counting(X, sigma, tau, *args, **kwargs):
+        calls[(sigma, tau)] += 1
+        return original(X, sigma, tau, *args, **kwargs)
+
+    monkeypatch.setattr(boundary, "euclidean_geodesic", counting)
+    good = make_good_geodesic(X, v, w)
+    monkeypatch.undo()
+    path = good.path
+    assert (path[0], path[-1]) == (v, w)
+    assert calls == Counter({((path[i],), (path[j],)): 1
+                             for i, j in itertools.combinations(range(len(path)), 2)})
+    alone, witness = is_good_geodesic(X, path)
+    assert witness is None and alone.certificate == good.certificate

@@ -1,5 +1,6 @@
-"""Exact infinity-largeness by chordality, and link checks on common
-neighbours, each against an oracle that shares no code path with it."""
+"""Exact infinity-largeness by chordality, shortest holes for finite k, and
+vertex-link checks, each against an oracle that shares no code path with
+it."""
 
 import ast
 import itertools
@@ -7,12 +8,14 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from systolic.complex import (FlagComplex, INFINITY, chordless_cycle,
-                              find_induced_cycle, is_k_large, is_locally_6_large)
+from systolic.complex import (FlagComplex, INFINITY, chordless_cycle, is_k_large,
+                              is_locally_6_large)
 from systolic.generators import (flat_parallelogram, flat_rectangle,
                                  gen_disc_with_degrees, gen_flat_region)
 from systolic.lattice import RowStack
 from systolic.layers import verify_layer_lemmas
+
+from oracles import find_induced_cycle
 
 
 def is_induced_cycle(adj, cycle):
@@ -169,6 +172,8 @@ def locally_6_large_by_links(X):
 
 
 def test_link_check_matches_per_link_oracle():
+    # The verdict and the witness simplex equal the per-simplex oracle's; the
+    # cycle is a shortest hole of that vertex link, not the DFS's first one.
     rng = random.Random(3)
     inputs = list(named_inputs())
     for _ in range(150):
@@ -180,7 +185,59 @@ def test_link_check_matches_per_link_oracle():
     verdicts = set()
     for X in inputs:
         res = is_locally_6_large(X)
-        assert (res.ok, res.witness) == locally_6_large_by_links(X)
-        assert not res.capped
+        ok, witness = locally_6_large_by_links(X)
+        assert res.ok == ok and not res.capped
         verdicts.add(res.ok)
+        if ok:
+            assert res.witness is None
+            continue
+        sigma, found = res.witness
+        assert sigma == witness[0] and len(sigma) == 1
+        link = X.link(sigma)
+        assert is_induced_cycle(link.adjacency, found) and len(found) in (4, 5)
+        assert find_induced_cycle(link, 4, len(found) - 1) is None
     assert verdicts == {True, False}
+
+
+def suspension(n, poles, ring_start):
+    """The cycle ring_start .. ring_start+n-1, coned off by two poles."""
+    ring = [ring_start + i for i in range(n)]
+    edges = [(ring[i - 1], ring[i]) for i in range(n)]
+    return FlagComplex.from_edges(edges + [(pole, r) for pole in poles for r in ring])
+
+
+def test_link_check_pins_witnesses():
+    assert is_locally_6_large(octahedron()).witness == ((0,), (2, 3, 4, 5))
+    # a ring vertex's link is the 4-cycle of its ring neighbours and poles
+    assert is_locally_6_large(suspension(4, (4, 5), 0)).witness == ((0,), (1, 4, 3, 5))
+    # pole 0's link is the 5-cycle itself
+    assert is_locally_6_large(suspension(5, (0, 1), 2)).witness == ((0,), (2, 3, 4, 5, 6))
+
+
+def test_finite_k_matches_dfs_oracle():
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(120):
+        n = rng.randint(4, 11)
+        density = rng.choice((0.2, 0.35, 0.5, 0.7))
+        X = FlagComplex.from_edges([(a, b) for a, b in itertools.combinations(range(n), 2)
+                                    if rng.random() < density], vertices=range(n))
+        for k in range(4, 9):
+            res = is_k_large(X, k)
+            assert res.ok == (find_induced_cycle(X, 4, k - 1) is None)
+            assert not res.capped
+            seen.add(res.ok)
+            if not res.ok:
+                assert is_induced_cycle(X.adjacency, res.witness)
+                assert len(res.witness) < k
+                assert find_induced_cycle(X, 4, len(res.witness) - 1) is None
+    assert seen == {True, False}
+
+
+def test_large_finite_k_is_polynomial():
+    # the induced-path DFS ran for minutes here; a shortest hole is a 6-cycle
+    X = gen_disc_with_degrees(1, rings=3)
+    res = is_k_large(X, 91)
+    assert not res.ok and len(res.witness) == 6
+    assert is_induced_cycle(X.adjacency, res.witness)
+    assert find_induced_cycle(X, 4, 5) is None

@@ -189,6 +189,14 @@ def test_unreadable_complex_exits_2(tmp_path, capsys):
     assert code == 2 and "line 2" in err
 
 
+@pytest.mark.parametrize("line", ["v abc", "e 1 x", "coord 1 0 x"])
+def test_bad_integer_exits_2_with_its_line(tmp_path, capsys, line):
+    path = tmp_path / "bad.cx"
+    path.write_text(f"e 0 1\n{line}\n")
+    code, err = run_err(capsys, "check", "--complex", str(path))
+    assert code == 2 and f"line 2: cannot parse '{line}'" in err
+
+
 def test_unwritable_output_exits_2(flat_file, tmp_path, capsys):
     path, c0, c1 = flat_file
     nowhere = tmp_path / "missing-dir" / "out"

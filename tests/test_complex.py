@@ -256,3 +256,9 @@ def test_file_format_tolerance():
     assert X.edge_count() == 2
     with pytest.raises(ValueError):
         loads_complex("e 4 4\n")
+
+
+@pytest.mark.parametrize("line", ["v abc", "e 1 x", "coord 1 0 x"])
+def test_file_format_names_the_line_of_a_bad_integer(line):
+    with pytest.raises(ValueError, match=f"^line 2: cannot parse '{line}'$"):
+        loads_complex(f"e 0 1\n{line}\n")
