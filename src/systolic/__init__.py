@@ -7,10 +7,10 @@ plus seeded verification suites for the quantitative theorems.
 """
 
 from .boundary import (BoundaryAtlas, GoodGeodesic, boundary_atlas,
-                       contracting_check, corollary_contr_check,
+                       contracting_check, corollary_contr_check, default_D,
                        in_standard_neighborhood, is_good_geodesic,
                        make_good_geodesic, rays_equivalent_truncated,
-                       C_DEFAULT, D_DEFAULT)
+                       ATLAS_CAP, C_DEFAULT, D_DEFAULT)
 from .complex import (FlagComplex, dump_complex, dumps_complex, is_k_large,
                       is_locally_6_large, load_complex, loads_complex,
                       simply_connected_heuristic, INFINITY)
@@ -29,6 +29,6 @@ from .layers import (LayerDecomposition, ThicknessProfile, layers,
                      thickness_profile, verify_layer_lemmas,
                      verify_profile_lemmas)
 from .metric import (all_geodesics, ball, dist, directed_geodesic, is_convex,
-                     projection, residue, sphere, spans_simplex)
+                     projection, projection_witness, residue, sphere, spans_simplex)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -15,7 +15,16 @@ from .eucgeo import euclidean_geodesic, thread_vertex_path
 from .metric import dist, dist_map, graded_paths, is_geodesic_path
 
 C_DEFAULT = 208          # universal constant serving both verification suites
-D_DEFAULT = 3 * C_DEFAULT + 2
+ATLAS_CAP = 20000        # good geodesics an atlas enumerates at most
+
+
+def default_D(C: int) -> int:
+    """The threshold D = 3C + 2 that belongs to the constant C: the atlas's
+    all-indices threshold and the contracting corollary's basepoint bound."""
+    return 3 * C + 2
+
+
+D_DEFAULT = default_D(C_DEFAULT)
 
 C_SAMPLES = tuple(Fraction(i, 8) for i in range(9))
 
@@ -79,25 +88,12 @@ def make_good_geodesic(X: FlagComplex, v: int, w: int, C: int = C_DEFAULT) -> Go
     return good
 
 
-def contracting_check(X: FlagComplex, t: int, s: int, s2: int):
+def contracting_check(X: FlagComplex, t: int, s: int, s2: int) -> Fraction:
     """Max over sampled c of |r_[cn] r'_[cn']| - c*|s s'| for the threaded
-    Euclidean geodesics from t to s and from t to s'."""
-    eg1 = euclidean_geodesic(X, (t,), (s,))
-    eg2 = euclidean_geodesic(X, (t,), (s2,))
-    r1 = thread_vertex_path(X, eg1)
-    r2 = thread_vertex_path(X, eg2)
-    n1, n2 = eg1.n, eg2.n
-    dss = dist(X, (s,), (s2,))
-    worst = None
-    details = []
-    for c in C_SAMPLES:
-        k1 = int(c * n1)
-        k2 = int(c * n2)
-        excess = Fraction(dist(X, (r1[k1],), (r2[k2],))) - c * dss
-        details.append((c, excess))
-        if worst is None or excess > worst:
-            worst = excess
-    return worst, details
+    Euclidean geodesics r from t to s and r' from t to s'."""
+    r1 = thread_vertex_path(X, euclidean_geodesic(X, (t,), (s,)))
+    r2 = thread_vertex_path(X, euclidean_geodesic(X, (t,), (s2,)))
+    return corollary_contr_check(X, r1, r2)
 
 
 def corollary_contr_check(X: FlagComplex, path_v: list[int], path_w: list[int]):
@@ -160,7 +156,7 @@ class BoundaryAtlas:
 
 
 def boundary_atlas(X: FlagComplex, O: int, N: int, D: int = D_DEFAULT,
-                   C: int = C_DEFAULT, cap: int = 20000) -> BoundaryAtlas:
+                   C: int = C_DEFAULT, cap: int = ATLAS_CAP) -> BoundaryAtlas:
     """Finite-radius boundary approximation at basepoint O.
 
     Enumerates good geodesics of length N from O (deterministic order,

@@ -4,22 +4,20 @@ A characteristic disc for a thick interval is the flat disc spanned on the
 loop through distance-maximizing representatives of the two simplex
 sequences; its shape is determined by the per-layer widths |s_k t_k| and the
 consecutive offsets read off |s_k t_{k+1}|.  It is kept as that `RowStack`
-(row ends in half-units), checked by one integer shape rule
-(`check_row_stack`); disc vertex ids, row neighbours and cross-row edges are
-index arithmetic on it.  The disc as a triangulated complex is a view built
-on first use, for audits and rendering.  The all-surfaces enumeration, the
-preimage decoder and the minimal-surface and triangulability searches that
-cross-check this module live with the tests.
+(row ends in half-units), which numbers and joins the disc vertices, and
+is checked by one integer shape rule (`check_row_stack`).  The disc as a
+triangulated complex is a view built on first use, for audits and
+rendering.  The all-surfaces enumeration, the preimage decoder and the
+minimal-surface and triangulability searches that cross-check this module
+live with the tests.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, combinations
-from operator import itemgetter
+from itertools import combinations
 
 from .complex import FlagComplex, Simplex
 from .flatgeom import TriangulatedDisc, as_disc
@@ -40,70 +38,28 @@ class SurfaceError(ValueError):
 class CharDisc:
     """Flat disc of a thick interval as a lattice row stack.
 
-    Row k (interval start i <= k <= j) is `stack.rows[k - i]`, on lattice
-    row k, and consecutive left ends differ by one half-unit.  Disc vertex
-    ids are numbered row by row from 0, left to right; the boundary rows
-    map to s/t under any characteristic surface.
+    Layer k of the interval is lattice row k of `stack`, whose left ends
+    step by one half-unit; the stack's ids number the disc vertices, and its
+    boundary rows map to s/t under any characteristic surface.
     """
-    interval: tuple[int, int]
     s: list[int]
     t: list[int]
     stack: RowStack
     sigma_seq: list[Simplex]
     tau_seq: list[Simplex]
 
-    @cached_property
-    def widths(self) -> list[int]:
-        """Lattice steps per row."""
-        return [(hi - lo) // 2 for lo, hi in self.stack.rows]
-
-    @cached_property
-    def rows_ids(self) -> list[list[int]]:
-        """The disc vertex ids of each row, left to right."""
-        ends = accumulate(a + 1 for a in self.widths)
-        return [list(range(end - a - 1, end)) for a, end in zip(self.widths, ends)]
+    @property
+    def interval(self) -> tuple[int, int]:
+        return self.stack.first_row, self.stack.last_row
 
     @property
     def thin_endpoints(self) -> bool:
-        return self.widths[0] == 1 and self.widths[-1] == 1
+        return self.stack.widths[0] == self.stack.widths[-1] == 1
 
     @cached_property
     def disc(self) -> TriangulatedDisc:
         """The disc as a validated triangulated complex (built on first use)."""
         return as_disc(gen_flat_region(self.stack))
-
-    @property
-    def complex(self) -> FlagComplex:
-        return self.disc.complex
-
-    def place(self, vid: int) -> tuple[int, int]:
-        """(row relative to the interval start, index in the row) of vid."""
-        ids = self.rows_ids
-        k = bisect_right(ids, vid, key=itemgetter(0)) - 1
-        if k < 0 or vid > ids[k][-1]:
-            raise ValueError(f"{vid} is not a disc vertex")
-        return k, vid - ids[k][0]
-
-    def row_of(self, vid: int) -> int:
-        return self.interval[0] + self.place(vid)[0]
-
-    def is_left_boundary(self, vid: int) -> bool:
-        return self.place(vid)[1] == 0
-
-    def is_right_boundary(self, vid: int) -> bool:
-        k, idx = self.place(vid)
-        return idx == self.widths[k]
-
-    def neighbours(self, vid: int) -> set[int]:
-        """Disc vertices adjacent to vid."""
-        k, a = self.place(vid)
-        ids = self.rows_ids
-        out = {ids[k][b] for b in (a - 1, a + 1) if 0 <= b <= self.widths[k]}
-        if k > 0:
-            out |= {ids[k - 1][p] for p, q in _cross_pairs(self, k - 1) if q == a}
-        if k + 1 < len(ids):
-            out |= {ids[k + 1][q] for p, q in _cross_pairs(self, k) if p == a}
-        return out
 
 
 def check_row_stack(stack: RowStack) -> None:
@@ -114,7 +70,7 @@ def check_row_stack(stack: RowStack) -> None:
     enclose at least one row.  Raises CharDiscError naming the rows.
     """
     rows, first = stack.rows, stack.first_row
-    if rows[0][1] - rows[0][0] == rows[-1][1] - rows[-1][0] == 2 and len(rows) < 3:
+    if stack.widths[0] == stack.widths[-1] == 1 and len(rows) < 3:
         raise CharDiscError(f"rows {first}..{first + 1}: thin end rows "
                             "need a row between them")
     for k in range(len(rows) - 1):
@@ -185,15 +141,7 @@ def build_char_disc(X: FlagComplex, sigma_seq, tau_seq, interval,
         rows.append((lo, lo + 2 * widths[k + 1]))
     stack = RowStack(i, tuple(rows))
     check_row_stack(stack)
-    return CharDisc((i, j), s_rep, t_rep, stack, sigma_seq[i:j + 1], tau_seq[i:j + 1])
-
-
-def _cross_pairs(cd: CharDisc, k: int) -> list[tuple[int, int]]:
-    """Disc edges between row k and row k+1 (relative indices): a row shifted
-    right by 1/2 meets index a at a-1 and a, one shifted left at a and a+1."""
-    lo = -1 if cd.stack.rows[k + 1][0] > cd.stack.rows[k][0] else 0
-    return [(a, b) for a in range(cd.widths[k] + 1)
-            for b in (a + lo, a + lo + 1) if 0 <= b <= cd.widths[k + 1]]
+    return CharDisc(s_rep, t_rep, stack, sigma_seq[i:j + 1], tau_seq[i:j + 1])
 
 
 def _surfaces(X: FlagComplex, cd: CharDisc, cap: int = 10000):
@@ -205,13 +153,13 @@ def _surfaces(X: FlagComplex, cd: CharDisc, cap: int = 10000):
         if truncated:
             raise SurfaceError("geodesic enumeration cap hit; raise the cap")
         rows.append(sorted(paths))
-    crosses = [_cross_pairs(cd, k) for k in range(len(cd.widths) - 1)]
+    crosses = [cd.stack.cross_pairs(k) for k in range(len(rows) - 1)]
 
     def extend(chosen):
         k = len(chosen)
         if k == len(rows):
             yield {vid: chosen[r][idx]
-                   for r, ids in enumerate(cd.rows_ids)
+                   for r, ids in enumerate(cd.stack.ids)
                    for idx, vid in enumerate(ids)}
             return
         for path in rows[k]:
@@ -246,24 +194,23 @@ def characteristic_image(X: FlagComplex, sigma, tau, cd: CharDisc,
     simplex.
     """
     rho = tuple(sorted(rho))
-    if not rho or any(b not in cd.neighbours(a) for a, b in combinations(rho, 2)):
+    if not rho or any(b not in cd.stack.neighbours(a) for a, b in combinations(rho, 2)):
         raise ValueError(f"{rho} is not a simplex of the disc")
     n = dist(X, sigma, tau)
     ds, dt = dist_map(X, sigma, radius=n), dist_map(X, tau, radius=n)
     out: set[int] = set()
     for u in rho:
-        k = cd.row_of(u)
-        rel = k - cd.interval[0]
-        if cd.is_left_boundary(u):
+        rel, h = cd.stack.place(u)
+        width = cd.stack.widths[rel]
+        if h == 0:
             t_k = cd.t[rel]
-            cands = {z for z in cd.sigma_seq[rel]
-                     if dist(X, (z,), (t_k,)) == cd.widths[rel]}
-        elif cd.is_right_boundary(u):
+            cands = {z for z in cd.sigma_seq[rel] if dist(X, (z,), (t_k,)) == width}
+        elif h == width:
             s_k = cd.s[rel]
-            cands = {z for z in cd.tau_seq[rel]
-                     if dist(X, (s_k,), (z,)) == cd.widths[rel]}
+            cands = {z for z in cd.tau_seq[rel] if dist(X, (s_k,), (z,)) == width}
         else:
-            nbs = [surface[w] for w in cd.neighbours(u)]
+            k = cd.stack.first_row + rel
+            nbs = [surface[w] for w in cd.stack.neighbours(u)]
             common = set.intersection(*(set(X.adjacency[img]) for img in nbs))
             cands = {z for z in common if ds.get(z) == k and dt.get(z) == n - k}
         out |= cands

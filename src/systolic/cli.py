@@ -10,12 +10,13 @@ import argparse
 import json
 import sys
 
-from .boundary import C_DEFAULT, atlas_report, boundary_atlas, make_good_geodesic
-from .complex import (dumps_complex, is_k_large, is_locally_6_large, load_complex,
-                      simply_connected_heuristic, INFINITY)
+from .boundary import (ATLAS_CAP, C_DEFAULT, atlas_report, boundary_atlas, default_D,
+                       make_good_geodesic)
+from .complex import (dumps_complex, is_locally_6_large, load_complex,
+                      simply_connected_heuristic)
 from .eucgeo import euclidean_geodesic
 from .generators import flat_parallelogram, flat_rectangle, gen_disc_with_degrees
-from .metric import dist, dist_map, directed_geodesic
+from .metric import dist, dist_map, directed_geodesic, projection_witness
 from .suites import SUITE_NAMES, SuiteConfig, run_suite
 from .svg import poly_path_points, render_svg
 
@@ -66,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--{name}", type=int, default=argparse.SUPPRESS)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("check", help="flagness, local 6-largeness, collapsibility")
+    p = sub.add_parser("check", help="local 6-largeness and simple connectivity")
     _add_flags(p, "complex", "json")
 
     p = sub.add_parser("dist", help="combinatorial distance between two vertices")
@@ -89,8 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("atlas", help="finite-radius boundary atlas at a basepoint")
     _add_flags(p, "complex", "from", "C", "json")
     p.add_argument("--radius", type=int, default=2)
-    p.add_argument("--D", dest="D", type=int, default=None)
-    p.add_argument("--cap", type=int, default=10000)
+    p.add_argument("--D", dest="D", type=int, default=None,
+                   help="class threshold (default 3C + 2)")
+    p.add_argument("--cap", type=int, default=ATLAS_CAP)
     return parser
 
 
@@ -153,25 +155,29 @@ def cmd_check(args) -> int:
     X = _load(args)
     X.validate()
     loc = is_locally_6_large(X)
-    collapse = simply_connected_heuristic(X)
-    inf_large = is_k_large(X, INFINITY)
     report = {
         "vertices": len(X),
         "edges": X.edge_count(),
         "connected": X.is_connected(),
         "locally_6_large": loc.ok,
-        "simply_connected": collapse,
-        "infinity_large": inf_large.ok,
+        "simply_connected": simply_connected_heuristic(X),
     }
+    if not loc.ok:
+        report["witness"] = f"simplex {loc.witness[0]} has bad link cycle {loc.witness[1]}"
+    elif X.adjacency:
+        # with 6-large links, a failed projection rules out simple connectivity
+        o = min(X.adjacency)
+        failed = projection_witness(X, o)
+        if failed is not None:
+            _, k, message = failed
+            report["simply_connected"] = "no"
+            report["witness"] = f"onto B_{k}({o}): {message}"
     if args.json:
         print(json.dumps(report, sort_keys=True, indent=2))
     else:
         for k, v in report.items():
             print(f"{k}: {v}")
-    if not loc.ok:
-        print(f"witness: simplex {loc.witness[0]} has bad link cycle {loc.witness[1]}")
-        return 1
-    return 0
+    return 1 if "witness" in report else 0
 
 
 def cmd_dist(args) -> int:
@@ -199,7 +205,7 @@ def cmd_egeo(args) -> int:
         print(f"{k} ({tag}): {list(simplex)}")
     if args.svg_path and eg.intervals:
         data = eg.intervals[0]
-        _emit_svg(args, data.disc.complex, [poly_path_points(data.diagonal)])
+        _emit_svg(args, data.disc.disc.complex, [poly_path_points(data.diagonal)])
     else:
         _emit_svg(args, X)
     return 0
@@ -237,10 +243,8 @@ def cmd_atlas(args) -> int:
     if not 0 <= args.radius <= ecc:
         raise UsageError(f"--radius {args.radius} outside 0..{ecc}, the "
                          f"eccentricity of vertex {O}")
-    kwargs = {"C": args.C, "cap": args.cap}
-    if args.D is not None:
-        kwargs["D"] = args.D
-    atlas = boundary_atlas(X, O, args.radius, **kwargs)
+    D = default_D(args.C) if args.D is None else args.D
+    atlas = boundary_atlas(X, O, args.radius, D=D, C=args.C, cap=args.cap)
     sys.stdout.write(atlas_report(atlas, as_json=args.json))
     return 0
 

@@ -66,14 +66,14 @@ def euclidean_diagonal(cd: CharDisc, diagonal: PolyPath | None = None) -> dict[i
     out: dict[int, Simplex] = {}
     for k in range(i + 1, j):
         rel = k - i
-        a = cd.widths[rel]
+        a = cd.stack.widths[rel]
         if a < 2:
             raise AssertionError(f"interior layer {k} of a thick interval has width {a}")
         x = diagonal.x_at(k)
         # the crossing sits t / den lattice steps right of the row's left end
         den = 2 * x.denominator
         t = 2 * x.numerator - cd.stack.rows[rel][0] * x.denominator
-        ids = cd.rows_ids[rel]
+        ids = cd.stack.ids[rel]
         gaps = {h: abs(t - h * den) for h in range(1, a)}
         nearest = min(gaps.values())
         # two interior vertices tie only at the barycenter of their edge

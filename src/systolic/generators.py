@@ -1,7 +1,8 @@
 """Generators for systolic test complexes.
 
-Two families: induced regions of the flat plane (flat by construction, with
-the lattice embedding retained) and randomly grown planar triangulated discs
+Two families: induced regions of the flat plane on a `RowStack`, whose
+vertex numbering and edges they take (flat by construction, with the
+lattice embedding retained), and randomly grown planar triangulated discs
 whose interior vertices all have degree >= 6 (systolic, generally non-flat).
 """
 
@@ -19,8 +20,9 @@ def gen_flat_region(stack: RowStack) -> FlagComplex:
 
     Each row's ends, in half-units, must match the row parity, and its
     width must be a whole number of lattice steps.  Consecutive rows must
-    share at least one lattice adjacency.  The lattice embedding is kept in
-    `coords`.
+    share at least one lattice adjacency.  Vertex ids and edges are the
+    stack's (`RowStack.ids`, `RowStack.cross_pairs`); the lattice embedding
+    is kept in `coords`.
     """
     if not stack.rows:
         raise ValueError("empty row spec")
@@ -34,25 +36,12 @@ def gen_flat_region(stack: RowStack) -> FlagComplex:
         if max(lo1, lo2) - min(hi1, hi2) > 1:
             raise ValueError(f"rows {row} and {row + 1} share no lattice adjacency")
 
-    coords = {}
-    ids_by_row = []
-    vid = 0
-    for row, (lo, hi) in enumerate(stack.rows, start=stack.first_row):
-        ids = list(range(vid, vid + (hi - lo) // 2 + 1))
-        for x2, v in zip(range(lo, hi + 1, 2), ids):
-            coords[v] = (row, Fraction(x2, 2))
-        vid += len(ids)
-        ids_by_row.append(ids)
-
-    edges = []
-    for ids in ids_by_row:
-        edges += [(a, b) for a, b in zip(ids, ids[1:])]
-    for (lo1, _), (lo2, _), ids_a, ids_b in zip(stack.rows, stack.rows[1:],
-                                                ids_by_row, ids_by_row[1:]):
-        # index p of the lower row meets indices p + shift and p + shift + 1
-        shift = (lo1 - lo2 - 1) // 2
-        edges += [(a, ids_b[q]) for p, a in enumerate(ids_a)
-                  for q in (p + shift, p + shift + 1) if 0 <= q < len(ids_b)]
+    coords = {v: (stack.first_row + k, Fraction(lo + 2 * h, 2))
+              for k, ((lo, _), ids) in enumerate(zip(stack.rows, stack.ids))
+              for h, v in enumerate(ids)}
+    edges = [(a, b) for ids in stack.ids for a, b in zip(ids, ids[1:])]
+    for k, (ids_a, ids_b) in enumerate(zip(stack.ids, stack.ids[1:])):
+        edges += [(ids_a[p], ids_b[q]) for p, q in stack.cross_pairs(k)]
 
     X = FlagComplex.from_edges(edges, vertices=coords.keys(), coords=coords)
     if not X.is_connected():

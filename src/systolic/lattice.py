@@ -4,14 +4,18 @@ Vertices live on horizontal rows spaced sqrt(3)/2 apart and are stored as
 (row, x) with row an integer and x a Fraction; 2*x is an integer with the
 same parity as the row.  sqrt(3) is never materialized, so every predicate
 is a rational comparison.  A flat disc is a `RowStack`, whose row ends are
-integers in half-units (2x).  The lattice-distance and point-group oracles
-live with the tests.
+integers in half-units (2x); it numbers the disc's vertices and joins them.
+The lattice-distance and point-group oracles live with the tests.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
+from operator import itemgetter
 
 HALF = Fraction(1, 2)
 
@@ -29,7 +33,9 @@ class RowStack:
     """A stack of horizontal row intervals (rows sqrt(3)/2 apart, straight
     boundary segments between consecutive rows).  `rows[k]` = (lo, hi) spans
     x in [lo/2, hi/2] on row `first_row + k`: the ends are in half-units.
-    Degenerate rows (points) are legal; lattice parity is not a rule here."""
+    Degenerate rows (points) are legal; lattice parity is not a rule here.
+    A lattice stack numbers its vertices row by row from 0, left to right
+    (`ids`); edges join row neighbours and the `cross_pairs` of two rows."""
     first_row: int
     rows: tuple[tuple[int, int], ...]
 
@@ -41,3 +47,40 @@ class RowStack:
     @property
     def last_row(self) -> int:
         return self.first_row + len(self.rows) - 1
+
+    @cached_property
+    def widths(self) -> list[int]:
+        """Lattice steps per row."""
+        return [(hi - lo) // 2 for lo, hi in self.rows]
+
+    @cached_property
+    def ids(self) -> list[list[int]]:
+        """The vertex ids of each row, left to right."""
+        ends = accumulate(a + 1 for a in self.widths)
+        return [list(range(end - a - 1, end)) for a, end in zip(self.widths, ends)]
+
+    def cross_pairs(self, k: int) -> list[tuple[int, int]]:
+        """Edges between rows k and k+1 as (index in row k, index in row k+1):
+        p lies 1/2 from p + shift and p + shift + 1, where those exist."""
+        shift = (self.rows[k][0] - self.rows[k + 1][0] - 1) // 2
+        last = self.widths[k + 1]
+        return [(p, q) for p in range(self.widths[k] + 1)
+                for q in (p + shift, p + shift + 1) if 0 <= q <= last]
+
+    def place(self, vid: int) -> tuple[int, int]:
+        """(row relative to the first row, index in the row) of vid."""
+        k = bisect_right(self.ids, vid, key=itemgetter(0)) - 1
+        if k < 0 or vid > self.ids[k][-1]:
+            raise ValueError(f"{vid} is not a disc vertex")
+        return k, vid - self.ids[k][0]
+
+    def neighbours(self, vid: int) -> set[int]:
+        """Disc vertices adjacent to vid."""
+        k, a = self.place(vid)
+        ids = self.ids
+        out = {ids[k][b] for b in (a - 1, a + 1) if 0 <= b <= self.widths[k]}
+        if k > 0:
+            out |= {ids[k - 1][p] for p, q in self.cross_pairs(k - 1) if q == a}
+        if k + 1 < len(ids):
+            out |= {ids[k + 1][q] for p, q in self.cross_pairs(k) if p == a}
+        return out

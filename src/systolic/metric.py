@@ -244,6 +244,29 @@ def _project(X: FlagComplex, sigma: Simplex, dm: dict[int, int], m: int) -> Simp
     return pi
 
 
+def projection_witness(X: FlagComplex, o: int) -> tuple[Simplex, int, str] | None:
+    """The first failed projection onto a ball around vertex o, or None.
+
+    For each k, every simplex of the full subcomplex on S_{k+1}(o) is
+    projected onto B_k(o), reading one distance map of o; a failure is
+    returned as (sigma, k, message).  In a systolic complex balls are
+    convex, and a projection onto a convex subcomplex is one nonempty
+    simplex; a connected, simply connected, locally 6-large complex is
+    systolic (Januszkiewicz-Swiatkowski, "Simplicial nonpositive
+    curvature", Publ. IHES 104, 2006).  So when the links are 6-large, a
+    failure proves that o's component is not simply connected.  A pass
+    proves nothing on its own.
+    """
+    dm = dist_map(X, (o,))
+    for k in range(max(dm.values())):
+        for sigma in X.induced(sphere(X, (o,), k + 1)).simplices():
+            try:
+                _project(X, sigma, dm, k)
+            except ProjectionError as exc:
+                return sigma, k, str(exc)
+    return None
+
+
 def projection(X: FlagComplex, sigma: Iterable[int], Y: Iterable[int]) -> Simplex:
     """Projection of simplex sigma onto the (convex) subcomplex Y.
 

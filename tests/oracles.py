@@ -325,7 +325,7 @@ def char_preimage(X: FlagComplex, sigma, tau, cd: CharDisc,
     k = dist(X, (x,), sigma)
     if dist(X, (x,), tau) != n - k or not cd.interval[0] <= k <= cd.interval[1]:
         raise ValueError(f"vertex {x} lies outside the disc's layers")
-    matches = [u for u in cd.rows_ids[k - cd.interval[0]]
+    matches = [u for u in cd.stack.ids[k - cd.interval[0]]
                if x in characteristic_image(X, sigma, tau, cd, surface, (u,))]
     if len(matches) != 1:
         raise CharDiscError(f"preimage of {x} is not unique: {matches}")

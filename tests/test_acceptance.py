@@ -190,12 +190,13 @@ def test_criterion_08_contracting():
         others = [v for v in X.vertices if v not in (t, s)]
         for _ in range(4):
             s2 = rng.choice(others)
-            excess, _ = contracting_check(X, t, s, s2)
+            excess = contracting_check(X, t, s, s2)
             assert excess <= 208
             worst_thm = max(worst_thm, excess)
             r1 = thread_vertex_path(X, euclidean_geodesic(X, (t,), (s,)))
             r2 = thread_vertex_path(X, euclidean_geodesic(X, (t,), (s2,)))
             ex2 = corollary_contr_check(X, r1, r2)
+            assert ex2 == excess  # the same two threaded rays
             assert ex2 <= 626
             worst_cor = max(worst_cor, ex2)
             triples += 1
@@ -243,7 +244,7 @@ def test_criterion_11_minimal_surface_oracle():
         eg = euclidean_geodesic(X, inst.sigma, inst.tau)
         for data in eg.intervals:
             cd = data.disc
-            rows = cd.rows_ids
+            rows = cd.stack.ids
             loop = list(dict.fromkeys(
                 [ids[0] for ids in rows] + [ids[-1] for ids in reversed(rows)]))
             if len(loop) <= 12:
@@ -253,8 +254,8 @@ def test_criterion_11_minimal_surface_oracle():
                 res = minimal_surface_bruteforce(X, image_loop, area)
                 assert res.area == area
                 area_checked += 1
-            if len(cd.widths) <= 5:
-                for u in cd.complex.vertices:
+            if len(cd.stack.widths) <= 5:
+                for u in cd.disc.complex.vertices:
                     img = characteristic_image(X, inst.sigma, inst.tau, cd,
                                                data.surface, (u,))
                     assert img == char_image_oracle(X, cd, (u,))

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from systolic import charsurf
-from systolic.charsurf import (CharDiscError, _cross_pairs, build_char_disc,
+from systolic.charsurf import (CharDiscError, build_char_disc,
                                build_char_surface, characteristic_image,
                                check_row_stack)
 from systolic.complex import FlagComplex
@@ -15,9 +15,8 @@ from systolic.flatgeom import as_disc, gauss_bonnet_sum, is_flat
 from systolic.generators import (flat_parallelogram, flat_rectangle,
                                  gen_disc_with_degrees, gen_flat_region)
 from systolic.layers import layers, thickness_profile
-from systolic.lattice import RowStack
+from systolic.lattice import RowStack, lattice_adjacent
 from systolic.metric import dist, dist_map, directed_geodesic
-from systolic.suites import instance_suite
 
 from oracles import (canonical_placement, char_image_oracle, char_preimage,
                      enumerate_char_surfaces, is_triangulable, lattice_dist,
@@ -48,7 +47,7 @@ def test_disc_shape_matches_lattice_thicknesses():
     (iv,) = prof.thick_intervals
     cd = build_char_disc(X, sseq, tseq, iv)
     i, j = iv
-    assert cd.widths == prof.thickness[i:j + 1]
+    assert cd.stack.widths == prof.thickness[i:j + 1]
     assert gauss_bonnet_sum(cd.disc) == 6
     assert is_flat(cd.disc).ok
 
@@ -60,7 +59,7 @@ def test_minimal_thick_interval_three_rows():
         short = [(i, j) for (i, j) in prof.thick_intervals if j - i == 2]
         if short:
             cd = build_char_disc(X, sseq, tseq, short[0])
-            assert cd.widths == [1, 2, 1]
+            assert cd.stack.widths == [1, 2, 1]
             return
     pytest.skip("no minimal thick interval in the scanned family")
 
@@ -78,7 +77,7 @@ def test_partial_interval_disc():
     (i, j) = prof.thick_intervals[0]
     cd = build_char_disc(X, sseq, tseq, (i + 1, j - 1))
     assert not cd.thin_endpoints
-    assert all(w >= 2 for w in cd.widths)
+    assert all(w >= 2 for w in cd.stack.widths)
     with pytest.raises(CharDiscError):
         build_char_disc(X, sseq, tseq, (i, j - 1))  # thin start, thick end
 
@@ -91,7 +90,7 @@ def test_surface_on_flat_instance_is_congruent_embedding():
     assert len(set(surf.values())) == len(surf)
     image_placement = {d: X.coords[img] for d, img in surf.items()}
     assert canonical_placement(image_placement.values()) == \
-        canonical_placement(cd.complex.coords.values())
+        canonical_placement(cd.disc.complex.coords.values())
 
 
 def surface_checks(X, sigma, tau, cd, surf):
@@ -99,13 +98,13 @@ def surface_checks(X, sigma, tau, cd, surf):
     n = dist(X, sigma, tau)
     ds, dt = dist_map(X, sigma), dist_map(X, tau)
     for vid, img in surf.items():
-        k = cd.row_of(vid)
+        k = cd.interval[0] + cd.stack.place(vid)[0]
         assert ds[img] == k and dt[img] == n - k
     i = cd.interval[0]
-    for rel in range(len(cd.widths) - 1):
-        span = cd.rows_ids[rel] + cd.rows_ids[rel + 1]
+    for rel in range(len(cd.stack.widths) - 1):
+        span = cd.stack.ids[rel] + cd.stack.ids[rel + 1]
         for a, b in itertools.combinations(span, 2):
-            da = lattice_dist(cd.complex.coords[a], cd.complex.coords[b])
+            da = lattice_dist(cd.disc.complex.coords[a], cd.disc.complex.coords[b])
             assert dist(X, (surf[a],), (surf[b],)) == da
 
 
@@ -135,16 +134,16 @@ def test_surface_pair_properties():
     cd = build_char_disc(X, sseq, tseq, iv)
     surfaces = list(enumerate_char_surfaces(X, cd, limit=500))
     assert surfaces
-    verts = list(cd.complex.vertices)
+    verts = list(cd.disc.complex.vertices)
     for s1 in surfaces:
         for s2 in surfaces:
             for x in verts:
                 assert dist(X, (s1[x],), (s2[x],)) <= 1
-                for y in cd.complex.adjacency[x]:
+                for y in cd.disc.complex.adjacency[x]:
                     assert dist(X, (s1[x],), (s2[y],)) == 1
     # preimage decoding is single-valued: distinct same-row vertices have
     # disjoint image sets
-    for rel, ids in enumerate(cd.rows_ids):
+    for rel, ids in enumerate(cd.stack.ids):
         image_sets = [{s[v] for s in surfaces} for v in ids]
         for a, b in itertools.combinations(range(len(ids)), 2):
             assert not image_sets[a] & image_sets[b]
@@ -157,16 +156,16 @@ def test_characteristic_image_examples():
     cd = build_char_disc(X, sseq, tseq, iv)
     surf = build_char_surface(X, cd)
     # endpoint row edge: the span of the two directed-geodesic members
-    v_i, w_i = cd.rows_ids[0]
+    v_i, w_i = cd.stack.ids[0]
     img = characteristic_image(X, (c0,), (c1,), cd, surf, (v_i, w_i))
     assert set(img) == set(sseq[i]) | set(tseq[i])
     # interior vertices on a flat instance have singleton images
-    for rel in range(1, len(cd.widths) - 1):
-        for u in cd.rows_ids[rel][1:-1]:
+    for rel in range(1, len(cd.stack.widths) - 1):
+        for u in cd.stack.ids[rel][1:-1]:
             assert len(characteristic_image(X, (c0,), (c1,), cd, surf, (u,))) == 1
     # boundary vertices with uniquely realized thickness map to single vertices
-    for rel in range(1, len(cd.widths) - 1):
-        u = cd.rows_ids[rel][0]
+    for rel in range(1, len(cd.stack.widths) - 1):
+        u = cd.stack.ids[rel][0]
         img = characteristic_image(X, (c0,), (c1,), cd, surf, (u,))
         assert img == (cd.s[rel],)
 
@@ -188,7 +187,7 @@ def test_characteristic_image_equals_all_surface_span():
                 continue  # oracle scale: discs with <= 5 rows
             cd = build_char_disc(X, sseq, tseq, iv)
             surf = build_char_surface(X, cd)
-            for u_ in cd.complex.vertices:
+            for u_ in cd.disc.complex.vertices:
                 img = characteristic_image(X, (c0,), (c1,), cd, surf, (u_,))
                 assert img == char_image_oracle(X, cd, (u_,))
                 checked += 1
@@ -218,8 +217,8 @@ def test_char_surface_area_is_minimal():
     X, c0, c1, sseq, tseq, prof = instance(flat_parallelogram, 8, 2)
     (iv,) = prof.thick_intervals
     cd = build_char_disc(X, sseq, tseq, iv)
-    loop = ([cd.rows_ids[k][0] for k in range(len(cd.widths))]
-            + [cd.rows_ids[k][-1] for k in reversed(range(len(cd.widths)))])
+    loop = ([cd.stack.ids[k][0] for k in range(len(cd.stack.widths))]
+            + [cd.stack.ids[k][-1] for k in reversed(range(len(cd.stack.widths)))])
     loop = list(dict.fromkeys(loop))
     surf = build_char_surface(X, cd)
     image_loop = [surf[v] for v in loop]
@@ -312,27 +311,36 @@ def audits_accept(stack):
     return is_flat(disc).ok
 
 
-def test_shape_rule_matches_generic_audits():
-    # every row stack build_char_disc can reach with up to 4 rows of width
-    # <= 4: thin end rows around thick ones, or thick rows throughout
-    verdicts = []
+def stacks(n_rows, widths, steps):
+    """Every row stack of n_rows rows with the given widths and left-end
+    steps (half-units), starting on an even and on an odd row."""
+    for ws in widths:
+        for st in itertools.product(steps, repeat=n_rows - 1):
+            for first_row in (0, 1):
+                left = itertools.accumulate(st, initial=first_row % 2)
+                yield RowStack(first_row, tuple((lo, lo + 2 * a) for lo, a in zip(left, ws)))
+
+
+def char_disc_stacks():
+    """Every row stack build_char_disc can reach with up to 4 rows of width
+    <= 4: thin end rows around thick ones, or thick rows throughout."""
     for n_rows in (2, 3, 4):
         for widths in itertools.product(range(1, 5), repeat=n_rows):
             thin = widths[0] == widths[-1] == 1
-            if min(widths[1:-1] if thin else widths, default=2) < 2:
-                continue
-            for steps in itertools.product((-1, 1), repeat=n_rows - 1):
-                for first_row in (0, 1):
-                    left = list(itertools.accumulate(steps, initial=first_row % 2))
-                    stack = RowStack(first_row, tuple((lo, lo + 2 * a)
-                                                      for lo, a in zip(left, widths)))
-                    try:
-                        check_row_stack(stack)
-                        ok = True
-                    except CharDiscError:
-                        ok = False
-                    assert ok == audits_accept(stack), (widths, steps, first_row)
-                    verdicts.append(ok)
+            if min(widths[1:-1] if thin else widths, default=2) >= 2:
+                yield from stacks(n_rows, [widths], (-1, 1))
+
+
+def test_shape_rule_matches_generic_audits():
+    verdicts = []
+    for stack in char_disc_stacks():
+        try:
+            check_row_stack(stack)
+            ok = True
+        except CharDiscError:
+            ok = False
+        assert ok == audits_accept(stack), stack
+        verdicts.append(ok)
     assert any(verdicts) and not all(verdicts)
 
 
@@ -349,24 +357,33 @@ def test_euclidean_geodesic_builds_no_disc_complex(monkeypatch):
         patch.setattr(charsurf, "as_disc", refuse)
         assert euclidean_geodesic(flat_parallelogram(8, 2), (c0,), (c1,)).deltas == expected
 
+
+def test_row_stack_numbering_and_edges_match_lattice():
+    # the stack's ids, place and neighbours against coordinates alone: the
+    # edges of gen_flat_region are exactly the lattice-adjacent vertex pairs
+    wide = [stacks(n, itertools.product(range(3), repeat=n), (-3, -1, 1, 3))
+            for n in (2, 3)]
     checked = 0
-    for inst in instance_suite(1, 6):
-        for data in euclidean_geodesic(inst.X, inst.sigma, inst.tau).intervals:
-            cd = data.disc
-            C = cd.complex
-            i = cd.interval[0]
-            rows = [sorted((v for v in C.vertices if C.coords[v][0] == i + k),
-                           key=lambda v: C.coords[v][1]) for k in range(len(cd.widths))]
-            assert cd.rows_ids == rows
-            for v in C.vertices:
-                assert cd.neighbours(v) == set(C.adjacency[v])
-                assert cd.row_of(v) == C.coords[v][0]
-                row = rows[C.coords[v][0] - i]
-                assert cd.is_left_boundary(v) == (v == row[0])
-                assert cd.is_right_boundary(v) == (v == row[-1])
-            for k in range(len(rows) - 1):
-                assert _cross_pairs(cd, k) == [
-                    (a, b) for a, u in enumerate(rows[k])
-                    for b, w in enumerate(rows[k + 1]) if C.is_edge(u, w)]
-            checked += 1
-    assert checked
+    for stack in itertools.chain(char_disc_stacks(), *wide):
+        try:
+            X = gen_flat_region(stack)
+        except ValueError:
+            continue
+        coords, verts = X.coords, X.vertices
+        # lattice_adjacent rejects pairs more than a row apart; skip those
+        adjacent = {(u, v) for u, v in itertools.combinations(verts, 2)
+                    if abs(coords[u][0] - coords[v][0]) <= 1
+                    and lattice_adjacent(coords[u], coords[v])}
+        assert set(X.edges()) == adjacent, stack
+        rows = [sorted((v for v in verts if coords[v][0] == row), key=lambda v: coords[v][1])
+                for row in range(stack.first_row, stack.last_row + 1)]
+        assert stack.ids == rows
+        for k, (row, (lo, hi)) in enumerate(zip(rows, stack.rows)):
+            assert [coords[v] for v in row] == [(stack.first_row + k, Fraction(x2, 2))
+                                                for x2 in range(lo, hi + 1, 2)]
+            assert [stack.place(v) for v in row] == [(k, h) for h in range(len(row))]
+        for v in verts:
+            assert stack.neighbours(v) == {w for pair in adjacent if v in pair
+                                           for w in pair if w != v}
+        checked += 1
+    assert checked > 1000

@@ -6,7 +6,9 @@ import pytest
 
 from systolic.cli import main
 from systolic.complex import dumps_complex
-from systolic.generators import flat_parallelogram
+from systolic.generators import flat_parallelogram, flat_rectangle, gen_disc_with_degrees
+
+from test_chordality import cycle, octahedron, triangular_torus
 
 
 @pytest.fixture
@@ -65,6 +67,44 @@ def test_check_flags_bad_complex(tmp_path, capsys):
     code, out = run(capsys, "check", "--complex", str(path))
     assert code == 1
     assert "witness" in out
+
+
+def check_file(tmp_path, X, *flags):
+    path = tmp_path / "x.cx"
+    path.write_text(dumps_complex(X))
+    return main(["check", "--complex", str(path), *flags])
+
+
+def test_check_rejects_locally_6_large_complexes_that_are_not_simply_connected(
+        tmp_path, capsys):
+    for X in [triangular_torus(n) for n in range(4, 8)] + [cycle(4), cycle(5)]:
+        assert check_file(tmp_path, X) == 1
+        out = capsys.readouterr().out
+        assert "locally_6_large: True" in out and "simply_connected: no" in out
+        assert "witness: onto B_" in out and "infinity_large" not in out
+    check_file(tmp_path, triangular_torus(4))
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "witness: onto B_1(0): projection of (2,) is not a simplex: (1, 3)")
+
+
+def test_check_passes_generator_outputs(tmp_path, capsys):
+    for X in [gen_disc_with_degrees(1, rings=r) for r in (3, 5)] + [flat_rectangle(20, 20)]:
+        assert check_file(tmp_path, X) == 0
+        out = capsys.readouterr().out
+        assert "witness" not in out and "simply_connected: verified" in out
+
+
+def test_check_json_parses_with_its_witness(tmp_path, capsys):
+    cases = [(gen_disc_with_degrees(2, rings=3), 0, "verified"),
+             (triangular_torus(5), 1, "no"),
+             (octahedron(), 1, "unknown")]
+    for X, code, simply_connected in cases:
+        assert check_file(tmp_path, X, "--json") == code
+        report = json.loads(capsys.readouterr().out)
+        assert report["simply_connected"] == simply_connected
+        assert ("witness" in report) == bool(code)
+        assert "infinity_large" not in report
+    assert report["witness"] == "simplex (0,) has bad link cycle (2, 3, 4, 5)"
 
 
 def test_dist_dgeo_egeo(flat_file, capsys, tmp_path):
@@ -128,6 +168,14 @@ def test_atlas_command(flat_file, capsys):
                     "--radius", "2", "--json")
     assert code == 0
     assert json.loads(out)["N"] == 2
+
+
+def test_atlas_threshold_follows_C(flat_file, capsys):
+    path, c0, _ = flat_file
+    base = ("atlas", "--complex", path, "--from", str(c0), "--radius", "2")
+    for flags, D in (((), 626), (("--C", "10"), 32), (("--C", "10", "--D", "7"), 7)):
+        code, out = run(capsys, *base, *flags)
+        assert code == 0 and out.startswith(f"atlas basepoint={c0} N=2 D={D}\n"), flags
 
 
 def test_usage_error_exit_code(capsys):

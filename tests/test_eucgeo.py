@@ -49,12 +49,10 @@ def synthetic_disc(widths, offsets, first_row=0):
         rows_ids[region.coords[vid][0] - first_row].append(vid)
     for ids in rows_ids:
         ids.sort(key=lambda v: region.coords[v][1])
-    n = len(widths) - 1
-    cd = CharDisc((first_row, first_row + n),
-                  [ids[0] for ids in rows_ids], [ids[-1] for ids in rows_ids], stack,
+    cd = CharDisc([ids[0] for ids in rows_ids], [ids[-1] for ids in rows_ids], stack,
                   [(ids[0],) for ids in rows_ids],
                   [(ids[-1],) for ids in rows_ids])
-    assert cd.rows_ids == rows_ids
+    assert cd.stack.ids == rows_ids
     return cd
 
 
@@ -70,7 +68,7 @@ def test_modified_disc_rows():
 def test_modified_disc_parallelogram_shrink():
     cd = synthetic_disc([1, 2, 3, 3, 2, 1], [-1, -1, -1, 1, 1])
     md = modified_disc(cd)
-    for (lo, hi), w in zip(md.rows, cd.widths):
+    for (lo, hi), w in zip(md.rows, cd.stack.widths):
         assert hi - lo == 2 * (w - 1)
 
 
@@ -99,12 +97,12 @@ def test_euclidean_diagonal_symmetric_middle_vertex():
     cd = synthetic_disc([1, 2, 3, 4, 3, 2, 1],
                         [-1, -1, -1, 1, 1, 1])
     rho = euclidean_diagonal(cd)
-    mid_row = cd.rows_ids[3]
+    mid_row = cd.stack.ids[3]
     assert rho[3] == (mid_row[len(mid_row) // 2],)
     for k, r in rho.items():
         rel = k - cd.interval[0]
-        assert cd.rows_ids[rel][0] not in r
-        assert cd.rows_ids[rel][-1] not in r
+        assert cd.stack.ids[rel][0] not in r
+        assert cd.stack.ids[rel][-1] not in r
 
 
 def test_euclidean_diagonal_barycenter_tie_gives_edge():
@@ -114,9 +112,9 @@ def test_euclidean_diagonal_barycenter_tie_gives_edge():
     diag = cat0_diagonal(cd)
     assert len(set(diag.xs)) == 1
     rho = euclidean_diagonal(cd, diag)
-    ids = cd.rows_ids[2]
+    ids = cd.stack.ids[2]
     assert rho[2] == (ids[1], ids[2])
-    assert rho[1] == (cd.rows_ids[1][1],)
+    assert rho[1] == (cd.stack.ids[1][1],)
 
 
 def test_euclidean_diagonal_never_contains_row_ends():
@@ -125,7 +123,7 @@ def test_euclidean_diagonal_never_contains_row_ends():
     rho = euclidean_diagonal(cd)
     for k, r in rho.items():
         rel = k - cd.interval[0]
-        assert set(r) <= set(cd.rows_ids[rel][1:-1])
+        assert set(r) <= set(cd.stack.ids[rel][1:-1])
 
 
 def test_euclidean_geodesic_trivial_cases():
@@ -287,7 +285,7 @@ def test_single_thick_layer_full_pipeline():
         assert rep["ok"], rep["failures"]
         for (i, j) in short:
             data = next(d for d in eg.intervals if d.interval == (i, j))
-            assert data.disc.widths[0] == data.disc.widths[-1] == 1
+            assert data.disc.stack.widths[0] == data.disc.stack.widths[-1] == 1
             assert list(data.rho) == [i + 1]
         mx, _ = subsegment_check(X, eg, 0, eg.n, "weak")
         assert mx == 0
@@ -332,7 +330,7 @@ def test_diagonal_close_to_rho_barycenter_path():
             cd = data.disc
             i = cd.interval[0]
             for k, rho_k in data.rho.items():
-                coords = [cd.complex.coords[v][1] for v in rho_k]
+                coords = [cd.disc.complex.coords[v][1] for v in rho_k]
                 bary = sum(coords) / len(coords)
                 assert abs(data.diagonal.x_at(k) - bary) <= HALF
                 checked += 1

@@ -6,16 +6,17 @@ from fractions import Fraction
 import pytest
 
 from systolic import metric
-from systolic.complex import FlagComplex
+from systolic.complex import FlagComplex, is_locally_6_large, simply_connected_heuristic
 from systolic.generators import (flat_parallelogram, flat_rectangle,
                                  gen_disc_with_degrees, gen_flat_region)
 from systolic.lattice import RowStack, lattice_adjacent
 from systolic.metric import (ProjectionError, all_geodesics, ball, dist,
                              directed_geodesic, dist_map, is_convex,
-                             is_geodesic_path, max_dist, projection, residue,
-                             sphere)
+                             is_geodesic_path, max_dist, projection,
+                             projection_witness, residue, sphere)
 
 from oracles import bfs_oracle, lattice_dist
+from test_chordality import cycle, octahedron, triangular_torus
 
 
 def hexagon_wheel():
@@ -160,6 +161,32 @@ def test_projection_error_diagnoses_bad_input():
     X = FlagComplex.from_edges([(0, 1), (1, 2), (2, 3), (3, 0)])
     with pytest.raises(ProjectionError):
         projection(X, (1,), {0, 2})
+
+
+def test_projection_witness_rejects_tori_and_short_cycles():
+    assert projection_witness(triangular_torus(4), 0) == (
+        (2,), 1, "projection of (2,) is not a simplex: (1, 3)")
+    assert projection_witness(triangular_torus(5), 0) == (
+        (2, 3), 1, "projection of (2, 3) is empty")
+    for X in [triangular_torus(n) for n in range(4, 8)] + [cycle(4), cycle(5), octahedron()]:
+        sigma, k, _ = projection_witness(X, 0)
+        # the residue of sigma meets B_k(0) in no simplex, by a BFS of its own
+        dm = bfs_oracle(X.adjacency, (0,))
+        assert all(dm[v] == k + 1 for v in sigma)
+        common = set.intersection(*(set(X.adjacency[v]) for v in sigma))
+        pi = [u for u in common if dm[u] <= k]
+        assert not pi or any(b not in X.adjacency[a] for a in pi for b in pi if a != b)
+
+
+def test_projection_witness_passes_generator_outputs():
+    # systolic inputs: every projection is a nonempty simplex, and the sweep
+    # agrees with the collapse wherever the collapse verifies
+    discs = [gen_disc_with_degrees(s, rings=r) for s in range(3) for r in (3, 5)]
+    flats = [flat_rectangle(n, n) for n in (5, 10, 20)] + [flat_parallelogram(12, 6)]
+    for X in discs + flats:
+        assert projection_witness(X, min(X.vertices)) is None
+    for X in discs[::2] + flats[:2]:
+        assert is_locally_6_large(X).ok and simply_connected_heuristic(X) == "verified"
 
 
 def test_directed_geodesic_adjacent():
