@@ -23,6 +23,7 @@ from .complex import FlagComplex, Simplex
 from .flatgeom import TriangulatedDisc, as_disc
 from .generators import gen_flat_region
 from .lattice import RowStack
+from .layers import maximizing_pairs
 from .metric import dist, dist_map, all_geodesics
 
 
@@ -80,19 +81,6 @@ def check_row_stack(stack: RowStack) -> None:
                                 f"right ends step {step} half-units")
 
 
-def _maximizing_pairs(X: FlagComplex, sigma: Simplex, tau: Simplex):
-    best = -1
-    pairs = []
-    for s in sigma:
-        for t in tau:
-            d = dist(X, s, t)
-            if d > best:
-                best, pairs = d, [(s, t)]
-            elif d == best:
-                pairs.append((s, t))
-    return best, sorted(pairs)
-
-
 def build_char_disc(X: FlagComplex, sigma_seq, tau_seq, interval,
                     tie_seed: int | None = None) -> CharDisc:
     """Characteristic disc for a thick interval of (sigma_seq, tau_seq).
@@ -111,7 +99,7 @@ def build_char_disc(X: FlagComplex, sigma_seq, tau_seq, interval,
 
     widths, s_rep, t_rep = [], [], []
     for k in range(i, j + 1):
-        a, pairs = _maximizing_pairs(X, sigma_seq[k], tau_seq[k])
+        a, pairs = maximizing_pairs(X, sigma_seq[k], tau_seq[k])
         pick = rng.choice(pairs) if rng is not None else pairs[0]
         widths.append(a)
         s_rep.append(pick[0])

@@ -26,6 +26,19 @@ class UsageError(Exception):
     with exit code 2."""
 
 
+def _int_at_least(minimum: int):
+    """An argparse type: an int no less than minimum, else a usage error."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"{value} is below {minimum}")
+        return value
+    parse.__name__ = "int"  # argparse reports a non-integer as "invalid int value"
+    return parse
+
+
+_NON_NEGATIVE, _POSITIVE = _int_at_least(0), _int_at_least(1)
+
 _FLAGS = {
     "complex": {"dest": "complex_path", "help": "complex file to load"},
     "from": {"dest": "src", "type": int, "help": "source vertex"},
@@ -64,7 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=list(_GENERATORS), required=True)
     for name in _GEN_PARAMS:
         # absent unless given, so main can reject what --kind does not read
-        p.add_argument(f"--{name}", type=int, default=argparse.SUPPRESS)
+        p.add_argument(f"--{name}", type=int if name == "seed" else _NON_NEGATIVE,
+                       default=argparse.SUPPRESS)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("check", help="local 6-largeness and simple connectivity")
@@ -85,14 +99,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     _add_flags(p, "seed", "C", "json")
     p.add_argument("--suite", choices=SUITE_NAMES, required=True)
-    p.add_argument("--count", type=int, default=8)
+    p.add_argument("--count", type=_POSITIVE, default=8)
 
     p = sub.add_parser("atlas", help="finite-radius boundary atlas at a basepoint")
     _add_flags(p, "complex", "from", "C", "json")
     p.add_argument("--radius", type=int, default=2)
     p.add_argument("--D", dest="D", type=int, default=None,
                    help="class threshold (default 3C + 2)")
-    p.add_argument("--cap", type=int, default=ATLAS_CAP)
+    p.add_argument("--cap", type=_POSITIVE, default=ATLAS_CAP)
     return parser
 
 

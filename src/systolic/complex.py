@@ -344,7 +344,7 @@ def simply_connected_heuristic(X: FlagComplex) -> str:
 
 # Complex text format: `# comment` | `v <id>` | `e <id> <id>` |
 # `coord <id> <row> <2x>`.  Vertices may be implicit in edges; duplicate
-# edges are ignored.
+# edges are ignored.  Coords, when present, must cover exactly the vertices.
 
 _FIELDS = {"v": 1, "e": 2, "coord": 3}  # integer fields after each keyword
 
@@ -375,6 +375,12 @@ def loads_complex(text: str) -> FlagComplex:
             edges.add((min(u, v), max(u, v)))
         else:
             coords[nums[0]] = (nums[1], Fraction(nums[2], 2))
+    if coords:
+        vertices.update(*edges)
+        if not coords.keys() <= vertices:
+            raise ValueError(f"coord for undeclared vertex {min(coords.keys() - vertices)}")
+        if len(coords) != len(vertices):
+            raise ValueError(f"no coord for vertex {min(vertices - coords.keys())}")
     return FlagComplex.from_edges(sorted(edges), vertices=sorted(vertices),
                                   coords=coords or None)
 

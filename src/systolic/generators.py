@@ -20,9 +20,10 @@ def gen_flat_region(stack: RowStack) -> FlagComplex:
 
     Each row's ends, in half-units, must match the row parity, and its
     width must be a whole number of lattice steps.  Consecutive rows must
-    share at least one lattice adjacency.  Vertex ids and edges are the
-    stack's (`RowStack.ids`, `RowStack.cross_pairs`); the lattice embedding
-    is kept in `coords`.
+    share at least one lattice adjacency, so the region is connected: each
+    row is a path, and a cross edge joins each pair of consecutive rows.
+    Vertex ids and edges are the stack's (`RowStack.ids`,
+    `RowStack.cross_pairs`); the lattice embedding is kept in `coords`.
     """
     if not stack.rows:
         raise ValueError("empty row spec")
@@ -43,10 +44,7 @@ def gen_flat_region(stack: RowStack) -> FlagComplex:
     for k, (ids_a, ids_b) in enumerate(zip(stack.ids, stack.ids[1:])):
         edges += [(ids_a[p], ids_b[q]) for p, q in stack.cross_pairs(k)]
 
-    X = FlagComplex.from_edges(edges, vertices=coords.keys(), coords=coords)
-    if not X.is_connected():
-        raise ValueError("row spec produces a disconnected region")
-    return X
+    return FlagComplex.from_edges(edges, vertices=coords.keys(), coords=coords)
 
 
 def flat_parallelogram(height: int, width: int) -> FlagComplex:

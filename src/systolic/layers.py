@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .complex import FlagComplex, Simplex, chordless_cycle
-from .metric import dist, dist_map, max_dist
+from .metric import dist, dist_map
 
 
 @dataclass(frozen=True)
@@ -69,11 +69,29 @@ class ThicknessProfile:
                 k += 1
 
 
+def maximizing_pairs(X: FlagComplex, sigma: Simplex, tau: Simplex):
+    """max |st| over s in sigma, t in tau, and the sorted pairs realizing it."""
+    best = -1
+    pairs = []
+    for s in sigma:
+        for t in tau:
+            d = dist(X, s, t)
+            if d > best:
+                best, pairs = d, [(s, t)]
+            elif d == best:
+                pairs.append((s, t))
+    return best, sorted(pairs)
+
+
 def thickness_profile(X: FlagComplex, sigma_seq, tau_seq,
                       sigma=None, tau=None) -> ThicknessProfile:
     """Per-layer max distance between sigma_k and tau_k, thin flags, and the
     maximal thick intervals (thin endpoints, interior all thick).
 
+    A layer is thin (width <= 1) iff sigma_k and tau_k span one simplex,
+    decided by one `is_simplex`: its width is 0 when both are the same
+    vertex and 1 otherwise.  A thick layer's width comes from
+    `maximizing_pairs`, whose sweeps the characteristic disc reads again.
     The sequences must march through the layers between sigma and tau, with
     consecutive members spanning simplices.
     """
@@ -95,8 +113,11 @@ def thickness_profile(X: FlagComplex, sigma_seq, tau_seq,
         for a, b in ((sigma_seq[k], sigma_seq[k + 1]), (tau_seq[k], tau_seq[k + 1])):
             if not X.is_simplex(sorted(set(a) | set(b))):
                 raise ValueError(f"members at layers {k},{k + 1} do not span a simplex")
-    thickness = [max(max_dist(X, s, tau_seq[k]) for s in sigma_seq[k])
-                 for k in range(n + 1)]
+    thickness = []
+    for sig, tau_k in zip(sigma_seq, tau_seq):
+        span = set(sig) | set(tau_k)
+        thickness.append(min(len(span) - 1, 1) if X.is_simplex(span)
+                         else maximizing_pairs(X, sig, tau_k)[0])
     return ThicknessProfile(sigma_seq, tau_seq, thickness)
 
 

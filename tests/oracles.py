@@ -18,11 +18,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from systolic.charsurf import (CharDisc, CharDiscError, SurfaceError,
-                               _maximizing_pairs, _surfaces, characteristic_image)
+from systolic.charsurf import (CharDisc, CharDiscError, SurfaceError, _surfaces,
+                               characteristic_image)
 from systolic.complex import FlagComplex, Simplex
 from systolic.flatgeom import PolyPath, TriangulatedDisc
 from systolic.lattice import Point, RowStack
+from systolic.layers import maximizing_pairs
 from systolic.metric import dist, dist_map
 
 
@@ -294,7 +295,7 @@ def enumerate_char_surfaces(X: FlagComplex, cd: CharDisc, limit: int = 100000):
     """All characteristic surfaces (oracle-grade, small discs only), over
     every choice of thickness-realizing boundary representatives."""
     count = 0
-    choices = [_maximizing_pairs(X, sig, tau)[1]
+    choices = [maximizing_pairs(X, sig, tau)[1]
                for sig, tau in zip(cd.sigma_seq, cd.tau_seq)]
     for combo in product(*choices):
         alt = replace(cd, s=[c[0] for c in combo], t=[c[1] for c in combo])

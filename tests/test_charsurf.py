@@ -344,6 +344,25 @@ def test_shape_rule_matches_generic_audits():
     assert any(verdicts) and not all(verdicts)
 
 
+def test_char_disc_reuses_the_profile_sweeps():
+    """The disc reads its widths and offsets off the sweeps the thickness
+    profile grew: only the thin end layers sigma_i, sigma_j add sweeps."""
+    X = flat_rectangle(10, 4)
+    checked = 0
+    for u in X.vertices[:6]:
+        for v in X.vertices:
+            fresh = FlagComplex(X.adjacency)
+            sseq, tseq = directed_pair(fresh, u, v)
+            prof = thickness_profile(fresh, sseq, tseq)
+            for (i, j) in prof.thick_intervals:
+                before = set(fresh._dist_cache)
+                build_char_disc(fresh, sseq, tseq, (i, j))
+                allowed = {frozenset((w,)) for w in sseq[i] + sseq[j]}
+                assert set(fresh._dist_cache) - before <= allowed, (u, v, (i, j))
+                checked += 1
+    assert checked >= 20
+
+
 def test_euclidean_geodesic_builds_no_disc_complex(monkeypatch):
     X = flat_parallelogram(8, 2)
     c0, c1 = corner_pair(X)
@@ -375,6 +394,7 @@ def test_row_stack_numbering_and_edges_match_lattice():
                     if abs(coords[u][0] - coords[v][0]) <= 1
                     and lattice_adjacent(coords[u], coords[v])}
         assert set(X.edges()) == adjacent, stack
+        assert X.is_connected(), stack
         rows = [sorted((v for v in verts if coords[v][0] == row), key=lambda v: coords[v][1])
                 for row in range(stack.first_row, stack.last_row + 1)]
         assert stack.ids == rows

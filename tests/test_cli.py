@@ -185,6 +185,18 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus-command"])
     assert exc.value.code == 2
+    # sizes must be non-negative, counts and caps positive
+    for argv in (["gen", "--kind", "rectangle", "--out", "x.cx", "--height", "-1"],
+                 ["gen", "--kind", "parallelogram", "--out", "x.cx", "--width", "-2"],
+                 ["gen", "--kind", "disc", "--out", "x.cx", "--rings", "-2"],
+                 ["verify", "--suite", "thm8.1", "--count", "0"],
+                 ["verify", "--suite", "good", "--count", "-3"],
+                 ["atlas", "--complex", "x.cx", "--from", "0", "--cap", "0"],
+                 ["atlas", "--complex", "x.cx", "--from", "0", "--cap", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert f"argument {argv[-2]}: {argv[-1]} is below" in capsys.readouterr().err
 
 
 def test_more_suites_deterministic(capsys):
@@ -261,6 +273,18 @@ def test_svg_without_coordinates_exits_2(tmp_path, capsys):
     code, err = run_err(capsys, "egeo", "--complex", str(path), "--from", "0",
                         "--to", "1", "--svg", str(tmp_path / "out.svg"))
     assert code == 2 and "no lattice coordinates" in err
+
+
+@pytest.mark.parametrize("coords,message", [
+    ("coord 0 0 1\ncoord 9 0 0\n", "coord for undeclared vertex 9"),
+    ("coord 0 0 1\n", "no coord for vertex 1"),
+])
+def test_partial_coordinates_exit_2(tmp_path, capsys, coords, message):
+    path = tmp_path / "tri.cx"
+    path.write_text("e 0 1\ne 1 2\ne 0 2\n" + coords)
+    code, err = run_err(capsys, "egeo", "--complex", str(path), "--from", "0",
+                        "--to", "1", "--svg", str(tmp_path / "out.svg"))
+    assert code == 2 and message in err
 
 
 def test_cap_only_on_atlas(flat_file, capsys):

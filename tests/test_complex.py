@@ -258,6 +258,18 @@ def test_file_format_tolerance():
         loads_complex("e 4 4\n")
 
 
+def test_file_format_coords_cover_exactly_the_vertices():
+    triangle = "e 0 1\ne 1 2\ne 0 2\n"
+    with pytest.raises(ValueError, match="^coord for undeclared vertex 9$"):
+        loads_complex(triangle + "coord 0 0 1\ncoord 1 0 3\ncoord 2 1 2\ncoord 9 0 0\n")
+    with pytest.raises(ValueError, match="^no coord for vertex 1$"):
+        loads_complex(triangle + "coord 0 0 1\n")
+    with pytest.raises(ValueError, match="^no coord for vertex 7$"):
+        loads_complex("v 7\ne 0 1\ncoord 0 0 0\ncoord 1 0 2\n")
+    X = loads_complex("v 7\ne 0 1\ncoord 0 0 0\ncoord 1 0 2\ncoord 7 1 1\n")
+    assert sorted(X.coords) == [0, 1, 7]
+
+
 @pytest.mark.parametrize("line", ["v abc", "e 1 x", "coord 1 0 x"])
 def test_file_format_names_the_line_of_a_bad_integer(line):
     with pytest.raises(ValueError, match=f"^line 2: cannot parse '{line}'$"):

@@ -150,8 +150,8 @@ def test_euclidean_geodesic_tracks_straight_segment():
 
 def test_thin_euclidean_geodesic_runs_two_bfs():
     """Without a thick interval the only BFS rows are those of sigma and tau:
-    directed geodesics read their balls off those rows, and thickness runs
-    early-exit searches that leave the cache alone."""
+    directed geodesics read their balls off those rows, and thickness
+    decides every thin layer by one `is_simplex`, which runs no BFS."""
     X = gen_disc_with_degrees(1, rings=4)
     dm = dist_map(X, (0,))
     checked = 0

@@ -5,12 +5,12 @@ import random
 import pytest
 
 from systolic.complex import FlagComplex
-from systolic.generators import flat_parallelogram, flat_rectangle
+from systolic.generators import flat_parallelogram, flat_rectangle, gen_disc_with_degrees
 from systolic.layers import (layers, thickness_profile, verify_layer_lemmas,
                              verify_profile_lemmas)
 from systolic.metric import dist, dist_map, directed_geodesic, sphere
 
-from oracles import lattice_dist
+from oracles import bfs_oracle, lattice_dist
 
 
 def corner_pair(X):
@@ -92,6 +92,40 @@ def test_thickness_varies_by_one_and_endpoint_disjointness():
     for (i, j) in prof.thick_intervals:
         assert not set(prof.sigma_seq[i]) & set(prof.tau_seq[i])
         assert not set(prof.sigma_seq[j]) & set(prof.tau_seq[j])
+
+
+def oracle_thickness(X, sseq, tseq):
+    return [max(bfs_oracle(X.adjacency, (s,))[t] for s in sig for t in tau)
+            for sig, tau in zip(sseq, tseq)]
+
+
+@pytest.mark.parametrize("X", [flat_rectangle(6, 4), flat_parallelogram(6, 3),
+                               gen_disc_with_degrees(2, rings=3)],
+                         ids=["rect6x4", "par6x3", "disc2r3"])
+def test_thickness_matches_bfs_oracle(X):
+    """Thin layers decided by one is_simplex and thick widths read off
+    maximizing pairs agree with all-pairs BFS maxima."""
+    rng = random.Random(len(X))
+    widths, edge_layers = set(), 0
+    for _ in range(30):
+        u = rng.choice(X.vertices)
+        du = bfs_oracle(X.adjacency, (u,))
+        far = max(du.values())
+        # half far pairs (mostly thick), half random pairs
+        v = rng.choice([w for w in X.vertices if du[w] >= far - 1] if rng.random() < 0.5
+                       else X.vertices)
+        sseq, tseq = directed_pair(X, u, v)
+        for a, b in ((sseq, tseq), (sseq, sseq)):
+            prof = thickness_profile(X, a, b)
+            assert prof.thickness == oracle_thickness(X, a, b)
+            widths |= {min(t, 2) for t in prof.thickness}
+        edge_layers += sum(len(sig) == 2 for sig in sseq)
+    assert widths == {0, 1, 2} and edge_layers
+    # n = 0, at a vertex and at an edge
+    v = X.vertices[0]
+    edge = (v, min(X.adjacency[v]))
+    assert thickness_profile(X, [(v,)], [(v,)]).thickness == [0]
+    assert thickness_profile(X, [edge], [edge]).thickness == [1]
 
 
 def test_profile_layer_mismatch_errors():

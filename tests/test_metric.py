@@ -12,7 +12,7 @@ from systolic.generators import (flat_parallelogram, flat_rectangle,
 from systolic.lattice import RowStack, lattice_adjacent
 from systolic.metric import (ProjectionError, all_geodesics, ball, dist,
                              directed_geodesic, dist_map, is_convex,
-                             is_geodesic_path, max_dist, projection,
+                             is_geodesic_path, projection,
                              projection_witness, residue, sphere)
 
 from oracles import bfs_oracle, lattice_dist
@@ -361,27 +361,6 @@ def test_directed_geodesic_oracle_agrees_on_failures():
     assert raised(directed_geodesic, c5, (2, 3), frozenset({0})) is ProjectionError
 
 
-def test_max_dist_matches_dist():
-    X = gen_disc_with_degrees(2, rings=3)
-    rng = random.Random(7)
-    for _ in range(60):
-        s = rng.choice(X.vertices)
-        targets = rng.sample(X.vertices, rng.randint(1, 4))
-        expected = max(dist(X, (s,), (t,)) for t in targets)
-        cold = FlagComplex(X.adjacency)
-        assert max_dist(cold, s, targets) == expected
-        assert not cold._dist_cache  # the early-exit BFS leaves no row behind
-
-
-def test_max_dist_disconnected_errors():
-    X = FlagComplex.from_edges([(0, 1), (1, 2), (3, 4)])
-    with pytest.raises(ValueError, match="different components"):
-        max_dist(X, 0, (2, 4))
-    assert max_dist(X, 0, (0,)) == 0
-    with pytest.raises(ValueError):
-        max_dist(X, 0, ())
-
-
 def test_all_geodesics_counts():
     X = flat_rectangle(6, 6)
     a = next(v for v in X.vertices if X.coords[v] == (2, Fraction(2)))
@@ -432,6 +411,8 @@ def test_all_geodesics_cap():
     c0, c1 = corner_pair(X)
     paths, truncated = all_geodesics(X, c0, c1, cap=5)
     assert len(paths) == 5 and truncated
+    with pytest.raises(ValueError, match="cap must be at least 1"):
+        all_geodesics(X, c0, c1, cap=0)
 
 
 def _sweep_cases(rng):
