@@ -1,20 +1,19 @@
 """Characteristic discs, surfaces and images.
 
-A characteristic disc for a thick interval is the flat disc spanned on the
-loop through distance-maximizing representatives of the two simplex
-sequences; its shape is determined by the per-layer widths |s_k t_k| and the
-consecutive offsets read off |s_k t_{k+1}|.  It is kept as that `RowStack`
-(row ends in half-units), which numbers and joins the disc vertices, and
-is checked by one integer shape rule (`check_row_stack`).  The disc as a
-triangulated complex is a view built on first use, for audits and
-rendering.  The all-surfaces enumeration, the preimage decoder and the
-minimal-surface and triangulability searches that cross-check this module
-live with the tests.
+A characteristic disc for a thick interval of a thickness profile is the
+flat disc spanned on the loop through representatives s_k, t_k taken from
+the profile's width-realizing pairs; its shape is determined by the
+per-layer widths |s_k t_k| and the consecutive offsets read off
+|s_k t_{k+1}|.  It is kept as that `RowStack` (row ends in half-units),
+which numbers and joins the disc vertices, and is checked by one integer
+shape rule (`check_row_stack`).  The disc as a triangulated complex is a
+view built on first use, for audits and rendering.  The all-surfaces
+enumeration, the preimage decoder and the minimal-surface and
+triangulability searches that cross-check this module live with the tests.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -23,7 +22,7 @@ from .complex import FlagComplex, Simplex
 from .flatgeom import TriangulatedDisc, as_disc
 from .generators import gen_flat_region
 from .lattice import RowStack
-from .layers import maximizing_pairs
+from .layers import ThicknessProfile
 from .metric import dist, dist_map, all_geodesics
 
 
@@ -41,13 +40,13 @@ class CharDisc:
 
     Layer k of the interval is lattice row k of `stack`, whose left ends
     step by one half-unit; the stack's ids number the disc vertices, and its
-    boundary rows map to s/t under any characteristic surface.
+    boundary rows map to s/t under any characteristic surface; s[k], t[k]
+    are the first of row k's width-realizing `pairs`.
     """
     s: list[int]
     t: list[int]
     stack: RowStack
-    sigma_seq: list[Simplex]
-    tau_seq: list[Simplex]
+    pairs: list[list[tuple[int, int]]]
 
     @property
     def interval(self) -> tuple[int, int]:
@@ -81,39 +80,29 @@ def check_row_stack(stack: RowStack) -> None:
                                 f"right ends step {step} half-units")
 
 
-def build_char_disc(X: FlagComplex, sigma_seq, tau_seq, interval,
-                    tie_seed: int | None = None) -> CharDisc:
-    """Characteristic disc for a thick interval of (sigma_seq, tau_seq).
+def build_char_disc(X: FlagComplex, profile: ThicknessProfile, interval) -> CharDisc:
+    """Characteristic disc for a thick interval of `profile`.
 
-    Representatives s_k, t_k maximize |s_k t_k| per layer; ties break to the
-    lexicographically smallest pair, or to a seeded random maximizing pair
-    when `tie_seed` is given (the shape is choice-independent either way).
-    Also accepts a partial interval whose layers all have thickness >= 2.
+    Representatives s_k, t_k are the first of the profile's pairs realizing
+    |s_k t_k| per layer (the shape is choice-independent).  Also accepts a
+    partial interval whose layers all have thickness >= 2.
     """
     i, j = interval
-    sigma_seq = [tuple(sorted(s)) for s in sigma_seq]
-    tau_seq = [tuple(sorted(t)) for t in tau_seq]
-    if not 0 <= i < j <= len(sigma_seq) - 1:
+    if not 0 <= i < j <= len(profile.thickness) - 1:
         raise ValueError(f"bad interval {interval}")
-    rng = random.Random(tie_seed) if tie_seed is not None else None
-
-    widths, s_rep, t_rep = [], [], []
-    for k in range(i, j + 1):
-        a, pairs = maximizing_pairs(X, sigma_seq[k], tau_seq[k])
-        pick = rng.choice(pairs) if rng is not None else pairs[0]
-        widths.append(a)
-        s_rep.append(pick[0])
-        t_rep.append(pick[1])
+    widths, pairs = profile.thickness[i:j + 1], profile.pairs[i:j + 1]
+    s_rep = [p[0][0] for p in pairs]
+    t_rep = [p[0][1] for p in pairs]
 
     thin_endpoints = widths[0] == 1 and widths[-1] == 1
     interior = widths[1:-1] if thin_endpoints else widths
     if any(a < 2 for a in interior):
         raise CharDiscError(f"interval {interval} has a thin interior layer")
     if thin_endpoints:
-        for k in (0, len(widths) - 1):
-            if set(sigma_seq[i + k]) & set(tau_seq[i + k]):
+        for k in (i, j):
+            if set(profile.sigma_seq[k]) & set(profile.tau_seq[k]):
                 raise CharDiscError(
-                    f"endpoint layer {i + k} members intersect; not a thick interval")
+                    f"endpoint layer {k} members intersect; not a thick interval")
 
     lo = i % 2
     rows = [(lo, lo + 2 * widths[0])]
@@ -129,18 +118,19 @@ def build_char_disc(X: FlagComplex, sigma_seq, tau_seq, interval,
         rows.append((lo, lo + 2 * widths[k + 1]))
     stack = RowStack(i, tuple(rows))
     check_row_stack(stack)
-    return CharDisc(s_rep, t_rep, stack, sigma_seq[i:j + 1], tau_seq[i:j + 1])
+    return CharDisc(s_rep, t_rep, stack, pairs)
 
 
-def _surfaces(X: FlagComplex, cd: CharDisc, cap: int = 10000):
+def _surfaces(X: FlagComplex, cd: CharDisc):
     """Characteristic surfaces on the disc's boundary representatives:
-    backtracking over per-row geodesics s_k..t_k, bottom-up, lexicographic."""
+    backtracking over per-row geodesics s_k..t_k (which `all_geodesics`
+    lists in lexicographic order), bottom-up."""
     rows = []
     for s, t in zip(cd.s, cd.t):
-        paths, truncated = all_geodesics(X, s, t, cap)
+        paths, truncated = all_geodesics(X, s, t)
         if truncated:
-            raise SurfaceError("geodesic enumeration cap hit; raise the cap")
-        rows.append(sorted(paths))
+            raise SurfaceError("geodesic enumeration hit the all_geodesics cap")
+        rows.append(paths)
     crosses = [cd.stack.cross_pairs(k) for k in range(len(rows) - 1)]
 
     def extend(chosen):
@@ -177,9 +167,9 @@ def characteristic_image(X: FlagComplex, sigma, tau, cd: CharDisc,
     surfaces, via single-vertex substitutions off one base surface.
 
     Interior disc vertices: layer-k vertices adjacent to the base images of
-    all disc neighbors.  Boundary vertices: the thickness-realizing vertices
-    of the corresponding sequence member.  The result is validated to be a
-    simplex.
+    all disc neighbors.  Boundary vertices: the ends of the row's realizing
+    pairs whose other end is the opposite representative.  The result is
+    validated to be a simplex.
     """
     rho = tuple(sorted(rho))
     if not rho or any(b not in cd.stack.neighbours(a) for a, b in combinations(rho, 2)):
@@ -189,13 +179,10 @@ def characteristic_image(X: FlagComplex, sigma, tau, cd: CharDisc,
     out: set[int] = set()
     for u in rho:
         rel, h = cd.stack.place(u)
-        width = cd.stack.widths[rel]
         if h == 0:
-            t_k = cd.t[rel]
-            cands = {z for z in cd.sigma_seq[rel] if dist(X, (z,), (t_k,)) == width}
-        elif h == width:
-            s_k = cd.s[rel]
-            cands = {z for z in cd.tau_seq[rel] if dist(X, (s_k,), (z,)) == width}
+            cands = {s for s, t in cd.pairs[rel] if t == cd.t[rel]}
+        elif h == cd.stack.widths[rel]:
+            cands = {t for s, t in cd.pairs[rel] if s == cd.s[rel]}
         else:
             k = cd.stack.first_row + rel
             nbs = [surface[w] for w in cd.stack.neighbours(u)]

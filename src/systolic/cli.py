@@ -46,7 +46,7 @@ _FLAGS = {
     "json": {"action": "store_true", "help": "structured output"},
     "seed": {"type": int, "default": 0},
     "svg": {"dest": "svg_path", "help": "write an SVG rendering here"},
-    "C": {"dest": "C", "type": int, "default": C_DEFAULT},
+    "C": {"dest": "C", "type": _NON_NEGATIVE, "default": C_DEFAULT},
 }
 
 # The generators `gen --kind` names, with the parameters each reads and their
@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("atlas", help="finite-radius boundary atlas at a basepoint")
     _add_flags(p, "complex", "from", "C", "json")
     p.add_argument("--radius", type=int, default=2)
-    p.add_argument("--D", dest="D", type=int, default=None,
+    p.add_argument("--D", dest="D", type=_NON_NEGATIVE, default=None,
                    help="class threshold (default 3C + 2)")
     p.add_argument("--cap", type=_POSITIVE, default=ATLAS_CAP)
     return parser

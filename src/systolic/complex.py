@@ -344,7 +344,7 @@ def simply_connected_heuristic(X: FlagComplex) -> str:
 
 # Complex text format: `# comment` | `v <id>` | `e <id> <id>` |
 # `coord <id> <row> <2x>`.  Vertices may be implicit in edges; duplicate
-# edges are ignored.  Coords, when present, must cover exactly the vertices.
+# edges are ignored.  Coords, when present, give each vertex exactly one place.
 
 _FIELDS = {"v": 1, "e": 2, "coord": 3}  # integer fields after each keyword
 
@@ -373,6 +373,8 @@ def loads_complex(text: str) -> FlagComplex:
             if u == v:
                 raise ValueError(f"line {lineno}: self-loop at {u}")
             edges.add((min(u, v), max(u, v)))
+        elif nums[0] in coords:
+            raise ValueError(f"line {lineno}: second coord for vertex {nums[0]}")
         else:
             coords[nums[0]] = (nums[1], Fraction(nums[2], 2))
     if coords:

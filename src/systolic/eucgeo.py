@@ -21,7 +21,6 @@ from .metric import dist, dist_map, directed_geodesic, spans_simplex
 
 @dataclass
 class ThickIntervalData:
-    interval: tuple[int, int]
     disc: CharDisc
     surface: dict[int, int]
     diagonal: PolyPath           # exact crossings of the CAT(0) diagonal
@@ -33,8 +32,6 @@ class EuclideanGeodesic:
     sigma: Simplex
     tau: Simplex
     n: int
-    sigma_seq: list[Simplex]
-    tau_seq: list[Simplex]
     profile: ThicknessProfile
     deltas: list[Simplex]
     intervals: list[ThickIntervalData]
@@ -96,7 +93,7 @@ def euclidean_geodesic(X: FlagComplex, sigma, tau) -> EuclideanGeodesic:
         if sigma != tau:
             raise ValueError("distinct simplices at distance 0")
         prof = thickness_profile(X, [sigma], [tau])
-        return EuclideanGeodesic(sigma, tau, 0, [sigma], [tau], prof, [sigma], [])
+        return EuclideanGeodesic(sigma, tau, 0, prof, [sigma], [])
 
     sigma_seq = directed_geodesic(X, sigma, frozenset(tau))
     tau_seq = list(reversed(directed_geodesic(X, tau, frozenset(sigma))))
@@ -109,20 +106,19 @@ def euclidean_geodesic(X: FlagComplex, sigma, tau) -> EuclideanGeodesic:
 
     intervals = []
     for (i, j) in profile.thick_intervals:
-        cd = build_char_disc(X, sigma_seq, tau_seq, (i, j))
+        cd = build_char_disc(X, profile, (i, j))
         surface = build_char_surface(X, cd)
         diagonal = cat0_diagonal(cd)
         rho = euclidean_diagonal(cd, diagonal)
         for k, rho_k in rho.items():
             deltas[k] = characteristic_image(X, sigma, tau, cd, surface, rho_k)
-        intervals.append(ThickIntervalData((i, j), cd, surface, diagonal, rho))
+        intervals.append(ThickIntervalData(cd, surface, diagonal, rho))
 
     for k, d in enumerate(deltas):
         if any(ds.get(v) != k or dt.get(v) != n - k for v in d):
             raise AssertionError(f"delta_{k} leaves layer {k}")
     assert deltas[0] == sigma and deltas[n] == tau
-    return EuclideanGeodesic(sigma, tau, n, sigma_seq, tau_seq, profile,
-                             deltas, intervals)
+    return EuclideanGeodesic(sigma, tau, n, profile, deltas, intervals)
 
 
 def thread_vertex_path(X: FlagComplex, eg: EuclideanGeodesic) -> list[int]:
@@ -204,7 +200,7 @@ def cat0_closeness_check(X: FlagComplex, p_path: list[int],
     profile = thickness_profile(X, p_seq, r_seq, sigma=eg.sigma, tau=eg.tau)
     worst = Fraction(0)
     for (i, j) in profile.thick_intervals:
-        cd = build_char_disc(X, p_seq, r_seq, (i, j))
+        cd = build_char_disc(X, profile, (i, j))
         diag = cat0_diagonal(cd)
         for k, (_, hi) in enumerate(cd.stack.rows, start=i):
             worst = max(worst, abs(diag.x_at(k) - Fraction(hi, 2)))

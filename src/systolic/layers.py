@@ -47,6 +47,7 @@ class ThicknessProfile:
     sigma_seq: list[Simplex]
     tau_seq: list[Simplex]
     thickness: list[int]
+    pairs: list[list[tuple[int, int]]]  # per layer, the sorted (s, t) realizing its width
     thin: list[bool] = field(init=False)
     thick_intervals: list[tuple[int, int]] = field(init=False)
 
@@ -85,13 +86,15 @@ def maximizing_pairs(X: FlagComplex, sigma: Simplex, tau: Simplex):
 
 def thickness_profile(X: FlagComplex, sigma_seq, tau_seq,
                       sigma=None, tau=None) -> ThicknessProfile:
-    """Per-layer max distance between sigma_k and tau_k, thin flags, and the
-    maximal thick intervals (thin endpoints, interior all thick).
+    """Per-layer max distance between sigma_k and tau_k with its realizing
+    pairs, thin flags, and the maximal thick intervals (thin endpoints,
+    interior all thick).
 
     A layer is thin (width <= 1) iff sigma_k and tau_k span one simplex,
     decided by one `is_simplex`: its width is 0 when both are the same
-    vertex and 1 otherwise.  A thick layer's width comes from
-    `maximizing_pairs`, whose sweeps the characteristic disc reads again.
+    vertex and 1 otherwise, realized by every pair of distinct vertices.
+    A thick layer's width and pairs come from `maximizing_pairs`, whose
+    sweeps the characteristic disc reads again.
     The sequences must march through the layers between sigma and tau, with
     consecutive members spanning simplices.
     """
@@ -113,20 +116,27 @@ def thickness_profile(X: FlagComplex, sigma_seq, tau_seq,
         for a, b in ((sigma_seq[k], sigma_seq[k + 1]), (tau_seq[k], tau_seq[k + 1])):
             if not X.is_simplex(sorted(set(a) | set(b))):
                 raise ValueError(f"members at layers {k},{k + 1} do not span a simplex")
-    thickness = []
+    thickness, pairs = [], []
     for sig, tau_k in zip(sigma_seq, tau_seq):
         span = set(sig) | set(tau_k)
-        thickness.append(min(len(span) - 1, 1) if X.is_simplex(span)
-                         else maximizing_pairs(X, sig, tau_k)[0])
-    return ThicknessProfile(sigma_seq, tau_seq, thickness)
+        if not X.is_simplex(span):
+            width, realizing = maximizing_pairs(X, sig, tau_k)
+        elif len(span) == 1:
+            width, realizing = 0, [(sig[0], sig[0])]
+        else:
+            width, realizing = 1, [(s, t) for s in sig for t in tau_k if s != t]
+        thickness.append(width)
+        pairs.append(realizing)
+    return ThicknessProfile(sigma_seq, tau_seq, thickness, pairs)
 
 
-def verify_profile_lemmas(X: FlagComplex, profile: ThicknessProfile) -> list[str]:
+def verify_profile_lemmas(profile: ThicknessProfile) -> list[str]:
     """Consistency facts about thickness profiles; failures falsify systolicity.
 
     Checks the unit-step variation of thickness, disjointness of the endpoint
-    members of each thick interval, and that thickness realized in mixed
-    pairs is realized as a pair.
+    members of each thick interval, and joint realization: if (s, t') and
+    (s', t) realize a thick layer's width, so does (s, t).  Each failing
+    (s, t) is reported once, in (s, t) order.
     """
     failures = []
     th = profile.thickness
@@ -140,14 +150,13 @@ def verify_profile_lemmas(X: FlagComplex, profile: ThicknessProfile) -> list[str
     for k, (sig, tau) in enumerate(zip(profile.sigma_seq, profile.tau_seq)):
         if profile.thin[k]:
             continue  # joint realization is a thick-layer fact (members disjoint)
+        pairs = set(profile.pairs[k])
+        sources, targets = {s for s, _ in pairs}, {t for _, t in pairs}
         for s in sig:
             for t in tau:
-                for s2 in sig:
-                    for t2 in tau:
-                        if (dist(X, (s,), (t2,)) == th[k] and dist(X, (s2,), (t,)) == th[k]
-                                and dist(X, (s,), (t,)) != th[k]):
-                            failures.append(
-                                f"layer {k}: ({s},{t}) fails to realize thickness jointly")
+                if s in sources and t in targets and (s, t) not in pairs:
+                    failures.append(
+                        f"layer {k}: ({s},{t}) fails to realize thickness jointly")
     return failures
 
 

@@ -148,7 +148,7 @@ def _suite_layers(config: SuiteConfig, report: SuiteReport) -> None:
     for inst in instance_suite(config.seed, config.count):
         res = verify_layer_lemmas(inst.X, inst.sigma, inst.tau, rng=rng)
         eg = euclidean_geodesic(inst.X, inst.sigma, inst.tau)
-        prof_failures = verify_profile_lemmas(inst.X, eg.profile)
+        prof_failures = verify_profile_lemmas(eg.profile)
         report.failures += [f"{inst.label}: {f}" for f in res["failures"] + prof_failures]
         report.lines.append(f"{inst.label}: n={res['n']} layer checks "
                             f"{'ok' if not res['failures'] and not prof_failures else 'FAILED'}")

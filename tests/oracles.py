@@ -3,10 +3,10 @@
 A whole-component deque BFS; the induced-path DFS for induced cycles;
 closed-form lattice distance and the point-group canonicalization of
 lattice placements; the isometric embedding of flat discs; the break-point
-enumeration oracle of `flatgeom.polygon_geodesic`; the all-surfaces
-enumeration, characteristic-image span and preimage decoder for
-characteristic discs; the minimal-surface search and the no-interior-vertex
-triangulability test.  Tests import them from here.
+enumeration oracle of `flatgeom.polygon_geodesic`; reordered realizing
+pairs, the all-surfaces enumeration, characteristic-image span and
+preimage decoder for characteristic discs; the minimal-surface search and
+the no-interior-vertex triangulability test.  Tests import them from here.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from systolic.charsurf import (CharDisc, CharDiscError, SurfaceError, _surfaces,
 from systolic.complex import FlagComplex, Simplex
 from systolic.flatgeom import PolyPath, TriangulatedDisc
 from systolic.lattice import Point, RowStack
-from systolic.layers import maximizing_pairs
+from systolic.layers import ThicknessProfile
 from systolic.metric import dist, dist_map
 
 
@@ -291,13 +291,18 @@ def polygon_geodesic_bruteforce(stack: RowStack, p, q) -> PolyPath:
     return PolyPath(stack.first_row, solutions.pop())
 
 
+def shuffled_pairs(profile: ThicknessProfile, seed: int) -> ThicknessProfile:
+    """The profile with each layer's realizing pairs in a seeded random
+    order, so a characteristic disc takes other representatives."""
+    rng = random.Random(seed)
+    return replace(profile, pairs=[rng.sample(p, len(p)) for p in profile.pairs])
+
+
 def enumerate_char_surfaces(X: FlagComplex, cd: CharDisc, limit: int = 100000):
     """All characteristic surfaces (oracle-grade, small discs only), over
     every choice of thickness-realizing boundary representatives."""
     count = 0
-    choices = [maximizing_pairs(X, sig, tau)[1]
-               for sig, tau in zip(cd.sigma_seq, cd.tau_seq)]
-    for combo in product(*choices):
+    for combo in product(*cd.pairs):
         alt = replace(cd, s=[c[0] for c in combo], t=[c[1] for c in combo])
         for surface in _surfaces(X, alt):
             yield surface

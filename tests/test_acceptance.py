@@ -27,7 +27,8 @@ from systolic.metric import (all_geodesics, ball, dist, dist_map,
 from systolic.suites import SuiteConfig, extremal_geodesic, instance_suite, run_suite
 
 from oracles import (char_image_oracle, embed_flat_disc, lattice_dist,
-                     minimal_surface_bruteforce, polygon_geodesic_bruteforce)
+                     minimal_surface_bruteforce, polygon_geodesic_bruteforce,
+                     shuffled_pairs)
 
 SEED = 20260810
 
@@ -228,8 +229,9 @@ def test_criterion_10_disc_shape_uniqueness():
         from systolic.layers import thickness_profile
         prof = thickness_profile(X, sseq, tseq)
         for iv in prof.thick_intervals:
-            stacks = {build_char_disc(X, sseq, tseq, iv, tie_seed=s).stack
-                      for s in (None, 1, 2, 3, 4, 5)}
+            stacks = {build_char_disc(X, shuffled_pairs(prof, s), iv).stack
+                      for s in range(1, 6)}
+            stacks.add(build_char_disc(X, prof, iv).stack)
             assert len(stacks) == 1
             instances += 1
     assert instances >= 3
@@ -292,7 +294,7 @@ def test_criterion_13_layer_lemmas():
         rep = verify_layer_lemmas(inst.X, inst.sigma, inst.tau, rng=rng)
         assert rep["ok"], rep["failures"]
         eg = euclidean_geodesic(inst.X, inst.sigma, inst.tau)
-        assert not verify_profile_lemmas(inst.X, eg.profile)
+        assert not verify_profile_lemmas(eg.profile)
         count += 1
     print(f"PASS 13 layer lemmas: infinity-largeness, no-trapezoid, and the "
           f"unit difference bound hold on {count} decompositions (exact)")

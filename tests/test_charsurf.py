@@ -1,5 +1,6 @@
 """Characteristic discs, surfaces, images, and the minimal-surface oracle."""
 
+import importlib
 import itertools
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from systolic.metric import dist, dist_map, directed_geodesic
 
 from oracles import (canonical_placement, char_image_oracle, char_preimage,
                      enumerate_char_surfaces, is_triangulable, lattice_dist,
-                     minimal_surface_bruteforce)
+                     minimal_surface_bruteforce, shuffled_pairs)
 
 
 def corner_pair(X):
@@ -45,7 +46,7 @@ def instance(gen, h, w):
 def test_disc_shape_matches_lattice_thicknesses():
     X, c0, c1, sseq, tseq, prof = instance(flat_parallelogram, 8, 2)
     (iv,) = prof.thick_intervals
-    cd = build_char_disc(X, sseq, tseq, iv)
+    cd = build_char_disc(X, prof, iv)
     i, j = iv
     assert cd.stack.widths == prof.thickness[i:j + 1]
     assert gauss_bonnet_sum(cd.disc) == 6
@@ -58,7 +59,7 @@ def test_minimal_thick_interval_three_rows():
         X, c0, c1, sseq, tseq, prof = instance(flat_parallelogram, h, 2)
         short = [(i, j) for (i, j) in prof.thick_intervals if j - i == 2]
         if short:
-            cd = build_char_disc(X, sseq, tseq, short[0])
+            cd = build_char_disc(X, prof, short[0])
             assert cd.stack.widths == [1, 2, 1]
             return
     pytest.skip("no minimal thick interval in the scanned family")
@@ -67,25 +68,25 @@ def test_minimal_thick_interval_three_rows():
 def test_tie_break_seeds_give_identical_shape():
     X, c0, c1, sseq, tseq, prof = instance(flat_parallelogram, 10, 2)
     (iv,) = prof.thick_intervals
-    stacks = {build_char_disc(X, sseq, tseq, iv, tie_seed=s).stack
-              for s in (None, 1, 2, 3, 4, 5)}
+    stacks = {build_char_disc(X, shuffled_pairs(prof, s), iv).stack for s in range(1, 6)}
+    stacks.add(build_char_disc(X, prof, iv).stack)
     assert len(stacks) == 1
 
 
 def test_partial_interval_disc():
     X, c0, c1, sseq, tseq, prof = instance(flat_parallelogram, 10, 2)
     (i, j) = prof.thick_intervals[0]
-    cd = build_char_disc(X, sseq, tseq, (i + 1, j - 1))
+    cd = build_char_disc(X, prof, (i + 1, j - 1))
     assert not cd.thin_endpoints
     assert all(w >= 2 for w in cd.stack.widths)
     with pytest.raises(CharDiscError):
-        build_char_disc(X, sseq, tseq, (i, j - 1))  # thin start, thick end
+        build_char_disc(X, prof, (i, j - 1))  # thin start, thick end
 
 
 def test_surface_on_flat_instance_is_congruent_embedding():
     X, c0, c1, sseq, tseq, prof = instance(flat_parallelogram, 8, 2)
     (iv,) = prof.thick_intervals
-    cd = build_char_disc(X, sseq, tseq, iv)
+    cd = build_char_disc(X, prof, iv)
     surf = build_char_surface(X, cd)
     assert len(set(surf.values())) == len(surf)
     image_placement = {d: X.coords[img] for d, img in surf.items()}
@@ -111,7 +112,7 @@ def surface_checks(X, sigma, tau, cd, surf):
 def test_surface_properties_flat_and_disc():
     X, c0, c1, sseq, tseq, prof = instance(flat_parallelogram, 8, 2)
     (iv,) = prof.thick_intervals
-    cd = build_char_disc(X, sseq, tseq, iv)
+    cd = build_char_disc(X, prof, iv)
     surf = build_char_surface(X, cd)
     surface_checks(X, (c0,), (c1,), cd, surf)
 
@@ -123,7 +124,7 @@ def test_surface_properties_flat_and_disc():
     sseq, tseq = directed_pair(D, u, w)
     prof = thickness_profile(D, sseq, tseq)
     for iv in prof.thick_intervals:
-        cd = build_char_disc(D, sseq, tseq, iv)
+        cd = build_char_disc(D, prof, iv)
         surf = build_char_surface(D, cd)
         surface_checks(D, (u,), (w,), cd, surf)
 
@@ -131,7 +132,7 @@ def test_surface_properties_flat_and_disc():
 def test_surface_pair_properties():
     X, c0, c1, sseq, tseq, prof = instance(flat_parallelogram, 8, 2)
     (iv,) = prof.thick_intervals
-    cd = build_char_disc(X, sseq, tseq, iv)
+    cd = build_char_disc(X, prof, iv)
     surfaces = list(enumerate_char_surfaces(X, cd, limit=500))
     assert surfaces
     verts = list(cd.disc.complex.vertices)
@@ -153,7 +154,7 @@ def test_characteristic_image_examples():
     X, c0, c1, sseq, tseq, prof = instance(flat_parallelogram, 8, 2)
     (iv,) = prof.thick_intervals
     i, j = iv
-    cd = build_char_disc(X, sseq, tseq, iv)
+    cd = build_char_disc(X, prof, iv)
     surf = build_char_surface(X, cd)
     # endpoint row edge: the span of the two directed-geodesic members
     v_i, w_i = cd.stack.ids[0]
@@ -185,7 +186,7 @@ def test_characteristic_image_equals_all_surface_span():
         for iv in prof.thick_intervals:
             if iv[1] - iv[0] > 4:
                 continue  # oracle scale: discs with <= 5 rows
-            cd = build_char_disc(X, sseq, tseq, iv)
+            cd = build_char_disc(X, prof, iv)
             surf = build_char_surface(X, cd)
             for u_ in cd.disc.complex.vertices:
                 img = characteristic_image(X, (c0,), (c1,), cd, surf, (u_,))
@@ -216,7 +217,7 @@ def test_minimal_surface_cap():
 def test_char_surface_area_is_minimal():
     X, c0, c1, sseq, tseq, prof = instance(flat_parallelogram, 8, 2)
     (iv,) = prof.thick_intervals
-    cd = build_char_disc(X, sseq, tseq, iv)
+    cd = build_char_disc(X, prof, iv)
     loop = ([cd.stack.ids[k][0] for k in range(len(cd.stack.widths))]
             + [cd.stack.ids[k][-1] for k in reversed(range(len(cd.stack.widths)))])
     loop = list(dict.fromkeys(loop))
@@ -277,7 +278,7 @@ def test_loops_inside_layers_are_triangulable():
 def test_char_preimage_decodes_surface():
     X, c0, c1, sseq, tseq, prof = instance(flat_parallelogram, 8, 2)
     (iv,) = prof.thick_intervals
-    cd = build_char_disc(X, sseq, tseq, iv)
+    cd = build_char_disc(X, prof, iv)
     surf = build_char_surface(X, cd)
     for u, img in surf.items():
         assert char_preimage(X, (c0,), (c1,), cd, surf, img) == u
@@ -344,9 +345,22 @@ def test_shape_rule_matches_generic_audits():
     assert any(verdicts) and not all(verdicts)
 
 
-def test_char_disc_reuses_the_profile_sweeps():
-    """The disc reads its widths and offsets off the sweeps the thickness
-    profile grew: only the thin end layers sigma_i, sigma_j add sweeps."""
+def test_char_disc_reuses_the_profile_sweeps(monkeypatch):
+    """The disc reads its widths and representatives off the profile and its
+    offsets off the sweeps the profile grew: one dist call per row offset,
+    none through maximizing_pairs (the layers module's dist), and only the
+    thin end layers sigma_i, sigma_j add sweeps."""
+    modules = [importlib.import_module(f"systolic.{name}") for name in ("charsurf", "layers")]
+    calls = []
+
+    def counting(module):
+        original = module.dist
+
+        def wrapper(*args):
+            calls.append(module.__name__)
+            return original(*args)
+        return wrapper
+
     X = flat_rectangle(10, 4)
     checked = 0
     for u in X.vertices[:6]:
@@ -356,7 +370,12 @@ def test_char_disc_reuses_the_profile_sweeps():
             prof = thickness_profile(fresh, sseq, tseq)
             for (i, j) in prof.thick_intervals:
                 before = set(fresh._dist_cache)
-                build_char_disc(fresh, sseq, tseq, (i, j))
+                calls.clear()
+                with monkeypatch.context() as patch:
+                    for module in modules:
+                        patch.setattr(module, "dist", counting(module))
+                    build_char_disc(fresh, prof, (i, j))
+                assert calls == ["systolic.charsurf"] * (j - i), (u, v, (i, j))
                 allowed = {frozenset((w,)) for w in sseq[i] + sseq[j]}
                 assert set(fresh._dist_cache) - before <= allowed, (u, v, (i, j))
                 checked += 1

@@ -185,14 +185,17 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bogus-command"])
     assert exc.value.code == 2
-    # sizes must be non-negative, counts and caps positive
+    # sizes and distance bounds must be non-negative, counts and caps positive
     for argv in (["gen", "--kind", "rectangle", "--out", "x.cx", "--height", "-1"],
                  ["gen", "--kind", "parallelogram", "--out", "x.cx", "--width", "-2"],
                  ["gen", "--kind", "disc", "--out", "x.cx", "--rings", "-2"],
                  ["verify", "--suite", "thm8.1", "--count", "0"],
                  ["verify", "--suite", "good", "--count", "-3"],
                  ["atlas", "--complex", "x.cx", "--from", "0", "--cap", "0"],
-                 ["atlas", "--complex", "x.cx", "--from", "0", "--cap", "-1"]):
+                 ["atlas", "--complex", "x.cx", "--from", "0", "--cap", "-1"],
+                 ["good", "--complex", "r.cx", "--from", "0", "--to", "19", "--C", "-3"],
+                 ["verify", "--suite", "thmC", "--count", "1", "--C", "-1"],
+                 ["atlas", "--complex", "x.cx", "--from", "0", "--D", "-5"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
@@ -278,6 +281,8 @@ def test_svg_without_coordinates_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("coords,message", [
     ("coord 0 0 1\ncoord 9 0 0\n", "coord for undeclared vertex 9"),
     ("coord 0 0 1\n", "no coord for vertex 1"),
+    ("coord 0 0 1\ncoord 1 0 3\ncoord 2 1 2\ncoord 0 3 7\n",
+     "line 7: second coord for vertex 0"),
 ])
 def test_partial_coordinates_exit_2(tmp_path, capsys, coords, message):
     path = tmp_path / "tri.cx"

@@ -268,6 +268,8 @@ def test_file_format_coords_cover_exactly_the_vertices():
         loads_complex("v 7\ne 0 1\ncoord 0 0 0\ncoord 1 0 2\n")
     X = loads_complex("v 7\ne 0 1\ncoord 0 0 0\ncoord 1 0 2\ncoord 7 1 1\n")
     assert sorted(X.coords) == [0, 1, 7]
+    with pytest.raises(ValueError, match="^line 4: second coord for vertex 0$"):
+        loads_complex("e 0 1\ncoord 0 0 0\ncoord 1 0 2\ncoord 0 3 7\n")
 
 
 @pytest.mark.parametrize("line", ["v abc", "e 1 x", "coord 1 0 x"])

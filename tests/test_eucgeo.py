@@ -50,8 +50,7 @@ def synthetic_disc(widths, offsets, first_row=0):
     for ids in rows_ids:
         ids.sort(key=lambda v: region.coords[v][1])
     cd = CharDisc([ids[0] for ids in rows_ids], [ids[-1] for ids in rows_ids], stack,
-                  [(ids[0],) for ids in rows_ids],
-                  [(ids[-1],) for ids in rows_ids])
+                  [[(ids[0], ids[-1])] for ids in rows_ids])
     assert cd.stack.ids == rows_ids
     return cd
 
@@ -87,7 +86,7 @@ def test_cat0_diagonal_slope_bound():
     prof = thickness_profile(X, sseq, tseq)
     (iv,) = prof.thick_intervals
     assert iv[1] - iv[0] > 2
-    cd = build_char_disc(X, sseq, tseq, iv)
+    cd = build_char_disc(X, prof, iv)
     diag = cat0_diagonal(cd)
     for a, b in zip(diag.xs, diag.xs[1:]):
         assert abs(b - a) < HALF
@@ -284,7 +283,7 @@ def test_single_thick_layer_full_pipeline():
         rep = verify_euc_properties(X, eg)
         assert rep["ok"], rep["failures"]
         for (i, j) in short:
-            data = next(d for d in eg.intervals if d.interval == (i, j))
+            data = next(d for d in eg.intervals if d.disc.interval == (i, j))
             assert data.disc.stack.widths[0] == data.disc.stack.widths[-1] == 1
             assert list(data.rho) == [i + 1]
         mx, _ = subsegment_check(X, eg, 0, eg.n, "weak")

@@ -6,8 +6,8 @@ import pytest
 
 from systolic.complex import FlagComplex
 from systolic.generators import flat_parallelogram, flat_rectangle, gen_disc_with_degrees
-from systolic.layers import (layers, thickness_profile, verify_layer_lemmas,
-                             verify_profile_lemmas)
+from systolic.layers import (ThicknessProfile, layers, thickness_profile,
+                             verify_layer_lemmas, verify_profile_lemmas)
 from systolic.metric import dist, dist_map, directed_geodesic, sphere
 
 from oracles import bfs_oracle, lattice_dist
@@ -79,7 +79,7 @@ def test_thickness_profile_thick_interval():
     prof = thickness_profile(X, sseq, tseq)
     assert prof.thick_intervals == [(2, 8)]
     assert max(prof.thickness) == 2
-    assert not verify_profile_lemmas(X, prof)
+    assert not verify_profile_lemmas(prof)
 
 
 def test_thickness_varies_by_one_and_endpoint_disjointness():
@@ -94,9 +94,27 @@ def test_thickness_varies_by_one_and_endpoint_disjointness():
         assert not set(prof.sigma_seq[j]) & set(prof.tau_seq[j])
 
 
+def test_profile_lemmas_report_each_unrealized_pair_once():
+    # (1,4) and (2,3) realize layer 1's width, so (1,3) and (2,4) must too
+    prof = ThicknessProfile([(0,), (1, 2), (5,)], [(6,), (3, 4), (7,)], [1, 2, 1],
+                            [[(0, 6)], [(1, 4), (2, 3)], [(5, 7)]])
+    assert verify_profile_lemmas(prof) == [
+        "layer 1: (1,3) fails to realize thickness jointly",
+        "layer 1: (2,4) fails to realize thickness jointly"]
+    prof.pairs[1] += [(1, 3), (2, 4)]
+    assert verify_profile_lemmas(prof) == []
+
+
 def oracle_thickness(X, sseq, tseq):
     return [max(bfs_oracle(X.adjacency, (s,))[t] for s in sig for t in tau)
             for sig, tau in zip(sseq, tseq)]
+
+
+def oracle_pairs(X, sseq, tseq):
+    """Per layer, the sorted pairs of sigma_k x tau_k at the layer's maximum."""
+    return [sorted((s, t) for s in sig for t in tau
+                   if bfs_oracle(X.adjacency, (s,))[t] == width)
+            for sig, tau, width in zip(sseq, tseq, oracle_thickness(X, sseq, tseq))]
 
 
 @pytest.mark.parametrize("X", [flat_rectangle(6, 4), flat_parallelogram(6, 3),
@@ -104,7 +122,8 @@ def oracle_thickness(X, sseq, tseq):
                          ids=["rect6x4", "par6x3", "disc2r3"])
 def test_thickness_matches_bfs_oracle(X):
     """Thin layers decided by one is_simplex and thick widths read off
-    maximizing pairs agree with all-pairs BFS maxima."""
+    maximizing pairs agree with all-pairs BFS maxima, and so do the pairs
+    realizing them."""
     rng = random.Random(len(X))
     widths, edge_layers = set(), 0
     for _ in range(30):
@@ -118,14 +137,15 @@ def test_thickness_matches_bfs_oracle(X):
         for a, b in ((sseq, tseq), (sseq, sseq)):
             prof = thickness_profile(X, a, b)
             assert prof.thickness == oracle_thickness(X, a, b)
+            assert prof.pairs == oracle_pairs(X, a, b)
             widths |= {min(t, 2) for t in prof.thickness}
         edge_layers += sum(len(sig) == 2 for sig in sseq)
     assert widths == {0, 1, 2} and edge_layers
     # n = 0, at a vertex and at an edge
     v = X.vertices[0]
     edge = (v, min(X.adjacency[v]))
-    assert thickness_profile(X, [(v,)], [(v,)]).thickness == [0]
-    assert thickness_profile(X, [edge], [edge]).thickness == [1]
+    assert thickness_profile(X, [(v,)], [(v,)]).pairs == [[(v, v)]]
+    assert thickness_profile(X, [edge], [edge]).pairs == [[edge, edge[::-1]]]
 
 
 def test_profile_layer_mismatch_errors():

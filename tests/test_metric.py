@@ -415,6 +415,20 @@ def test_all_geodesics_cap():
         all_geodesics(X, c0, c1, cap=0)
 
 
+def test_all_geodesics_lists_paths_in_lexicographic_order():
+    # characteristic surfaces backtrack over these lists as returned
+    rng = random.Random(11)
+    checked = 0
+    for X in (flat_rectangle(6, 6), gen_disc_with_degrees(4, rings=3)):
+        for _ in range(40):
+            u, v = rng.choice(X.vertices), rng.choice(X.vertices)
+            paths, truncated = all_geodesics(X, u, v)
+            assert not truncated and paths == sorted(paths)
+            checked += len(paths) > 1
+            assert all_geodesics(X, u, v, cap=3)[0] == paths[:3]
+    assert checked >= 20
+
+
 def _sweep_cases(rng):
     """Generator outputs and a disconnected complex, each with seeded
     vertices, edges and triangles as source sets."""
