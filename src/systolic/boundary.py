@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .complex import FlagComplex
 from .eucgeo import euclidean_geodesic, thread_vertex_path
-from .metric import dist, dist_map, graded_paths, is_geodesic_path
+from .metric import ProjectionError, dist, dist_map, graded_paths, is_geodesic_path
 
 C_DEFAULT = 208          # universal constant serving both verification suites
 ATLAS_CAP = 20000        # good geodesics an atlas enumerates at most
@@ -55,25 +55,51 @@ def is_good_geodesic(X: FlagComplex, path: list[int], C: int = C_DEFAULT):
 def _certify(X: FlagComplex, path: list[int], C: int,
              memo: dict[tuple[int, int], list]):
     """is_good_geodesic, reading the Euclidean geodesic of each endpoint pair
-    (path[i], path[j]) from `memo` (its deltas) and filling in the misses."""
+    (path[i], path[j]) from `memo` (its deltas) and filling in the misses.
+
+    Three facts spare work without changing a result or an error:
+    - j - i = 1: the geodesic between adjacent a, c is [(a,), (c,)], since
+      each end projects onto the ball B_0 of the other as that other end.
+    - j - i = 2: the projection of a onto B_1(c) is N(a) & N(c), and so is
+      that of c onto B_1(a); both directed-geodesic members of layer 1 are
+      this common neighbourhood, so the layer is thin and delta_1 is it.  It
+      is checked to be a simplex, raising what `directed_geodesic` raises.
+      Only pairs with j - i >= 3 build a Euclidean geodesic.
+    - A certificate entry |path[k], delta| is 0 on membership and otherwise
+      `dist`, whose sweep from path[k] stops at the first level meeting
+      delta instead of labelling the whole component.
+    """
     if not is_geodesic_path(X, path):
         raise ValueError("path is not a 1-skeleton geodesic")
-    rows = [dist_map(X, (v,)) for v in path]
     cert: dict[tuple[int, int, int], int] = {}
     n = len(path) - 1
     for i in range(n):
         for j in range(i + 1, n + 1):
-            deltas = memo.get((path[i], path[j]))
-            if deltas is None:
-                deltas = euclidean_geodesic(X, (path[i],), (path[j],)).deltas
-                memo[(path[i], path[j])] = deltas
+            deltas = _subsegment_deltas(X, path[i], path[j], j - i, memo)
             for k in range(i, j + 1):
-                row = rows[k]
-                d = min(row[v] for v in deltas[k - i])
+                v, delta = path[k], deltas[k - i]
+                d = 0 if v in delta else dist(X, v, delta)
                 cert[(i, j, k)] = d
                 if d > C + 1:
                     return None, (i, j, k, d)
     return GoodGeodesic(list(path), C, cert), None
+
+
+def _subsegment_deltas(X: FlagComplex, a: int, c: int, n: int,
+                       memo: dict[tuple[int, int], list]) -> list:
+    """The deltas of the Euclidean geodesic between vertices a and c at
+    distance n >= 1: closed forms for n <= 2, `memo` or a new build after."""
+    if n == 1:
+        return [(a,), (c,)]
+    if n == 2:
+        mid = tuple(sorted(X.adjacency[a] & X.adjacency[c]))
+        if not X.is_simplex(mid):
+            raise ProjectionError(f"projection of {(a,)} is not a simplex: {mid}")
+        return [(a,), mid, (c,)]
+    deltas = memo.get((a, c))
+    if deltas is None:
+        deltas = memo[(a, c)] = euclidean_geodesic(X, (a,), (c,)).deltas
+    return deltas
 
 
 def make_good_geodesic(X: FlagComplex, v: int, w: int, C: int = C_DEFAULT) -> GoodGeodesic:
@@ -165,9 +191,13 @@ def boundary_atlas(X: FlagComplex, O: int, N: int, D: int = D_DEFAULT,
     the threshold relation is only transitive in the limit) plus the
     distance matrix of class representatives.
 
-    One call builds each endpoint pair's Euclidean geodesic once for all its
-    rays, and classes them with int bitsets: the rays related to ray a are
-    the AND over i of the rays whose i-th vertex lies within D of a's.
+    Rays are certified by `_certify` with one shared memo, so each endpoint
+    pair at distance >= 3 has its Euclidean geodesic built once for all its
+    rays.  The rays related to ray a are the AND over i of the rays whose
+    i-th vertex lies within D of a's, kept as int bitsets.  Level-i vertices
+    of rays lie within 2i of each other through O, so levels with 2i <= D
+    relate every pair and are skipped; the others read sweeps grown only to
+    radius D, and the representative matrix reads `dist`.
     """
     ecc_map = dist_map(X, (O,))
     if N > max(ecc_map.values()):
@@ -182,15 +212,16 @@ def boundary_atlas(X: FlagComplex, O: int, N: int, D: int = D_DEFAULT,
 
     full = (1 << len(rays)) - 1
     related = [full] * len(rays)
-    for i in range(N + 1):
+    for i in range(D // 2 + 1, N + 1):
         groups: dict[int, int] = {}
         for a, ray in enumerate(rays):
             groups[ray.path[i]] = groups.get(ray.path[i], 0) | 1 << a
         near = {}
         for v in groups:
-            row = dist_map(X, (v,))
+            row = dist_map(X, (v,), radius=D)
             # the groups are disjoint, so their sum is their union
-            near[v] = sum(members for w, members in groups.items() if row[w] <= D)
+            near[v] = sum(members for w, members in groups.items()
+                          if row.get(w, D + 1) <= D)
         for a, ray in enumerate(rays):
             related[a] &= near[ray.path[i]]
 
@@ -215,7 +246,7 @@ def boundary_atlas(X: FlagComplex, O: int, N: int, D: int = D_DEFAULT,
                 violations += (above & ~related[a]).bit_count()
 
     reps = [rays[g[0]].path[N] for g in classes]
-    matrix = [[dist_map(X, (p,))[q] for q in reps] for p in reps]
+    matrix = [[dist(X, p, q) for q in reps] for p in reps]
     return BoundaryAtlas(O, N, D, rays, classes, violations, matrix, capped)
 
 

@@ -136,7 +136,8 @@ def verify_euc_properties(X: FlagComplex, eg: EuclideanGeodesic) -> dict:
     reversal symmetry.  Failures are report entries."""
     failures = []
     n = eg.n
-    dmaps = [dist_map(X, d) for d in eg.deltas]
+    # every sphere checked has radius at most n, so each sweep stops there
+    dmaps = [dist_map(X, d, radius=n) for d in eg.deltas]
     for k in range(n + 1):
         for l in range(k + 1, n + 1):
             if any(dmaps[l].get(v) != l - k for v in eg.deltas[k]):
@@ -151,8 +152,8 @@ def verify_euc_properties(X: FlagComplex, eg: EuclideanGeodesic) -> dict:
         for m in range(l + 1, n + 1):
             if any(not eg.profile.thin[k] for k in range(l, m + 1)):
                 for x in eg.deltas[m]:
-                    dm = dist_map(X, (x,))
-                    if any(dm[y] != m - l for y in eg.deltas[l]):
+                    dm = dist_map(X, (x,), radius=m - l)
+                    if any(dm.get(y) != m - l for y in eg.deltas[l]):
                         failures.append(f"vertex distances between layers {l},{m} "
                                         f"are not all {m - l}")
                         break

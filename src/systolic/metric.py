@@ -114,9 +114,15 @@ def dist_map(X: FlagComplex, sources: Iterable[int], *,
 
 def dist(X: FlagComplex, A: Iterable[int] | int, B: Iterable[int] | int) -> int:
     """Minimum 1-skeleton distance between two nonempty vertex sets: A's
-    sweep grows until a level holds a vertex of B."""
+    sweep grows until a level holds a vertex of B.  An empty or unknown
+    target set raises before any sweep is made or grown."""
     key = frozenset((A,) if isinstance(A, int) else A)
     targets = frozenset((B,) if isinstance(B, int) else B)
+    if not targets:
+        raise ValueError("empty target set")
+    for b in targets:
+        if b not in X.adjacency:
+            raise KeyError(b)
     sweep = X._dist_cache.get(key)
     if sweep is None:
         sweep = _new_sweep(X, key)

@@ -14,9 +14,11 @@ from systolic.boundary import (C_DEFAULT, D_DEFAULT, GoodnessError,
                                is_good_geodesic, make_good_geodesic,
                                rays_equivalent_truncated)
 from systolic.complex import FlagComplex
+from systolic.eucgeo import euclidean_geodesic
 from systolic.generators import flat_parallelogram, flat_rectangle, gen_disc_with_degrees
-from systolic.metric import dist, dist_map
+from systolic.metric import ProjectionError, dist, dist_map
 from systolic.suites import extremal_geodesic
+from test_chordality import cycle, triangular_torus
 
 
 def corner_pair(X):
@@ -298,6 +300,9 @@ def _oracle_cases():
     X = gen_disc_with_degrees(3, rings=4)
     for O in (0, 7, 25):
         yield X, O, 3, 1, 1
+    # the two rays around a 9-cycle lie 4 apart at level 2 but 1 apart at
+    # level 4: only a level i with D/2 < i <= D tells them apart
+    yield cycle(9), 0, 4, 3, 2
 
 
 def test_atlas_classing_matches_pairwise_oracle():
@@ -338,8 +343,9 @@ def test_atlas_builds_one_euclidean_geodesic_per_pair(monkeypatch):
     monkeypatch.undo()
     paths = _geodesic_rays_oracle(X, 0, 4)
     assert [r.path for r in atlas.rays] == paths
+    # subsegments of one or two edges have closed forms and build nothing
     pairs = {((p[i],), (p[j],)) for p in paths
-             for i, j in itertools.combinations(range(len(p)), 2)}
+             for i, j in itertools.combinations(range(len(p)), 2) if j - i >= 3}
     assert set(calls) == pairs and set(calls.values()) == {1}
     for ray in atlas.rays:
         alone, witness = is_good_geodesic(X, ray.path)
@@ -364,6 +370,58 @@ def test_good_geodesic_builds_one_euclidean_geodesic_per_pair(monkeypatch):
     path = good.path
     assert (path[0], path[-1]) == (v, w)
     assert calls == Counter({((path[i],), (path[j],)): 1
-                             for i, j in itertools.combinations(range(len(path)), 2)})
+                             for i, j in itertools.combinations(range(len(path)), 2)
+                             if j - i >= 3})
     alone, witness = is_good_geodesic(X, path)
     assert witness is None and alone.certificate == good.certificate
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ProjectionError as exc:
+        return str(exc)
+
+
+def test_short_subsegments_match_euclidean_geodesic():
+    """Closed forms at distance 1 and 2 equal the built Euclidean geodesic,
+    and on non-systolic inputs a certificate raises the error the build
+    raises."""
+    inputs = {"rectangle": flat_rectangle(6, 4), "parallelogram": flat_parallelogram(6, 3),
+              "disc": gen_disc_with_degrees(3, rings=3), "C4": cycle(4),
+              "torus 4": triangular_torus(4), "torus 5": triangular_torus(5)}
+    raised = Counter()
+    for name, X in inputs.items():
+        for a in X.vertices:
+            dm = dist_map(X, (a,))
+            for c in X.vertices:
+                n = dm[c]
+                if n not in (1, 2):
+                    continue
+                built = _outcome(lambda: euclidean_geodesic(X, (a,), (c,)).deltas)
+                assert _outcome(lambda: boundary._subsegment_deltas(X, a, c, n, {})) == built
+                if isinstance(built, str):
+                    raised[name] += 1
+                    for m in X.adjacency[a] & X.adjacency[c]:
+                        with pytest.raises(ProjectionError) as exc:
+                            is_good_geodesic(X, [a, m, c])
+                        assert str(exc.value) == built
+    # C4 and the 4x4 torus have distance-2 pairs with two non-adjacent
+    # common neighbours; the 5x5 torus and the systolic inputs have none
+    assert raised == {"C4": 4, "torus 4": 48}
+
+
+def test_atlas_sweeps_stop_near_the_rays():
+    """Only the basepoint's sweep labels the whole component; every other
+    sweep an atlas grows stops within 2N, at D = 1 (every level classes) and
+    at the default D (none does)."""
+    O, N = 105, 3
+    Y = flat_rectangle(20, 10)
+    assert N < min(dist(Y, O, v) for v in Y.vertices if len(Y.adjacency[v]) < 6)
+    for D in (1, D_DEFAULT):
+        X = flat_rectangle(20, 10)
+        atlas = boundary_atlas(X, O, N, D=D)
+        assert len(atlas.rays) > 1
+        radii = {key: sweep.radius for key, sweep in X._dist_cache.items()}
+        assert radii.pop(frozenset((O,))) == float("inf")
+        assert radii and max(radii.values()) <= 2 * N

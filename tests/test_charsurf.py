@@ -1,5 +1,6 @@
 """Characteristic discs, surfaces, images, and the minimal-surface oracle."""
 
+import dataclasses
 import importlib
 import itertools
 from fractions import Fraction
@@ -169,6 +170,31 @@ def test_characteristic_image_examples():
         u = cd.stack.ids[rel][0]
         img = characteristic_image(X, (c0,), (c1,), cd, surf, (u,))
         assert img == (cd.s[rel],)
+
+
+def test_characteristic_image_takes_every_boundary_candidate():
+    """A boundary row whose pairs hold a second end for the opposite
+    representative maps to both ends.  No generated input scanned has such
+    a row, so the pairs are edited by hand: each interior row gains (s2, t) and
+    (s, t2), with s2, t2 the images of the row's second and next-to-last
+    vertices."""
+    X, c0, c1, sseq, tseq, prof = instance(flat_parallelogram, 8, 2)
+    (iv,) = prof.thick_intervals
+    cd = build_char_disc(X, prof, iv)
+    surf = build_char_surface(X, cd)
+    rows = range(1, len(cd.stack.widths) - 1)
+    pairs = [list(p) for p in cd.pairs]
+    for rel in rows:
+        ids = cd.stack.ids[rel]
+        pairs[rel] += [(surf[ids[1]], cd.t[rel]), (cd.s[rel], surf[ids[-2]])]
+    edited = dataclasses.replace(cd, pairs=pairs)
+    for rel in rows:
+        ids = cd.stack.ids[rel]
+        for u, ends in ((ids[0], (cd.s[rel], surf[ids[1]])),
+                        (ids[-1], (cd.t[rel], surf[ids[-2]]))):
+            assert len(set(ends)) == 2
+            img = characteristic_image(X, (c0,), (c1,), edited, surf, (u,))
+            assert img == tuple(sorted(ends))
 
 
 def test_characteristic_image_equals_all_surface_span():

@@ -516,3 +516,15 @@ def test_unknown_source_leaves_no_sweep():
             call()
         assert not X._dist_cache and X._dist_labelled == 0
     assert dist_map(X, (0,)) == bfs_oracle(X.adjacency, (0,))
+
+
+def test_unknown_or_empty_target_leaves_no_sweep():
+    X = hexagon_wheel()
+    for error, targets in ((KeyError, 999), (KeyError, (1, 999)), (ValueError, ())):
+        with pytest.raises(error):
+            dist(X, 0, targets)
+        assert not X._dist_cache and X._dist_labelled == 0
+    assert dist(X, 1, 4) == 2
+    with pytest.raises(KeyError):
+        dist(X, 1, (999,))
+    assert X._dist_cache[frozenset((1,))].radius == 2

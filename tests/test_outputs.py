@@ -17,6 +17,7 @@ from systolic.suites import SUITE_NAMES
 
 PARALLELOGRAM = ("--kind", "parallelogram")   # height 8, width 2: corners 0 and 26
 DISC = ("--kind", "disc", "--seed", "7", "--rings", "3")
+RECTANGLE = ("--kind", "rectangle", "--height", "10", "--width", "5")
 
 
 def _run(*argv: str) -> str:
@@ -76,6 +77,9 @@ CASES = {
     "good disc": _stdout("good", DISC, "--from", "15", "--to", "63"),
     "atlas parallelogram": _stdout("atlas", PARALLELOGRAM, "--from", "0", "--radius", "3"),
     "atlas disc": _stdout("atlas", DISC, "--from", "15", "--radius", "3"),
+    # two classes: the levels with 2i > D split the rays
+    "atlas rectangle split": _stdout("atlas", RECTANGLE, "--from", "27", "--radius", "4",
+                                     "--D", "1"),
 }
 
 EXPECTED = {
@@ -100,6 +104,7 @@ EXPECTED = {
     'good disc': '84c83b3ab75a441eb08b01cc71af9c2c11f48fbb3aa306b8b50fea1c8a8d2773',
     'atlas parallelogram': '03c2de320a8827f71b53af71eb173d8be5bddcaf33d90657360e3612a9da2db6',
     'atlas disc': 'f489d9ea12dac81a26dda4fdfbe53b1ca9c8b916e10bad970b066dce55e7db23',
+    'atlas rectangle split': 'd859cbbf34fa0118f34b1ad32c1b895ef3392eceef4c2abcc585b6e8da08ce25',
 }
 
 
