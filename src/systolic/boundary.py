@@ -9,13 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .complex import FlagComplex
 from .eucgeo import euclidean_geodesic, thread_vertex_path
 from .metric import ProjectionError, dist, dist_map, graded_paths, is_geodesic_path
 
 C_DEFAULT = 208          # universal constant serving both verification suites
-ATLAS_CAP = 20000        # good geodesics an atlas enumerates at most
+ATLAS_CAP = 20000        # geodesics an atlas certifies at most
 
 
 def default_D(C: int) -> int:
@@ -185,8 +186,9 @@ def boundary_atlas(X: FlagComplex, O: int, N: int, D: int = D_DEFAULT,
                    C: int = C_DEFAULT, cap: int = ATLAS_CAP) -> BoundaryAtlas:
     """Finite-radius boundary approximation at basepoint O.
 
-    Enumerates good geodesics of length N from O (deterministic order,
-    capped), partitions them by the closure of the all-indices threshold D,
+    Certifies the first `cap` geodesics of length N from O in lexicographic
+    order, keeping the good ones as rays (`capped`: one more such geodesic
+    exists), partitions them by the closure of the all-indices threshold D,
     and reports raw-relation transitivity violations (a truncation artifact:
     the threshold relation is only transitive in the limit) plus the
     distance matrix of class representatives.
@@ -199,13 +201,16 @@ def boundary_atlas(X: FlagComplex, O: int, N: int, D: int = D_DEFAULT,
     relate every pair and are skipped; the others read sweeps grown only to
     radius D, and the representative matrix reads `dist`.
     """
+    if cap < 1:
+        raise ValueError(f"cap must be at least 1, got {cap}")
     ecc_map = dist_map(X, (O,))
     if N > max(ecc_map.values()):
         raise ValueError(f"N exceeds the eccentricity of {O}")
-    paths, capped = graded_paths(X, O, ecc_map, 1, N, cap)
+    paths = list(islice(graded_paths(X, O, ecc_map, 1, N), cap + 1))
+    capped = len(paths) > cap
     memo: dict[tuple[int, int], list] = {}
     rays = []
-    for p in paths:
+    for p in paths[:cap]:
         good, _ = _certify(X, p, C, memo)
         if good is not None:
             rays.append(good)

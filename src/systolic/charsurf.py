@@ -7,9 +7,10 @@ per-layer widths |s_k t_k| and the consecutive offsets read off
 |s_k t_{k+1}|.  It is kept as that `RowStack` (row ends in half-units),
 which numbers and joins the disc vertices, and is checked by one integer
 shape rule (`check_row_stack`).  The disc as a triangulated complex is a
-view built on first use, for audits and rendering.  The all-surfaces
-enumeration, the preimage decoder and the minimal-surface and
-triangulability searches that cross-check this module live with the tests.
+view built on first use, for audits and rendering.  A surface is found by
+backtracking over each row's geodesics s_k..t_k, walked lazily and uncapped.
+The all-surfaces enumeration, the preimage decoder and the minimal-surface
+and triangulability searches that cross-check this module live in the tests.
 """
 
 from __future__ import annotations
@@ -122,25 +123,20 @@ def build_char_disc(X: FlagComplex, profile: ThicknessProfile, interval) -> Char
 
 
 def _surfaces(X: FlagComplex, cd: CharDisc):
-    """Characteristic surfaces on the disc's boundary representatives:
-    backtracking over per-row geodesics s_k..t_k (which `all_geodesics`
-    lists in lexicographic order), bottom-up."""
-    rows = []
-    for s, t in zip(cd.s, cd.t):
-        paths, truncated = all_geodesics(X, s, t)
-        if truncated:
-            raise SurfaceError("geodesic enumeration hit the all_geodesics cap")
-        rows.append(paths)
-    crosses = [cd.stack.cross_pairs(k) for k in range(len(rows) - 1)]
+    """Characteristic surfaces on the disc's boundary representatives, in
+    lexicographic order: a bottom-up backtracker that walks each row's
+    geodesics s_k..t_k lazily through `all_geodesics`, so no row is listed
+    in full and none is capped."""
+    crosses = [cd.stack.cross_pairs(k) for k in range(len(cd.s) - 1)]
 
     def extend(chosen):
         k = len(chosen)
-        if k == len(rows):
+        if k == len(cd.s):
             yield {vid: chosen[r][idx]
                    for r, ids in enumerate(cd.stack.ids)
                    for idx, vid in enumerate(ids)}
             return
-        for path in rows[k]:
+        for path in all_geodesics(X, cd.s[k], cd.t[k]):
             if k > 0:
                 prev = chosen[-1]
                 if any(not X.is_edge(prev[a], path[b]) for a, b in crosses[k - 1]):

@@ -399,7 +399,8 @@ def dumps_complex(X: FlagComplex) -> str:
         for v in sorted(X.coords):
             row, x = X.coords[v]
             two_x = 2 * x
-            assert two_x.denominator == 1
+            if two_x.denominator != 1:
+                raise ValueError(f"coord of vertex {v} is not a half-integer: x = {x}")
             lines.append(f"coord {v} {row} {two_x.numerator}")
     return "\n".join(lines) + "\n"
 

@@ -61,38 +61,6 @@ def flat_rectangle(height: int, width: int) -> FlagComplex:
                                              for k in range(height + 1))))
 
 
-def random_flat_disc(seed: int, max_vertices: int = 400) -> FlagComplex:
-    """Random flat disc: a row stack with unit-step side offsets and mild
-    width changes, rejection-sampled against the defect characterization of
-    flatness."""
-    from .flatgeom import as_disc, is_flat
-
-    rng = random.Random(seed)
-    for _ in range(100):
-        height = rng.randint(2, 9)
-        width = rng.randint(2, 6)
-        lo = 0
-        rows = [(lo, lo + 2 * width)]
-        for k in range(1, height + 1):
-            lo += rng.choice([-1, 1])
-            if rng.random() < 0.25:
-                width = max(1, width + rng.choice([-1, 1]))
-            rows.append((lo, lo + 2 * width))
-        try:
-            X = gen_flat_region(RowStack(0, tuple(rows)))
-        except ValueError:
-            continue
-        if len(X) > max_vertices:
-            continue
-        try:
-            disc = as_disc(X)
-        except ValueError:
-            continue
-        if is_flat(disc).ok:
-            return X
-    raise RuntimeError(f"no flat disc found for seed {seed}")
-
-
 def gen_disc_with_degrees(seed: int, rings: int = 2, bulge: float = 0.5) -> FlagComplex:
     """Random planar triangulated disc with all interior degrees >= 6.
 

@@ -13,6 +13,8 @@ their true distances.  Such a partial map grows in place when a later call
 asks for more, so its readers look vertices up, or keep only the entries
 within r; only a map asked for with `radius=None` is complete, never
 changes again, and may be iterated.
+
+Geodesics come from one lazy, uncapped lexicographic walk, `graded_paths`.
 """
 
 from __future__ import annotations
@@ -290,39 +292,30 @@ def spans_simplex(X: FlagComplex, *simplices: Iterable[int]) -> bool:
 
 
 def graded_paths(X: FlagComplex, u: int, level: dict[int, int], step: int,
-                 length: int, cap: int):
+                 length: int):
     """Every path of `length` edges from u along which the distance map
-    `level` changes by `step` (-1 or +1) at each edge: the lexicographic,
-    capped DFS of a distance-graded DAG.  Returns (paths, truncated)."""
-    if cap < 1:
-        raise ValueError(f"cap must be at least 1, got {cap}")
-    paths: list[list[int]] = []
+    `level` changes by `step` (-1 or +1) at each edge, yielded lazily in
+    lexicographic order by a DFS of the distance-graded DAG."""
     stack = [[u]]
     while stack:
         path = stack.pop()
         if len(path) == length + 1:
-            paths.append(path)
-            if len(paths) >= cap:
-                return paths, bool(stack)
+            yield path
             continue
         want = level[path[-1]] + step
         for w in sorted(X.adjacency[path[-1]], reverse=True):
             if level.get(w) == want:
                 stack.append(path + [w])
-    return paths, False
 
 
-def all_geodesics(X: FlagComplex, u: int, v: int, cap: int = 10000):
-    """Every 1-skeleton geodesic from u to v, truncated at `cap` paths.
-
-    Returns (paths, truncated).  Exponential on flat regions; the cap keeps
-    oracle uses bounded.
-    """
+def all_geodesics(X: FlagComplex, u: int, v: int):
+    """Every 1-skeleton geodesic from u to v, as the lazy lexicographic walk
+    of `graded_paths`; a reader takes as many as it needs."""
     try:
         n = dist(X, v, u)
     except ValueError:
         raise ValueError("u and v lie in different components") from None
-    return graded_paths(X, u, dist_map(X, (v,), radius=n), -1, n, cap)
+    return graded_paths(X, u, dist_map(X, (v,), radius=n), -1, n)
 
 
 def is_geodesic_path(X: FlagComplex, path: list[int]) -> bool:

@@ -1,12 +1,13 @@
 """Oracles that cross-check the library, kept off its production path.
 
-A whole-component deque BFS; the induced-path DFS for induced cycles;
-closed-form lattice distance and the point-group canonicalization of
-lattice placements; the isometric embedding of flat discs; the break-point
-enumeration oracle of `flatgeom.polygon_geodesic`; reordered realizing
-pairs, the all-surfaces enumeration, characteristic-image span and
-preimage decoder for characteristic discs; the minimal-surface search and
-the no-interior-vertex triangulability test.  Tests import them from here.
+A whole-component deque BFS and the geodesics it grades; random flat
+discs; the induced-path DFS for induced cycles; closed-form lattice
+distance and the point-group canonicalization of lattice placements; the
+isometric embedding of flat discs; the break-point enumeration oracle of
+`flatgeom.polygon_geodesic`; reordered realizing pairs, the all-surfaces
+enumeration and its product-of-rows reference, characteristic-image span
+and preimage decoder for characteristic discs; the minimal-surface search
+and the no-interior-vertex triangulability test.  Tests import them from here.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from itertools import product
 from systolic.charsurf import (CharDisc, CharDiscError, SurfaceError, _surfaces,
                                characteristic_image)
 from systolic.complex import FlagComplex, Simplex
-from systolic.flatgeom import PolyPath, TriangulatedDisc
+from systolic.flatgeom import PolyPath, TriangulatedDisc, as_disc, is_flat
+from systolic.generators import gen_flat_region
 from systolic.lattice import Point, RowStack
 from systolic.layers import ThicknessProfile
 from systolic.metric import dist, dist_map
@@ -52,6 +54,36 @@ def bfs_oracle(adjacency, sources) -> dict[int, int]:
                 dist[w] = dist[v] + 1
                 queue.append(w)
     return dist
+
+
+def random_flat_disc(seed: int, max_vertices: int = 400) -> FlagComplex:
+    """Random flat disc: a row stack with unit-step side offsets and mild
+    width changes, rejection-sampled against the defect characterization of
+    flatness."""
+    rng = random.Random(seed)
+    for _ in range(100):
+        height = rng.randint(2, 9)
+        width = rng.randint(2, 6)
+        lo = 0
+        rows = [(lo, lo + 2 * width)]
+        for k in range(1, height + 1):
+            lo += rng.choice([-1, 1])
+            if rng.random() < 0.25:
+                width = max(1, width + rng.choice([-1, 1]))
+            rows.append((lo, lo + 2 * width))
+        try:
+            X = gen_flat_region(RowStack(0, tuple(rows)))
+        except ValueError:
+            continue
+        if len(X) > max_vertices:
+            continue
+        try:
+            disc = as_disc(X)
+        except ValueError:
+            continue
+        if is_flat(disc).ok:
+            return X
+    raise RuntimeError(f"no flat disc found for seed {seed}")
 
 
 def find_induced_cycle(X: FlagComplex, min_len: int, max_len: int):
@@ -309,6 +341,34 @@ def enumerate_char_surfaces(X: FlagComplex, cd: CharDisc, limit: int = 100000):
             count += 1
             if count >= limit:
                 raise SurfaceError("surface enumeration limit hit")
+
+
+def geodesics_oracle(adjacency, u: int, v: int) -> list[list[int]]:
+    """Every geodesic from u to v, sorted: each step moves one level closer
+    to v in the deque-BFS distance map of v."""
+    dv = bfs_oracle(adjacency, (v,))
+    paths = [[u]]
+    for _ in range(dv[u]):
+        paths = [p + [w] for p in paths for w in adjacency[p[-1]]
+                 if dv[w] == dv[p[-1]] - 1]
+    return sorted(paths)
+
+
+def surfaces_reference(X: FlagComplex, cd: CharDisc, limit: int = 100000) -> list[dict]:
+    """The characteristic surfaces on cd's representatives, in the library's
+    order: the product of the rows' sorted geodesics, taken row by row,
+    keeping the combinations whose cross pairs all map to edges."""
+    rows = [geodesics_oracle(X.adjacency, s, t) for s, t in zip(cd.s, cd.t)]
+    crosses = [cd.stack.cross_pairs(k) for k in range(len(rows) - 1)]
+    surfaces = []
+    for count, combo in enumerate(product(*rows)):
+        if count >= limit:
+            raise SurfaceError("surface reference limit hit")
+        if all(combo[k + 1][b] in X.adjacency[combo[k][a]]
+               for k, pairs in enumerate(crosses) for a, b in pairs):
+            surfaces.append({vid: combo[r][idx] for r, ids in enumerate(cd.stack.ids)
+                             for idx, vid in enumerate(ids)})
+    return surfaces
 
 
 def char_image_oracle(X: FlagComplex, cd: CharDisc, rho, limit: int = 100000) -> Simplex:

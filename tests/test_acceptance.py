@@ -19,7 +19,7 @@ from systolic.eucgeo import (cat0_closeness_check, euclidean_geodesic,
                              verify_euc_properties)
 from systolic.flatgeom import as_disc, gauss_bonnet_sum, polygon_geodesic
 from systolic.generators import (flat_parallelogram, flat_rectangle,
-                                 gen_disc_with_degrees, random_flat_disc)
+                                 gen_disc_with_degrees)
 from systolic.layers import verify_layer_lemmas, verify_profile_lemmas
 from systolic.lattice import RowStack, lattice_adjacent
 from systolic.metric import (all_geodesics, ball, dist, dist_map,
@@ -28,7 +28,7 @@ from systolic.suites import SuiteConfig, extremal_geodesic, instance_suite, run_
 
 from oracles import (char_image_oracle, embed_flat_disc, lattice_dist,
                      minimal_surface_bruteforce, polygon_geodesic_bruteforce,
-                     shuffled_pairs)
+                     random_flat_disc, shuffled_pairs)
 
 SEED = 20260810
 

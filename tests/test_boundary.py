@@ -236,6 +236,19 @@ def test_atlas_cap_flagged():
     assert atlas.capped
 
 
+def test_atlas_capped_only_when_a_ray_was_cut():
+    # from vertex 45 of flat_rectangle(10, 5) there are exactly 44 geodesics
+    # of length 4; the walk outward from 45 also meets dead-end prefixes
+    X = flat_rectangle(10, 5)
+    assert len(boundary_atlas(X, 45, 4).rays) == 44
+    atlas = boundary_atlas(X, 45, 4, cap=44)
+    assert len(atlas.rays) == 44 and not atlas.capped
+    atlas = boundary_atlas(X, 45, 4, cap=43)
+    assert len(atlas.rays) == 43 and atlas.capped
+    with pytest.raises(ValueError, match="cap must be at least 1"):
+        boundary_atlas(X, 45, 4, cap=0)
+
+
 def test_atlas_report_deterministic():
     X = flat_rectangle(4, 4)
     center = next(v for v in X.vertices if X.coords[v] == (2, Fraction(2)))

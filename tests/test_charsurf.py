@@ -8,9 +8,9 @@ from fractions import Fraction
 import pytest
 
 from systolic import charsurf
-from systolic.charsurf import (CharDiscError, build_char_disc,
-                               build_char_surface, characteristic_image,
-                               check_row_stack)
+from systolic.charsurf import (CharDisc, CharDiscError, SurfaceError,
+                               build_char_disc, build_char_surface,
+                               characteristic_image, check_row_stack)
 from systolic.complex import FlagComplex
 from systolic.eucgeo import euclidean_geodesic
 from systolic.flatgeom import as_disc, gauss_bonnet_sum, is_flat
@@ -19,10 +19,11 @@ from systolic.generators import (flat_parallelogram, flat_rectangle,
 from systolic.layers import layers, thickness_profile
 from systolic.lattice import RowStack, lattice_adjacent
 from systolic.metric import dist, dist_map, directed_geodesic
+from systolic.suites import instance_suite
 
 from oracles import (canonical_placement, char_image_oracle, char_preimage,
                      enumerate_char_surfaces, is_triangulable, lattice_dist,
-                     minimal_surface_bruteforce, shuffled_pairs)
+                     minimal_surface_bruteforce, shuffled_pairs, surfaces_reference)
 
 
 def corner_pair(X):
@@ -149,6 +150,56 @@ def test_surface_pair_properties():
         image_sets = [{s[v] for s in surfaces} for v in ids]
         for a, b in itertools.combinations(range(len(ids)), 2):
             assert not image_sets[a] & image_sets[b]
+
+
+def one_row_disc(s, t, width):
+    return CharDisc([s], [t], RowStack(0, ((0, 2 * width),)), [[(s, t)]])
+
+
+def test_surface_search_walks_rows_without_a_cap():
+    # corners of flat_parallelogram(8, 8): distance 16 and C(16, 8) = 12,870
+    # geodesics; the search takes the least without listing the others
+    X = flat_parallelogram(8, 8)
+    surf = build_char_surface(X, one_row_disc(0, 80, 16))
+    least = list(range(9)) + list(range(17, 81, 9))
+    assert surf == dict(enumerate(least))
+
+
+def test_surface_error_when_no_surface_fills_the_disc():
+    # rows 0..4 and 15..19 of flat_rectangle(6, 4) lie three rows apart, so
+    # no cross pair of the two-row disc maps to an edge
+    X = flat_rectangle(6, 4)
+    cd = CharDisc([0, 15], [4, 19], RowStack(0, ((0, 8), (-1, 7))),
+                  [[(0, 4)], [(15, 19)]])
+    with pytest.raises(SurfaceError, match=r"no surface fills the disc for interval \(0, 1\)"):
+        build_char_surface(X, cd)
+
+
+def test_surfaces_match_the_product_of_rows_reference():
+    checked = 0
+    for inst in instance_suite(3, 16):
+        X = inst.X
+        sseq, tseq = directed_pair(X, inst.sigma[0], inst.tau[0])
+        prof = thickness_profile(X, sseq, tseq)
+        for iv in prof.thick_intervals:
+            cd = build_char_disc(X, prof, iv)
+            for count, combo in enumerate(itertools.product(*cd.pairs)):
+                assert count < 500, "representative choices over the bound"
+                alt = dataclasses.replace(cd, s=[c[0] for c in combo],
+                                          t=[c[1] for c in combo])
+                assert list(charsurf._surfaces(X, alt)) == surfaces_reference(X, alt)
+                checked += 1
+    assert checked >= 9
+    # these discs have one surface each; on one-row discs every geodesic is
+    # a surface, so the reference checks the order of the walk as well
+    X = flat_parallelogram(4, 4)
+    many = 0
+    for s, t in itertools.permutations(X.vertices, 2):
+        cd = one_row_disc(s, t, dist(X, s, t))
+        surfaces = list(charsurf._surfaces(X, cd))
+        assert surfaces == surfaces_reference(X, cd)
+        many += len(surfaces) > 1
+    assert many == 340
 
 
 def test_characteristic_image_examples():
@@ -289,7 +340,7 @@ def test_loops_inside_layers_are_triangulable():
             sub = X.induced(dec.layers[i])
             verts = sorted(sub.vertices)
             for a, b in itertools.combinations(verts, 2):
-                paths, _ = all_geodesics(sub, a, b, cap=10)
+                paths = list(itertools.islice(all_geodesics(sub, a, b), 10))
                 for p1, p2 in itertools.combinations(paths, 2):
                     if set(p1) & set(p2) == {a, b} and len(p1) + len(p2) >= 6:
                         loop = p1 + list(reversed(p2))[1:-1]

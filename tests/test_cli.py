@@ -170,6 +170,18 @@ def test_atlas_command(flat_file, capsys):
     assert json.loads(out)["N"] == 2
 
 
+def test_atlas_reports_a_cap_only_when_it_cut_a_ray(tmp_path, capsys):
+    path = str(tmp_path / "r.cx")
+    run(capsys, "gen", "--kind", "rectangle", "--height", "10", "--width", "5",
+        "--out", path)
+    base = ("atlas", "--complex", path, "--from", "45", "--radius", "4")
+    for flags, line in (((), "rays=44 capped=False"),
+                        (("--cap", "44"), "rays=44 capped=False"),
+                        (("--cap", "43"), "rays=43 capped=True")):
+        code, out = run(capsys, *base, *flags)
+        assert code == 0 and out.splitlines()[1] == line, flags
+
+
 def test_atlas_threshold_follows_C(flat_file, capsys):
     path, c0, _ = flat_file
     base = ("atlas", "--complex", path, "--from", str(c0), "--radius", "2")

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -247,6 +248,14 @@ def test_file_format_roundtrip():
     Y = loads_complex(text)
     assert Y.adjacency == X.adjacency
     assert Y.coords == X.coords
+
+
+def test_file_format_rejects_a_coord_off_the_half_lattice():
+    # x = 1/3 would otherwise be written as `coord 1 0 2` and read back as 1
+    X = FlagComplex.from_edges([(0, 1)], coords={0: (0, Fraction(0)),
+                                                 1: (0, Fraction(1, 3))})
+    with pytest.raises(ValueError, match="coord of vertex 1 is not a half-integer"):
+        dumps_complex(X)
 
 
 def test_file_format_tolerance():

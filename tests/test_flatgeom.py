@@ -11,13 +11,13 @@ from systolic.eucgeo import cat0_diagonal, euclidean_geodesic, modified_disc
 from systolic.flatgeom import (DiscError, PolyPath, as_disc, defect,
                                gauss_bonnet_sum, is_flat, polygon_geodesic)
 from systolic.generators import (flat_parallelogram, flat_rectangle,
-                                 gen_disc_with_degrees, random_flat_disc)
+                                 gen_disc_with_degrees)
 from systolic.lattice import RowStack
 from systolic.svg import poly_path_points, render_svg
 
 from oracles import (EmbedError, canonical_placement, d_close, embed_flat_disc,
                      from_cube, placements_congruent, point_group,
-                     polygon_geodesic_bruteforce, to_cube)
+                     polygon_geodesic_bruteforce, random_flat_disc, to_cube)
 
 
 def single_triangle():

@@ -60,7 +60,7 @@ def test_thickness_profile_identical_sequences():
     X = flat_parallelogram(4, 2)
     c0, c1 = corner_pair(X)
     from systolic.metric import all_geodesics
-    path = all_geodesics(X, c0, c1)[0][0]
+    path = next(all_geodesics(X, c0, c1))
     vseq = [(v,) for v in path]
     prof = thickness_profile(X, vseq, vseq)
     assert prof.thickness == [0] * len(vseq)

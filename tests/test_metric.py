@@ -1,5 +1,7 @@
 """Distances, balls, convexity, residues, projections, directed geodesics."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -365,16 +367,14 @@ def test_all_geodesics_counts():
     X = flat_rectangle(6, 6)
     a = next(v for v in X.vertices if X.coords[v] == (2, Fraction(2)))
     b = next(v for v in X.vertices if X.coords[v] == (2, Fraction(3)))
-    paths, truncated = all_geodesics(X, a, b)
-    assert paths == [[a, b]] and not truncated
+    assert list(all_geodesics(X, a, b)) == [[a, b]]
     # along a lattice row the geodesic is unique
     c = next(v for v in X.vertices if X.coords[v] == (2, Fraction(4)))
-    paths, _ = all_geodesics(X, a, c)
-    assert len(paths) == 1
+    assert len(list(all_geodesics(X, a, c))) == 1
     # opposite apexes of a unit rhombus: exactly the two length-2 routes
     top = next(v for v in X.vertices if X.coords[v] == (1, Fraction(5, 2)))
     bottom = next(v for v in X.vertices if X.coords[v] == (3, Fraction(5, 2)))
-    paths, _ = all_geodesics(X, top, bottom)
+    paths = list(all_geodesics(X, top, bottom))
     assert len(paths) == 2 and all(len(p) == 3 for p in paths)
 
 
@@ -400,32 +400,35 @@ def test_all_geodesics_against_dp_oracle():
         u, v = rng.choice(X.vertices), rng.choice(X.vertices)
         if u == v:
             continue
-        paths, truncated = all_geodesics(X, u, v)
-        assert not truncated
+        paths = list(all_geodesics(X, u, v))
         assert len(paths) == count_paths_oracle(X, u, v)
         assert all(is_geodesic_path(X, p) for p in paths)
 
 
-def test_all_geodesics_cap():
-    X = flat_rectangle(6, 6)
-    c0, c1 = corner_pair(X)
-    paths, truncated = all_geodesics(X, c0, c1, cap=5)
-    assert len(paths) == 5 and truncated
-    with pytest.raises(ValueError, match="cap must be at least 1"):
-        all_geodesics(X, c0, c1, cap=0)
+def test_all_geodesics_walks_lazily():
+    # opposite corners of flat_parallelogram(8, 8): distance 16 and
+    # C(16, 8) = 12,870 geodesics, with no cap on the walk
+    X = flat_parallelogram(8, 8)
+    walk = all_geodesics(X, 0, 80)
+    assert next(walk) == list(range(9)) + list(range(17, 81, 9))
+    paths = list(all_geodesics(X, 0, 80))
+    assert len(paths) == math.comb(16, 8) == count_paths_oracle(X, 0, 80)
+    assert paths == sorted(paths)
+    for k in (1, 2, 7, 100):
+        assert list(itertools.islice(all_geodesics(X, 0, 80), k)) == paths[:k]
 
 
 def test_all_geodesics_lists_paths_in_lexicographic_order():
-    # characteristic surfaces backtrack over these lists as returned
+    # characteristic surfaces backtrack over this walk in the order it yields
     rng = random.Random(11)
     checked = 0
     for X in (flat_rectangle(6, 6), gen_disc_with_degrees(4, rings=3)):
         for _ in range(40):
             u, v = rng.choice(X.vertices), rng.choice(X.vertices)
-            paths, truncated = all_geodesics(X, u, v)
-            assert not truncated and paths == sorted(paths)
+            paths = list(all_geodesics(X, u, v))
+            assert paths == sorted(paths)
             checked += len(paths) > 1
-            assert all_geodesics(X, u, v, cap=3)[0] == paths[:3]
+            assert list(itertools.islice(all_geodesics(X, u, v), 3)) == paths[:3]
     assert checked >= 20
 
 
