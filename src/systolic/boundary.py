@@ -3,6 +3,12 @@
 A good geodesic stays within C+1 of the Euclidean geodesic of every one of
 its subsegments; boundary points at a finite truncation are classes of good
 geodesics of length N under the all-indices threshold D = 3C + 2.
+
+A certificate reads the Euclidean geodesic of every subsegment.  Those of
+at most three edges have closed forms read off projections onto balls
+(Januszkiewicz-Swiatkowski, "Simplicial nonpositive curvature", Publ.
+IHES 104, 2006); longer ones are built.  Every result for a subsegment of
+two or more edges is memoised per endpoint pair.
 """
 
 from __future__ import annotations
@@ -13,7 +19,8 @@ from itertools import islice
 
 from .complex import FlagComplex
 from .eucgeo import euclidean_geodesic, thread_vertex_path
-from .metric import ProjectionError, dist, dist_map, graded_paths, is_geodesic_path
+from .metric import (ProjectionError, _project, dist, dist_map, graded_paths,
+                     is_geodesic_path)
 
 C_DEFAULT = 208          # universal constant serving both verification suites
 ATLAS_CAP = 20000        # geodesics an atlas certifies at most
@@ -58,14 +65,12 @@ def _certify(X: FlagComplex, path: list[int], C: int,
     """is_good_geodesic, reading the Euclidean geodesic of each endpoint pair
     (path[i], path[j]) from `memo` (its deltas) and filling in the misses.
 
-    Three facts spare work without changing a result or an error:
-    - j - i = 1: the geodesic between adjacent a, c is [(a,), (c,)], since
-      each end projects onto the ball B_0 of the other as that other end.
-    - j - i = 2: the projection of a onto B_1(c) is N(a) & N(c), and so is
-      that of c onto B_1(a); both directed-geodesic members of layer 1 are
-      this common neighbourhood, so the layer is thin and delta_1 is it.  It
-      is checked to be a simplex, raising what `directed_geodesic` raises.
-      Only pairs with j - i >= 3 build a Euclidean geodesic.
+    Two facts spare work without changing a result or an error:
+    - j - i <= 3: the geodesic has a closed form (`_short_deltas`, or
+      [(a,), (c,)] for adjacent a, c, since each end projects onto the ball
+      B_0 of the other as that other end), which raises what
+      `euclidean_geodesic` raises.  Only pairs with j - i >= 4 build one;
+      the memo keeps both the closed forms and the builds.
     - A certificate entry |path[k], delta| is 0 on membership and otherwise
       `dist`, whose sweep from path[k] stops at the first level meeting
       delta instead of labelling the whole component.
@@ -89,18 +94,53 @@ def _certify(X: FlagComplex, path: list[int], C: int,
 def _subsegment_deltas(X: FlagComplex, a: int, c: int, n: int,
                        memo: dict[tuple[int, int], list]) -> list:
     """The deltas of the Euclidean geodesic between vertices a and c at
-    distance n >= 1: closed forms for n <= 2, `memo` or a new build after."""
+    distance n >= 1: [(a,), (c,)] for n = 1, then `memo`, filled in by a
+    closed form for n <= 3 and by a build after."""
     if n == 1:
         return [(a,), (c,)]
+    deltas = memo.get((a, c))
+    if deltas is None:
+        if n <= 3:
+            deltas = _short_deltas(X, a, c, n)
+        else:
+            deltas = euclidean_geodesic(X, (a,), (c,)).deltas
+        memo[(a, c)] = deltas
+    return deltas
+
+
+def _short_deltas(X: FlagComplex, a: int, c: int, n: int) -> list:
+    """The deltas of the Euclidean geodesic between vertices a and c at
+    distance n = 2 or 3, with no geodesic built, raising what
+    `euclidean_geodesic` raises on non-systolic input.
+
+    n = 2: the projection of a onto B_1(c) is N(a) & N(c), and so is that
+    of c onto B_1(a); both directed-geodesic members of layer 1 are this
+    common neighbourhood, so the layer is thin and delta_1 is it.  It is
+    checked to be a simplex (it is nonempty at distance 2).
+
+    n = 3: the directed geodesic from a starts with its projection onto
+    B_2(c), the whole of L_1 = N(a) & S_2(c), and the one from c starts
+    with L_2 = N(c) & S_2(a).  The member tau_1, the projection of L_2 onto
+    B_1(a), is adjacent to a and to vertices of N(c), so tau_1 lies in L_1;
+    likewise sigma_2, the projection of L_1 onto B_1(c), lies in L_2.  Both
+    interior layers are thus thin, every span the thickness profile checks
+    is a simplex, and the deltas are [(a,), L_1, L_2, (c,)].  These
+    inclusions hold in any flag complex, so only four projections can
+    fail: a onto B_2(c), L_1 onto B_1(c), c onto B_2(a) and L_2 onto
+    B_1(a).  They run here in the build's order on the same distance maps;
+    the last step of each chain, onto c or onto a, cannot fail.
+    """
     if n == 2:
         mid = tuple(sorted(X.adjacency[a] & X.adjacency[c]))
         if not X.is_simplex(mid):
             raise ProjectionError(f"projection of {(a,)} is not a simplex: {mid}")
         return [(a,), mid, (c,)]
-    deltas = memo.get((a, c))
-    if deltas is None:
-        deltas = memo[(a, c)] = euclidean_geodesic(X, (a,), (c,)).deltas
-    return deltas
+    dc, da = dist_map(X, (c,), radius=3), dist_map(X, (a,), radius=3)
+    first = _project(X, (a,), dc, 2)
+    _project(X, first, dc, 1)
+    last = _project(X, (c,), da, 2)
+    _project(X, last, da, 1)
+    return [(a,), first, last, (c,)]
 
 
 def make_good_geodesic(X: FlagComplex, v: int, w: int, C: int = C_DEFAULT) -> GoodGeodesic:
@@ -194,9 +234,10 @@ def boundary_atlas(X: FlagComplex, O: int, N: int, D: int = D_DEFAULT,
     distance matrix of class representatives.
 
     Rays are certified by `_certify` with one shared memo, so each endpoint
-    pair at distance >= 3 has its Euclidean geodesic built once for all its
-    rays.  The rays related to ray a are the AND over i of the rays whose
-    i-th vertex lies within D of a's, kept as int bitsets.  Level-i vertices
+    pair at distance >= 2 has its Euclidean geodesic computed once for all
+    its rays: by a closed form below distance 4, by a build from there.
+    The rays related to ray a are the AND over i of the rays whose i-th
+    vertex lies within D of a's, kept as int bitsets.  Level-i vertices
     of rays lie within 2i of each other through O, so levels with 2i <= D
     relate every pair and are skipped; the others read sweeps grown only to
     radius D, and the representative matrix reads `dist`.

@@ -16,7 +16,7 @@ from systolic.boundary import (C_DEFAULT, D_DEFAULT, GoodnessError,
 from systolic.complex import FlagComplex
 from systolic.eucgeo import euclidean_geodesic
 from systolic.generators import flat_parallelogram, flat_rectangle, gen_disc_with_degrees
-from systolic.metric import ProjectionError, dist, dist_map
+from systolic.metric import ProjectionError, all_geodesics, dist, dist_map
 from systolic.suites import extremal_geodesic
 from test_chordality import cycle, triangular_torus
 
@@ -356,9 +356,9 @@ def test_atlas_builds_one_euclidean_geodesic_per_pair(monkeypatch):
     monkeypatch.undo()
     paths = _geodesic_rays_oracle(X, 0, 4)
     assert [r.path for r in atlas.rays] == paths
-    # subsegments of one or two edges have closed forms and build nothing
+    # subsegments of one to three edges have closed forms and build nothing
     pairs = {((p[i],), (p[j],)) for p in paths
-             for i, j in itertools.combinations(range(len(p)), 2) if j - i >= 3}
+             for i, j in itertools.combinations(range(len(p)), 2) if j - i >= 4}
     assert set(calls) == pairs and set(calls.values()) == {1}
     for ray in atlas.rays:
         alone, witness = is_good_geodesic(X, ray.path)
@@ -384,44 +384,95 @@ def test_good_geodesic_builds_one_euclidean_geodesic_per_pair(monkeypatch):
     assert (path[0], path[-1]) == (v, w)
     assert calls == Counter({((path[i],), (path[j],)): 1
                              for i, j in itertools.combinations(range(len(path)), 2)
-                             if j - i >= 3})
+                             if j - i >= 4})
     alone, witness = is_good_geodesic(X, path)
     assert witness is None and alone.certificate == good.certificate
+
+
+def test_atlas_computes_each_closed_form_once(monkeypatch):
+    X = flat_rectangle(10, 5)
+    calls = Counter()
+    original = boundary._short_deltas
+
+    def counting(X, a, c, n):
+        calls[(a, c, n)] += 1
+        return original(X, a, c, n)
+
+    monkeypatch.setattr(boundary, "_short_deltas", counting)
+    atlas = boundary_atlas(X, 0, 4)
+    monkeypatch.undo()
+    paths = _geodesic_rays_oracle(X, 0, 4)
+    assert [r.path for r in atlas.rays] == paths
+    pairs = {(p[i], p[j], j - i) for p in paths
+             for i, j in itertools.combinations(range(len(p)), 2) if j - i in (2, 3)}
+    assert set(calls) == pairs and set(calls.values()) == {1}
+    assert {n for _, _, n in pairs} == {2, 3}
 
 
 def _outcome(build):
     try:
         return build()
-    except ProjectionError as exc:
-        return str(exc)
+    except (ValueError, AssertionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _closed_form_outcomes(X):
+    """(a, c, n, the build's deltas or error) for every pair of X at
+    distance 1 to 3, asserting that the closed form gives the same."""
+    for a in X.vertices:
+        for c, n in dist_map(X, (a,)).items():
+            if 1 <= n <= 3:
+                built = _outcome(lambda: euclidean_geodesic(X, (a,), (c,)).deltas)
+                assert _outcome(lambda: boundary._subsegment_deltas(X, a, c, n, {})) == built
+                yield a, c, n, built
 
 
 def test_short_subsegments_match_euclidean_geodesic():
-    """Closed forms at distance 1 and 2 equal the built Euclidean geodesic,
+    """Closed forms at distance 1 to 3 equal the built Euclidean geodesic,
     and on non-systolic inputs a certificate raises the error the build
     raises."""
     inputs = {"rectangle": flat_rectangle(6, 4), "parallelogram": flat_parallelogram(6, 3),
-              "disc": gen_disc_with_degrees(3, rings=3), "C4": cycle(4),
-              "torus 4": triangular_torus(4), "torus 5": triangular_torus(5)}
+              "disc": gen_disc_with_degrees(3, rings=3), "C4": cycle(4), "C6": cycle(6),
+              "torus 4": triangular_torus(4), "torus 5": triangular_torus(5),
+              "torus 6": triangular_torus(6)}
     raised = Counter()
     for name, X in inputs.items():
-        for a in X.vertices:
-            dm = dist_map(X, (a,))
-            for c in X.vertices:
-                n = dm[c]
-                if n not in (1, 2):
-                    continue
-                built = _outcome(lambda: euclidean_geodesic(X, (a,), (c,)).deltas)
-                assert _outcome(lambda: boundary._subsegment_deltas(X, a, c, n, {})) == built
-                if isinstance(built, str):
-                    raised[name] += 1
-                    for m in X.adjacency[a] & X.adjacency[c]:
-                        with pytest.raises(ProjectionError) as exc:
-                            is_good_geodesic(X, [a, m, c])
-                        assert str(exc.value) == built
+        for a, c, n, built in _closed_form_outcomes(X):
+            if isinstance(built, tuple):
+                raised[(name, n)] += 1
+                # no shorter subsegment of these inputs raises first
+                for path in all_geodesics(X, a, c):
+                    with pytest.raises(ProjectionError) as exc:
+                        is_good_geodesic(X, path)
+                    assert (type(exc.value).__name__, str(exc.value)) == built
     # C4 and the 4x4 torus have distance-2 pairs with two non-adjacent
-    # common neighbours; the 5x5 torus and the systolic inputs have none
-    assert raised == {"C4": 4, "torus 4": 48}
+    # common neighbours; at distance 3, C6 and the 5x5 and 6x6 tori have
+    # pairs whose projections fail; the systolic inputs have none
+    assert raised == {("C4", 2): 4, ("torus 4", 2): 48, ("C6", 3): 6,
+                      ("torus 5", 3): 150, ("torus 6", 3): 108}
+
+
+def perturbed(X, rng, k):
+    """X with k seeded edges removed and k seeded distance-2 pairs joined."""
+    edges = sorted(X.edges())
+    for e in rng.sample(edges, k):
+        edges.remove(e)
+    joinable = [(u, w) for u in X.vertices for w, d in dist_map(X, (u,), radius=2).items()
+                if u < w and d == 2]
+    return FlagComplex.from_edges(edges + rng.sample(sorted(joinable), k))
+
+
+def test_short_subsegments_match_euclidean_geodesic_on_perturbed_inputs():
+    """On every pair at distance 1 to 3 of seeded perturbed rectangles and
+    discs, the closed form gives the built deltas or the built error."""
+    raised, total = Counter(), Counter()
+    for seed in range(12):
+        rng = random.Random(seed)
+        base = flat_rectangle(5, 4) if seed % 2 == 0 else gen_disc_with_degrees(seed, rings=2)
+        for _, _, n, built in _closed_form_outcomes(perturbed(base, rng, 1 + seed % 3)):
+            total[n] += 1
+            raised[n] += isinstance(built, tuple)
+    assert all(0 < raised[n] < total[n] for n in (2, 3)), (raised, total)
 
 
 def test_atlas_sweeps_stop_near_the_rays():
