@@ -244,6 +244,8 @@ def boundary_atlas(X: FlagComplex, O: int, N: int, D: int = D_DEFAULT,
     """
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
+    if N < 0:
+        raise ValueError(f"N must be at least 0, got {N}")
     ecc_map = dist_map(X, (O,))
     if N > max(ecc_map.values()):
         raise ValueError(f"N exceeds the eccentricity of {O}")

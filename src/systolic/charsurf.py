@@ -53,10 +53,6 @@ class CharDisc:
     def interval(self) -> tuple[int, int]:
         return self.stack.first_row, self.stack.last_row
 
-    @property
-    def thin_endpoints(self) -> bool:
-        return self.stack.widths[0] == self.stack.widths[-1] == 1
-
     @cached_property
     def disc(self) -> TriangulatedDisc:
         """The disc as a validated triangulated complex (built on first use)."""
@@ -64,16 +60,13 @@ class CharDisc:
 
 
 def check_row_stack(stack: RowStack) -> None:
-    """The shape rule of a characteristic disc, whose left ends step by 1/2.
+    """The shape rule of a characteristic disc: thin end rows around at
+    least one row, left ends stepping by 1/2.
 
-    The stack spans a flat disc on its defining loop (wide when its end
-    rows are thin) iff its right ends step by 1/2 too and thin end rows
-    enclose at least one row.  Raises CharDiscError naming the rows.
+    Such a stack spans a wide flat disc on its defining loop iff its right
+    ends step by 1/2 too.  Raises CharDiscError naming the rows.
     """
     rows, first = stack.rows, stack.first_row
-    if stack.widths[0] == stack.widths[-1] == 1 and len(rows) < 3:
-        raise CharDiscError(f"rows {first}..{first + 1}: thin end rows "
-                            "need a row between them")
     for k in range(len(rows) - 1):
         step = rows[k + 1][1] - rows[k][1]
         if abs(step) != 1:
@@ -82,28 +75,22 @@ def check_row_stack(stack: RowStack) -> None:
 
 
 def build_char_disc(X: FlagComplex, profile: ThicknessProfile, interval) -> CharDisc:
-    """Characteristic disc for a thick interval of `profile`.
-
-    Representatives s_k, t_k are the first of the profile's pairs realizing
-    |s_k t_k| per layer (the shape is choice-independent).  Also accepts a
-    partial interval whose layers all have thickness >= 2.
+    """Characteristic disc for a member (i, j) of `profile.thick_intervals`:
+    thin end layers around thick ones, so j - i >= 2.  End members that
+    meet falsify systolicity; disjoint, they have width 1.  Representatives
+    s_k, t_k are the first of the profile's pairs realizing |s_k t_k| per
+    layer (the shape is choice-independent).
     """
+    if interval not in profile.thick_intervals:
+        raise ValueError(f"{interval} is not a thick interval of the profile")
     i, j = interval
-    if not 0 <= i < j <= len(profile.thickness) - 1:
-        raise ValueError(f"bad interval {interval}")
     widths, pairs = profile.thickness[i:j + 1], profile.pairs[i:j + 1]
     s_rep = [p[0][0] for p in pairs]
     t_rep = [p[0][1] for p in pairs]
-
-    thin_endpoints = widths[0] == 1 and widths[-1] == 1
-    interior = widths[1:-1] if thin_endpoints else widths
-    if any(a < 2 for a in interior):
-        raise CharDiscError(f"interval {interval} has a thin interior layer")
-    if thin_endpoints:
-        for k in (i, j):
-            if set(profile.sigma_seq[k]) & set(profile.tau_seq[k]):
-                raise CharDiscError(
-                    f"endpoint layer {k} members intersect; not a thick interval")
+    for k in (i, j):
+        if set(profile.sigma_seq[k]) & set(profile.tau_seq[k]):
+            raise CharDiscError(
+                f"endpoint layer {k} members intersect; not a thick interval")
 
     lo = i % 2
     rows = [(lo, lo + 2 * widths[0])]

@@ -22,24 +22,18 @@ class LayerDecomposition:
 
 
 def layers(X: FlagComplex, V: Iterable[int], W: Iterable[int]) -> LayerDecomposition:
-    """All layers between V and W, with the sphere identities asserted."""
+    """All layers L_i = {x : d(x,V) = i, d(x,W) = n - i}, n = d(V, W).
+
+    In any graph d(x,V) + d(x,W) >= n, so L_i is also B_i(V) & B_{n-i}(W).
+    And L_{i+1} lies in S_1(L_i): from x in L_{i+1}, the next vertex y
+    towards V has d(y,V) = i and n - i <= d(y,W) <= d(x,W) + 1 = n - i.
+    """
     vset, wset = frozenset(V), frozenset(W)
     n = dist(X, vset, wset)
-    dv, dw = dist_map(X, vset), dist_map(X, wset)
-    out = []
-    for i in range(n + 1):
-        ball_cap = frozenset(x for x in dv
-                             if dv[x] <= i and dw.get(x, n + 1) <= n - i)
-        sphere_cap = frozenset(x for x in ball_cap if dv[x] == i and dw[x] == n - i)
-        if ball_cap != sphere_cap:
-            raise AssertionError(f"layer {i} differs from its sphere form")
-        out.append(ball_cap)
-    for i in range(n):
-        # the sphere form puts x outside L_i, so d(x, L_i) = 1 iff x has a
-        # neighbour in L_i
-        if any(X.adjacency[x].isdisjoint(out[i]) for x in out[i + 1]):
-            raise AssertionError(f"layer {i + 1} not inside S_1(layer {i})")
-    return LayerDecomposition(vset, wset, n, tuple(out))
+    dv, dw = dist_map(X, vset, radius=n), dist_map(X, wset, radius=n)
+    out = tuple(frozenset(x for x, d in dv.items() if d == i and dw.get(x) == n - i)
+                for i in range(n + 1))
+    return LayerDecomposition(vset, wset, n, out)
 
 
 @dataclass

@@ -16,7 +16,7 @@ from systolic.boundary import (C_DEFAULT, D_DEFAULT, GoodnessError,
 from systolic.complex import FlagComplex
 from systolic.eucgeo import euclidean_geodesic
 from systolic.generators import flat_parallelogram, flat_rectangle, gen_disc_with_degrees
-from systolic.metric import ProjectionError, all_geodesics, dist, dist_map
+from systolic.metric import ProjectionError, all_geodesics, dist, dist_map, graded_paths
 from systolic.suites import extremal_geodesic
 from test_chordality import cycle, triangular_torus
 
@@ -247,6 +247,36 @@ def test_atlas_capped_only_when_a_ray_was_cut():
     assert len(atlas.rays) == 43 and atlas.capped
     with pytest.raises(ValueError, match="cap must be at least 1"):
         boundary_atlas(X, 45, 4, cap=0)
+
+
+def test_atlas_rejects_a_negative_radius_before_any_sweep():
+    X = flat_rectangle(4, 3)
+    with pytest.raises(ValueError, match="N must be at least 0, got -1"):
+        boundary_atlas(X, 0, -1)
+    assert not X._dist_cache
+    atlas = boundary_atlas(X, 0, 0)
+    assert [ray.path for ray in atlas.rays] == [[0]] and atlas.classes == [[0]]
+
+
+def test_certificate_failures_pin_their_witnesses():
+    """At small C a certificate entry can exceed C + 1.  The least corner
+    geodesic of flat_parallelogram(8, 8) fails at C = 0, 1 and 2 with
+    pinned witnesses (i, j, k, distance) and is good at C = 3; an atlas at
+    C = 0 drops exactly the geodesics whose certificates fail."""
+    X = flat_parallelogram(8, 8)
+    path = next(all_geodesics(X, 0, 80))
+    for C, witness in enumerate([(0, 11, 6, 2), (0, 12, 8, 3), (0, 16, 8, 4)]):
+        assert is_good_geodesic(X, path, C) == (None, witness)
+    good, witness = is_good_geodesic(X, path, 3)
+    assert witness is None and good.path == path
+    X = flat_rectangle(10, 5)
+    atlas = boundary_atlas(X, 0, 8, C=0)
+    paths = list(graded_paths(X, 0, dist_map(X, (0,)), 1, 8))
+    kept = [ray.path for ray in atlas.rays]
+    dropped = [p for p in paths if p not in kept]
+    assert (len(paths), len(kept)) == (162, 160)
+    assert dropped == [[0, 1, 2, 3, 9, 16, 22, 29, 35], [0, 6, 13, 19, 26, 32, 33, 34, 35]]
+    assert [is_good_geodesic(X, p, 0)[1] for p in dropped] == [(0, 8, 3, 2), (0, 8, 5, 2)]
 
 
 def test_atlas_report_deterministic():

@@ -21,6 +21,7 @@ from systolic.metric import dist, dist_map, directed_geodesic, is_geodesic_path
 from systolic.suites import extremal_geodesic
 
 from oracles import bfs_oracle
+from test_boundary import perturbed
 
 HALF = Fraction(1, 2)
 
@@ -352,3 +353,28 @@ def test_euclidean_geodesic_sweeps_stop_at_its_balls():
             ball = [(w, d) for w, d in bfs_oracle(X.adjacency, end).items() if d <= eg.n]
             assert list(fresh._dist_cache[frozenset(end)].dist.items()) == ball
     assert thick >= 5
+
+
+def test_deltas_lie_in_their_layers_on_perturbed_inputs():
+    """Wherever euclidean_geodesic returns on seeded perturbed rectangles
+    and discs, delta_k lies in layer k of a plain BFS, delta_0 = sigma and
+    delta_n = tau: the facts its docstring proves rather than checks."""
+    returned, thick = 0, 0
+    for seed in range(12):
+        rng = random.Random(seed)
+        base = flat_rectangle(8, 6) if seed % 2 == 0 else gen_disc_with_degrees(seed, rings=3)
+        X = perturbed(base, rng, 1 + seed % 3)
+        far = [(u, w) for u in X.vertices
+               for w, d in bfs_oracle(X.adjacency, (u,)).items() if u < w and d >= 4]
+        for u, w in rng.sample(far, 60):
+            try:
+                eg = euclidean_geodesic(X, (u,), (w,))
+            except ValueError:
+                continue  # a witness against the perturbed input
+            du, dw = bfs_oracle(X.adjacency, (u,)), bfs_oracle(X.adjacency, (w,))
+            assert eg.deltas[0] == (u,) and eg.deltas[eg.n] == (w,)
+            for k, delta in enumerate(eg.deltas):
+                assert all(du[v] == k and dw[v] == eg.n - k for v in delta), (u, w, k)
+            returned += 1
+            thick += bool(eg.intervals)
+    assert returned >= 500 and thick >= 40

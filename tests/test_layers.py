@@ -1,10 +1,11 @@
 """Layer decompositions, thickness profiles, and the layer lemma report."""
 
+import itertools
 import random
 
 import pytest
 
-from systolic.complex import FlagComplex
+from systolic.complex import FlagComplex, shortest_hole
 from systolic.generators import flat_parallelogram, flat_rectangle, gen_disc_with_degrees
 from systolic.layers import (ThicknessProfile, layers, thickness_profile,
                              verify_layer_lemmas, verify_profile_lemmas)
@@ -54,6 +55,40 @@ def test_layers_close_identities():
         for j in range(i + 1, dec.n + 1):
             dm = dist_map(X, dec.layers[i])
             assert all(dm[x] == j - i for x in dec.layers[j])
+
+
+def random_connected_graph(rng, n, density):
+    """A seeded connected graph on n vertices: a random spanning tree plus
+    each other pair with probability `density`."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    edges |= {(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < density}
+    return FlagComplex.from_edges(sorted(edges))
+
+
+def test_layers_match_bfs_oracle_on_random_graphs():
+    """layers() is the sphere form {x : d(x,V) = i, d(x,W) = n - i} of a
+    plain BFS on seeded random connected graphs, most of them not systolic;
+    the ball form B_i(V) & B_{n-i}(W) is the same set and every vertex of
+    L_{i+1} has a neighbour in L_i, the identities its docstring proves."""
+    rng = random.Random(16)
+    not_systolic = 0
+    for _ in range(300):
+        X = random_connected_graph(rng, rng.randint(2, 14), rng.choice((0.05, 0.15, 0.3)))
+        V = rng.sample(X.vertices, rng.randint(1, 2))
+        W = rng.sample(X.vertices, rng.randint(1, 2))
+        dv, dw = bfs_oracle(X.adjacency, V), bfs_oracle(X.adjacency, W)
+        n = min(dv[w] for w in W)
+        dec = layers(X, V, W)
+        assert dec.n == n
+        assert dec.layers == tuple(
+            frozenset(x for x in X.vertices if dv[x] == i and dw[x] == n - i)
+            for i in range(n + 1))
+        for i, layer in enumerate(dec.layers):
+            assert layer == {x for x in X.vertices if dv[x] <= i and dw[x] <= n - i}
+            if i:
+                assert all(X.adjacency[x] & dec.layers[i - 1] for x in layer)
+        not_systolic += shortest_hole(X, 5) is not None
+    assert not_systolic >= 100
 
 
 def test_thickness_profile_identical_sequences():
