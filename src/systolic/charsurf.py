@@ -60,13 +60,16 @@ class CharDisc:
 
 
 def check_row_stack(stack: RowStack) -> None:
-    """The shape rule of a characteristic disc: thin end rows around at
-    least one row, left ends stepping by 1/2.
+    """The shape rule of a characteristic disc, whose left ends step by 1/2.
 
-    Such a stack spans a wide flat disc on its defining loop iff its right
-    ends step by 1/2 too.  Raises CharDiscError naming the rows.
+    The stack spans a flat disc on its defining loop (wide when its end
+    rows are thin) iff its right ends step by 1/2 too and thin end rows
+    enclose at least one row.  Raises CharDiscError naming the rows.
     """
     rows, first = stack.rows, stack.first_row
+    if stack.widths[0] == stack.widths[-1] == 1 and len(rows) < 3:
+        raise CharDiscError(f"rows {first}..{first + 1}: thin end rows "
+                            "need a row between them")
     for k in range(len(rows) - 1):
         step = rows[k + 1][1] - rows[k][1]
         if abs(step) != 1:
@@ -81,7 +84,7 @@ def build_char_disc(X: FlagComplex, profile: ThicknessProfile, interval) -> Char
     s_k, t_k are the first of the profile's pairs realizing |s_k t_k| per
     layer (the shape is choice-independent).
     """
-    if interval not in profile.thick_intervals:
+    if tuple(interval) not in profile.thick_intervals:
         raise ValueError(f"{interval} is not a thick interval of the profile")
     i, j = interval
     widths, pairs = profile.thickness[i:j + 1], profile.pairs[i:j + 1]

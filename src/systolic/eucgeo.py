@@ -44,17 +44,19 @@ def modified_disc(cd: CharDisc) -> RowStack:
 
 
 def cat0_diagonal(cd: CharDisc) -> PolyPath:
-    """Exact CAT(0) geodesic of the modified disc between its endpoints,
-    the points its width-1 end rows trim to."""
+    """Exact CAT(0) geodesic of the modified disc between its endpoints."""
     md = modified_disc(cd)
-    return polygon_geodesic(md, (md.first_row, Fraction(md.rows[0][0], 2)),
-                            (md.last_row, Fraction(md.rows[-1][0], 2)))
+    (lo0, hi0), (lom, him) = md.rows[0], md.rows[-1]
+    if lo0 != hi0 or lom != him:
+        raise ValueError("diagonal endpoints require point rows (thin endpoints)")
+    return polygon_geodesic(md, (md.first_row, Fraction(lo0, 2)),
+                            (md.last_row, Fraction(lom, 2)))
 
 
 def euclidean_diagonal(cd: CharDisc, diagonal: PolyPath | None = None) -> dict[int, Simplex]:
     """Per interior layer: the interior row vertex (or interior edge, on an
     exact barycenter tie) nearest the diagonal's crossing; never the row
-    endpoints.  Interior rows are thick layers, so each has such a vertex."""
+    endpoints."""
     i, j = cd.interval
     if diagonal is None:
         diagonal = cat0_diagonal(cd)
@@ -62,6 +64,8 @@ def euclidean_diagonal(cd: CharDisc, diagonal: PolyPath | None = None) -> dict[i
     for k in range(i + 1, j):
         rel = k - i
         a = cd.stack.widths[rel]
+        if a < 2:
+            raise AssertionError(f"interior layer {k} of a thick interval has width {a}")
         x = diagonal.x_at(k)
         # the crossing sits t / den lattice steps right of the row's left end
         den = 2 * x.denominator
@@ -82,7 +86,8 @@ def euclidean_geodesic(X: FlagComplex, sigma, tau) -> EuclideanGeodesic:
     one is the `characteristic_image` of row-interior disc vertices, which
     keeps only layer-k candidates and raises on an empty image.  And
     delta_0 = sigma, as tau_0, tau's last projection, lies in
-    B_0(sigma) = sigma; likewise delta_n = tau.
+    B_0(sigma) = sigma; likewise delta_n = tau.  At n = 0 the sphere check
+    makes each endpoint a face of the other, so sigma = tau is one thin layer.
     """
     sigma = tuple(sorted(sigma)) if not isinstance(sigma, int) else (sigma,)
     tau = tuple(sorted(tau)) if not isinstance(tau, int) else (tau,)
@@ -93,20 +98,13 @@ def euclidean_geodesic(X: FlagComplex, sigma, tau) -> EuclideanGeodesic:
     ds, dt = dist_map(X, sigma, radius=n), dist_map(X, tau, radius=n)
     if any(dt.get(v) != n for v in sigma) or any(ds.get(v) != n for v in tau):
         raise ValueError("endpoints must lie inside each other's n-sphere")
-    if n == 0:
-        if sigma != tau:
-            raise ValueError("distinct simplices at distance 0")
-        prof = thickness_profile(X, [sigma], [tau])
-        return EuclideanGeodesic(sigma, tau, 0, prof, [sigma], [])
 
     sigma_seq = directed_geodesic(X, sigma, frozenset(tau))
     tau_seq = list(reversed(directed_geodesic(X, tau, frozenset(sigma))))
     profile = thickness_profile(X, sigma_seq, tau_seq, sigma=sigma, tau=tau)
 
-    deltas: list[Simplex | None] = [None] * (n + 1)
-    for k in range(n + 1):
-        if profile.thin[k]:
-            deltas[k] = tuple(sorted(set(sigma_seq[k]) | set(tau_seq[k])))
+    deltas: list[Simplex | None] = [tuple(sorted(set(a) | set(b))) if thin else None
+                                    for a, b, thin in zip(sigma_seq, tau_seq, profile.thin)]
 
     intervals = []
     for (i, j) in profile.thick_intervals:

@@ -85,6 +85,8 @@ def test_partial_interval_disc():
         with pytest.raises(ValueError, match=re.escape(str(part))) as exc:
             build_char_disc(X, prof, part)
         assert type(exc.value) is ValueError
+    # a thick interval given as a list is the same interval
+    assert build_char_disc(X, prof, [i, j]).stack == build_char_disc(X, prof, (i, j)).stack
 
 
 def test_surface_on_flat_instance_is_congruent_embedding():
@@ -375,11 +377,18 @@ def stacks(n_rows, widths, steps):
 
 
 def char_disc_stacks():
-    """Every row stack build_char_disc can reach with up to 5 rows of width
-    <= 4: thin end rows around one to three thick ones."""
-    for n_rows in (3, 4, 5):
-        for interior in itertools.product(range(2, 5), repeat=n_rows - 2):
-            yield from stacks(n_rows, [(1, *interior, 1)], (-1, 1))
+    """Row stacks with left ends stepping by 1/2: every one with up to 4 rows
+    of width <= 4 whose end rows are thin around thick ones (none, for two
+    rows) or whose rows are all thick, and every 5-row one of width <= 4
+    with thin end rows around three thick ones, the shape of every disc
+    build_char_disc makes at that length."""
+    for n_rows in (2, 3, 4):
+        for widths in itertools.product(range(1, 5), repeat=n_rows):
+            thin = widths[0] == widths[-1] == 1
+            if min(widths[1:-1] if thin else widths, default=2) >= 2:
+                yield from stacks(n_rows, [widths], (-1, 1))
+    for interior in itertools.product(range(2, 5), repeat=3):
+        yield from stacks(5, [(1, *interior, 1)], (-1, 1))
 
 
 def test_shape_rule_matches_generic_audits():

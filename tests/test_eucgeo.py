@@ -135,6 +135,21 @@ def test_euclidean_geodesic_trivial_cases():
     eg = euclidean_geodesic(X, (v,), (w,))
     assert eg.deltas == [(v,), (w,)]
     assert all(eg.profile.thin)
+    # distinct simplices at distance 0: one is not inside the other's 0-sphere
+    for sigma, tau in (((v, w), (v,)), ((v,), (v, w))):
+        with pytest.raises(ValueError, match="n-sphere"):
+            euclidean_geodesic(X, sigma, tau)
+
+
+def test_diagonal_needs_point_end_rows_and_thick_interior_rows():
+    """The diagonal runs between point rows of the modified disc, so a disc
+    with wide end rows is refused; an interior row of width 1 has no
+    interior vertex to pick."""
+    for widths in ([2, 3, 2], [1, 2, 2], [2, 2, 1]):
+        with pytest.raises(ValueError, match="point rows"):
+            cat0_diagonal(synthetic_disc(widths, [-1, 1]))
+    with pytest.raises(AssertionError, match="interior layer 1 .* width 1"):
+        euclidean_diagonal(synthetic_disc([1, 1, 1], [-1, 1]))
 
 
 def test_euclidean_geodesic_tracks_straight_segment():
