@@ -153,9 +153,15 @@ def characteristic_image(X: FlagComplex, sigma, tau, cd: CharDisc,
     surfaces, via single-vertex substitutions off one base surface.
 
     Interior disc vertices: layer-k vertices adjacent to the base images of
-    all disc neighbors.  Boundary vertices: the ends of the row's realizing
-    pairs whose other end is the opposite representative.  The result is
-    validated to be a simplex.
+    all disc neighbors.  Such a vertex has neighbours in both adjacent
+    rows, and in any graph a common neighbour of vertices in layers k - 1
+    and k + 1 lies in layer k; so the layer filter removes a candidate only
+    when a surface row leaves its layer.  On systolic input layers are
+    convex and rows are geodesics between layer-k ends, so it never does;
+    on other input the filter alone keeps a thick delta_k in layer k.
+    Boundary vertices: the ends of the row's realizing pairs whose other end
+    is the opposite representative.  The result is validated to be a
+    simplex.
     """
     rho = tuple(sorted(rho))
     if not rho or any(b not in cd.stack.neighbours(a) for a, b in combinations(rho, 2)):

@@ -191,7 +191,8 @@ def chordless_cycle(X: FlagComplex) -> tuple[int, ...] | None:
           not adjacent to v, so x is a possible inner vertex; then either
           x ~ a, or (B) joins x and a.
     Just before p is visited, p weighs at least as much as v, and u is a
-    visited neighbour of v not adjacent to p, so (B) gives the path.
+    visited neighbour of v not adjacent to p, so (B) gives the path, and
+    the uncapped `_close_cycle` always finds one.
     """
     adj = X.adjacency
     visit: dict[int, int] = {}
@@ -206,10 +207,7 @@ def chordless_cycle(X: FlagComplex) -> tuple[int, ...] | None:
             p = max(earlier, key=visit.__getitem__)
             bad = [u for u in earlier if u != p and u not in adj[p]]
             if bad:
-                cycle = _close_cycle(adj, v, min(bad), p)
-                if cycle is None:
-                    raise AssertionError(f"no path closes {v}: search order broken")
-                return cycle
+                return _close_cycle(adj, v, min(bad), p)
         visit[v] = len(visit)
         for x in adj[v]:
             if x not in visit:

@@ -53,13 +53,11 @@ def cat0_diagonal(cd: CharDisc) -> PolyPath:
                             (md.last_row, Fraction(lom, 2)))
 
 
-def euclidean_diagonal(cd: CharDisc, diagonal: PolyPath | None = None) -> dict[int, Simplex]:
+def euclidean_diagonal(cd: CharDisc, diagonal: PolyPath) -> dict[int, Simplex]:
     """Per interior layer: the interior row vertex (or interior edge, on an
-    exact barycenter tie) nearest the diagonal's crossing; never the row
-    endpoints."""
+    exact barycenter tie) nearest the crossing of `diagonal`, the disc's
+    `cat0_diagonal`; never the row endpoints."""
     i, j = cd.interval
-    if diagonal is None:
-        diagonal = cat0_diagonal(cd)
     out: dict[int, Simplex] = {}
     for k in range(i + 1, j):
         rel = k - i
@@ -81,27 +79,29 @@ def euclidean_diagonal(cd: CharDisc, diagonal: PolyPath | None = None) -> dict[i
 def euclidean_geodesic(X: FlagComplex, sigma, tau) -> EuclideanGeodesic:
     """The Euclidean geodesic between simplices sigma and tau.
 
+    Each endpoint must lie in the other's n-sphere, n = d(sigma, tau).  A
+    simplex's vertices lie within 1 of each other, so the directed geodesic
+    from sigma has n + 1 members when sigma lies in S_n(tau), and n + 2
+    when it meets S_{n+1}(tau) too: the two lengths decide the condition.
+    At n = 0 it makes each endpoint a face of the other, so sigma = tau.
+
     Each delta_k lies in layer k by construction.  A thin one is
-    sigma_k | tau_k, which `thickness_profile` has placed there.  A thick
-    one is the `characteristic_image` of row-interior disc vertices, which
-    keeps only layer-k candidates and raises on an empty image.  And
-    delta_0 = sigma, as tau_0, tau's last projection, lies in
-    B_0(sigma) = sigma; likewise delta_n = tau.  At n = 0 the sphere check
-    makes each endpoint a face of the other, so sigma = tau is one thin layer.
+    sigma_k | tau_k, which `thickness_profile` has placed there, between
+    the ends sigma and tau: tau_0, tau's last projection, lies in
+    B_0(sigma) = sigma, and likewise sigma_n lies in tau.  A thick one is
+    the `characteristic_image` of row-interior disc vertices, which keeps
+    only layer-k candidates and raises on an empty image.
     """
     sigma = tuple(sorted(sigma)) if not isinstance(sigma, int) else (sigma,)
     tau = tuple(sorted(tau)) if not isinstance(tau, int) else (tau,)
     if not X.is_simplex(sigma) or not X.is_simplex(tau):
         raise ValueError("endpoints must be simplices")
     n = dist(X, sigma, tau)
-    # every layer between sigma and tau lies within n of both
-    ds, dt = dist_map(X, sigma, radius=n), dist_map(X, tau, radius=n)
-    if any(dt.get(v) != n for v in sigma) or any(ds.get(v) != n for v in tau):
-        raise ValueError("endpoints must lie inside each other's n-sphere")
-
     sigma_seq = directed_geodesic(X, sigma, frozenset(tau))
     tau_seq = list(reversed(directed_geodesic(X, tau, frozenset(sigma))))
-    profile = thickness_profile(X, sigma_seq, tau_seq, sigma=sigma, tau=tau)
+    if len(sigma_seq) != n + 1 or len(tau_seq) != n + 1:
+        raise ValueError("endpoints must lie inside each other's n-sphere")
+    profile = thickness_profile(X, sigma_seq, tau_seq)
 
     deltas: list[Simplex | None] = [tuple(sorted(set(a) | set(b))) if thin else None
                                     for a, b, thin in zip(sigma_seq, tau_seq, profile.thin)]
@@ -188,7 +188,9 @@ def cat0_closeness_check(X: FlagComplex, p_path: list[int],
                          eg: EuclideanGeodesic) -> Fraction:
     """Max horizontal distance between the CAT(0) diagonal of each thick
     interval for (p_k), (r_k) and the r-side boundary rows, where r threads
-    the Euclidean geodesic."""
+    the Euclidean geodesic.  `thickness_profile` checks that p runs through
+    the layers between {p_0, r_0} and {p_n, r_n}, faces of sigma and tau at
+    distance n = d(sigma, tau): so p runs between sigma and tau."""
     r_path = thread_vertex_path(X, eg)
     if len(p_path) != len(r_path):
         raise ValueError("paths must have equal length")
@@ -196,7 +198,7 @@ def cat0_closeness_check(X: FlagComplex, p_path: list[int],
         raise ValueError("p must join the same endpoint simplices")
     p_seq = [(v,) for v in p_path]
     r_seq = [(v,) for v in r_path]
-    profile = thickness_profile(X, p_seq, r_seq, sigma=eg.sigma, tau=eg.tau)
+    profile = thickness_profile(X, p_seq, r_seq)
     worst = Fraction(0)
     for (i, j) in profile.thick_intervals:
         cd = build_char_disc(X, profile, (i, j))

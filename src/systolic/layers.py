@@ -47,21 +47,11 @@ class ThicknessProfile:
 
     def __post_init__(self):
         self.thin = [t <= 1 for t in self.thickness]
-        self.thick_intervals = []
-        n = len(self.thickness) - 1
-        k = 0
-        while k <= n:
-            if not self.thin[k]:
-                i = k - 1
-                j = k
-                while j <= n and not self.thin[j]:
-                    j += 1
-                if i < 0 or j > n:
-                    raise AssertionError("thick run touches an endpoint layer")
-                self.thick_intervals.append((i, j))
-                k = j
-            else:
-                k += 1
+        if self.thin and not (self.thin[0] and self.thin[-1]):
+            raise ValueError("thick run touches an endpoint layer")
+        # between thin end layers, each thick run lies between consecutive thin layers
+        thin_at = [k for k, thin in enumerate(self.thin) if thin]
+        self.thick_intervals = [(i, j) for i, j in zip(thin_at, thin_at[1:]) if j > i + 1]
 
 
 def maximizing_pairs(X: FlagComplex, sigma: Simplex, tau: Simplex):
@@ -78,8 +68,7 @@ def maximizing_pairs(X: FlagComplex, sigma: Simplex, tau: Simplex):
     return best, sorted(pairs)
 
 
-def thickness_profile(X: FlagComplex, sigma_seq, tau_seq,
-                      sigma=None, tau=None) -> ThicknessProfile:
+def thickness_profile(X: FlagComplex, sigma_seq, tau_seq) -> ThicknessProfile:
     """Per-layer max distance between sigma_k and tau_k with its realizing
     pairs, thin flags, and the maximal thick intervals (thin endpoints,
     interior all thick).
@@ -89,27 +78,36 @@ def thickness_profile(X: FlagComplex, sigma_seq, tau_seq,
     vertex and 1 otherwise, realized by every pair of distinct vertices.
     A thick layer's width and pairs come from `maximizing_pairs`, whose
     sweeps the characteristic disc reads again.
-    The sequences must march through the layers between sigma and tau, with
-    consecutive members spanning simplices.
+
+    The sequences must march, with nonempty members and consecutive ones
+    spanning simplices, through the layers between their ends, the
+    simplices S = sigma_0 | tau_0 and T = sigma_n | tau_n.  Given the spans,
+    each vertex x of a layer-k member has d(x, S) <= k and d(x, T) <= n - k,
+    while d(x, S) + d(x, T) >= d(S, T) in any graph: so every such x lies
+    in layer k iff d(S, T) = n, the one layer check.  The end layers span
+    S and T, so they are thin.  For n >= 1 a non-simplex end would also
+    fail later, as a thick end layer; for n = 0 no span check reads the
+    one member pair, so only the end check rejects sigma_0 = {0, 2},
+    tau_0 = {1} on the path 0-1-2.
     """
     sigma_seq = [tuple(sorted(s)) for s in sigma_seq]
     tau_seq = [tuple(sorted(t)) for t in tau_seq]
     if len(sigma_seq) != len(tau_seq):
         raise ValueError("sequences must share their layer range")
+    if not all(sigma_seq) or not all(tau_seq):
+        raise ValueError("members must be nonempty")
     n = len(sigma_seq) - 1
-    if sigma is None:
-        sigma = set(sigma_seq[0]) | set(tau_seq[0])
-    if tau is None:
-        tau = set(sigma_seq[-1]) | set(tau_seq[-1])
-    ds, dt = dist_map(X, sigma, radius=n), dist_map(X, tau, radius=n)
-    for k in range(n + 1):
-        for v in sigma_seq[k] + tau_seq[k]:
-            if ds.get(v) != k or dt.get(v) != n - k:
-                raise ValueError(f"vertex {v} is not in layer {k}")
+    S = sorted(set(sigma_seq[0]) | set(tau_seq[0]))
+    T = sorted(set(sigma_seq[-1]) | set(tau_seq[-1]))
+    if not X.is_simplex(S) or not X.is_simplex(T):
+        raise ValueError("end members must span simplices")
     for k in range(n):
         for a, b in ((sigma_seq[k], sigma_seq[k + 1]), (tau_seq[k], tau_seq[k + 1])):
             if not X.is_simplex(sorted(set(a) | set(b))):
                 raise ValueError(f"members at layers {k},{k + 1} do not span a simplex")
+    d = dist(X, S, T)
+    if d != n:
+        raise ValueError(f"the ends lie {d} apart, not {n}")
     thickness, pairs = [], []
     for sig, tau_k in zip(sigma_seq, tau_seq):
         span = set(sig) | set(tau_k)
@@ -154,13 +152,13 @@ def verify_profile_lemmas(profile: ThicknessProfile) -> list[str]:
     return failures
 
 
-def verify_layer_lemmas(X: FlagComplex, V, W, rng=None) -> dict:
+def verify_layer_lemmas(X: FlagComplex, V, W, rng) -> dict:
     """Report on the layer structure between convex V and W.
 
     For interior layers and the unions of consecutive interior layers:
     chordality (no induced cycle of any length >= 4).  For every layer: no
     isometric trapezoid in its 1-skeleton.  Between consecutive layers: the
-    unit difference bound on up to 50 sampled cross-layer edge pairs.
+    unit difference bound on up to 50 cross-layer edge pairs drawn by `rng`.
     Failures are report entries, each falsifying systolicity of the input.
     """
     dec = layers(X, V, W)
@@ -181,8 +179,6 @@ def verify_layer_lemmas(X: FlagComplex, V, W, rng=None) -> dict:
         if cycle is not None:
             failures.append(f"layers {i},{i + 1} union has induced cycle {cycle}")
 
-    import random
-    rng = rng or random.Random(0)
     cross = []
     for i in range(dec.n):
         li, lj = dec.layers[i], dec.layers[i + 1]

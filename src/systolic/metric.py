@@ -257,10 +257,11 @@ def directed_geodesic(X: FlagComplex, sigma: Iterable[int], W: Iterable[int]) ->
     """Simplex sequence from sigma to the convex subcomplex W by iterated
     projection onto shrinking balls around W.
 
-    Requires sigma inside a single sphere S_n(W), or meeting S_n(W) and
-    S_{n-1}(W) (then the sequence starts with the inner intersection).
-    Every ball B_m(W) is read off the one distance map of W, which need
-    reach only m = d(sigma, W): sigma's vertices lie at m or m + 1.
+    With m = d(sigma, W), sigma lies in the sphere S_m(W), or meets S_m(W)
+    and S_{m+1}(W): its vertices lie within 1 of each other.  In the second
+    case the sequence goes on with the inner part, sigma & S_m(W).  Every
+    ball B_k(W), k < m, is read off the one distance map of W, which need
+    reach only m.
     """
     sigma = tuple(sorted(sigma))
     wset = frozenset(W)
@@ -268,19 +269,13 @@ def directed_geodesic(X: FlagComplex, sigma: Iterable[int], W: Iterable[int]) ->
         raise ValueError(f"{sigma} is not a simplex")
     m = dist(X, wset, sigma)
     dm = dist_map(X, wset, radius=m)
-    dists = {dm.get(v, m + 1) for v in sigma}
-    n = max(dists)
-    if dists == {n} or (n > 0 and dists == {n, n - 1}):
-        pass
-    else:
-        raise ValueError(f"sigma spreads over spheres {sorted(dists)} around W")
     seq = [sigma]
-    if len(dists) == 2:
-        sigma = tuple(v for v in sigma if dm.get(v) == n - 1)
-        n -= 1
+    inner = tuple(v for v in sigma if dm.get(v) == m)
+    if inner != sigma:
+        sigma = inner
         seq.append(sigma)
-    for m in range(n - 1, -1, -1):
-        sigma = _project(X, sigma, dm, m)
+    for k in range(m - 1, -1, -1):
+        sigma = _project(X, sigma, dm, k)
         seq.append(sigma)
     return seq
 

@@ -154,9 +154,10 @@ def _suite_layers(config: SuiteConfig, report: SuiteReport) -> None:
                             f"{'ok' if not res['failures'] and not prof_failures else 'FAILED'}")
 
 
-def _sample_subsegments(rng: random.Random, n: int, k: int = 4):
+def _sample_subsegments(rng: random.Random, n: int):
+    """(0, n) and up to three more random subsegments (l, m), sorted."""
     pairs = {(0, n)}
-    while len(pairs) < k and n >= 2:
+    while len(pairs) < 4 and n >= 2:
         l = rng.randrange(0, n)
         m = rng.randrange(l + 1, n + 1)
         pairs.add((l, m))

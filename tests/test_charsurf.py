@@ -252,6 +252,32 @@ def test_characteristic_image_takes_every_boundary_candidate():
             assert img == tuple(sorted(ends))
 
 
+def test_characteristic_image_keeps_only_layer_k_candidates():
+    """A common neighbour of images in layers k - 1 and k + 1 lies in layer
+    k, so the layer filter bites only when a surface row leaves its layer.
+    No generated input has such a surface, so the base surface is edited by
+    hand around an interior vertex u of row k: its neighbours in row k - 1
+    go to c and all the others to a, where a is the image of u's left
+    neighbour and c that of the row k - 1 vertex beside both.  a and c have
+    two common neighbours: u's image, in layer k, and one in layer k - 1."""
+    X, c0, c1, sseq, tseq, prof = instance(flat_parallelogram, 8, 2)
+    (iv,) = prof.thick_intervals
+    cd = build_char_disc(X, prof, iv)
+    surf = build_char_surface(X, cd)
+    rel, k = 3, iv[0] + 3
+    left, u = cd.stack.ids[rel][:2]
+    (up,) = [w for w in cd.stack.neighbours(u) & cd.stack.neighbours(left)
+             if cd.stack.place(w)[0] == rel - 1]
+    a, c = surf[left], surf[up]
+    edited = dict(surf)
+    for w in cd.stack.neighbours(u):
+        edited[w] = c if cd.stack.place(w)[0] == rel - 1 else a
+    ds = dist_map(X, (c0,))
+    common = X.adjacency[a] & X.adjacency[c]
+    assert sorted(ds[z] for z in common) == [k - 1, k] and surf[u] in common
+    assert characteristic_image(X, (c0,), (c1,), cd, edited, (u,)) == (surf[u],)
+
+
 def test_characteristic_image_equals_all_surface_span():
     cases = [instance(flat_parallelogram, 8, 2),
              instance(flat_rectangle, 10, 3)]

@@ -96,7 +96,7 @@ def test_cat0_diagonal_slope_bound():
 def test_euclidean_diagonal_symmetric_middle_vertex():
     cd = synthetic_disc([1, 2, 3, 4, 3, 2, 1],
                         [-1, -1, -1, 1, 1, 1])
-    rho = euclidean_diagonal(cd)
+    rho = euclidean_diagonal(cd, cat0_diagonal(cd))
     mid_row = cd.stack.ids[3]
     assert rho[3] == (mid_row[len(mid_row) // 2],)
     for k, r in rho.items():
@@ -120,7 +120,7 @@ def test_euclidean_diagonal_barycenter_tie_gives_edge():
 def test_euclidean_diagonal_never_contains_row_ends():
     # crossing nearest a row end still picks the interior neighbor
     cd = synthetic_disc([1, 2, 2, 2, 1], [-1, 1, 1, 1])
-    rho = euclidean_diagonal(cd)
+    rho = euclidean_diagonal(cd, cat0_diagonal(cd))
     for k, r in rho.items():
         rel = k - cd.interval[0]
         assert set(r) <= set(cd.stack.ids[rel][1:-1])
@@ -139,6 +139,9 @@ def test_euclidean_geodesic_trivial_cases():
     for sigma, tau in (((v, w), (v,)), ((v,), (v, w))):
         with pytest.raises(ValueError, match="n-sphere"):
             euclidean_geodesic(X, sigma, tau)
+    u = next(x for x in X.vertices if x != v and x not in X.adjacency[v])
+    with pytest.raises(ValueError, match="^endpoints must be simplices$"):
+        euclidean_geodesic(X, (v, u), (w,))
 
 
 def test_diagonal_needs_point_end_rows_and_thick_interior_rows():
@@ -149,7 +152,8 @@ def test_diagonal_needs_point_end_rows_and_thick_interior_rows():
         with pytest.raises(ValueError, match="point rows"):
             cat0_diagonal(synthetic_disc(widths, [-1, 1]))
     with pytest.raises(AssertionError, match="interior layer 1 .* width 1"):
-        euclidean_diagonal(synthetic_disc([1, 1, 1], [-1, 1]))
+        cd = synthetic_disc([1, 1, 1], [-1, 1])
+        euclidean_diagonal(cd, cat0_diagonal(cd))
 
 
 def test_euclidean_geodesic_tracks_straight_segment():
@@ -259,6 +263,10 @@ def test_cat0_closeness():
     eg = euclidean_geodesic(X, (c0,), (c1,))
     r = thread_vertex_path(X, eg)
     assert cat0_closeness_check(X, r, eg) == 0   # p = r: no thick intervals
+    with pytest.raises(ValueError, match="^paths must have equal length$"):
+        cat0_closeness_check(X, r[:-1], eg)
+    with pytest.raises(ValueError, match="^p must join the same endpoint simplices$"):
+        cat0_closeness_check(X, r[::-1], eg)
     for largest in (False, True):
         p = extremal_geodesic(X, c0, c1, largest)
         val = cat0_closeness_check(X, p, eg)

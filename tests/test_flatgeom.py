@@ -1,5 +1,6 @@
 """Defects, Gauss-Bonnet, flat embeddings, and exact CAT(0) geodesics."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -60,7 +61,7 @@ def test_is_flat():
 
 
 def test_as_disc_rejects_non_discs():
-    with pytest.raises(DiscError):
+    with pytest.raises(DiscError, match="^boundary is not a union of disjoint cycles$"):
         as_disc(FlagComplex.from_edges([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)]))
 
 
@@ -250,10 +251,51 @@ def test_geodesic_stationary_on_rectangle_diagonals():
 
 def test_geodesic_endpoint_validation():
     disc = RowStack(0, ((0, 2), (0, 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^start point outside its row interval$"):
         polygon_geodesic(disc, (0, Fraction(5)), (1, Fraction(0)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^end point outside its row interval$"):
+        polygon_geodesic(disc, (0, Fraction(0)), (1, Fraction(3, 2)))
+    with pytest.raises(ValueError, match="^endpoints must lie on the first and last rows$"):
         polygon_geodesic(disc, (1, Fraction(0)), (0, Fraction(0)))
+    # one row: the path is its single point, so the endpoints must coincide
+    row = RowStack(3, ((1, 5),))
+    assert polygon_geodesic(row, (3, Fraction(2)), (3, Fraction(2))) == PolyPath(3, (2,))
+    with pytest.raises(ValueError, match="^degenerate disc with distinct endpoints$"):
+        polygon_geodesic(row, (3, Fraction(1)), (3, Fraction(2)))
+
+
+def moebius_strip():
+    """Triangles (i, i+1, i+2) mod 7: one boundary cycle (edges i, i+2),
+    Euler characteristic 0."""
+    return FlagComplex.from_edges([(i, (i + d) % 7) for i in range(7) for d in (1, 2)])
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)], "not a nonempty connected complex"),
+    ([], "not a nonempty connected complex"),
+    ([(0, 1), (1, 2), (2, 3), (1, 3)], r"edge \(0, 1\) lies in 0 triangles"),
+    ([(a, b) for a, b in itertools.combinations(range(6), 2) if b - a != 3],
+     "no boundary edges"),                                 # octahedron, a sphere
+    ([(i, (i + 1) % 4) for i in range(4)] + [(4 + i, 4 + (i + 1) % 4) for i in range(4)]
+     + [(i, 4 + i) for i in range(4)] + [(i, 4 + (i + 1) % 4) for i in range(4)],
+     "boundary has more than one cycle"),                  # an annulus
+    (moebius_strip().edges(), "Euler characteristic is not 1"),
+    # Moebius strip and octahedron wedged at vertex 0: Euler characteristic 1
+    (moebius_strip().edges() + [(0, 7), (0, 8), (0, 9), (0, 10), (7, 8), (8, 9), (9, 10),
+                                (10, 7), (11, 7), (11, 8), (11, 9), (11, 10)],
+     "vertex 0 link disconnected"),
+])
+def test_as_disc_names_each_fault(edges, message):
+    with pytest.raises(DiscError, match=f"^{message}$"):
+        as_disc(FlagComplex.from_edges(edges))
+
+
+def test_is_flat_boundary_witness():
+    # a fan of five triangles at boundary vertex 0: defect 3 - 5 = -2
+    disc = as_disc(FlagComplex.from_edges(
+        [(0, i) for i in range(1, 7)] + [(i, i + 1) for i in range(1, 6)]))
+    assert defect(disc, 0) == -2
+    assert is_flat(disc) == (False, ("boundary", 0))
 
 
 def test_d_close():

@@ -193,6 +193,27 @@ def test_profile_layer_mismatch_errors():
         thickness_profile(X, bad, tseq)
 
 
+def test_profile_input_errors():
+    """On the path 0-1-2-3, every check of `thickness_profile` and the thin
+    end rule of a hand-built `ThicknessProfile` raise ValueError."""
+    X = FlagComplex.from_edges([(0, 1), (1, 2), (2, 3)])
+    for a, b, message in (
+            # the ends {0, 2} and {1, 3} are not simplices
+            ([(0,), (1,)], [(2,), (3,)], "end members must span simplices"),
+            # with no layer step, {0, 2} has only adjacent pairs across to {1}
+            ([(0, 2)], [(1,)], "end members must span simplices"),
+            ([(0,), (1,)], [(0,)], "sequences must share their layer range"),
+            ([(0,), ()], [(0,), (1,)], "members must be nonempty"),
+            ([(0,), (2,)], [(0,), (2,)], "members at layers 0,1 do not span a simplex"),
+            # the ends {0, 1} and {1} meet, but the sequences take one step
+            ([(0,), (1,)], [(1,), (1,)], "the ends lie 0 apart, not 1")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            thickness_profile(X, a, b)
+    assert thickness_profile(X, [(0,), (1,)], [(0,), (1,)]).thickness == [0, 0]
+    with pytest.raises(ValueError, match="^thick run touches an endpoint layer$"):
+        ThicknessProfile([(0,), (1,)], [(2,), (3,)], [2, 2], [[(0, 2)], [(1, 3)]])
+
+
 def test_verify_layer_lemmas_flat():
     X = flat_rectangle(5, 3)
     c0, c1 = corner_pair(X)

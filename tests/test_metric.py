@@ -531,3 +531,29 @@ def test_unknown_or_empty_target_leaves_no_sweep():
     with pytest.raises(KeyError):
         dist(X, 1, (999,))
     assert X._dist_cache[frozenset((1,))].radius == 2
+
+
+def test_input_checks_name_their_fault():
+    """Each input check of the metric layer, reached by a hand-built input:
+    the path 0-1-2-3, a chordless square, and two disjoint edges."""
+    path = FlagComplex.from_edges([(0, 1), (1, 2), (2, 3)])
+    square = cycle(4)
+    two = FlagComplex.from_edges([(0, 1), (2, 3)])
+    for call, message in (
+            (lambda: dist_map(path, ()), "empty source set"),
+            (lambda: ball(path, (0,), -1), "radius must be >= 0"),
+            (lambda: sphere(path, (0,), -1), "radius must be >= 0"),
+            (lambda: is_convex(path, ()), "empty subcomplex"),
+            (lambda: residue(path, (0, 2)), r"\(0, 2\) is not a simplex"),
+            (lambda: projection(path, (0, 2), (1,)), r"\(0, 2\) is not a simplex"),
+            (lambda: projection(path, (0,), (3,)), r"\(0,\) is not contained in S_1\(Y\)"),
+            (lambda: directed_geodesic(path, (0, 2), (3,)), r"\(0, 2\) is not a simplex"),
+            (lambda: all_geodesics(two, 0, 2), "u and v lie in different components")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+    # {0, 1, 2} is connected but misses 3, on the other geodesic from 0 to 2
+    assert not is_convex(square, (0, 1, 2)) and is_convex(square, (0, 1))
+    assert not is_geodesic_path(path, [])
+    assert not is_geodesic_path(path, [0, 2])              # not an edge
+    assert not is_geodesic_path(square, [0, 1, 2, 3])      # 0 and 3 are adjacent
+    assert is_geodesic_path(path, [0, 1, 2, 3])
