@@ -7,8 +7,10 @@ geodesics of length N under the all-indices threshold D = 3C + 2.
 A certificate reads the Euclidean geodesic of every subsegment.  Those of
 at most three edges have closed forms read off projections onto balls
 (Januszkiewicz-Swiatkowski, "Simplicial nonpositive curvature", Publ.
-IHES 104, 2006); longer ones are built.  Every result for a subsegment of
-two or more edges is memoised per endpoint pair.
+IHES 104, 2006), which are read off neighbourhoods with no sweep grown;
+longer ones are built.  Every result for a subsegment of two or more edges
+is memoised per endpoint pair.  An atlas certifies each prefix of its rays
+once, and classes no level that D already decides.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from itertools import islice
 
 from .complex import FlagComplex
 from .eucgeo import euclidean_geodesic, thread_vertex_path
-from .metric import (ProjectionError, _project, dist, dist_map, graded_paths,
-                     is_geodesic_path)
+from .metric import ProjectionError, dist, dist_map, graded_paths, is_geodesic_path
 
 C_DEFAULT = 208          # universal constant serving both verification suites
 ATLAS_CAP = 20000        # geodesics an atlas certifies at most
@@ -55,15 +56,22 @@ class GoodGeodesic:
 def is_good_geodesic(X: FlagComplex, path: list[int], C: int = C_DEFAULT):
     """Certify a 1-skeleton geodesic as good, or return the first violation.
 
-    Returns (GoodGeodesic, None) or (None, witness (i, j, k, distance)).
+    Returns (GoodGeodesic, None) or (None, witness (i, j, k, distance)),
+    the witness first in the order of `_certify`.  A path that is not a
+    geodesic raises ValueError; the library's own callers pass geodesics
+    by construction and skip this check.
     """
+    if not is_geodesic_path(X, path):
+        raise ValueError("path is not a 1-skeleton geodesic")
     return _certify(X, path, C, {})
 
 
 def _certify(X: FlagComplex, path: list[int], C: int,
              memo: dict[tuple[int, int], list]):
-    """is_good_geodesic, reading the Euclidean geodesic of each endpoint pair
-    (path[i], path[j]) from `memo` (its deltas) and filling in the misses.
+    """is_good_geodesic on a path known to be a geodesic, reading the
+    Euclidean geodesic of each endpoint pair (path[i], path[j]) from `memo`
+    (its deltas) and filling in the misses.  Pairs run by i, then j, and
+    the first entry above C + 1 is the witness.
 
     Two facts spare work without changing a result or an error:
     - j - i <= 3: the geodesic has a closed form (`_short_deltas`, or
@@ -75,20 +83,29 @@ def _certify(X: FlagComplex, path: list[int], C: int,
       `dist`, whose sweep from path[k] stops at the first level meeting
       delta instead of labelling the whole component.
     """
-    if not is_geodesic_path(X, path):
-        raise ValueError("path is not a 1-skeleton geodesic")
     cert: dict[tuple[int, int, int], int] = {}
     n = len(path) - 1
     for i in range(n):
         for j in range(i + 1, n + 1):
-            deltas = _subsegment_deltas(X, path[i], path[j], j - i, memo)
-            for k in range(i, j + 1):
-                v, delta = path[k], deltas[k - i]
-                d = 0 if v in delta else dist(X, v, delta)
-                cert[(i, j, k)] = d
-                if d > C + 1:
-                    return None, (i, j, k, d)
+            witness = _pair_entries(X, path, i, j, C, memo, cert)
+            if witness is not None:
+                return None, witness
     return GoodGeodesic(list(path), C, cert), None
+
+
+def _pair_entries(X: FlagComplex, path: list[int], i: int, j: int, C: int,
+                  memo: dict[tuple[int, int], list],
+                  cert: dict[tuple[int, int, int], int]):
+    """Write the entries (i, j, k) of `path` into `cert`, stopping at and
+    returning the first witness (i, j, k, distance) above C + 1, or None."""
+    deltas = _subsegment_deltas(X, path[i], path[j], j - i, memo)
+    for k in range(i, j + 1):
+        v, delta = path[k], deltas[k - i]
+        d = 0 if v in delta else dist(X, v, delta)
+        cert[(i, j, k)] = d
+        if d > C + 1:
+            return i, j, k, d
+    return None
 
 
 def _subsegment_deltas(X: FlagComplex, a: int, c: int, n: int,
@@ -110,8 +127,9 @@ def _subsegment_deltas(X: FlagComplex, a: int, c: int, n: int,
 
 def _short_deltas(X: FlagComplex, a: int, c: int, n: int) -> list:
     """The deltas of the Euclidean geodesic between vertices a and c at
-    distance n = 2 or 3, with no geodesic built, raising what
-    `euclidean_geodesic` raises on non-systolic input.
+    distance n = 2 or 3, read off neighbourhoods with no sweep grown and no
+    geodesic built, raising what `euclidean_geodesic` raises on
+    non-systolic input.
 
     n = 2: the projection of a onto B_1(c) is N(a) & N(c), and so is that
     of c onto B_1(a); both directed-geodesic members of layer 1 are this
@@ -127,26 +145,49 @@ def _short_deltas(X: FlagComplex, a: int, c: int, n: int) -> list:
     is a simplex, and the deltas are [(a,), L_1, L_2, (c,)].  These
     inclusions hold in any flag complex, so only four projections can
     fail: a onto B_2(c), L_1 onto B_1(c), c onto B_2(a) and L_2 onto
-    B_1(a).  They run here in the build's order on the same distance maps;
-    the last step of each chain, onto c or onto a, cannot fail.
+    B_1(a), which run here in the build's order with its messages; the
+    last step of each chain, onto c or onto a, cannot fail.
+
+    No distance map is needed.  A neighbour x of a lies 2 to 4 from c, as
+    d(a, c) = 3, so x is in B_2(c) exactly when N(x) meets N(c): the
+    projection of a onto B_2(c) is {x in N(a) : N(x) & N(c) nonempty}.  A
+    common neighbour u of L_1, inside S_2(c), lies at least 1 from c, so it
+    is in B_1(c) exactly when it is in N(c): the projection of L_1 onto
+    B_1(c) is N(c) & the N(x), x in L_1.  The side of c is symmetric.
     """
+    adjacency = X.adjacency
     if n == 2:
-        mid = tuple(sorted(X.adjacency[a] & X.adjacency[c]))
-        if not X.is_simplex(mid):
-            raise ProjectionError(f"projection of {(a,)} is not a simplex: {mid}")
+        mid = _checked_projection(X, (a,), adjacency[a] & adjacency[c])
         return [(a,), mid, (c,)]
-    dc, da = dist_map(X, (c,), radius=3), dist_map(X, (a,), radius=3)
-    first = _project(X, (a,), dc, 2)
-    _project(X, first, dc, 1)
-    last = _project(X, (c,), da, 2)
-    _project(X, last, da, 1)
-    return [(a,), first, last, (c,)]
+    layers = []
+    for end, far in ((a, c), (c, a)):
+        near = adjacency[far]
+        layer = _checked_projection(
+            X, (end,), [x for x in adjacency[end] if not adjacency[x].isdisjoint(near)])
+        _checked_projection(X, layer, near.intersection(*(adjacency[x] for x in layer)))
+        layers.append(layer)
+    return [(a,), *layers, (c,)]
+
+
+def _checked_projection(X: FlagComplex, sigma: tuple, pi) -> tuple:
+    """The projection of sigma with vertex set pi, sorted, raising the
+    ProjectionError of `metric._project` when it is empty or not a simplex."""
+    pi = tuple(sorted(pi))
+    if not pi:
+        raise ProjectionError(f"projection of {sigma} is empty")
+    if not X.is_simplex(pi):
+        raise ProjectionError(f"projection of {sigma} is not a simplex: {pi}")
+    return pi
 
 
 def make_good_geodesic(X: FlagComplex, v: int, w: int, C: int = C_DEFAULT) -> GoodGeodesic:
     """A good geodesic from v to w: thread the Euclidean geodesic between
     them and certify the result, reusing that geodesic for the whole path.
-    Certification failure is a hard error."""
+    Certification failure is a hard error.
+
+    The threaded path needs no geodesic check: it has one edge per layer of
+    a Euclidean geodesic of length n = d(v, w), so its n edges join v to w.
+    """
     eg = euclidean_geodesic(X, (v,), (w,))
     path = thread_vertex_path(X, eg)
     good, witness = _certify(X, path, C, {(v, w): eg.deltas})
@@ -233,14 +274,21 @@ def boundary_atlas(X: FlagComplex, O: int, N: int, D: int = D_DEFAULT,
     the threshold relation is only transitive in the limit) plus the
     distance matrix of class representatives.
 
-    Rays are certified by `_certify` with one shared memo, so each endpoint
-    pair at distance >= 2 has its Euclidean geodesic computed once for all
-    its rays: by a closed form below distance 4, by a build from there.
+    Rays are certified by `_certify_prefixes` with one shared memo, so
+    each endpoint pair at distance >= 2 has its Euclidean geodesic computed
+    once for all its rays (by a closed form below distance 4, by a build
+    from there), and each prefix has its entries computed once for all the
+    rays through it.  A geodesic of `graded_paths` needs no geodesic check:
+    its distance from O grows by one at each of its N edges, so it ends N
+    from O.  Every ray carries its complete certificate.
+
     The rays related to ray a are the AND over i of the rays whose i-th
     vertex lies within D of a's, kept as int bitsets.  Level-i vertices
     of rays lie within 2i of each other through O, so levels with 2i <= D
     relate every pair and are skipped; the others read sweeps grown only to
-    radius D, and the representative matrix reads `dist`.
+    radius D, and the representative matrix reads `dist`.  When N <= D // 2
+    no level is left, and the one class and zero violations are written
+    down with no scan of the pairs.
     """
     if cap < 1:
         raise ValueError(f"cap must be at least 1, got {cap}")
@@ -251,13 +299,63 @@ def boundary_atlas(X: FlagComplex, O: int, N: int, D: int = D_DEFAULT,
         raise ValueError(f"N exceeds the eccentricity of {O}")
     paths = list(islice(graded_paths(X, O, ecc_map, 1, N), cap + 1))
     capped = len(paths) > cap
+    rays = _certify_prefixes(X, paths[:cap], C)
+    if N <= D // 2:
+        classes, violations = ([list(range(len(rays)))] if rays else []), 0
+    else:
+        classes, violations = _classing(X, rays, N, D)
+    reps = [rays[g[0]].path[N] for g in classes]
+    matrix = [[dist(X, p, q) for q in reps] for p in reps]
+    return BoundaryAtlas(O, N, D, rays, classes, violations, matrix, capped)
+
+
+def _certify_prefixes(X: FlagComplex, paths: list[list[int]],
+                      C: int) -> list[GoodGeodesic]:
+    """The good ones among `paths`, geodesics of one length in the DFS
+    order of `graded_paths`, certified with one memo over their shared
+    prefixes.
+
+    The entries (i, j, k) of a path, its level j, depend only on its prefix
+    through index j.  So a path keeps the certificates of the prefixes it
+    shares with the path before it, and extends the longest one level by
+    level, computing only the entries (i, j, k) of each new level j.  The
+    first level holding an entry above C + 1 fails its prefix, and the
+    paths after it that share that prefix are dropped with nothing
+    computed, since every certificate of such a path holds the failing
+    entry.  Each good path gets its own complete certificate, equal to
+    `is_good_geodesic`'s.  Pairs run by j, then i, where `_certify` runs
+    by i, then j; on non-systolic input
+    test_atlas_raises_what_certifying_each_path_raises pins that this
+    raises what certifying the paths one by one raises.
+    """
     memo: dict[tuple[int, int], list] = {}
     rays = []
-    for p in paths[:cap]:
-        good, _ = _certify(X, p, C, memo)
-        if good is not None:
-            rays.append(good)
+    levels: list[dict] = []     # levels[j]: the certificate of prev[:j + 1]
+    prev: list[int] = []
+    failed = None               # the last index of prev's failing prefix
+    for p in paths:
+        shared = next((s for s, (u, w) in enumerate(zip(p, prev)) if u != w), len(prev))
+        prev = p
+        if failed is not None and failed < shared:
+            continue
+        failed = None
+        del levels[shared:]
+        for j in range(len(levels), len(p)):
+            cert = dict(levels[-1]) if levels else {}
+            if any(_pair_entries(X, p, i, j, C, memo, cert) is not None for i in range(j)):
+                failed = j
+                break
+            levels.append(cert)
+        else:
+            # the last level is p's alone: the next path differs from p
+            # at some index, and recomputes every level from there
+            rays.append(GoodGeodesic(p, C, levels[-1]))
+    return rays
 
+
+def _classing(X: FlagComplex, rays: list[GoodGeodesic], N: int, D: int):
+    """The classes of the rays under the closure of the all-indices
+    threshold D, and the transitivity failures of the raw relation."""
     full = (1 << len(rays)) - 1
     related = [full] * len(rays)
     for i in range(D // 2 + 1, N + 1):
@@ -292,10 +390,7 @@ def boundary_atlas(X: FlagComplex, O: int, N: int, D: int = D_DEFAULT,
         if above:
             for a in _bits(related[b] & ((1 << b) - 1)):
                 violations += (above & ~related[a]).bit_count()
-
-    reps = [rays[g[0]].path[N] for g in classes]
-    matrix = [[dist(X, p, q) for q in reps] for p in reps]
-    return BoundaryAtlas(O, N, D, rays, classes, violations, matrix, capped)
+    return classes, violations
 
 
 def _bits(mask: int) -> list[int]:

@@ -346,6 +346,12 @@ def _oracle_cases():
     # the two rays around a 9-cycle lie 4 apart at level 2 but 1 apart at
     # level 4: only a level i with D/2 < i <= D tells them apart
     yield cycle(9), 0, 4, 3, 2
+    # at the classing threshold: N = D // 2 classes no level, and
+    # N = D // 2 + 1 classes level N alone
+    for D, N, class_count in ((2, 1, 1), (2, 2, 2), (5, 2, 1), (5, 3, 2)):
+        yield two_sheets(6, 4), 0, N, D, class_count
+    for D, N, class_count in ((4, 2, 1), (4, 3, 3)):
+        yield spider(3, 4), 0, N, D, class_count
 
 
 def test_atlas_classing_matches_pairwise_oracle():
@@ -439,6 +445,50 @@ def test_atlas_computes_each_closed_form_once(monkeypatch):
     assert {n for _, _, n in pairs} == {2, 3}
 
 
+def test_atlas_certifies_each_prefix_once(monkeypatch):
+    """Prefix-shared certificates equal the per-path ones ray by ray, at
+    C = 0, 1, 2 and the default C.  Each level of each prefix is computed
+    once, no prefix extending a failing one is computed, and each ray owns
+    its certificate.  The per-path reference is `_certify` with one memo of
+    pure results, which agrees with `is_good_geodesic` ray by ray in
+    test_atlas_builds_one_euclidean_geodesic_per_pair; the dropped paths
+    are checked against `is_good_geodesic` itself."""
+    original = boundary._pair_entries
+    calls = Counter()
+
+    def counting(X, path, i, j, *args):
+        calls[tuple(path[:j + 1]), i] += 1
+        return original(X, path, i, j, *args)
+
+    for X, N, Cs in [(flat_rectangle(10, 5), 8, (C_DEFAULT, 2, 1, 0)),
+                     (flat_parallelogram(8, 8), 8, (C_DEFAULT, 2, 1, 0)),
+                     (flat_parallelogram(8, 8), 9, (0,))]:
+        paths = list(graded_paths(X, 0, dist_map(X, (0,)), 1, N))
+        memo = {}
+        full = [boundary._certify(X, p, C_DEFAULT, memo)[0].certificate for p in paths]
+        for C in Cs:
+            calls.clear()
+            monkeypatch.setattr(boundary, "_pair_entries", counting)
+            atlas = boundary_atlas(X, 0, N, C=C)
+            monkeypatch.undo()
+            alone = [boundary._certify(X, p, C, memo)[0] for p in paths]
+            kept = [(g.path, g.certificate) for g in alone if g is not None]
+            assert [(r.path, r.certificate) for r in atlas.rays] == kept
+            dropped = [p for p, g in zip(paths, alone) if g is None]
+            assert all(is_good_geodesic(X, p, C)[0] is None for p in dropped)
+            assert set(calls.values()) == {1}
+            failing = {tuple(p[:j + 1]) for p, cert in zip(paths, full)
+                       for (_, j, _), d in cert.items() if d > C + 1}
+            assert bool(dropped) == bool(failing) == (C == 0)
+            assert not any(q[:m] in failing for q, _ in calls for m in range(len(q)))
+        # every ray owns its certificate, shared levels included
+        before = [dict(r.certificate) for r in atlas.rays]
+        atlas.rays[0].certificate[(0, 1, 0)] = N
+        assert [r.certificate for r in atlas.rays[1:]] == before[1:]
+    # at N = 9 and C = 0 some prefixes fail at index 8 and extend to paths
+    assert any(len(q) < len(p) for q in failing for p in dropped if tuple(p[:len(q)]) == q)
+
+
 def _outcome(build):
     try:
         return build()
@@ -503,6 +553,46 @@ def test_short_subsegments_match_euclidean_geodesic_on_perturbed_inputs():
             total[n] += 1
             raised[n] += isinstance(built, tuple)
     assert all(0 < raised[n] < total[n] for n in (2, 3)), (raised, total)
+
+
+def test_three_edge_closed_forms_grow_no_sweep():
+    """At distance 3 the closed form reads neighbourhoods only: on a fresh
+    complex it grows no sweep, and it gives the built deltas."""
+    for make in (lambda: flat_rectangle(6, 4), lambda: gen_disc_with_degrees(3, rings=3)):
+        Y = make()
+        pairs = [(a, c) for a in Y.vertices for c, n in dist_map(Y, (a,)).items() if n == 3]
+        X = make()
+        for a, c in pairs:
+            assert boundary._subsegment_deltas(X, a, c, 3, {}) == \
+                euclidean_geodesic(Y, (a,), (c,)).deltas
+        assert pairs and not X._dist_cache
+
+
+def test_atlas_raises_what_certifying_each_path_raises():
+    """On non-systolic input, certifying over shared prefixes raises the
+    error that certifying the paths one by one, in order and with one memo,
+    raises, and keeps the same rays when nothing raises."""
+    rng = random.Random(5)
+    inputs = [cycle(4), cycle(6), triangular_torus(4), triangular_torus(5),
+              perturbed(flat_rectangle(5, 4), rng, 2),
+              perturbed(gen_disc_with_degrees(1, rings=2), rng, 3),
+              perturbed(flat_rectangle(6, 5), rng, 2)]
+    raised = 0
+    for X in inputs:
+        for O in X.vertices[:4]:
+            dm = dist_map(X, (O,))
+            for N in range(1, max(dm.values()) + 1):
+                for C in (0, C_DEFAULT):
+                    memo = {}
+                    alone = _outcome(lambda: [
+                        g.certificate for g, _ in (boundary._certify(X, p, C, memo)
+                                                   for p in graded_paths(X, O, dm, 1, N))
+                        if g is not None])
+                    atlas = _outcome(lambda: [r.certificate for r in
+                                              boundary_atlas(X, O, N, C=C).rays])
+                    assert atlas == alone, (O, N, C)
+                    raised += isinstance(alone, tuple)
+    assert raised > 0
 
 
 def test_atlas_sweeps_stop_near_the_rays():
