@@ -21,7 +21,7 @@ from itertools import islice
 
 from .complex import FlagComplex
 from .eucgeo import euclidean_geodesic, thread_vertex_path
-from .metric import ProjectionError, dist, dist_map, graded_paths, is_geodesic_path
+from .metric import _checked_projection, dist, dist_map, graded_paths, is_geodesic_path
 
 C_DEFAULT = 208          # universal constant serving both verification suites
 ATLAS_CAP = 20000        # geodesics an atlas certifies at most
@@ -167,17 +167,6 @@ def _short_deltas(X: FlagComplex, a: int, c: int, n: int) -> list:
         _checked_projection(X, layer, near.intersection(*(adjacency[x] for x in layer)))
         layers.append(layer)
     return [(a,), *layers, (c,)]
-
-
-def _checked_projection(X: FlagComplex, sigma: tuple, pi) -> tuple:
-    """The projection of sigma with vertex set pi, sorted, raising the
-    ProjectionError of `metric._project` when it is empty or not a simplex."""
-    pi = tuple(sorted(pi))
-    if not pi:
-        raise ProjectionError(f"projection of {sigma} is empty")
-    if not X.is_simplex(pi):
-        raise ProjectionError(f"projection of {sigma} is not a simplex: {pi}")
-    return pi
 
 
 def make_good_geodesic(X: FlagComplex, v: int, w: int, C: int = C_DEFAULT) -> GoodGeodesic:

@@ -24,7 +24,7 @@ from .flatgeom import TriangulatedDisc, as_disc
 from .generators import gen_flat_region
 from .lattice import RowStack
 from .layers import ThicknessProfile
-from .metric import dist, dist_map, all_geodesics
+from .metric import _interval_dist, all_geodesics, dist
 
 
 class CharDiscError(ValueError):
@@ -159,6 +159,7 @@ def characteristic_image(X: FlagComplex, sigma, tau, cd: CharDisc,
     when a surface row leaves its layer.  On systolic input layers are
     convex and rows are geodesics between layer-k ends, so it never does;
     on other input the filter alone keeps a thick delta_k in layer k.
+    Layers are read off the interval, `_interval_dist`: one sweep, sigma's.
     Boundary vertices: the ends of the row's realizing pairs whose other end
     is the opposite representative.  The result is validated to be a
     simplex.
@@ -167,7 +168,7 @@ def characteristic_image(X: FlagComplex, sigma, tau, cd: CharDisc,
     if not rho or any(b not in cd.stack.neighbours(a) for a, b in combinations(rho, 2)):
         raise ValueError(f"{rho} is not a simplex of the disc")
     n = dist(X, sigma, tau)
-    ds, dt = dist_map(X, sigma, radius=n), dist_map(X, tau, radius=n)
+    dt = _interval_dist(X, sigma, tau, n)
     out: set[int] = set()
     for u in rho:
         rel, h = cd.stack.place(u)
@@ -179,7 +180,7 @@ def characteristic_image(X: FlagComplex, sigma, tau, cd: CharDisc,
             k = cd.stack.first_row + rel
             nbs = [surface[w] for w in cd.stack.neighbours(u)]
             common = set.intersection(*(set(X.adjacency[img]) for img in nbs))
-            cands = {z for z in common if ds.get(z) == k and dt.get(z) == n - k}
+            cands = {z for z in common if dt.get(z) == n - k}
         out |= cands
     image = tuple(sorted(out))
     if not X.is_simplex(image):

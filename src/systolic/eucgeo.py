@@ -15,8 +15,8 @@ from .charsurf import CharDisc, build_char_disc, build_char_surface, characteris
 from .complex import FlagComplex, Simplex
 from .flatgeom import PolyPath, polygon_geodesic
 from .lattice import RowStack
-from .layers import ThicknessProfile, thickness_profile
-from .metric import dist, dist_map, directed_geodesic, spans_simplex
+from .layers import ThicknessProfile, _profile, thickness_profile
+from .metric import _directed, _interval_dist, dist, dist_map, directed_geodesic, spans_simplex
 
 
 @dataclass
@@ -85,23 +85,28 @@ def euclidean_geodesic(X: FlagComplex, sigma, tau) -> EuclideanGeodesic:
     when it meets S_{n+1}(tau) too: the two lengths decide the condition.
     At n = 0 it makes each endpoint a face of the other, so sigma = tau.
 
-    Each delta_k lies in layer k by construction.  A thin one is
-    sigma_k | tau_k, which `thickness_profile` has placed there, between
-    the ends sigma and tau: tau_0, tau's last projection, lies in
-    B_0(sigma) = sigma, and likewise sigma_n lies in tau.  A thick one is
-    the `characteristic_image` of row-interior disc vertices, which keeps
-    only layer-k candidates and raises on an empty image.
+    Only sigma's sweep runs: sigma's directed geodesic reads d(., tau) on
+    the interval alone, which yields every projection, and every
+    ProjectionError, of a full sweep of tau (`_interval_dist`).  `_profile`
+    skips `thickness_profile`'s checks, which hold by construction: members
+    are nonempty (an inner part keeps the vertices n from the other end,
+    an empty projection raises); consecutive ones span cliques (each is a
+    face, or common neighbours, of the one before); and tau_0, tau's last
+    projection, lies in B_0(sigma) = sigma, and sigma_n in tau, so the ends
+    are S = sigma and T = tau, n apart.  So each thin delta_k lies in layer
+    k; a thick one is the `characteristic_image` of row-interior disc
+    vertices, which keeps only layer-k candidates and raises if empty.
     """
     sigma = tuple(sorted(sigma)) if not isinstance(sigma, int) else (sigma,)
     tau = tuple(sorted(tau)) if not isinstance(tau, int) else (tau,)
     if not X.is_simplex(sigma) or not X.is_simplex(tau):
         raise ValueError("endpoints must be simplices")
     n = dist(X, sigma, tau)
-    sigma_seq = directed_geodesic(X, sigma, frozenset(tau))
+    sigma_seq = _directed(X, sigma, _interval_dist(X, sigma, tau, n), n)
     tau_seq = list(reversed(directed_geodesic(X, tau, frozenset(sigma))))
     if len(sigma_seq) != n + 1 or len(tau_seq) != n + 1:
         raise ValueError("endpoints must lie inside each other's n-sphere")
-    profile = thickness_profile(X, sigma_seq, tau_seq)
+    profile = _profile(X, sigma_seq, tau_seq)
 
     deltas: list[Simplex | None] = [tuple(sorted(set(a) | set(b))) if thin else None
                                     for a, b, thin in zip(sigma_seq, tau_seq, profile.thin)]

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .complex import FlagComplex, Simplex, chordless_cycle
-from .metric import dist, dist_map
+from .metric import _interval_dist, dist
 
 
 @dataclass(frozen=True)
@@ -27,12 +27,12 @@ def layers(X: FlagComplex, V: Iterable[int], W: Iterable[int]) -> LayerDecomposi
     In any graph d(x,V) + d(x,W) >= n, so L_i is also B_i(V) & B_{n-i}(W).
     And L_{i+1} lies in S_1(L_i): from x in L_{i+1}, the next vertex y
     towards V has d(y,V) = i and n - i <= d(y,W) <= d(x,W) + 1 = n - i.
+    The layers are the levels of `_interval_dist`, from V's sweep alone.
     """
     vset, wset = frozenset(V), frozenset(W)
     n = dist(X, vset, wset)
-    dv, dw = dist_map(X, vset, radius=n), dist_map(X, wset, radius=n)
-    out = tuple(frozenset(x for x, d in dv.items() if d == i and dw.get(x) == n - i)
-                for i in range(n + 1))
+    dw = _interval_dist(X, vset, wset, n)
+    out = tuple(frozenset(x for x, d in dw.items() if d == n - i) for i in range(n + 1))
     return LayerDecomposition(vset, wset, n, out)
 
 
@@ -88,7 +88,7 @@ def thickness_profile(X: FlagComplex, sigma_seq, tau_seq) -> ThicknessProfile:
     S and T, so they are thin.  For n >= 1 a non-simplex end would also
     fail later, as a thick end layer; for n = 0 no span check reads the
     one member pair, so only the end check rejects sigma_0 = {0, 2},
-    tau_0 = {1} on the path 0-1-2.
+    tau_0 = {1} on the path 0-1-2.  `euclidean_geodesic` calls `_profile`.
     """
     sigma_seq = [tuple(sorted(s)) for s in sigma_seq]
     tau_seq = [tuple(sorted(t)) for t in tau_seq]
@@ -108,6 +108,11 @@ def thickness_profile(X: FlagComplex, sigma_seq, tau_seq) -> ThicknessProfile:
     d = dist(X, S, T)
     if d != n:
         raise ValueError(f"the ends lie {d} apart, not {n}")
+    return _profile(X, sigma_seq, tau_seq)
+
+
+def _profile(X: FlagComplex, sigma_seq: list[Simplex], tau_seq: list[Simplex]) -> ThicknessProfile:
+    """`thickness_profile` on sorted members that pass its checks."""
     thickness, pairs = [], []
     for sig, tau_k in zip(sigma_seq, tau_seq):
         span = set(sig) | set(tau_k)

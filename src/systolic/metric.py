@@ -15,6 +15,7 @@ within r; only a map asked for with `radius=None` is complete, never
 changes again, and may be iterated.
 
 Geodesics come from one lazy, uncapped lexicographic walk, `graded_paths`.
+Intervals are walked back from one end on the other's sweep alone.
 """
 
 from __future__ import annotations
@@ -48,7 +49,12 @@ class _Sweep:
         self.radius = 0
 
 
-def _new_sweep(X: FlagComplex, key: frozenset[int]) -> _Sweep:
+def _sweep(X: FlagComplex, key: frozenset[int]) -> _Sweep:
+    """The cached sweep from key, made the most recent, or a new one."""
+    sweep = X._dist_cache.get(key)
+    if sweep is not None:
+        X._dist_cache.move_to_end(key)
+        return sweep
     if not key:
         raise ValueError("empty source set")
     for v in key:
@@ -100,13 +106,7 @@ def dist_map(X: FlagComplex, sources: Iterable[int], *,
     when asked with `radius=None`: then it holds the sources' whole
     component and never changes again.  Otherwise look vertices up.
     """
-    key = frozenset(sources)
-    cache = X._dist_cache
-    sweep = cache.get(key)
-    if sweep is None:
-        sweep = _new_sweep(X, key)
-    else:
-        cache.move_to_end(key)
+    sweep = _sweep(X, frozenset(sources))
     if radius is None:
         radius = _WHOLE
     if sweep.radius < radius:
@@ -125,11 +125,7 @@ def dist(X: FlagComplex, A: Iterable[int] | int, B: Iterable[int] | int) -> int:
     for b in targets:
         if b not in X.adjacency:
             raise KeyError(b)
-    sweep = X._dist_cache.get(key)
-    if sweep is None:
-        sweep = _new_sweep(X, key)
-    else:
-        X._dist_cache.move_to_end(key)
+    sweep = _sweep(X, key)
     dm = sweep.dist
     best = None
     for b in targets:
@@ -173,15 +169,8 @@ def is_convex(X: FlagComplex, Y: Iterable[int]) -> bool:
     if not X.induced(ys).is_connected():
         return False
     yset = frozenset(ys)
-    for i, u in enumerate(ys):
-        du = dist_map(X, (u,))
-        for v in ys[i + 1:]:
-            duv = du[v]
-            dv = dist_map(X, (v,))
-            for w in du:
-                if w not in yset and du[w] + dv.get(w, duv + 1) == duv:
-                    return False
-    return True
+    return all(yset.issuperset(_interval_dist(X, (u,), (v,), dist(X, u, v)))
+               for i, u in enumerate(ys) for v in ys[i + 1:])
 
 
 def residue(X: FlagComplex, sigma: Iterable[int]) -> list[Simplex]:
@@ -196,25 +185,26 @@ def residue(X: FlagComplex, sigma: Iterable[int]) -> list[Simplex]:
     return sorted(out, key=lambda s: (len(s), s))
 
 
-def _project(X: FlagComplex, sigma: Simplex, dm: dict[int, int], m: int) -> Simplex:
-    """Projection of sigma onto the ball B_m(Y), where dm is Y's distance map.
-
-    d(v, B_m(Y)) = max(0, d(v, Y) - m) in any graph, so the ball and its
-    first sphere are read off dm: sigma must lie where dm == m + 1, and the
-    projection is the set of common neighbours of sigma with dm <= m,
-    validated to be a nonempty simplex.
-    """
-    if any(dm.get(v) != m + 1 for v in sigma):
-        raise ValueError(f"{sigma} is not contained in S_1(Y)")
-    common = X.adjacency[sigma[0]]
-    for v in sigma[1:]:
-        common = common & X.adjacency[v]
-    pi = tuple(sorted(u for u in common if dm.get(u, m + 1) <= m))
+def _checked_projection(X: FlagComplex, sigma: Simplex, pi: Iterable[int]) -> Simplex:
+    """The projection pi of sigma, sorted: a ProjectionError if empty or no simplex."""
+    pi = tuple(sorted(pi))
     if not pi:
         raise ProjectionError(f"projection of {sigma} is empty")
     if not X.is_simplex(pi):
         raise ProjectionError(f"projection of {sigma} is not a simplex: {pi}")
     return pi
+
+
+def _project(X: FlagComplex, sigma: Simplex, dm: dict[int, int], m: int) -> Simplex:
+    """Projection of sigma, inside S_{m+1}(Y), onto B_m(Y), where dm is Y's
+    distance map: the common neighbours of sigma with dm <= m, as d(v, B_m(Y))
+    = max(0, d(v, Y) - m) in any graph.  `projection` checks where sigma
+    lies; directed-geodesic steps and `projection_witness` place it there.
+    """
+    common = X.adjacency[sigma[0]]
+    for v in sigma[1:]:
+        common = common & X.adjacency[v]
+    return _checked_projection(X, sigma, (u for u in common if dm.get(u, m + 1) <= m))
 
 
 def projection_witness(X: FlagComplex, o: int) -> tuple[Simplex, int, str] | None:
@@ -250,7 +240,10 @@ def projection(X: FlagComplex, sigma: Iterable[int], Y: Iterable[int]) -> Simple
     sigma = tuple(sorted(sigma))
     if not X.is_simplex(sigma):
         raise ValueError(f"{sigma} is not a simplex")
-    return _project(X, sigma, dist_map(X, Y, radius=1), 0)
+    dm = dist_map(X, Y, radius=1)
+    if any(dm.get(v) != 1 for v in sigma):
+        raise ValueError(f"{sigma} is not contained in S_1(Y)")
+    return _project(X, sigma, dm, 0)
 
 
 def directed_geodesic(X: FlagComplex, sigma: Iterable[int], W: Iterable[int]) -> list[Simplex]:
@@ -268,16 +261,33 @@ def directed_geodesic(X: FlagComplex, sigma: Iterable[int], W: Iterable[int]) ->
     if not X.is_simplex(sigma):
         raise ValueError(f"{sigma} is not a simplex")
     m = dist(X, wset, sigma)
-    dm = dist_map(X, wset, radius=m)
-    seq = [sigma]
+    return _directed(X, sigma, dist_map(X, wset, radius=m), m)
+
+
+def _directed(X: FlagComplex, sigma: Simplex, dm: dict[int, int], m: int) -> list[Simplex]:
+    """`directed_geodesic` from sigma, m = d(sigma, W), with dm giving d(., W)."""
     inner = tuple(v for v in sigma if dm.get(v) == m)
-    if inner != sigma:
-        sigma = inner
-        seq.append(sigma)
+    seq = [sigma] if inner == sigma else [sigma, inner]
     for k in range(m - 1, -1, -1):
-        sigma = _project(X, sigma, dm, k)
-        seq.append(sigma)
+        seq.append(_project(X, seq[-1], dm, k))
     return seq
+
+
+def _interval_dist(X: FlagComplex, V: Iterable[int], W: Iterable[int], n: int) -> dict[int, int]:
+    """d(., W) on I = {x : d(x, V) + d(x, W) = n}, n = d(V, W), from V's
+    sweep alone: walk back from W & S_n(V) to neighbours one level nearer
+    V, each in I, as k from V and within n - k of W.  In any graph, from x
+    in I, k from V, a neighbour u with d(u, W) < n - k lies in I, k + 1
+    from V: so the walk reaches all of I, and the projections of a directed
+    geodesic from V to W find on I every vertex they keep.
+    """
+    dv = dist_map(X, V, radius=n)
+    level = {w for w in W if dv.get(w) == n}
+    out = dict.fromkeys(level, 0)
+    for k in range(n - 1, -1, -1):
+        level = {u for x in level for u in X.adjacency[x] if dv.get(u) == k}
+        out.update(dict.fromkeys(level, n - k))
+    return out
 
 
 def spans_simplex(X: FlagComplex, *simplices: Iterable[int]) -> bool:

@@ -167,10 +167,11 @@ def test_euclidean_geodesic_tracks_straight_segment():
             assert abs(X.coords[v][1] - crossing) <= HALF
 
 
-def test_thin_euclidean_geodesic_runs_two_bfs():
-    """Without a thick interval the only BFS rows are those of sigma and tau:
-    directed geodesics read their balls off those rows, and thickness
-    decides every thin layer by one `is_simplex`, which runs no BFS."""
+def test_thin_euclidean_geodesic_runs_one_bfs():
+    """Without a thick interval the only BFS row is sigma's: both directed
+    geodesics read their balls off it, tau's side through the interval
+    walked back from tau, and thickness decides every thin layer by one
+    `is_simplex`, which runs no BFS."""
     X = gen_disc_with_degrees(1, rings=4)
     dm = dist_map(X, (0,))
     checked = 0
@@ -181,7 +182,7 @@ def test_thin_euclidean_geodesic_runs_two_bfs():
         eg = euclidean_geodesic(fresh, (0,), (v,))
         if eg.intervals:
             continue
-        assert set(fresh._dist_cache) == {frozenset((0,)), frozenset((v,))}
+        assert set(fresh._dist_cache) == {frozenset((0,))}
         checked += 1
     assert checked >= 20
 
@@ -361,9 +362,9 @@ def test_diagonal_close_to_rho_barycenter_path():
 
 
 def test_euclidean_geodesic_sweeps_stop_at_its_balls():
-    """Every layer between sigma and tau lies within n = |sigma tau| of both,
-    so their cached sweeps label exactly B_n(sigma) and B_n(tau), thick
-    intervals included."""
+    """The directed geodesics read sigma's sweep, which `dist` grows to
+    n = |sigma tau|: it labels exactly B_n(sigma), and tau has no sweep of
+    its own, thick intervals included."""
     X = gen_disc_with_degrees(3, rings=5)
     rng = random.Random(9)
     thick = 0
@@ -372,9 +373,9 @@ def test_euclidean_geodesic_sweeps_stop_at_its_balls():
         fresh = FlagComplex(X.adjacency)
         eg = euclidean_geodesic(fresh, (u,), (v,))
         thick += bool(eg.intervals)
-        for end in (eg.sigma, eg.tau):
-            ball = [(w, d) for w, d in bfs_oracle(X.adjacency, end).items() if d <= eg.n]
-            assert list(fresh._dist_cache[frozenset(end)].dist.items()) == ball
+        ball = [(w, d) for w, d in bfs_oracle(X.adjacency, eg.sigma).items() if d <= eg.n]
+        assert list(fresh._dist_cache[frozenset(eg.sigma)].dist.items()) == ball
+        assert frozenset(eg.tau) not in fresh._dist_cache
     assert thick >= 5
 
 
@@ -401,3 +402,27 @@ def test_deltas_lie_in_their_layers_on_perturbed_inputs():
             returned += 1
             thick += bool(eg.intervals)
     assert returned >= 500 and thick >= 40
+
+
+def test_profile_is_the_checked_thickness_profile():
+    """Wherever euclidean_geodesic returns on seeded perturbed rectangles and
+    discs, with vertex and edge endpoints, its profile, built without the
+    checks its docstring proves, passes them: it equals `thickness_profile`
+    of its own sequences."""
+    returned, thick = 0, 0
+    for seed in range(12):
+        rng = random.Random(seed)
+        base = flat_rectangle(8, 6) if seed % 2 == 0 else gen_disc_with_degrees(seed, rings=3)
+        X = perturbed(base, rng, 1 + seed % 3)
+        ends = [(v,) for v in X.vertices] + X.edges()
+        for _ in range(160):
+            sigma, tau = rng.choice(ends), rng.choice(ends)
+            try:
+                eg = euclidean_geodesic(X, sigma, tau)
+            except ValueError:
+                continue  # a witness against the input, or an edge over two spheres
+            p = eg.profile
+            assert p == thickness_profile(X, p.sigma_seq, p.tau_seq), (seed, sigma, tau)
+            returned += 1
+            thick += bool(eg.intervals)
+    assert returned >= 400 and thick >= 20, (returned, thick)

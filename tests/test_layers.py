@@ -244,3 +244,31 @@ def test_optional_layer_union_check_runs():
     c0, c1 = corner_pair(X)
     report = verify_layer_lemmas(X, {c0}, {c1}, rng=random.Random(0))
     assert report["ok"], report["failures"]
+
+
+def test_layers_match_two_bfs_definition_on_random_graphs():
+    """On 1,200 seeded random graphs, many disconnected, layers() equals the
+    two-BFS definition {x : d(x,V) = i, d(x,W) = n - i} of plain BFS from
+    both sides, or raises where V and W lie in different components."""
+    rng = random.Random(19)
+    split = disconnected = 0
+    for _ in range(1200):
+        size = rng.randint(1, 12)
+        density = rng.choice((0.1, 0.2, 0.35))
+        edges = [e for e in itertools.combinations(range(size), 2) if rng.random() < density]
+        X = FlagComplex.from_edges(edges, vertices=range(size))
+        V = rng.sample(range(size), rng.randint(1, min(3, size)))
+        W = rng.sample(range(size), rng.randint(1, min(3, size)))
+        dv, dw = bfs_oracle(X.adjacency, V), bfs_oracle(X.adjacency, W)
+        disconnected += len(bfs_oracle(X.adjacency, (0,))) < size
+        if not any(w in dv for w in W):
+            with pytest.raises(ValueError, match="^vertex sets lie in different components$"):
+                layers(X, V, W)
+            split += 1
+            continue
+        n = min(dv[w] for w in W if w in dv)
+        dec = layers(X, V, W)
+        assert dec.n == n
+        assert dec.layers == tuple(frozenset(x for x in dv if dv[x] == i and dw.get(x) == n - i)
+                                   for i in range(n + 1))
+    assert split >= 100 and disconnected - split >= 300, (split, disconnected)

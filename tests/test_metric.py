@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -557,3 +558,38 @@ def test_input_checks_name_their_fault():
     assert not is_geodesic_path(path, [0, 2])              # not an edge
     assert not is_geodesic_path(square, [0, 1, 2, 3])      # 0 and 3 are adjacent
     assert is_geodesic_path(path, [0, 1, 2, 3])
+
+
+def outcome(fn):
+    """fn's result, or the type and message of the exception it raises."""
+    try:
+        return fn()
+    except Exception as exc:  # the type and message are what the caller compares
+        return type(exc), str(exc)
+
+
+def test_directed_geodesic_read_off_the_interval_matches_its_own_sweep():
+    """On seeded perturbed rectangles and discs, with vertex and edge
+    endpoints, the directed geodesic from sigma that reads d(., tau) on the
+    interval alone, as `euclidean_geodesic` builds it, gives the sequence,
+    or the error type and message, that `directed_geodesic` gives with
+    tau's own sweep on a fresh complex."""
+    from test_boundary import perturbed
+    raised, returned = Counter(), 0
+    for seed in range(12):
+        rng = random.Random(seed)
+        base = flat_rectangle(7, 5) if seed % 2 == 0 else gen_disc_with_degrees(seed, rings=3)
+        X = perturbed(base, rng, 1 + seed % 3)
+        ends = [(v,) for v in X.vertices] + X.edges()
+        for _ in range(100):
+            sigma, tau = rng.choice(ends), rng.choice(ends)
+            n = dist(X, sigma, tau)
+            walked = outcome(lambda: metric._directed(
+                X, sigma, metric._interval_dist(X, sigma, tau, n), n))
+            swept = outcome(lambda: directed_geodesic(FlagComplex(X.adjacency), sigma, tau))
+            assert walked == swept, (seed, sigma, tau)
+            if isinstance(walked, tuple):
+                raised[walked[0]] += 1
+            else:
+                returned += 1
+    assert raised[ProjectionError] >= 20 and returned >= 600, (raised, returned)
