@@ -24,7 +24,7 @@ from .flatgeom import TriangulatedDisc, as_disc
 from .generators import gen_flat_region
 from .lattice import RowStack
 from .layers import ThicknessProfile
-from .metric import _interval_dist, all_geodesics, dist
+from .metric import all_geodesics, dist
 
 
 class CharDiscError(ValueError):
@@ -147,41 +147,36 @@ def build_char_surface(X: FlagComplex, cd: CharDisc) -> dict[int, int]:
     raise SurfaceError(f"no surface fills the disc for interval {cd.interval}")
 
 
-def characteristic_image(X: FlagComplex, sigma, tau, cd: CharDisc,
+def characteristic_image(X: FlagComplex, level: dict[int, int], cd: CharDisc,
                          surface: dict[int, int], rho) -> Simplex:
     """Span of the images of the disc simplex rho over all characteristic
     surfaces, via single-vertex substitutions off one base surface.
 
-    Interior disc vertices: layer-k vertices adjacent to the base images of
-    all disc neighbors.  Such a vertex has neighbours in both adjacent
-    rows, and in any graph a common neighbour of vertices in layers k - 1
-    and k + 1 lies in layer k; so the layer filter removes a candidate only
-    when a surface row leaves its layer.  On systolic input layers are
-    convex and rows are geodesics between layer-k ends, so it never does;
-    on other input the filter alone keeps a thick delta_k in layer k.
-    Layers are read off the interval, `_interval_dist`: one sweep, sigma's.
-    Boundary vertices: the ends of the row's realizing pairs whose other end
-    is the opposite representative.  The result is validated to be a
-    simplex.
+    Interior disc vertices: the vertices of layer k, read off the Euclidean
+    geodesic's layer map `level` (d(sigma, .) on I(sigma, tau), absent off
+    it), adjacent to the base images of all disc neighbours.  An interior
+    vertex has neighbours in both adjacent rows, and in any graph a common
+    neighbour of vertices in layers k - 1 and k + 1 lies in layer k: the
+    layer filter bites only when a surface row leaves its layer.  On systolic input layers are
+    convex and rows are geodesics between layer-k ends, so none does; on
+    other input the filter alone keeps a thick delta_k in layer k.
+    Boundary vertices: the ends of the row's realizing pairs whose other
+    end is the opposite representative.  The result is checked to be a simplex.
     """
     rho = tuple(sorted(rho))
     if not rho or any(b not in cd.stack.neighbours(a) for a, b in combinations(rho, 2)):
         raise ValueError(f"{rho} is not a simplex of the disc")
-    n = dist(X, sigma, tau)
-    dt = _interval_dist(X, sigma, tau, n)
     out: set[int] = set()
     for u in rho:
         rel, h = cd.stack.place(u)
         if h == 0:
-            cands = {s for s, t in cd.pairs[rel] if t == cd.t[rel]}
+            out.update(s for s, t in cd.pairs[rel] if t == cd.t[rel])
         elif h == cd.stack.widths[rel]:
-            cands = {t for s, t in cd.pairs[rel] if s == cd.s[rel]}
+            out.update(t for s, t in cd.pairs[rel] if s == cd.s[rel])
         else:
             k = cd.stack.first_row + rel
-            nbs = [surface[w] for w in cd.stack.neighbours(u)]
-            common = set.intersection(*(set(X.adjacency[img]) for img in nbs))
-            cands = {z for z in common if dt.get(z) == n - k}
-        out |= cands
+            nbs = [X.adjacency[surface[w]] for w in cd.stack.neighbours(u)]
+            out.update(z for z in nbs[0].intersection(*nbs[1:]) if level.get(z) == k)
     image = tuple(sorted(out))
     if not X.is_simplex(image):
         raise CharDiscError(f"characteristic image of {rho} is not a simplex: {image}")

@@ -326,9 +326,8 @@ def simply_connected_heuristic(X: FlagComplex) -> str:
         face = queue.popleft()
         if face not in simplices or len(cofaces[face]) != 1:
             continue
+        # a removed simplex leaves the coface sets of its faces, so top is present
         (top,) = cofaces[face]
-        if top not in simplices:
-            continue
         for s in (face, top):
             simplices.discard(s)
             for i in range(len(s)):

@@ -16,7 +16,7 @@ from .complex import FlagComplex, Simplex
 from .flatgeom import PolyPath, polygon_geodesic
 from .lattice import RowStack
 from .layers import ThicknessProfile, _profile, thickness_profile
-from .metric import _directed, _interval_dist, dist, dist_map, directed_geodesic, spans_simplex
+from .metric import _directed, _interval_dist, dist, dist_map, spans_simplex
 
 
 @dataclass
@@ -85,9 +85,10 @@ def euclidean_geodesic(X: FlagComplex, sigma, tau) -> EuclideanGeodesic:
     when it meets S_{n+1}(tau) too: the two lengths decide the condition.
     At n = 0 it makes each endpoint a face of the other, so sigma = tau.
 
-    Only sigma's sweep runs: sigma's directed geodesic reads d(., tau) on
-    the interval alone, which yields every projection, and every
-    ProjectionError, of a full sweep of tau (`_interval_dist`).  `_profile`
+    Only sigma's sweep runs, and I(sigma, tau) is walked once on it
+    (`_interval_dist`): sigma's directed geodesic reads d(., tau) on I, and
+    tau's, like every characteristic image, the layer map n - d(., tau),
+    each with every projection and ProjectionError of full sweeps.  `_profile`
     skips `thickness_profile`'s checks, which hold by construction: members
     are nonempty (an inner part keeps the vertices n from the other end,
     an empty projection raises); consecutive ones span cliques (each is a
@@ -102,8 +103,10 @@ def euclidean_geodesic(X: FlagComplex, sigma, tau) -> EuclideanGeodesic:
     if not X.is_simplex(sigma) or not X.is_simplex(tau):
         raise ValueError("endpoints must be simplices")
     n = dist(X, sigma, tau)
-    sigma_seq = _directed(X, sigma, _interval_dist(X, sigma, tau, n), n)
-    tau_seq = list(reversed(directed_geodesic(X, tau, frozenset(sigma))))
+    dt = _interval_dist(X, sigma, tau, n)
+    level = {x: n - d for x, d in dt.items()}
+    sigma_seq = _directed(X, sigma, dt, n)
+    tau_seq = _directed(X, tau, level, n)[::-1]
     if len(sigma_seq) != n + 1 or len(tau_seq) != n + 1:
         raise ValueError("endpoints must lie inside each other's n-sphere")
     profile = _profile(X, sigma_seq, tau_seq)
@@ -118,7 +121,7 @@ def euclidean_geodesic(X: FlagComplex, sigma, tau) -> EuclideanGeodesic:
         diagonal = cat0_diagonal(cd)
         rho = euclidean_diagonal(cd, diagonal)
         for k, rho_k in rho.items():
-            deltas[k] = characteristic_image(X, sigma, tau, cd, surface, rho_k)
+            deltas[k] = characteristic_image(X, level, cd, surface, rho_k)
         intervals.append(ThickIntervalData(cd, surface, diagonal, rho))
 
     return EuclideanGeodesic(sigma, tau, n, profile, deltas, intervals)

@@ -279,7 +279,10 @@ def _interval_dist(X: FlagComplex, V: Iterable[int], W: Iterable[int], n: int) -
     V, each in I, as k from V and within n - k of W.  In any graph, from x
     in I, k from V, a neighbour u with d(u, W) < n - k lies in I, k + 1
     from V: so the walk reaches all of I, and the projections of a directed
-    geodesic from V to W find on I every vertex they keep.
+    geodesic from V to W find on I every vertex they keep.  Symmetrically,
+    a neighbour u of x in I, m + 1 from V, with d(u, V) <= m has d(u, V) = m
+    and d(u, W) <= n - m, so u is in I: from W, inner part W & S_n(V) too, the
+    layer map {x: n - d} on I gives V's sweep's projections and errors.
     """
     dv = dist_map(X, V, radius=n)
     level = {w for w in W if dv.get(w) == n}

@@ -5,9 +5,10 @@ discs; the induced-path DFS for induced cycles; closed-form lattice
 distance and the point-group canonicalization of lattice placements; the
 isometric embedding of flat discs; the break-point enumeration oracle of
 `flatgeom.polygon_geodesic`; reordered realizing pairs, the all-surfaces
-enumeration and its product-of-rows reference, characteristic-image span
-and preimage decoder for characteristic discs; the minimal-surface search
-and the no-interior-vertex triangulability test.  Tests import them from here.
+enumeration and its product-of-rows reference, the layer map of an
+interval, characteristic-image span and preimage decoder for characteristic
+discs; the minimal-surface search and the no-interior-vertex
+triangulability test.  Tests import them from here.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from systolic.complex import FlagComplex, Simplex
 from systolic.flatgeom import PolyPath, TriangulatedDisc, as_disc, is_flat
 from systolic.generators import gen_flat_region
 from systolic.lattice import Point, RowStack
-from systolic.layers import ThicknessProfile
-from systolic.metric import dist, dist_map
+from systolic.layers import ThicknessProfile, layers
+from systolic.metric import dist_map
 
 
 def lattice_dist(p: Point, q: Point) -> int:
@@ -380,6 +381,12 @@ def char_image_oracle(X: FlagComplex, cd: CharDisc, rho, limit: int = 100000) ->
     return tuple(sorted(out))
 
 
+def layer_map(X: FlagComplex, sigma, tau) -> dict[int, int]:
+    """The layer of each vertex of the interval between sigma and tau, read
+    off the public `layers()`: the map `characteristic_image` takes."""
+    return {x: i for i, layer in enumerate(layers(X, sigma, tau).layers) for x in layer}
+
+
 def char_preimage(X: FlagComplex, sigma, tau, cd: CharDisc,
                   surface: dict[int, int], x: int) -> int:
     """The unique disc vertex whose characteristic image contains x.
@@ -387,12 +394,12 @@ def char_preimage(X: FlagComplex, sigma, tau, cd: CharDisc,
     Decodes by layer and image membership; ambiguity or absence raises (the
     preimage is single-valued on the characteristic image).
     """
-    n = dist(X, sigma, tau)
-    k = dist(X, (x,), sigma)
-    if dist(X, (x,), tau) != n - k or not cd.interval[0] <= k <= cd.interval[1]:
+    level = layer_map(X, sigma, tau)
+    k = level.get(x)
+    if k is None or not cd.interval[0] <= k <= cd.interval[1]:
         raise ValueError(f"vertex {x} lies outside the disc's layers")
     matches = [u for u in cd.stack.ids[k - cd.interval[0]]
-               if x in characteristic_image(X, sigma, tau, cd, surface, (u,))]
+               if x in characteristic_image(X, level, cd, surface, (u,))]
     if len(matches) != 1:
         raise CharDiscError(f"preimage of {x} is not unique: {matches}")
     return matches[0]

@@ -26,7 +26,7 @@ from systolic.metric import (all_geodesics, ball, dist, dist_map,
                              directed_geodesic, projection, sphere)
 from systolic.suites import SuiteConfig, extremal_geodesic, instance_suite, run_suite
 
-from oracles import (char_image_oracle, embed_flat_disc, lattice_dist,
+from oracles import (char_image_oracle, embed_flat_disc, lattice_dist, layer_map,
                      minimal_surface_bruteforce, polygon_geodesic_bruteforce,
                      random_flat_disc, shuffled_pairs)
 
@@ -244,6 +244,7 @@ def test_criterion_11_minimal_surface_oracle():
     for inst in corpus(SEED + 9, 24):
         X = inst.X
         eg = euclidean_geodesic(X, inst.sigma, inst.tau)
+        level = layer_map(X, inst.sigma, inst.tau)
         for data in eg.intervals:
             cd = data.disc
             rows = cd.stack.ids
@@ -258,8 +259,7 @@ def test_criterion_11_minimal_surface_oracle():
                 area_checked += 1
             if len(cd.stack.widths) <= 5:
                 for u in cd.disc.complex.vertices:
-                    img = characteristic_image(X, inst.sigma, inst.tau, cd,
-                                               data.surface, (u,))
+                    img = characteristic_image(X, level, cd, data.surface, (u,))
                     assert img == char_image_oracle(X, cd, (u,))
                     image_checked += 1
     assert area_checked >= 1 and image_checked >= 1
@@ -298,3 +298,8 @@ def test_criterion_13_layer_lemmas():
         count += 1
     print(f"PASS 13 layer lemmas: infinity-largeness, no-trapezoid, and the "
           f"unit difference bound hold on {count} decompositions (exact)")
+
+
+def test_run_suite_names_the_suites_it_has():
+    with pytest.raises(ValueError, match=r"^unknown suite 'nope'; have \['gauss-bonnet', "):
+        run_suite("nope", SuiteConfig())

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from systolic import boundary
-from systolic.boundary import (C_DEFAULT, D_DEFAULT, GoodnessError,
+from systolic.boundary import (C_DEFAULT, D_DEFAULT, GoodGeodesic, GoodnessError,
                                atlas_report, boundary_atlas, contracting_check,
                                corollary_contr_check, in_standard_neighborhood,
                                is_good_geodesic, make_good_geodesic,
@@ -164,6 +164,29 @@ def test_standard_neighborhood():
         if d3 > 3:
             assert not in_standard_neighborhood(X, far_g, eta, N=3,
                                                 R=d3 - 1, D=2)
+
+
+def test_ray_and_path_input_checks_name_their_fault():
+    """Each input check of the ray and path comparisons and of the atlas's
+    radius, reached by hand-built rays on the 4x3 rectangle."""
+    X = flat_rectangle(4, 3)
+    ray = [GoodGeodesic(path, C_DEFAULT, {}) for path in ([0, 1], [1, 2], [0, 1, 2])]
+    R = D_DEFAULT + 1
+    for call, message in (
+            (lambda: corollary_contr_check(X, [0, 1], [1, 2]),
+             "paths must share their basepoint"),
+            (lambda: rays_equivalent_truncated(X, ray[0], ray[1]),
+             "rays have different basepoints"),
+            (lambda: rays_equivalent_truncated(X, ray[0], ray[2]),
+             "truncated rays must have equal length"),
+            (lambda: in_standard_neighborhood(X, ray[0], ray[0], N=0, R=R), "N must be >= 1"),
+            (lambda: in_standard_neighborhood(X, ray[0], ray[1], N=1, R=R),
+             "rays have different basepoints"),
+            (lambda: in_standard_neighborhood(X, ray[0], ray[2], N=2, R=R),
+             "rays too short for depth N"),
+            (lambda: boundary_atlas(X, 0, 99), "N exceeds the eccentricity of 0")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
 
 
 def test_disjoint_neighborhoods_by_enumeration():

@@ -23,7 +23,7 @@ from systolic.metric import dist, dist_map, directed_geodesic
 from systolic.suites import instance_suite
 
 from oracles import (canonical_placement, char_image_oracle, char_preimage,
-                     enumerate_char_surfaces, is_triangulable, lattice_dist,
+                     enumerate_char_surfaces, is_triangulable, lattice_dist, layer_map,
                      minimal_surface_bruteforce, shuffled_pairs, surfaces_reference)
 
 
@@ -212,19 +212,25 @@ def test_characteristic_image_examples():
     i, j = iv
     cd = build_char_disc(X, prof, iv)
     surf = build_char_surface(X, cd)
+    level = layer_map(X, (c0,), (c1,))
     # endpoint row edge: the span of the two directed-geodesic members
     v_i, w_i = cd.stack.ids[0]
-    img = characteristic_image(X, (c0,), (c1,), cd, surf, (v_i, w_i))
+    img = characteristic_image(X, level, cd, surf, (v_i, w_i))
     assert set(img) == set(sseq[i]) | set(tseq[i])
     # interior vertices on a flat instance have singleton images
     for rel in range(1, len(cd.stack.widths) - 1):
         for u in cd.stack.ids[rel][1:-1]:
-            assert len(characteristic_image(X, (c0,), (c1,), cd, surf, (u,))) == 1
+            assert len(characteristic_image(X, level, cd, surf, (u,))) == 1
     # boundary vertices with uniquely realized thickness map to single vertices
     for rel in range(1, len(cd.stack.widths) - 1):
         u = cd.stack.ids[rel][0]
-        img = characteristic_image(X, (c0,), (c1,), cd, surf, (u,))
+        img = characteristic_image(X, level, cd, surf, (u,))
         assert img == (cd.s[rel],)
+    # rho must be a nonempty simplex of the disc: the first and last rows never meet
+    far = (cd.stack.ids[0][0], cd.stack.ids[-1][0])
+    for rho, text in (((), r"\(\)"), (far, re.escape(str(far)))):
+        with pytest.raises(ValueError, match=f"^{text} is not a simplex of the disc$"):
+            characteristic_image(X, level, cd, surf, rho)
 
 
 def test_characteristic_image_takes_every_boundary_candidate():
@@ -243,12 +249,13 @@ def test_characteristic_image_takes_every_boundary_candidate():
         ids = cd.stack.ids[rel]
         pairs[rel] += [(surf[ids[1]], cd.t[rel]), (cd.s[rel], surf[ids[-2]])]
     edited = dataclasses.replace(cd, pairs=pairs)
+    level = layer_map(X, (c0,), (c1,))
     for rel in rows:
         ids = cd.stack.ids[rel]
         for u, ends in ((ids[0], (cd.s[rel], surf[ids[1]])),
                         (ids[-1], (cd.t[rel], surf[ids[-2]]))):
             assert len(set(ends)) == 2
-            img = characteristic_image(X, (c0,), (c1,), edited, surf, (u,))
+            img = characteristic_image(X, level, edited, surf, (u,))
             assert img == tuple(sorted(ends))
 
 
@@ -275,7 +282,8 @@ def test_characteristic_image_keeps_only_layer_k_candidates():
     ds = dist_map(X, (c0,))
     common = X.adjacency[a] & X.adjacency[c]
     assert sorted(ds[z] for z in common) == [k - 1, k] and surf[u] in common
-    assert characteristic_image(X, (c0,), (c1,), cd, edited, (u,)) == (surf[u],)
+    level = layer_map(X, (c0,), (c1,))
+    assert characteristic_image(X, level, cd, edited, (u,)) == (surf[u],)
 
 
 def test_characteristic_image_equals_all_surface_span():
@@ -290,13 +298,14 @@ def test_characteristic_image_equals_all_surface_span():
     cases.append((D, u, w, sseq, tseq, thickness_profile(D, sseq, tseq)))
     checked = 0
     for X, c0, c1, sseq, tseq, prof in cases:
+        level = layer_map(X, (c0,), (c1,))
         for iv in prof.thick_intervals:
             if iv[1] - iv[0] > 4:
                 continue  # oracle scale: discs with <= 5 rows
             cd = build_char_disc(X, prof, iv)
             surf = build_char_surface(X, cd)
             for u_ in cd.disc.complex.vertices:
-                img = characteristic_image(X, (c0,), (c1,), cd, surf, (u_,))
+                img = characteristic_image(X, level, cd, surf, (u_,))
                 assert img == char_image_oracle(X, cd, (u_,))
                 checked += 1
     assert checked

@@ -228,6 +228,15 @@ def run_err(capsys, *argv):
     return code, capsys.readouterr().err
 
 
+def test_library_error_exits_1_with_its_message(tmp_path, capsys):
+    """A ValueError from the library is a witness against the input, not a
+    usage error: across the 6-cycle, 0's first projection is no simplex."""
+    path = tmp_path / "c6.cx"
+    path.write_text(dumps_complex(cycle(6)))
+    code, err = run_err(capsys, "egeo", "--complex", str(path), "--from", "0", "--to", "3")
+    assert code == 1 and err == "FAIL projection of (0,) is not a simplex: (1, 5)\n"
+
+
 def test_missing_complex_exits_2(capsys):
     endpoints = ("--from", "0", "--to", "1")
     for command, flags in (("check", ()), ("dist", endpoints), ("dgeo", endpoints),

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from systolic.complex import (FlagComplex, INFINITY, dumps_complex, is_k_large,
-                              is_locally_6_large, loads_complex,
+from systolic.complex import (FlagComplex, INFINITY, dump_complex, dumps_complex,
+                              is_k_large, is_locally_6_large, loads_complex,
                               simply_connected_heuristic)
 from systolic.flatgeom import as_disc, defect, gauss_bonnet_sum
 from systolic.generators import (flat_parallelogram, flat_rectangle,
@@ -205,6 +205,34 @@ def test_gen_flat_region_errors():
         gen_flat_region(RowStack(0, ((1, 3),)))  # parity of row 0 violated
 
 
+def test_input_checks_name_their_fault():
+    """Each input check of complex construction, links, k-largeness, flat
+    region generation and row stacks, reached by a hand-built input."""
+    path = FlagComplex.from_edges([(0, 1), (1, 2)])
+    for call, message in (
+            (lambda: path.link((0, 2)), r"\(0, 2\) is not a simplex"),
+            (lambda: FlagComplex({0: frozenset({0})}).validate(), "self-loop at 0"),
+            (lambda: FlagComplex({0: frozenset({1}), 1: frozenset()}).validate(),
+             r"asymmetric edge \(0, 1\)"),
+            (lambda: is_k_large(path, 3), "k must be >= 4 or infinity"),
+            (lambda: gen_flat_region(RowStack(0, ())), "empty row spec"),
+            (lambda: gen_flat_region(RowStack(0, ((0, 3),))),
+             "row 0: width 3/2 not an integer"),
+            (lambda: RowStack(0, ((2, 0),)), r"row with rightX < leftX"),
+            (lambda: RowStack(0, ((0, 2),)).place(2), "2 is not a disc vertex")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
+
+def test_empty_and_disconnected_complexes():
+    """The empty complex is connected, and the collapse heuristic says
+    "unknown" both for it and for two disjoint edges: it never claims "no"."""
+    empty = FlagComplex({})
+    assert empty.is_connected()
+    assert simply_connected_heuristic(empty) == "unknown"
+    assert simply_connected_heuristic(FlagComplex.from_edges([(0, 1), (2, 3)])) == "unknown"
+
+
 def test_generated_regions_pass_checks():
     rng = random.Random(0)
     for _ in range(5):
@@ -248,6 +276,13 @@ def test_file_format_roundtrip():
     Y = loads_complex(text)
     assert Y.adjacency == X.adjacency
     assert Y.coords == X.coords
+
+
+def test_dump_complex_writes_its_text(tmp_path):
+    X = flat_parallelogram(3, 2)
+    path = tmp_path / "p.cx"
+    dump_complex(X, path)
+    assert path.read_text(encoding="utf-8") == dumps_complex(X)
 
 
 def test_file_format_rejects_a_coord_off_the_half_lattice():

@@ -3,10 +3,13 @@ and the quantitative checks."""
 
 import itertools
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from systolic import charsurf, metric
 from systolic.charsurf import CharDisc, build_char_disc
 from systolic.complex import FlagComplex
 from systolic.eucgeo import (cat0_closeness_check, cat0_diagonal,
@@ -377,6 +380,38 @@ def test_euclidean_geodesic_sweeps_stop_at_its_balls():
         assert list(fresh._dist_cache[frozenset(eg.sigma)].dist.items()) == ball
         assert frozenset(eg.tau) not in fresh._dist_cache
     assert thick >= 5
+
+
+def test_euclidean_geodesic_walks_its_interval_once():
+    """Between the corners of flat_parallelogram(8, 2), whose thick interval
+    (2, 8) has five interior layers, one build walks the interval once:
+    both directed geodesics and all five characteristic images read its
+    layer map, and no image measures a distance of its own.  Calls are
+    counted by code object, whichever module namespace makes them."""
+    X = flat_parallelogram(8, 2)
+    c0, c1 = corner_pair(X)
+    walk, image = metric._interval_dist.__code__, charsurf.characteristic_image.__code__
+    counted = {walk: "walk", image: "image", metric.dist.__code__: "dist",
+               metric.directed_geodesic.__code__: "directed_geodesic"}
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        name = counted.get(frame.f_code) if event == "call" else None
+        if name is not None:
+            calls[name] += 1
+            if frame.f_back.f_code is image:
+                calls[f"{name} in image"] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        eg = euclidean_geodesic(X, (c0,), (c1,))
+    finally:
+        sys.setprofile(previous)
+    assert eg.profile.thick_intervals == [(2, 8)]
+    assert calls["walk"] == 1 and calls["image"] == 5, calls
+    assert not calls["directed_geodesic"], calls
+    assert not calls["dist in image"] and not calls["walk in image"], calls
 
 
 def test_deltas_lie_in_their_layers_on_perturbed_inputs():

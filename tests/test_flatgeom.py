@@ -316,6 +316,8 @@ def test_svg_deterministic():
     assert svg1.startswith("<svg ") and svg1.rstrip().endswith("</svg>")
     assert svg1.count("<polygon") == len(X.triangles())
     assert svg1.count("<polyline") == 1
+    with pytest.raises(ValueError, match="^nothing to render$"):
+        render_svg({}, [])
 
 
 def test_canonical_placement_isometry_invariant():

@@ -7,7 +7,7 @@ import pytest
 
 from systolic.complex import FlagComplex, shortest_hole
 from systolic.generators import flat_parallelogram, flat_rectangle, gen_disc_with_degrees
-from systolic.layers import (ThicknessProfile, layers, thickness_profile,
+from systolic.layers import (ThicknessProfile, _find_trapezoid, layers, thickness_profile,
                              verify_layer_lemmas, verify_profile_lemmas)
 from systolic.metric import dist, dist_map, directed_geodesic, sphere
 
@@ -237,6 +237,14 @@ def test_verify_layer_lemmas_detects_bad_layer():
     report = verify_layer_lemmas(X, {0}, {1}, rng=random.Random(0))
     assert not report["ok"]
     assert any("induced cycle" in f for f in report["failures"])
+
+
+def test_trapezoid_search_finds_the_three_triangle_fan():
+    """The fan of triangles 023, 012 and 124 is an isometric trapezoid;
+    the edge 34 closes it into a wheel of four triangles, which is not."""
+    fan = [(0, 2), (0, 3), (2, 3), (0, 1), (1, 2), (1, 4), (2, 4)]
+    assert _find_trapezoid(FlagComplex.from_edges(fan)) == (0, 1, 2, 3, 4)
+    assert _find_trapezoid(FlagComplex.from_edges(fan + [(3, 4)])) is None
 
 
 def test_optional_layer_union_check_runs():

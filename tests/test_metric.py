@@ -570,10 +570,11 @@ def outcome(fn):
 
 def test_directed_geodesic_read_off_the_interval_matches_its_own_sweep():
     """On seeded perturbed rectangles and discs, with vertex and edge
-    endpoints, the directed geodesic from sigma that reads d(., tau) on the
-    interval alone, as `euclidean_geodesic` builds it, gives the sequence,
-    or the error type and message, that `directed_geodesic` gives with
-    tau's own sweep on a fresh complex."""
+    endpoints, the directed geodesics that `euclidean_geodesic` builds off
+    the interval alone give the sequences, or the error types and messages,
+    that `directed_geodesic` gives with full sweeps on a fresh complex:
+    sigma's reads d(., tau) on the interval, and tau's reads the reflected
+    layer map, d(sigma, .) = n - d(., tau) there."""
     from test_boundary import perturbed
     raised, returned = Counter(), 0
     for seed in range(12):
@@ -584,12 +585,14 @@ def test_directed_geodesic_read_off_the_interval_matches_its_own_sweep():
         for _ in range(100):
             sigma, tau = rng.choice(ends), rng.choice(ends)
             n = dist(X, sigma, tau)
-            walked = outcome(lambda: metric._directed(
-                X, sigma, metric._interval_dist(X, sigma, tau, n), n))
-            swept = outcome(lambda: directed_geodesic(FlagComplex(X.adjacency), sigma, tau))
-            assert walked == swept, (seed, sigma, tau)
-            if isinstance(walked, tuple):
-                raised[walked[0]] += 1
-            else:
-                returned += 1
-    assert raised[ProjectionError] >= 20 and returned >= 600, (raised, returned)
+            dt = metric._interval_dist(X, sigma, tau, n)
+            level = {x: n - d for x, d in dt.items()}
+            for start, end, dm in ((sigma, tau, dt), (tau, sigma, level)):
+                walked = outcome(lambda: metric._directed(X, start, dm, n))
+                swept = outcome(lambda: directed_geodesic(FlagComplex(X.adjacency), start, end))
+                assert walked == swept, (seed, start, end)
+                if isinstance(walked, tuple):
+                    raised[walked[0]] += 1
+                else:
+                    returned += 1
+    assert raised[ProjectionError] >= 80 and returned >= 2000, (raised, returned)
