@@ -6,9 +6,10 @@ after construction, but each holds a BFS cache that is not thread-safe:
 share complexes across processes, not threads.
 
 Largeness verdicts are exact and carry a hole (an induced cycle of length
->= 4) as their witness: finite k and the vertex-link checks ask
-`shortest_hole`, and infinity-largeness (chordality) maximum cardinality
-search (`chordless_cycle`); both close their holes with one BFS.
+>= 4) as their witness: finite k asks `shortest_hole`, and infinity-largeness
+(chordality) maximum cardinality search (`chordless_cycle`); both close their
+holes with one BFS.  The vertex-link check decides each link by set algebra
+and asks `shortest_hole` only for the first failing link's witness.
 """
 
 from __future__ import annotations
@@ -285,6 +286,37 @@ class Locally6LargeResult(NamedTuple):
     capped: bool  # always False; kept because perfbench's cold-check reads it
 
 
+def _link_has_short_hole(adj, v: int) -> bool:
+    """True iff lk(v) has a hole of length 4 or 5 (proof in
+    `is_locally_6_large`).  `link` holds each vertex's unvisited neighbours."""
+    nv = set(adj[v])
+    link = {x: nv & adj[x] for x in nv}
+    unvisited = len(link)
+    for w, lw in link.items():
+        if unvisited < 4:
+            return False  # too few vertices left for a hole through w
+        unvisited -= 1
+        for x in lw:
+            link[x].discard(w)
+        pending = list(lw)
+        while pending:
+            u = pending.pop()
+            lu = link[u]
+            a_side = lu - lw
+            if not a_side:
+                continue
+            for p in pending:
+                if p in lu:
+                    continue
+                b_side = link[p] - lw
+                if not a_side.isdisjoint(b_side):
+                    return True  # w-u-a-p
+                for a in a_side:
+                    if not b_side.isdisjoint(link[a]):
+                        return True  # w-u-a-b-p
+    return False
+
+
 def is_locally_6_large(X: FlagComplex) -> Locally6LargeResult:
     """Every simplex link is 6-large: no hole of length 4 or 5 in any link.
 
@@ -292,14 +324,31 @@ def is_locally_6_large(X: FlagComplex) -> Locally6LargeResult:
     common neighbours, for any v in sigma, so a hole in lk(sigma) is one in
     lk(v): vertex links decide, and the least failing vertex is the first
     failing simplex.  Its witness cycle is a shortest hole of its link.
+
+    `_link_has_short_hole` decides a link L without a BFS.  It visits L's
+    vertices in a fixed order; at w, each link set holds only the neighbours
+    not yet visited, w removed.  For each non-adjacent pair u, p of w's
+    unvisited neighbours it forms A = L(u) - L(w) and B = L(p) - L(w), and
+    reports a hole when A and B meet, or when some a in A has a neighbour
+    in B.
+    * Every hole of length 4 or 5 is found.  Let w be its first-visited
+      vertex and u, p its two neighbours on it, unvisited and not adjacent.
+      The rest of the hole is a u-p path of 2 or 3 edges through unvisited
+      vertices, none in N[w]: its first inner vertex lies in A, its last
+      in B.
+    * Every report is a hole.  A and B miss N[w] and contain neither u nor
+      p.  If A and B meet in a, then w-u-a-p is an induced 4-cycle.  The
+      5-cycle test runs only when they do not meet, so a in A is not
+      adjacent to p and b in B is not adjacent to u; with a ~ b, w-u-a-b-p
+      is an induced 5-cycle.
     """
     adj = X.adjacency
     for v in sorted(adj):
         common = adj[v]
         if len(common) < 4:
             continue  # too few vertices for a 4-cycle
-        cycle = shortest_hole(FlagComplex({w: adj[w] & common for w in common}), 5)
-        if cycle is not None:
+        if _link_has_short_hole(adj, v):
+            cycle = shortest_hole(FlagComplex({w: adj[w] & common for w in common}), 5)
             return Locally6LargeResult(False, ((v,), cycle), False)
     return Locally6LargeResult(True, None, False)
 

@@ -5,11 +5,14 @@ it."""
 import ast
 import itertools
 import random
+import sys
+from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
-from systolic.complex import (FlagComplex, INFINITY, chordless_cycle, is_k_large,
-                              is_locally_6_large)
+from systolic.complex import (FlagComplex, INFINITY, _close_cycle, _link_has_short_hole,
+                              chordless_cycle, is_k_large, is_locally_6_large,
+                              shortest_hole)
 from systolic.generators import (flat_parallelogram, flat_rectangle,
                                  gen_disc_with_degrees, gen_flat_region)
 from systolic.lattice import RowStack
@@ -212,6 +215,88 @@ def test_link_check_pins_witnesses():
     assert is_locally_6_large(suspension(4, (4, 5), 0)).witness == ((0,), (1, 4, 3, 5))
     # pole 0's link is the 5-cycle itself
     assert is_locally_6_large(suspension(5, (0, 1), 2)).witness == ((0,), (2, 3, 4, 5, 6))
+
+
+def subtree_chordal(seed, n=40, tree_size=25, max_nodes=5):
+    """Intersection graph of n random subtrees, of at most max_nodes nodes
+    each, of a random tree: chordal (Gavril 1974), so every link passes."""
+    rng = random.Random(seed)
+    tree = {0: set()}
+    for t in range(1, tree_size):
+        s = rng.randrange(t)
+        tree[t], tree[s] = {s}, tree[s] | {t}
+    subtrees = []
+    for _ in range(n):
+        nodes = {rng.randrange(tree_size)}
+        for _ in range(rng.randrange(max_nodes)):
+            frontier = sorted(set().union(*(tree[x] for x in nodes)) - nodes)
+            nodes.add(rng.choice(frontier))
+        subtrees.append(nodes)
+    return FlagComplex.from_edges(
+        [(i, j) for i, j in itertools.combinations(range(n), 2)
+         if subtrees[i] & subtrees[j]], vertices=range(n))
+
+
+def link_decision_inputs():
+    rng = random.Random(23)
+    for _ in range(3000):
+        n = rng.randint(5, 16)
+        density = rng.uniform(0.2, 0.85)
+        yield FlagComplex.from_edges(
+            [(a, b) for a, b in itertools.combinations(range(n), 2)
+             if rng.random() < density], vertices=range(n))
+    yield from (gen_disc_with_degrees(s, rings=r) for s in range(2) for r in (2, 3, 4))
+    yield octahedron()
+    yield from (suspension(n, (0, 1), 2) for n in range(4, 8))
+    yield from (triangular_torus(n) for n in range(4, 8))
+    yield from (subtree_chordal(seed) for seed in range(6))
+
+
+def test_link_decision_matches_shortest_hole_per_vertex():
+    # The set-algebra decision of each vertex link against a BFS on the link
+    # complex that X.link builds.
+    outcomes = Counter()
+    for X in link_decision_inputs():
+        adj = X.adjacency
+        for v in adj:
+            found = _link_has_short_hole(adj, v)
+            assert found == (shortest_hole(X.link((v,)), 5) is not None), (X.edges(), v)
+            outcomes[found, len(adj[v]) >= 16] += 1
+    # failing links, passing links, and links of 16 to 27 vertices (only the
+    # chordal inputs have them, and all pass), each met often
+    assert outcomes[True, False] >= 12_000 and outcomes[False, False] >= 19_000, outcomes
+    assert outcomes[False, True] >= 50, outcomes
+
+
+def test_passing_links_run_no_bfs():
+    """The link check builds no link complex and runs no BFS while links
+    pass; the first failing link alone asks `shortest_hole` for its witness.
+    Calls are counted by code object, whichever module namespace makes them."""
+    counted = {FlagComplex.__init__.__code__: "FlagComplex",
+               shortest_hole.__code__: "shortest_hole",
+               _close_cycle.__code__: "_close_cycle"}
+
+    def calls_of(X):
+        calls = Counter()
+
+        def profile(frame, event, arg):
+            name = counted.get(frame.f_code) if event == "call" else None
+            if name is not None:
+                calls[name] += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            res = is_locally_6_large(X)
+        finally:
+            sys.setprofile(previous)
+        return res, calls
+
+    res, calls = calls_of(gen_disc_with_degrees(3, rings=4))
+    assert res.ok and not calls, calls
+    res, calls = calls_of(octahedron())
+    assert res.witness == ((0,), (2, 3, 4, 5))
+    assert calls["shortest_hole"] == 1 and calls["FlagComplex"] == 1, calls
 
 
 def test_finite_k_matches_dfs_oracle():
