@@ -167,7 +167,7 @@ def cmd_gen(args) -> int:
 
 def cmd_check(args) -> int:
     X = _load(args)
-    X.validate()
+    # no X.validate(): loads_complex builds X by from_edges, symmetric and loop-free
     loc = is_locally_6_large(X)
     report = {
         "vertices": len(X),

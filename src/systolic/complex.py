@@ -356,7 +356,8 @@ def is_locally_6_large(X: FlagComplex) -> Locally6LargeResult:
 def simply_connected_heuristic(X: FlagComplex) -> str:
     """"verified" if the complex collapses to a point via free faces, else "unknown".
 
-    Sound but incomplete: a stalled collapse never claims "no".
+    Sound but incomplete: a stalled collapse never claims "no".  It lists
+    every simplex, so it is exponential in the dimension.
     """
     if not X.adjacency:
         return "unknown"

@@ -50,16 +50,14 @@ def as_disc(X: FlagComplex) -> TriangulatedDisc:
     if not X.adjacency or not X.is_connected():
         raise DiscError("not a nonempty connected complex")
     tris = X.triangles()
-    edge_tris: dict[tuple[int, int], list[Simplex]] = {}
-    for t in tris:
-        for e in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2])):
-            edge_tris.setdefault(e, []).append(t)
     edges = X.edges()
+    boundary_edges = []
     for e in edges:
-        k = len(edge_tris.get(e, ()))
+        k = len(X.adjacency[e[0]] & X.adjacency[e[1]])  # triangles on e: X is flag
         if k == 0 or k > 2:
             raise DiscError(f"edge {e} lies in {k} triangles")
-    boundary_edges = [e for e in edges if len(edge_tris[e]) == 1]
+        if k == 1:
+            boundary_edges.append(e)
     if not boundary_edges:
         raise DiscError("no boundary edges")
     succ: dict[int, list[int]] = {}
@@ -86,14 +84,12 @@ def as_disc(X: FlagComplex) -> TriangulatedDisc:
     return TriangulatedDisc(X, tuple(cycle), tuple(tris))
 
 
-def triangle_count(disc: TriangulatedDisc, v: int) -> int:
-    return sum(1 for t in disc.triangles if v in t)
-
-
 def defect(disc: TriangulatedDisc, v: int) -> int:
-    """6 - t(v) at interior vertices, 3 - t(v) at boundary vertices."""
-    t = triangle_count(disc, v)
-    return 3 - t if v in disc.boundary_set else 6 - t
+    """6 - t(v) at interior vertices, 3 - t(v) at boundary vertices, where
+    the t(v) triangles at v are the edges of its link, which `as_disc`
+    proves a cycle of deg(v) vertices inside and a path of deg(v) on the
+    boundary: t(v) = deg(v), or deg(v) - 1 on the boundary."""
+    return (4 if v in disc.boundary_set else 6) - disc.complex.degree(v)
 
 
 def gauss_bonnet_sum(disc: TriangulatedDisc) -> int:

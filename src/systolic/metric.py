@@ -174,7 +174,8 @@ def is_convex(X: FlagComplex, Y: Iterable[int]) -> bool:
 
 
 def residue(X: FlagComplex, sigma: Iterable[int]) -> list[Simplex]:
-    """All simplices of X containing sigma."""
+    """All simplices of X containing sigma, one per simplex of its link:
+    exponential in the dimension, as it lists every one."""
     sigma = tuple(sorted(sigma))
     if not X.is_simplex(sigma):
         raise ValueError(f"{sigma} is not a simplex")
@@ -210,19 +211,46 @@ def _project(X: FlagComplex, sigma: Simplex, dm: dict[int, int], m: int) -> Simp
 def projection_witness(X: FlagComplex, o: int) -> tuple[Simplex, int, str] | None:
     """The first failed projection onto a ball around vertex o, or None.
 
-    For each k, every simplex of the full subcomplex on S_{k+1}(o) is
-    projected onto B_k(o), reading one distance map of o; a failure is
-    returned as (sigma, k, message).  In a systolic complex balls are
-    convex, and a projection onto a convex subcomplex is one nonempty
-    simplex; a connected, simply connected, locally 6-large complex is
-    systolic (Januszkiewicz-Swiatkowski, "Simplicial nonpositive
-    curvature", Publ. IHES 104, 2006).  So when the links are 6-large, a
-    failure proves that o's component is not simply connected.  A pass
-    proves nothing on its own.
+    For each k, the vertices of S_{k+1}(o) in id order, then its edges in
+    lexicographic order, are projected onto B_k(o), all read off one
+    distance map of o; a failure is returned as (sigma, k, message).  In a
+    systolic complex balls are convex, and a projection onto a convex
+    subcomplex is one nonempty simplex; a connected, simply connected,
+    locally 6-large complex is systolic (Januszkiewicz-Swiatkowski,
+    "Simplicial nonpositive curvature", Publ. IHES 104, 2006).  So when the
+    links are 6-large, a failure proves that o's component is not simply
+    connected.
+
+    * Vertices and edges find what every simplex would.  Let no vertex link
+      hold an induced 4-cycle, and let sigma = {v_0..v_m}, m >= 2, be a
+      simplex of S_{k+1}(o) whose proper faces all project, by induction
+      from its vertices and edges.  pi(sigma) lies in the simplex
+      pi(sigma - v_m), so it is one if it is nonempty.  Take x in
+      pi(sigma - v_m) and y in pi(sigma - v_0); both lie in the simplex
+      pi(v_1), so x = y or x ~ y.  If neither lies in pi(sigma), then x is
+      not adjacent to v_m nor y to v_0, so x is not y, and v_0-x-y-v_m is
+      an induced 4-cycle in lk(v_1).  So at each level the first failure
+      of a sweep over every simplex of S_{k+1}(o), by dimension and then
+      lexicographically, is a vertex or an edge, and this sweep returns it
+      whenever `is_locally_6_large` passes.
+    * A pass proves that o's component is simply connected.  Every vertex
+      of S_{k+1}(o) then has pairwise adjacent neighbours in S_k(o), and
+      every edge of S_{k+1}(o) a common neighbour there.  Let k + 1 be the
+      largest distance from o on an edge loop, and z_1..z_m a run of loop
+      vertices at level k + 1, entered from u and left to w at level k.
+      With x_i a common S_k-neighbour of z_i and z_{i+1}, consecutive
+      members of u, x_1, .., x_{m-1}, w share an S_k-neighbour z, so they
+      are equal or adjacent: the run is homotopic, through triangles, to a
+      path at level <= k.  By induction on k the loop contracts to o.
     """
     dm = dist_map(X, (o,))
-    for k in range(max(dm.values())):
-        for sigma in X.induced(sphere(X, (o,), k + 1)).simplices():
+    spheres: list[list[int]] = [[] for _ in range(max(dm.values()) + 1)]
+    for v in sorted(dm):
+        spheres[dm[v]].append(v)
+    for k, level in enumerate(spheres[1:]):
+        edges = [(u, w) for u in level for w in sorted(X.adjacency[u])
+                 if w > u and dm[w] == k + 1]
+        for sigma in [(v,) for v in level] + edges:
             try:
                 _project(X, sigma, dm, k)
             except ProjectionError as exc:

@@ -5,10 +5,10 @@ discs; the induced-path DFS for induced cycles; closed-form lattice
 distance and the point-group canonicalization of lattice placements; the
 isometric embedding of flat discs; the break-point enumeration oracle of
 `flatgeom.polygon_geodesic`; reordered realizing pairs, the all-surfaces
-enumeration and its product-of-rows reference, the layer map of an
-interval, characteristic-image span and preimage decoder for characteristic
-discs; the minimal-surface search and the no-interior-vertex
-triangulability test.  Tests import them from here.
+enumeration and its product-of-rows reference, the all-simplex projection
+sweep, the layer map of an interval, characteristic-image span and
+preimage decoder for characteristic discs; the minimal-surface search and
+the no-interior-vertex triangulability test.  Tests import them from here.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from systolic.flatgeom import PolyPath, TriangulatedDisc, as_disc, is_flat
 from systolic.generators import gen_flat_region
 from systolic.lattice import Point, RowStack
 from systolic.layers import ThicknessProfile, layers
-from systolic.metric import dist_map
+from systolic.metric import ProjectionError, _project, dist_map, sphere
 
 
 def lattice_dist(p: Point, q: Point) -> int:
@@ -379,6 +379,21 @@ def char_image_oracle(X: FlagComplex, cd: CharDisc, rho, limit: int = 100000) ->
     for surf in enumerate_char_surfaces(X, cd, limit):
         out |= {surf[u] for u in rho}
     return tuple(sorted(out))
+
+
+def projection_witness_reference(X: FlagComplex, o: int) -> tuple[Simplex, int, str] | None:
+    """The first failed projection onto a ball around o, found by projecting
+    every simplex of the full subcomplex on each sphere S_{k+1}(o), by
+    dimension and then lexicographically: the all-simplex sweep that
+    `metric.projection_witness` replaces by one over vertices and edges."""
+    dm = dist_map(X, (o,))
+    for k in range(max(dm.values())):
+        for sigma in X.induced(sphere(X, (o,), k + 1)).simplices():
+            try:
+                _project(X, sigma, dm, k)
+            except ProjectionError as exc:
+                return sigma, k, str(exc)
+    return None
 
 
 def layer_map(X: FlagComplex, sigma, tau) -> dict[int, int]:

@@ -47,9 +47,16 @@ def test_defect_examples():
 def test_gauss_bonnet():
     assert gauss_bonnet_sum(single_triangle()) == 6
     assert gauss_bonnet_sum(hexagon_wheel_disc()) == 6
-    for seed in range(10):
-        disc = as_disc(gen_disc_with_degrees(seed, rings=random.Random(seed).randint(1, 3)))
+    discs = [as_disc(gen_disc_with_degrees(seed, rings=random.Random(seed).randint(1, 3)))
+             for seed in range(10)]
+    for disc in discs:
         assert gauss_bonnet_sum(disc) == 6
+    # defects read off degrees equal those of a scan of the disc's triangles
+    discs += [as_disc(random_flat_disc(seed, 120)) for seed in range(4)]
+    for disc in discs:
+        for v in disc.complex.vertices:
+            t = sum(v in tri for tri in disc.triangles)
+            assert defect(disc, v) == (3 if v in disc.boundary_set else 6) - t
 
 
 def test_is_flat():

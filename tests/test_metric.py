@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -18,8 +19,9 @@ from systolic.metric import (ProjectionError, all_geodesics, ball, dist,
                              is_geodesic_path, projection,
                              projection_witness, residue, sphere)
 
-from oracles import bfs_oracle, lattice_dist
-from test_chordality import cycle, octahedron, triangular_torus
+from oracles import bfs_oracle, lattice_dist, projection_witness_reference
+from test_chordality import (cycle, octahedron, subtree_chordal, suspension,
+                             triangular_torus)
 
 
 def hexagon_wheel():
@@ -172,13 +174,18 @@ def test_projection_witness_rejects_tori_and_short_cycles():
     assert projection_witness(triangular_torus(5), 0) == (
         (2, 3), 1, "projection of (2, 3) is empty")
     for X in [triangular_torus(n) for n in range(4, 8)] + [cycle(4), cycle(5), octahedron()]:
-        sigma, k, _ = projection_witness(X, 0)
-        # the residue of sigma meets B_k(0) in no simplex, by a BFS of its own
-        dm = bfs_oracle(X.adjacency, (0,))
-        assert all(dm[v] == k + 1 for v in sigma)
-        common = set.intersection(*(set(X.adjacency[v]) for v in sigma))
-        pi = [u for u in common if dm[u] <= k]
-        assert not pi or any(b not in X.adjacency[a] for a in pi for b in pi if a != b)
+        assert_failed_projection(X, 0, projection_witness(X, 0))
+
+
+def assert_failed_projection(X, o, failed):
+    """The residue of sigma, on S_{k+1}(o), meets B_k(o) in no simplex, by a
+    BFS of its own."""
+    sigma, k, _ = failed
+    dm = bfs_oracle(X.adjacency, (o,))
+    assert all(dm[v] == k + 1 for v in sigma)
+    common = set.intersection(*(set(X.adjacency[v]) for v in sigma))
+    pi = [u for u in common if dm[u] <= k]
+    assert not pi or any(b not in X.adjacency[a] for a in pi for b in pi if a != b)
 
 
 def test_projection_witness_passes_generator_outputs():
@@ -186,10 +193,70 @@ def test_projection_witness_passes_generator_outputs():
     # agrees with the collapse wherever the collapse verifies
     discs = [gen_disc_with_degrees(s, rings=r) for s in range(3) for r in (3, 5)]
     flats = [flat_rectangle(n, n) for n in (5, 10, 20)] + [flat_parallelogram(12, 6)]
-    for X in discs + flats:
+    # chordal complexes of 40 vertices, with simplices of dimension up to 18
+    chordal = [X for X in map(subtree_chordal, range(30)) if X.is_connected()]
+    for X in discs + flats + chordal:
         assert projection_witness(X, min(X.vertices)) is None
     for X in discs[::2] + flats[:2]:
         assert is_locally_6_large(X).ok and simply_connected_heuristic(X) == "verified"
+
+
+def projection_sweep_inputs():
+    for s in range(30):
+        X = subtree_chordal(s, n=24, tree_size=15, max_nodes=4)
+        if X.is_connected():
+            yield "chordal", X
+    yield from (("disc", gen_disc_with_degrees(s, rings=r)) for s in range(3) for r in (2, 3))
+    yield from (("other", triangular_torus(n)) for n in range(4, 9))
+    yield from (("other", suspension(n, (0, 1), 2)) for n in range(4, 9))
+    yield from (("other", X) for X in (octahedron(), cycle(4), cycle(5)))
+    rng = random.Random(29)
+    for _ in range(240):
+        n = rng.randint(4, 12)
+        density = rng.uniform(0.2, 0.85)
+        yield "random", FlagComplex.from_edges(
+            [(a, b) for a, b in itertools.combinations(range(n), 2)
+             if rng.random() < density], vertices=range(n))
+
+
+def test_projection_witness_matches_the_all_simplex_sweep():
+    # With 6-large links, the vertex-and-edge sweep returns what projecting
+    # every simplex of every sphere returns; elsewhere its witness still fails.
+    seen = Counter()
+    for kind, X in projection_sweep_inputs():
+        o = min(X.vertices)
+        failed = projection_witness(X, o)
+        if is_locally_6_large(X).ok:
+            assert failed == projection_witness_reference(X, o), (kind, X.edges())
+        elif failed is not None:
+            assert_failed_projection(X, o, failed)
+        seen[kind] += 1
+        seen["witness"] += failed is not None
+    assert seen["chordal"] >= 15 and seen["witness"] >= 5, seen
+
+
+def test_projection_witness_lists_no_clique():
+    """The sweep reads one distance map: no sphere, induced complex or
+    clique listing.  Calls are counted by code object."""
+    counted = {FlagComplex.simplices.__code__: "simplices",
+               FlagComplex.induced.__code__: "induced",
+               metric.sphere.__code__: "sphere"}
+    calls = Counter()
+    inputs = [gen_disc_with_degrees(3, rings=4), subtree_chordal(26), triangular_torus(4)]
+
+    def profile(frame, event, arg):
+        name = counted.get(frame.f_code) if event == "call" else None
+        if name is not None:
+            calls[name] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        found = [projection_witness(X, 0) for X in inputs]
+    finally:
+        sys.setprofile(previous)
+    assert found[:2] == [None, None] and found[2] is not None
+    assert not calls, calls
 
 
 def test_directed_geodesic_adjacent():
