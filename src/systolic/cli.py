@@ -12,8 +12,7 @@ import sys
 
 from .boundary import (ATLAS_CAP, C_DEFAULT, atlas_report, boundary_atlas, default_D,
                        make_good_geodesic)
-from .complex import (dumps_complex, is_locally_6_large, load_complex,
-                      simply_connected_heuristic)
+from .complex import dumps_complex, is_locally_6_large, load_complex
 from .eucgeo import euclidean_geodesic
 from .generators import flat_parallelogram, flat_rectangle, gen_disc_with_degrees
 from .metric import dist, dist_map, directed_geodesic, projection_witness
@@ -81,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=argparse.SUPPRESS)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("check", help="local 6-largeness and simple connectivity")
+    p = sub.add_parser("check", help="systolicity, with a witness")
     _add_flags(p, "complex", "json")
 
     p = sub.add_parser("dist", help="combinatorial distance between two vertices")
@@ -165,33 +164,37 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _systolic_witness(X, loc) -> str | None:
+    """Why X is not systolic, or None: with 6-large links, the projection
+    sweep from the least vertex o decides o's component (`projection_witness`)."""
+    if not X.adjacency:
+        return "the complex is empty"
+    if not loc.ok:
+        return f"simplex {loc.witness[0]} has bad link cycle {loc.witness[1]}"
+    o = min(X.adjacency)
+    if (failed := projection_witness(X, o)) is not None:
+        return f"onto B_{failed[1]}({o}): {failed[2]}"
+    outside = X.adjacency.keys() - dist_map(X, (o,)).keys()
+    return f"vertices {o} and {min(outside)} lie in different components" if outside else None
+
+
 def cmd_check(args) -> int:
     X = _load(args)
     # no X.validate(): loads_complex builds X by from_edges, symmetric and loop-free
     loc = is_locally_6_large(X)
+    witness = _systolic_witness(X, loc)
     report = {
         "vertices": len(X),
         "edges": X.edge_count(),
         "connected": X.is_connected(),
         "locally_6_large": loc.ok,
-        "simply_connected": simply_connected_heuristic(X),
+        "systolic": witness is None,
     }
-    if not loc.ok:
-        report["witness"] = f"simplex {loc.witness[0]} has bad link cycle {loc.witness[1]}"
-    elif X.adjacency:
-        # with 6-large links, a failed projection rules out simple connectivity
-        o = min(X.adjacency)
-        failed = projection_witness(X, o)
-        if failed is not None:
-            _, k, message = failed
-            report["simply_connected"] = "no"
-            report["witness"] = f"onto B_{k}({o}): {message}"
-    if args.json:
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        for k, v in report.items():
-            print(f"{k}: {v}")
-    return 1 if "witness" in report else 0
+    if witness is not None:
+        report["witness"] = witness
+    print(json.dumps(report, sort_keys=True, indent=2) if args.json
+          else "\n".join(f"{k}: {v}" for k, v in report.items()))
+    return 0 if witness is None else 1
 
 
 def cmd_dist(args) -> int:

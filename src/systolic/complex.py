@@ -357,7 +357,8 @@ def simply_connected_heuristic(X: FlagComplex) -> str:
     """"verified" if the complex collapses to a point via free faces, else "unknown".
 
     Sound but incomplete: a stalled collapse never claims "no".  It lists
-    every simplex, so it is exponential in the dimension.
+    every simplex, so it is exponential in the dimension.  `check` decides
+    systolicity without it; perfbench's cold-check and the tests call it.
     """
     if not X.adjacency:
         return "unknown"

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import NamedTuple
 
@@ -31,7 +32,7 @@ class TriangulatedDisc:
     boundary_cycle: tuple[int, ...]
     triangles: tuple[Simplex, ...]
 
-    @property
+    @cached_property
     def boundary_set(self) -> frozenset[int]:
         return frozenset(self.boundary_cycle)
 

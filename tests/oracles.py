@@ -1,14 +1,16 @@
 """Oracles that cross-check the library, kept off its production path.
 
 A whole-component deque BFS and the geodesics it grades; random flat
-discs; the induced-path DFS for induced cycles; closed-form lattice
-distance and the point-group canonicalization of lattice placements; the
-isometric embedding of flat discs; the break-point enumeration oracle of
+discs; the induced-path DFS for induced cycles and the bridged-graph
+test of systolicity; closed-form lattice distance and the point-group
+canonicalization of lattice placements; the isometric embedding of flat
+discs; the break-point enumeration oracle of
 `flatgeom.polygon_geodesic`; reordered realizing pairs, the all-surfaces
-enumeration and its product-of-rows reference, the all-simplex projection
-sweep, the layer map of an interval, characteristic-image span and
-preimage decoder for characteristic discs; the minimal-surface search and
-the no-interior-vertex triangulability test.  Tests import them from here.
+enumeration and its product-of-rows reference, the all-simplex
+projection sweep, the layer map of an interval, characteristic-image
+span and preimage decoder for characteristic discs; the minimal-surface
+search and the no-interior-vertex triangulability test. Tests import
+them from here.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 from systolic.charsurf import (CharDisc, CharDiscError, SurfaceError, _surfaces,
                                characteristic_image)
@@ -117,6 +119,38 @@ def find_induced_cycle(X: FlagComplex, min_len: int, max_len: int):
                 if len(path) < max_len - 1:
                     stack.append(path + (w,))
     return None
+
+
+def is_bridged(X: FlagComplex) -> bool:
+    """Whether X is systolic, by brute force on its 1-skeleton: nonempty,
+    connected, and no isometric cycle of length >= 4.  Bridged graphs are
+    exactly the 1-skeleta of systolic complexes (Chepoi, "Graphs of some
+    CAT(0) complexes", Adv. Appl. Math. 24, 2000).
+
+    DFS over induced paths anchored at their least vertex; each induced
+    cycle they close is tested against whole-component BFS distances.
+    Exponential in the vertex count: for graphs of a few vertices.
+    """
+    adj = X.adjacency
+    if not adj or len(bfs_oracle(adj, (min(adj),))) < len(adj):
+        return False
+    dist = {v: bfs_oracle(adj, (v,)) for v in adj}
+    for s in adj:
+        stack = [(s,)]
+        while stack:
+            path = stack.pop()
+            for w in adj[path[-1]]:
+                if w <= s or w in path or any(x in adj[w] for x in path[1:-1]):
+                    continue
+                if len(path) == 1 or s not in adj[w]:
+                    stack.append(path + (w,))
+                    continue
+                cycle = path + (w,)
+                m = len(cycle)
+                if m >= 4 and all(dist[a][b] == min(j - i, m - j + i) for (i, a), (j, b)
+                                  in combinations(enumerate(cycle), 2)):
+                    return False
+    return True
 
 
 # Cube coordinates (a + b + c = 0) for applying the 12-element point group.

@@ -1,14 +1,19 @@
 """Command-line interface: commands, determinism, exit codes."""
 
+import itertools
 import json
+import random
+import sys
+from collections import Counter
 
 import pytest
 
-from systolic.cli import main
-from systolic.complex import dumps_complex
+from systolic.cli import build_parser, cmd_check, main
+from systolic.complex import FlagComplex, dumps_complex, simply_connected_heuristic
 from systolic.generators import flat_parallelogram, flat_rectangle, gen_disc_with_degrees
 
-from test_chordality import cycle, octahedron, triangular_torus
+from oracles import is_bridged
+from test_chordality import cycle, octahedron, subtree_chordal, triangular_torus
 
 
 @pytest.fixture
@@ -35,7 +40,7 @@ def test_gen_and_check(tmp_path, capsys):
     code, out = run(capsys, "check", "--complex", str(out_path))
     assert code == 0
     assert "locally_6_large: True" in out
-    assert "simply_connected: verified" in out
+    assert "systolic: True" in out
 
 
 def test_gen_prints_seed_only_for_disc(tmp_path, capsys):
@@ -80,7 +85,7 @@ def test_check_rejects_locally_6_large_complexes_that_are_not_simply_connected(
     for X in [triangular_torus(n) for n in range(4, 8)] + [cycle(4), cycle(5)]:
         assert check_file(tmp_path, X) == 1
         out = capsys.readouterr().out
-        assert "locally_6_large: True" in out and "simply_connected: no" in out
+        assert "locally_6_large: True" in out and "systolic: False" in out
         assert "witness: onto B_" in out and "infinity_large" not in out
     check_file(tmp_path, triangular_torus(4))
     assert capsys.readouterr().out.splitlines()[-1] == (
@@ -91,20 +96,103 @@ def test_check_passes_generator_outputs(tmp_path, capsys):
     for X in [gen_disc_with_degrees(1, rings=r) for r in (3, 5)] + [flat_rectangle(20, 20)]:
         assert check_file(tmp_path, X) == 0
         out = capsys.readouterr().out
-        assert "witness" not in out and "simply_connected: verified" in out
+        assert "witness" not in out and "systolic: True" in out
 
 
 def test_check_json_parses_with_its_witness(tmp_path, capsys):
-    cases = [(gen_disc_with_degrees(2, rings=3), 0, "verified"),
-             (triangular_torus(5), 1, "no"),
-             (octahedron(), 1, "unknown")]
-    for X, code, simply_connected in cases:
+    cases = [(gen_disc_with_degrees(2, rings=3), 0),
+             (triangular_torus(5), 1),
+             (octahedron(), 1)]
+    for X, code in cases:
         assert check_file(tmp_path, X, "--json") == code
         report = json.loads(capsys.readouterr().out)
-        assert report["simply_connected"] == simply_connected
+        assert report["systolic"] is (code == 0)
         assert ("witness" in report) == bool(code)
         assert "infinity_large" not in report
     assert report["witness"] == "simplex (0,) has bad link cycle (2, 3, 4, 5)"
+
+
+def test_check_witnesses_empty_and_disconnected_complexes(tmp_path, capsys):
+    triangle = cycle(3).edges()
+    torus_at_100 = [(u + 100, v + 100) for u, v in triangular_torus(4).edges()]
+    cases = [
+        (FlagComplex.from_edges([]), "the complex is empty"),
+        (FlagComplex.from_edges(triangle + cycle(3, 3).edges()),
+         "vertices 0 and 3 lie in different components"),
+        # the torus is not simply connected, but the sweep from 0 never reaches it
+        (FlagComplex.from_edges(triangle + torus_at_100),
+         "vertices 0 and 100 lie in different components"),
+        (FlagComplex.from_edges(triangle, vertices=(7,)),
+         "vertices 0 and 7 lie in different components"),
+        # o's component decides first: a bad link, then a failed projection
+        (FlagComplex.from_edges(octahedron().edges() + cycle(3, 10).edges()),
+         "simplex (0,) has bad link cycle (2, 3, 4, 5)"),
+        (FlagComplex.from_edges(cycle(4).edges() + cycle(3, 10).edges()),
+         "onto B_1(0): projection of (2,) is not a simplex: (1, 3)"),
+    ]
+    for X, witness in cases:
+        assert check_file(tmp_path, X) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == ["systolic: False", f"witness: {witness}"], lines
+        assert check_file(tmp_path, X, "--json") == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["systolic"] is False and report["witness"] == witness
+
+
+def random_graphs(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(4, 10)
+        density = rng.uniform(0.15, 0.7)
+        yield FlagComplex.from_edges(
+            [(a, b) for a, b in itertools.combinations(range(n), 2)
+             if rng.random() < density], vertices=range(n))
+
+
+def test_check_matches_the_bridged_graph_oracle(tmp_path, capsys):
+    """check's verdict is systolicity: on 3,000 seeded random graphs it says
+    True exactly where the 1-skeleton is bridged.  The arguments are parsed
+    once, since building the parser costs more than the check."""
+    path = tmp_path / "x.cx"
+    args = build_parser().parse_args(["check", "--complex", str(path)])
+    kinds = Counter()
+    for X in random_graphs(23, 3000):
+        path.write_text(dumps_complex(X))
+        code = cmd_check(args)
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert (code == 0) == is_bridged(X), (X.edges(), last)
+        kinds["yes" if code == 0 else last.split()[1]] += 1
+    # link, projection and component witnesses, and "yes", each well represented
+    assert min(kinds[k] for k in ("yes", "simplex", "onto", "vertices")) >= 300, kinds
+
+
+def test_check_runs_no_collapse_and_lists_no_simplex(tmp_path, capsys):
+    """On a 40-vertex chordal complex whose largest simplex has dimension 18,
+    check decides from vertices and edges alone.  Calls are counted by code
+    object; the first one stops the run."""
+    forbidden = {simply_connected_heuristic.__code__: "simply_connected_heuristic",
+                 FlagComplex.simplices.__code__: "simplices"}
+    path = tmp_path / "x.cx"
+    path.write_text(dumps_complex(subtree_chordal(9)))
+    calls = Counter()
+
+    class Listed(Exception):
+        pass
+
+    def profile(frame, event, arg):
+        name = forbidden.get(frame.f_code) if event == "call" else None
+        if name is not None:
+            calls[name] += 1
+            raise Listed(name)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        code = main(["check", "--complex", str(path)])
+    finally:
+        sys.setprofile(previous)
+    assert not calls, calls
+    assert code == 0 and "systolic: True" in capsys.readouterr().out
 
 
 def test_dist_dgeo_egeo(flat_file, capsys, tmp_path):
