@@ -7,10 +7,9 @@ plus seeded verification suites for the quantitative theorems.
 """
 
 from .boundary import (BoundaryAtlas, GoodGeodesic, boundary_atlas,
-                       contracting_check, corollary_contr_check, default_D,
-                       in_standard_neighborhood, is_good_geodesic,
-                       make_good_geodesic, rays_equivalent_truncated,
-                       ATLAS_CAP, C_DEFAULT, D_DEFAULT)
+                       corollary_contr_check, default_D, in_standard_neighborhood,
+                       is_good_geodesic, make_good_geodesic,
+                       rays_equivalent_truncated, ATLAS_CAP, C_DEFAULT, D_DEFAULT)
 from .complex import (FlagComplex, dump_complex, dumps_complex, is_k_large,
                       is_locally_6_large, load_complex, loads_complex,
                       simply_connected_heuristic, INFINITY)

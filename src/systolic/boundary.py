@@ -35,8 +35,6 @@ def default_D(C: int) -> int:
 
 D_DEFAULT = default_D(C_DEFAULT)
 
-C_SAMPLES = tuple(Fraction(i, 8) for i in range(9))
-
 
 class GoodnessError(ValueError):
     """A certificate failed where the construction guarantees it."""
@@ -185,27 +183,22 @@ def make_good_geodesic(X: FlagComplex, v: int, w: int, C: int = C_DEFAULT) -> Go
     return good
 
 
-def contracting_check(X: FlagComplex, t: int, s: int, s2: int) -> Fraction:
-    """Max over sampled c of |r_[cn] r'_[cn']| - c*|s s'| for the threaded
-    Euclidean geodesics r from t to s and r' from t to s'."""
-    r1 = thread_vertex_path(X, euclidean_geodesic(X, (t,), (s,)))
-    r2 = thread_vertex_path(X, euclidean_geodesic(X, (t,), (s2,)))
-    return corollary_contr_check(X, r1, r2)
+def corollary_contr_check(X: FlagComplex, path_v: list[int], path_w: list[int]) -> Fraction:
+    """Max over every c in [0, 1] of |v_[cn] w_[cm]| - c*|v_n w_m| for two
+    good geodesics from a common basepoint.
 
-
-def corollary_contr_check(X: FlagComplex, path_v: list[int], path_w: list[int]):
-    """Max over sampled c of |v_[cn] w_[cm]| - c*|v_n w_m| for two good
-    geodesics from a common basepoint."""
+    The maximum falls at a breakpoint c in {0} | {a/n} | {b/m}.  Between
+    consecutive breakpoints both floors [cn] and [cm] are constant, so the
+    distance is constant while -c*|v_n w_m| does not increase: the excess
+    on [c0, c1) is at most its value at c0, and c = 1 is a breakpoint.
+    """
     if path_v[0] != path_w[0]:
         raise ValueError("paths must share their basepoint")
     n, m = len(path_v) - 1, len(path_w) - 1
-    dend = dist(X, (path_v[-1],), (path_w[-1],))
-    worst = None
-    for c in C_SAMPLES:
-        excess = Fraction(dist(X, (path_v[int(c * n)],), (path_w[int(c * m)],))) - c * dend
-        if worst is None or excess > worst:
-            worst = excess
-    return worst
+    dend = dist(X, path_v[-1], path_w[-1])
+    breaks = ({Fraction(0)} | {Fraction(a, n) for a in range(1, n + 1)}
+              | {Fraction(b, m) for b in range(1, m + 1)})
+    return max(dist(X, path_v[int(c * n)], path_w[int(c * m)]) - c * dend for c in breaks)
 
 
 def rays_equivalent_truncated(X: FlagComplex, a: GoodGeodesic, b: GoodGeodesic,

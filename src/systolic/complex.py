@@ -105,8 +105,9 @@ class FlagComplex:
         return self.induced(common)
 
     def is_connected(self) -> bool:
+        """Nonempty with a connected 1-skeleton: a connected space is nonempty."""
         if not self.adjacency:
-            return True
+            return False
         start = next(iter(self.adjacency))
         seen = {start}
         stack = [start]
@@ -360,8 +361,6 @@ def simply_connected_heuristic(X: FlagComplex) -> str:
     every simplex, so it is exponential in the dimension.  `check` decides
     systolicity without it; perfbench's cold-check and the tests call it.
     """
-    if not X.adjacency:
-        return "unknown"
     if not X.is_connected():
         return "unknown"
     simplices = set(X.simplices())

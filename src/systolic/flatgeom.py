@@ -48,7 +48,7 @@ def as_disc(X: FlagComplex) -> TriangulatedDisc:
     when vw is a boundary edge, of which a cycle vertex meets two and any
     other vertex none.
     """
-    if not X.adjacency or not X.is_connected():
+    if not X.is_connected():
         raise DiscError("not a nonempty connected complex")
     tris = X.triangles()
     edges = X.edges()

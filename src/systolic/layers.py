@@ -7,6 +7,7 @@ the layers carries every 1-skeleton geodesic between the two sides.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable
 
 from .complex import FlagComplex, Simplex, chordless_cycle
@@ -157,14 +158,15 @@ def verify_profile_lemmas(profile: ThicknessProfile) -> list[str]:
     return failures
 
 
-def verify_layer_lemmas(X: FlagComplex, V, W, rng) -> dict:
+def verify_layer_lemmas(X: FlagComplex, V, W) -> dict:
     """Report on the layer structure between convex V and W.
 
     For interior layers and the unions of consecutive interior layers:
     chordality (no induced cycle of any length >= 4).  For every layer: no
     isometric trapezoid in its 1-skeleton.  Between consecutive layers: the
-    unit difference bound on up to 50 cross-layer edge pairs drawn by `rng`.
-    Failures are report entries, each falsifying systolicity of the input.
+    unit difference bound on every unordered pair of cross-layer edges,
+    each failing pair reported once.  Failures are report entries, each
+    falsifying systolicity of the input.
     """
     dec = layers(X, V, W)
     failures: list[str] = []
@@ -187,10 +189,9 @@ def verify_layer_lemmas(X: FlagComplex, V, W, rng) -> dict:
     cross = []
     for i in range(dec.n):
         li, lj = dec.layers[i], dec.layers[i + 1]
-        cross_edges = [(v, w) for v in li for w in X.adjacency[v] if w in lj]
-        for _ in range(min(50, len(cross_edges) ** 2)):
-            (v, w), (x, y) = rng.choice(cross_edges), rng.choice(cross_edges)
-            if abs(dist(X, (v,), (x,)) - dist(X, (w,), (y,))) > 1:
+        cross_edges = sorted((v, w) for v in li for w in X.adjacency[v] if w in lj)
+        for (v, w), (x, y) in combinations(cross_edges, 2):
+            if abs(dist(X, v, x) - dist(X, w, y)) > 1:
                 failures.append(f"edges ({v},{w}) and ({x},{y}) differ by more than 1")
         cross.append(len(cross_edges))
 

@@ -1,6 +1,7 @@
 """Good geodesics, contracting bounds, and the truncated boundary atlas."""
 
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -9,15 +10,14 @@ import pytest
 
 from systolic import boundary
 from systolic.boundary import (C_DEFAULT, D_DEFAULT, GoodGeodesic, GoodnessError,
-                               atlas_report, boundary_atlas, contracting_check,
-                               corollary_contr_check, in_standard_neighborhood,
-                               is_good_geodesic, make_good_geodesic,
-                               rays_equivalent_truncated)
+                               atlas_report, boundary_atlas, corollary_contr_check,
+                               in_standard_neighborhood, is_good_geodesic,
+                               make_good_geodesic, rays_equivalent_truncated)
 from systolic.complex import FlagComplex
-from systolic.eucgeo import euclidean_geodesic
+from systolic.eucgeo import euclidean_geodesic, thread_vertex_path
 from systolic.generators import flat_parallelogram, flat_rectangle, gen_disc_with_degrees
 from systolic.metric import ProjectionError, all_geodesics, dist, dist_map, graded_paths
-from systolic.suites import extremal_geodesic
+from systolic.suites import extremal_geodesic, instance_suite
 from test_chordality import cycle, triangular_torus
 
 
@@ -78,11 +78,16 @@ def test_subpaths_of_good_geodesics_are_good():
     assert witness is None
 
 
+def threaded_ray(X, t, s):
+    """The threaded Euclidean geodesic from t to s, a good geodesic."""
+    return thread_vertex_path(X, euclidean_geodesic(X, (t,), (s,)))
+
+
 def test_contracting_identical_targets():
     X = flat_parallelogram(6, 2)
     t, s = corner_pair(X)
-    excess = contracting_check(X, t, s, s)
-    assert excess <= 0
+    ray = threaded_ray(X, t, s)
+    assert corollary_contr_check(X, ray, ray) <= 0
 
 
 def test_contracting_flat_triples():
@@ -91,9 +96,47 @@ def test_contracting_flat_triples():
     rng = random.Random(0)
     for _ in range(5):
         s2 = rng.choice([v for v in X.vertices if v not in (t, s)])
-        excess = contracting_check(X, t, s, s2)
+        excess = corollary_contr_check(X, threaded_ray(X, t, s), threaded_ray(X, t, s2))
         assert excess <= C_DEFAULT
         assert excess < 10  # far below the bound on flat instances
+
+
+def excess_on_grid(X, path_v, path_w, L):
+    """Max of |v_[cn] w_[cm]| - c*|v_n w_m| over c = a/L, 0 <= a <= L."""
+    n, m = len(path_v) - 1, len(path_w) - 1
+    dend = dist(X, path_v[-1], path_w[-1])
+    return max(dist(X, path_v[a * n // L], path_w[a * m // L]) - Fraction(a, L) * dend
+               for a in range(L + 1))
+
+
+def test_contracting_excess_is_its_maximum_over_every_c():
+    """On seeded suite triples the excess equals a scan over c = a/L with
+    L = 2 lcm(n, m): every breakpoint a/n and b/m, and a point inside every
+    interval between consecutive ones."""
+    triples = 0
+    for seed in range(1, 9):
+        rng = random.Random(seed)
+        for inst in instance_suite(seed, 16):
+            X, t, s = inst.X, inst.sigma[0], inst.tau[0]
+            ray = threaded_ray(X, t, s)
+            others = [v for v in X.vertices if v != s and dist(X, t, v) >= 2]
+            for s2 in rng.sample(others, 3):
+                ray2 = threaded_ray(X, t, s2)
+                L = 2 * math.lcm(len(ray) - 1, len(ray2) - 1)
+                assert corollary_contr_check(X, ray, ray2) == excess_on_grid(X, ray, ray2, L)
+                triples += 1
+    assert triples == 384
+
+
+def test_contracting_excess_between_the_eighths():
+    """From corner 0 of the README's parallelogram, towards 26 and towards
+    4, the excess peaks at c = 2/5: |v_4 w_0| - (2/5) |v_10 w_2| = 4 - 16/5.
+    At each c = i/8 it is at most 0."""
+    X = flat_parallelogram(8, 2)
+    ray, short = threaded_ray(X, 0, 26), threaded_ray(X, 0, 4)
+    assert ray == [0, 1, 4, 7, 10, 13, 16, 19, 20, 23, 26] and short == [0, 1, 4]
+    assert corollary_contr_check(X, ray, short) == Fraction(4, 5)
+    assert excess_on_grid(X, ray, short, 8) == 0
 
 
 def test_corollary_contr_basics():

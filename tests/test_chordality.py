@@ -154,7 +154,7 @@ def reported_cycles(report, prefix):
 
 def test_layer_report_finds_cycles_longer_than_twelve():
     X, ring_a, ring_b = ringed_bicone(13)
-    report = verify_layer_lemmas(X, {26}, {27}, rng=random.Random(0))
+    report = verify_layer_lemmas(X, {26}, {27})
     assert report["n"] == 3 and not report["ok"] and "capped" not in report
     for i, ring in ((1, ring_a), (2, ring_b)):
         (found,) = reported_cycles(report, f"layer {i} has")

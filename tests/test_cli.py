@@ -130,12 +130,15 @@ def test_check_witnesses_empty_and_disconnected_complexes(tmp_path, capsys):
         (FlagComplex.from_edges(cycle(4).edges() + cycle(3, 10).edges()),
          "onto B_1(0): projection of (2,) is not a simplex: (1, 3)"),
     ]
+    # each complex is empty or disconnected: a connected space is nonempty
     for X, witness in cases:
         assert check_file(tmp_path, X) == 1
         lines = capsys.readouterr().out.splitlines()
+        assert "connected: False" in lines, lines
         assert lines[-2:] == ["systolic: False", f"witness: {witness}"], lines
         assert check_file(tmp_path, X, "--json") == 1
         report = json.loads(capsys.readouterr().out)
+        assert report["connected"] is False
         assert report["systolic"] is False and report["witness"] == witness
 
 

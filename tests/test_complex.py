@@ -225,10 +225,11 @@ def test_input_checks_name_their_fault():
 
 
 def test_empty_and_disconnected_complexes():
-    """The empty complex is connected, and the collapse heuristic says
-    "unknown" both for it and for two disjoint edges: it never claims "no"."""
+    """Neither the empty complex nor two disjoint edges is connected, and the
+    collapse heuristic says "unknown" for both: it never claims "no"."""
     empty = FlagComplex({})
-    assert empty.is_connected()
+    assert not empty.is_connected()
+    assert not FlagComplex.from_edges([(0, 1), (2, 3)]).is_connected()
     assert simply_connected_heuristic(empty) == "unknown"
     assert simply_connected_heuristic(FlagComplex.from_edges([(0, 1), (2, 3)])) == "unknown"
 

@@ -12,6 +12,7 @@ from systolic.layers import (ThicknessProfile, _find_trapezoid, layers, thicknes
 from systolic.metric import dist, dist_map, directed_geodesic, sphere
 
 from oracles import bfs_oracle, lattice_dist
+from test_chordality import cycle
 
 
 def corner_pair(X):
@@ -217,7 +218,7 @@ def test_profile_input_errors():
 def test_verify_layer_lemmas_flat():
     X = flat_rectangle(5, 3)
     c0, c1 = corner_pair(X)
-    report = verify_layer_lemmas(X, {c0}, {c1}, rng=random.Random(0))
+    report = verify_layer_lemmas(X, {c0}, {c1})
     assert report["ok"], report["failures"]
 
 
@@ -225,7 +226,7 @@ def test_verify_layer_lemmas_trivial_n1():
     X = flat_parallelogram(3, 3)
     v = X.vertices[0]
     w = min(X.adjacency[v])
-    report = verify_layer_lemmas(X, {v}, {w}, rng=random.Random(0))
+    report = verify_layer_lemmas(X, {v}, {w})
     assert report["ok"] and report["n"] == 1
 
 
@@ -234,9 +235,22 @@ def test_verify_layer_lemmas_detects_bad_layer():
     edges = [(0, i) for i in (2, 3, 4, 5)] + [(1, i) for i in (2, 3, 4, 5)]
     edges += [(2, 3), (3, 4), (4, 5), (5, 2)]
     X = FlagComplex.from_edges(edges)
-    report = verify_layer_lemmas(X, {0}, {1}, rng=random.Random(0))
+    report = verify_layer_lemmas(X, {0}, {1})
     assert not report["ok"]
     assert any("induced cycle" in f for f in report["failures"])
+
+
+def test_verify_layer_lemmas_reports_each_failing_edge_pair_once():
+    """Between antipodes of an even cycle C_N each layer pair has two cross
+    edges, one on each side, and the distance between their tails differs
+    by 2 from that between their heads: one unit-difference failure per
+    layer pair, each once, and no other failure."""
+    for N in (12, 16):
+        report = verify_layer_lemmas(cycle(N), {0}, {N // 2})
+        assert report["cross_edge_counts"] == [2] * (N // 2)
+        assert report["failures"] == [
+            f"edges ({i},{i + 1}) and ({(N - i) % N},{N - i - 1}) differ by more than 1"
+            for i in range(N // 2)]
 
 
 def test_trapezoid_search_finds_the_three_triangle_fan():
@@ -250,7 +264,7 @@ def test_trapezoid_search_finds_the_three_triangle_fan():
 def test_optional_layer_union_check_runs():
     X = flat_parallelogram(6, 2)
     c0, c1 = corner_pair(X)
-    report = verify_layer_lemmas(X, {c0}, {c1}, rng=random.Random(0))
+    report = verify_layer_lemmas(X, {c0}, {c1})
     assert report["ok"], report["failures"]
 
 

@@ -88,8 +88,8 @@ EXPECTED = {
     'verify layers': 'a2433ee1a476f1c00e4c6626e5b0b9b7a879d6bd7e389e160533546c64e70891',
     'verify prop99': 'a2c2761f9e68cbbd3b010a3b9646fcb3d5ccd8207b769ee1c58e6b8845e92ac3',
     'verify properties': 'c6e7806258b4e0607d7cf1b61a2eab4ff98c4c5ff7a00563aa5eca5796c83362',
-    'verify thm8.1': '4fffc82d72784f8220890b0e97b70d92d96731371d399700cf310cf5b32dd8c8',
-    'verify thmB': 'e5d7b9c7645da831b5c8b6dfdb16045c6147cf11274fd45f84d559687ae49870',
+    'verify thm8.1': 'dab3a462e80bd3efc8de19ff40fc4a2699548c3f5117d2ca4b1811342cb1f1c5',
+    'verify thmB': 'ac432fedb0b693f9a9e650d75733c9b9921c45efb32891980051fb06620607d9',
     'verify thmC': 'a7cc8499d8d670c9d26d2cf5adacb06834a6866cb30a18ed7305568b823b4145',
     'gen parallelogram': 'f64e069b47a306e0855f436ee38d96dbbe8ed68e0b293119d5af3314d820bb7a',
     'gen rectangle': '42562c008c286c04c6222242a8f04b4a62686274eb3e4d286845a70e5cbfad18',
