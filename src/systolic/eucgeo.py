@@ -16,7 +16,7 @@ from .complex import FlagComplex, Simplex
 from .flatgeom import PolyPath, polygon_geodesic
 from .lattice import RowStack
 from .layers import ThicknessProfile, _profile, thickness_profile
-from .metric import _directed, _interval_dist, dist, dist_map, spans_simplex
+from .metric import _directed, _interval, dist, dist_map, spans_simplex
 
 
 @dataclass
@@ -85,8 +85,9 @@ def euclidean_geodesic(X: FlagComplex, sigma, tau) -> EuclideanGeodesic:
     when it meets S_{n+1}(tau) too: the two lengths decide the condition.
     At n = 0 it makes each endpoint a face of the other, so sigma = tau.
 
-    Only sigma's sweep runs, and I(sigma, tau) is walked once on it
-    (`_interval_dist`): sigma's directed geodesic reads d(., tau) on I, and
+    I(sigma, tau) is found once (`_interval`), by sigma's and tau's sweeps,
+    grown to B_a(sigma) and B_b(tau) with a + b = n and walked from the
+    middle level: sigma's directed geodesic reads d(., tau) on I, and
     tau's, like every characteristic image, the layer map n - d(., tau),
     each with every projection and ProjectionError of full sweeps.  `_profile`
     skips `thickness_profile`'s checks, which hold by construction: members
@@ -102,8 +103,7 @@ def euclidean_geodesic(X: FlagComplex, sigma, tau) -> EuclideanGeodesic:
     tau = tuple(sorted(tau)) if not isinstance(tau, int) else (tau,)
     if not X.is_simplex(sigma) or not X.is_simplex(tau):
         raise ValueError("endpoints must be simplices")
-    n = dist(X, sigma, tau)
-    dt = _interval_dist(X, sigma, tau, n)
+    n, dt = _interval(X, sigma, tau)
     level = {x: n - d for x, d in dt.items()}
     sigma_seq = _directed(X, sigma, dt, n)
     tau_seq = _directed(X, tau, level, n)[::-1]
@@ -180,13 +180,23 @@ def subsegment_check(X: FlagComplex, eg: EuclideanGeodesic, l: int, m: int,
     """
     if not 0 <= l < m <= eg.n:
         raise ValueError("need 0 <= l < m <= n")
+    ends = _subsegment_ends(X, eg, mode)
+    return _subsegment_drift(X, eg, l, m, ends[l], ends[m])
+
+
+def _subsegment_ends(X: FlagComplex, eg: EuclideanGeodesic, mode: str) -> list[Simplex]:
+    """Per index k, the end a subsegment takes there: delta_k (weak), or r_k
+    of the path threaded once (strong)."""
     if mode == "weak":
-        a, b = eg.deltas[l], eg.deltas[m]
-    elif mode == "strong":
-        r = thread_vertex_path(X, eg)
-        a, b = (r[l],), (r[m],)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+        return eg.deltas
+    if mode == "strong":
+        return [(v,) for v in thread_vertex_path(X, eg)]
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def _subsegment_drift(X: FlagComplex, eg: EuclideanGeodesic, l: int, m: int,
+                      a: Simplex, b: Simplex) -> tuple[int, list[int]]:
+    """`subsegment_check` of (l, m) between its ends a and b."""
     sub = euclidean_geodesic(X, a, b)
     dists = [dist(X, eg.deltas[l + k], sub.deltas[k]) for k in range(m - l + 1)]
     return max(dists), dists

@@ -15,7 +15,9 @@ within r; only a map asked for with `radius=None` is complete, never
 changes again, and may be iterated.
 
 Geodesics come from one lazy, uncapped lexicographic walk, `graded_paths`.
-Intervals are walked back from one end on the other's sweep alone.
+An interval I(V, W) comes from two half sweeps, V's and W's, grown to
+radii a and b that meet in the middle, a + b = d(V, W), and is walked from
+the middle level down to each end on that end's sweep (`_interval`).
 """
 
 from __future__ import annotations
@@ -114,17 +116,24 @@ def dist_map(X: FlagComplex, sources: Iterable[int], *,
     return sweep.dist
 
 
-def dist(X: FlagComplex, A: Iterable[int] | int, B: Iterable[int] | int) -> int:
-    """Minimum 1-skeleton distance between two nonempty vertex sets: A's
-    sweep grows until a level holds a vertex of B.  An empty or unknown
-    target set raises before any sweep is made or grown."""
-    key = frozenset((A,) if isinstance(A, int) else A)
+def _targets(X: FlagComplex, B: Iterable[int] | int) -> frozenset[int]:
+    """B as a frozen set of known vertices: an empty or unknown target set
+    raises before any sweep is made or grown."""
     targets = frozenset((B,) if isinstance(B, int) else B)
     if not targets:
         raise ValueError("empty target set")
     for b in targets:
         if b not in X.adjacency:
             raise KeyError(b)
+    return targets
+
+
+def dist(X: FlagComplex, A: Iterable[int] | int, B: Iterable[int] | int) -> int:
+    """Minimum 1-skeleton distance between two nonempty vertex sets: A's
+    sweep grows until a level holds a vertex of B (`_targets` checks B
+    first)."""
+    key = frozenset((A,) if isinstance(A, int) else A)
+    targets = _targets(X, B)
     sweep = _sweep(X, key)
     dm = sweep.dist
     best = None
@@ -169,7 +178,7 @@ def is_convex(X: FlagComplex, Y: Iterable[int]) -> bool:
     if not X.induced(ys).is_connected():
         return False
     yset = frozenset(ys)
-    return all(yset.issuperset(_interval_dist(X, (u,), (v,), dist(X, u, v)))
+    return all(yset.issuperset(_interval(X, (u,), (v,))[1])
                for i, u in enumerate(ys) for v in ys[i + 1:])
 
 
@@ -301,24 +310,107 @@ def _directed(X: FlagComplex, sigma: Simplex, dm: dict[int, int], m: int) -> lis
     return seq
 
 
-def _interval_dist(X: FlagComplex, V: Iterable[int], W: Iterable[int], n: int) -> dict[int, int]:
-    """d(., W) on I = {x : d(x, V) + d(x, W) = n}, n = d(V, W), from V's
-    sweep alone: walk back from W & S_n(V) to neighbours one level nearer
-    V, each in I, as k from V and within n - k of W.  In any graph, from x
-    in I, k from V, a neighbour u with d(u, W) < n - k lies in I, k + 1
-    from V: so the walk reaches all of I, and the projections of a directed
-    geodesic from V to W find on I every vertex they keep.  Symmetrically,
-    a neighbour u of x in I, m + 1 from V, with d(u, V) <= m has d(u, V) = m
-    and d(u, W) <= n - m, so u is in I: from W, inner part W & S_n(V) too, the
-    layer map {x: n - d} on I gives V's sweep's projections and errors.
+def _touch(X: FlagComplex, key: frozenset[int], sweep: _Sweep) -> None:
+    """Make sweep key's cached sweep, the most recent, before it grows: put
+    back and counted if it was never cached or has been evicted."""
+    cache = X._dist_cache
+    if key in cache:
+        cache.move_to_end(key)
+    else:
+        cache[key] = sweep
+        X._dist_labelled += len(sweep.dist)
+
+
+def _least(level: Iterable[int], labels: dict[int, int]) -> tuple[int, list[int]]:
+    """(m, the vertices of level labelled m), m the least label on level,
+    for a level that holds a labelled vertex."""
+    m = min(labels[x] for x in level if x in labels)
+    return m, [x for x in level if labels.get(x) == m]
+
+
+def _halves(X: FlagComplex, vkey: frozenset[int], wkey: frozenset[int]) -> tuple[int, int, list[int]]:
+    """(a, b, S_a(V) & S_b(W)) with a + b = d(V, W), from V's and W's
+    sweeps grown until they meet, as `_interval` sets out.  W's sweep, if
+    not cached, enters the cache when it first grows."""
+    sv = _sweep(X, vkey)
+    if not sv.dist.keys().isdisjoint(wkey):
+        m, mid = _least(wkey, sv.dist)
+        return m, 0, mid
+    sw = X._dist_cache.get(wkey)
+    if sw is None:
+        sw = _Sweep(wkey)
+    elif not sw.dist.keys().isdisjoint(vkey):
+        m, mid = _least(vkey, sw.dist)
+        return 0, m, mid
+    while True:
+        grown, key, other = ((sw, wkey, sv.dist) if len(sw.frontier) < len(sv.frontier)
+                             else (sv, vkey, sw.dist))
+        if grown.radius == _WHOLE:
+            raise ValueError("vertex sets lie in different components")
+        _touch(X, key, grown)
+        _grow(X, grown, grown.radius + 1)
+        if not other.keys().isdisjoint(grown.frontier):
+            m, mid = _least(grown.frontier, other)
+            return (grown.radius, m, mid) if grown is sv else (m, grown.radius, mid)
+
+
+def _walk(X: FlagComplex, out: dict[int, int], level, labels: dict[int, int],
+          k: int, far: int) -> None:
+    """Put in `out` the levels j = k - 1, .., 0 of the distance map `labels`
+    reached from `level`, at k, through neighbours one level nearer its
+    sources, a vertex of level j at |far - j|: d(., W) on W's map with
+    far = 0, and on V's with far = n."""
+    adjacency = X.adjacency
+    for j in range(k - 1, -1, -1):
+        level = {u for x in level for u in adjacency[x] if labels.get(u) == j}
+        out.update(dict.fromkeys(level, abs(far - j)))
+
+
+def _interval(X: FlagComplex, V: Iterable[int], W: Iterable[int]) -> tuple[int, dict[int, int]]:
+    """n = d(V, W) and d(., W) on the interval I = {x : d(x, V) + d(x, W) = n},
+    from two half sweeps that meet in the middle (bidirectional search;
+    Pohl, "Bi-directional search", Machine Intelligence 6, 1971).
+
+    A cached sweep that already labels the other end is used as is: V's
+    gives a = n, b = 0, else W's gives a = 0, b = n, and no other sweep
+    grows.  Otherwise V's and W's sweeps grow a level at a time, the one
+    with the smaller frontier first (V's on a tie), until the level S_r
+    just labelled meets the other sweep's labels, the least of them m:
+    then n = r + m and {a, b} = {r, m}.  The middle level is the set of
+    level vertices labelled m, S_a(V) & S_b(W).  While neither sweep
+    labels the other end, n exceeds both radii, so a geodesic from V to W
+    has a vertex x in S_r; if n - r is within the other radius, x is
+    labelled n - r, and a labelled vertex y of S_r has n <= r + d(y); if
+    not, no vertex of S_r is labelled, and n again exceeds both radii.  An
+    empty level, a complete sweep, means V and W lie in different
+    components.  `_targets` checks W before any sweep is made.
+
+    I is walked from the middle level, down to V on V's map and down to W
+    on W's, each read through `dist_map` to its half radius.
+    * In any graph a neighbour u of x in I one level nearer either end
+      stays in I: with d(u, V) = d(x, V) - 1, d(u, W) <= d(x, W) + 1 while
+      d(u, V) + d(u, W) >= n, so equality holds; W's side is symmetric.
+    * Every x in I lies on a geodesic from V to W (one to x, then one on),
+      which crosses the middle level at y, a from V and b from W.  Between
+      x and y the geodesic moves one level nearer V, or W, at each step, so
+      one of the walks reaches x.
+    So the map is I with d(., W), whatever a + b = n the search stops at.
+    A directed geodesic from V to W read off it makes the projections and
+    errors of a full sweep of W: from V & S_n(W), each projection keeps
+    neighbours one level nearer W, which stay in I by the first point.  One
+    from W, inner part W & S_n(V), read off the layer map {x: n - d}, is
+    the same with V for W.
     """
-    dv = dist_map(X, V, radius=n)
-    level = {w for w in W if dv.get(w) == n}
-    out = dict.fromkeys(level, 0)
-    for k in range(n - 1, -1, -1):
-        level = {u for x in level for u in X.adjacency[x] if dv.get(u) == k}
-        out.update(dict.fromkeys(level, n - k))
-    return out
+    vkey = frozenset(V)
+    wkey = _targets(X, W)
+    a, b, mid = _halves(X, vkey, wkey)
+    n = a + b
+    out = dict.fromkeys(mid, b)
+    if b:
+        _walk(X, out, mid, dist_map(X, wkey, radius=b), b, 0)
+    if a:
+        _walk(X, out, mid, dist_map(X, vkey, radius=a), a, n)
+    return n, out
 
 
 def spans_simplex(X: FlagComplex, *simplices: Iterable[int]) -> bool:

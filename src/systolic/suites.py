@@ -17,8 +17,8 @@ from fractions import Fraction
 
 from .boundary import C_DEFAULT, corollary_contr_check, default_D, make_good_geodesic
 from .complex import FlagComplex
-from .eucgeo import (cat0_closeness_check, euclidean_geodesic,
-                     subsegment_check, verify_euc_properties)
+from .eucgeo import (_subsegment_drift, _subsegment_ends, cat0_closeness_check,
+                     euclidean_geodesic, verify_euc_properties)
 from .flatgeom import as_disc, gauss_bonnet_sum
 from .generators import flat_parallelogram, flat_rectangle, gen_disc_with_degrees
 from .layers import verify_layer_lemmas, verify_profile_lemmas
@@ -156,15 +156,17 @@ def _suite_layers(config: SuiteConfig, report: SuiteReport) -> None:
 
 
 def _suite_subsegment(mode: str, bound: int):
-    """The drift of every subsegment 0 <= l < m <= n, by `subsegment_check`."""
+    """The drift of every subsegment 0 <= l < m <= n, as `subsegment_check`
+    measures it, with each geodesic's ends found (threaded) once."""
     def run(config: SuiteConfig, report: SuiteReport) -> None:
         worst = 0
         checked = 0
         for inst in instance_suite(config.seed, config.count):
             eg = euclidean_geodesic(inst.X, inst.sigma, inst.tau)
+            ends = _subsegment_ends(inst.X, eg, mode)
             for l in range(eg.n):
                 for m in range(l + 1, eg.n + 1):
-                    mx, _ = subsegment_check(inst.X, eg, l, m, mode)
+                    mx, _ = _subsegment_drift(inst.X, eg, l, m, ends[l], ends[m])
                     worst = max(worst, mx)
                     checked += 1
                     if mx > bound:

@@ -313,3 +313,20 @@ def test_criterion_13_layer_lemmas():
 def test_run_suite_names_the_suites_it_has():
     with pytest.raises(ValueError, match=r"^unknown suite 'nope'; have \['gauss-bonnet', "):
         run_suite("nope", SuiteConfig())
+
+
+def test_strong_subsegment_suite_threads_each_geodesic_once(monkeypatch):
+    """thmB threads each of its 16 geodesics once, not once per subsegment
+    (724 times), and still reports the same maximum over every subsegment."""
+    from systolic import eucgeo
+    threaded = []
+    original = eucgeo.thread_vertex_path
+
+    def counting(X, eg):
+        threaded.append(eg)
+        return original(X, eg)
+    monkeypatch.setattr(eucgeo, "thread_vertex_path", counting)
+    report = run_suite("thmB", SuiteConfig(seed=3, count=16))
+    assert len(threaded) == 16
+    assert report.ok and report.lines == [
+        "max |delta_k, delta~_k| = 1 over 724 subsegments (bound 198)"]

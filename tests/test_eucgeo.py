@@ -171,10 +171,11 @@ def test_euclidean_geodesic_tracks_straight_segment():
 
 
 def test_thin_euclidean_geodesic_runs_one_bfs():
-    """Without a thick interval the only BFS row is sigma's: both directed
-    geodesics read their balls off it, tau's side through the interval
-    walked back from tau, and thickness decides every thin layer by one
-    `is_simplex`, which runs no BFS."""
+    """Without a thick interval the only BFS rows are sigma's and, when it
+    grew (b > 0), tau's: they meet at a + b = n, both directed geodesics
+    read their balls off the interval walked from the middle level, and
+    thickness decides every thin layer by one `is_simplex`, which runs no
+    BFS."""
     X = gen_disc_with_degrees(1, rings=4)
     dm = dist_map(X, (0,))
     checked = 0
@@ -185,7 +186,11 @@ def test_thin_euclidean_geodesic_runs_one_bfs():
         eg = euclidean_geodesic(fresh, (0,), (v,))
         if eg.intervals:
             continue
-        assert set(fresh._dist_cache) == {frozenset((0,))}
+        cache = dict(fresh._dist_cache)
+        a = cache.pop(frozenset((0,))).radius
+        tau_sweep = cache.pop(frozenset((v,)), None)
+        assert not cache and (tau_sweep is None or tau_sweep.radius > 0)
+        assert a + (tau_sweep.radius if tau_sweep else 0) == eg.n
         checked += 1
     assert checked >= 20
 
@@ -365,21 +370,29 @@ def test_diagonal_close_to_rho_barycenter_path():
 
 
 def test_euclidean_geodesic_sweeps_stop_at_its_balls():
-    """The directed geodesics read sigma's sweep, which `dist` grows to
-    n = |sigma tau|: it labels exactly B_n(sigma), and tau has no sweep of
-    its own, thick intervals included."""
+    """The directed geodesics read sigma's and tau's sweeps, which
+    `_interval` grows until they meet at a + b = n = |sigma tau|: they label
+    exactly B_a(sigma) and B_b(tau), in BFS order, and tau has a sweep only
+    when b > 0, thick intervals included."""
     X = gen_disc_with_degrees(3, rings=5)
     rng = random.Random(9)
-    thick = 0
+    thick = grown = 0
     for _ in range(80):
         u, v = rng.sample(X.vertices, 2)
         fresh = FlagComplex(X.adjacency)
         eg = euclidean_geodesic(fresh, (u,), (v,))
         thick += bool(eg.intervals)
-        ball = [(w, d) for w, d in bfs_oracle(X.adjacency, eg.sigma).items() if d <= eg.n]
-        assert list(fresh._dist_cache[frozenset(eg.sigma)].dist.items()) == ball
-        assert frozenset(eg.tau) not in fresh._dist_cache
-    assert thick >= 5
+        cache = fresh._dist_cache
+        sweeps = [cache[frozenset(eg.sigma)]]
+        if frozenset(eg.tau) in cache:
+            sweeps.append(cache[frozenset(eg.tau)])
+        radii = [sweep.radius for sweep in sweeps] + [0]
+        assert radii[0] + radii[1] == eg.n and (len(sweeps) == 1 or radii[1] > 0)
+        for end, sweep, r in zip((eg.sigma, eg.tau), sweeps, radii):
+            ball = [(w, d) for w, d in bfs_oracle(X.adjacency, end).items() if d <= r]
+            assert list(sweep.dist.items()) == ball
+        grown += len(sweeps) == 2
+    assert thick >= 5 and grown >= 40
 
 
 def test_euclidean_geodesic_walks_its_interval_once():
@@ -390,7 +403,7 @@ def test_euclidean_geodesic_walks_its_interval_once():
     counted by code object, whichever module namespace makes them."""
     X = flat_parallelogram(8, 2)
     c0, c1 = corner_pair(X)
-    walk, image = metric._interval_dist.__code__, charsurf.characteristic_image.__code__
+    walk, image = metric._interval.__code__, charsurf.characteristic_image.__code__
     counted = {walk: "walk", image: "image", metric.dist.__code__: "dist",
                metric.directed_geodesic.__code__: "directed_geodesic"}
     calls = Counter()

@@ -651,8 +651,8 @@ def test_directed_geodesic_read_off_the_interval_matches_its_own_sweep():
         ends = [(v,) for v in X.vertices] + X.edges()
         for _ in range(100):
             sigma, tau = rng.choice(ends), rng.choice(ends)
-            n = dist(X, sigma, tau)
-            dt = metric._interval_dist(X, sigma, tau, n)
+            n, dt = metric._interval(X, sigma, tau)
+            assert n == dist(X, sigma, tau)
             level = {x: n - d for x, d in dt.items()}
             for start, end, dm in ((sigma, tau, dt), (tau, sigma, level)):
                 walked = outcome(lambda: metric._directed(X, start, dm, n))
