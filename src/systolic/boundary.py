@@ -11,6 +11,16 @@ IHES 104, 2006), which are read off neighbourhoods with no sweep grown;
 longer ones are built.  Every result for a subsegment of two or more edges
 is memoised per endpoint pair.  An atlas certifies each prefix of its rays
 once, and classes no level that D already decides.
+
+A build needs the interval of its subsegment with the distances to its
+far end, and reads them from the path's own layer map, with no search of
+its own.  With l = d(v_0, .) on a geodesic v_0..v_n, call an edge rising
+when l grows by 1 along it.  The cone lemma: for i < j, I(v_i, v_j) is
+the set of vertices reached from v_i along rising edges that reach v_j
+along rising edges, and d(., v_j) = j - l on it, in any graph (proof in
+`_certify`).  So one layer map serves every subsegment of a certificate,
+and of an atlas, whose rays all start at its basepoint: each vertex's
+two cones are found once, and each build reads their intersection.
 """
 
 from __future__ import annotations
@@ -20,8 +30,8 @@ from fractions import Fraction
 from itertools import islice
 
 from .complex import FlagComplex
-from .eucgeo import euclidean_geodesic, thread_vertex_path
-from .metric import _checked_projection, dist, dist_map, graded_paths, is_geodesic_path
+from .eucgeo import _ends, _euclidean, thread_vertex_path
+from .metric import _checked_projection, _interval, dist, dist_map, graded_paths
 
 C_DEFAULT = 208          # universal constant serving both verification suites
 ATLAS_CAP = 20000        # geodesics an atlas certifies at most
@@ -58,20 +68,68 @@ def is_good_geodesic(X: FlagComplex, path: list[int], C: int = C_DEFAULT):
     the witness first in the order of `_certify`.  A path that is not a
     geodesic raises ValueError; the library's own callers pass geodesics
     by construction and skip this check.
+
+    One `_interval(path[0], path[-1])` serves twice: its n checks that the
+    path, whose steps are edges, is a geodesic, and its map gives the layer
+    map n - d(., path[-1]) = d(path[0], .) on I(path[0], path[-1]).
     """
-    if not is_geodesic_path(X, path):
+    if not path or not all(X.is_edge(a, b) for a, b in zip(path, path[1:])):
         raise ValueError("path is not a 1-skeleton geodesic")
-    return _certify(X, path, C, {})
+    n, dt = _interval(X, (path[0],), (path[-1],))
+    if n != len(path) - 1:
+        raise ValueError("path is not a 1-skeleton geodesic")
+    return _certify(X, path, C, _CertMemo({x: n - d for x, d in dt.items()}))
 
 
-def _certify(X: FlagComplex, path: list[int], C: int,
-             memo: dict[tuple[int, int], list]):
-    """is_good_geodesic on a path known to be a geodesic, reading the
-    Euclidean geodesic of each endpoint pair (path[i], path[j]) from `memo`
-    (its deltas) and filling in the misses.  Pairs run by i, then j, and
-    the first entry above C + 1 is the witness.
+class _CertMemo:
+    """What the certificates of geodesics from one vertex o share: the
+    layer map `level`, d(o, .) on a vertex set holding I(o, v_n) for each
+    path v_0..v_n certified (see `_certify`); the deltas of each endpoint
+    pair at distance >= 2; and each vertex's up and down cones."""
 
-    Two facts spare work without changing a result or an error:
+    __slots__ = ("level", "deltas", "up", "down")
+
+    def __init__(self, level: dict[int, int]):
+        self.level = level
+        self.deltas: dict[tuple[int, int], list] = {}
+        self.up: dict[int, set[int]] = {}
+        self.down: dict[int, set[int]] = {}
+
+
+def _certify(X: FlagComplex, path: list[int], C: int, memo: _CertMemo):
+    """is_good_geodesic on a path known to be a geodesic from o, reading
+    the Euclidean geodesic of each endpoint pair (path[i], path[j]) from
+    `memo` (its deltas) and filling in the misses.  Pairs run by i, then j,
+    and the first entry above C + 1 is the witness.
+
+    A build reads I(path[i], path[j]) and d(., path[j]) on it off the
+    layer map l = `memo.level` = d(o, .), by the cone lemma.  Write
+    v_k = path[k], so l(v_k) = k, and call an edge x-y rising when
+    l(y) = l(x) + 1; up(v) is the set of vertices reached from v along
+    rising edges, down(w) the set of those from which w is reached.  For
+    i < j, in any graph:
+
+        I(v_i, v_j) = up(v_i) & down(v_j),  with d(x, v_j) = j - l(x) there.
+
+    * Inclusion of I: let x lie in I(v_i, v_j), so d(v_i, x) + d(x, v_j)
+      = j - i.  Then l(x) <= i + d(v_i, x), and j = l(v_j) <= l(x) +
+      d(x, v_j) = l(x) + j - i - d(v_i, x), so l(x) = i + d(v_i, x).  Each
+      vertex of a geodesic from v_i to v_j lies in I(v_i, v_j), so l grows
+      by 1 along each of its edges: a geodesic from v_i through x to v_j is
+      a rising path, and x lies in both cones.
+    * Inclusion in I: a rising path from v_i to x, then one from x to v_j,
+      has l(v_j) - l(v_i) = j - i = d(v_i, v_j) edges, so it is a geodesic;
+      x lies in I(v_i, v_j), j - l(x) edges from v_j on it.
+    * The map may be cut down: every rising path from v_i to v_j lies in
+      I(v_i, v_j), and v_0..v_i, that path, v_j..v_n is a walk of n =
+      d(v_0, v_n) edges, so a geodesic: the path lies in I(v_0, v_n).  So
+      the intersection is the same on any vertex set holding I(v_0, v_n),
+      where the cones themselves shrink.
+    So the build's map {x: j - l(x)} on the intersection is exactly the one
+    `_interval` finds, and so are its deltas and its errors.  The cones are
+    memoised per vertex in `memo`, for the whole certificate or atlas.
+
+    Two more facts spare work without changing a result or an error:
     - j - i <= 3: the geodesic has a closed form (`_short_deltas`, or
       [(a,), (c,)] for adjacent a, c, since each end projects onto the ball
       B_0 of the other as that other end), which raises what
@@ -92,8 +150,7 @@ def _certify(X: FlagComplex, path: list[int], C: int,
 
 
 def _pair_entries(X: FlagComplex, path: list[int], i: int, j: int, C: int,
-                  memo: dict[tuple[int, int], list],
-                  cert: dict[tuple[int, int, int], int]):
+                  memo: _CertMemo, cert: dict[tuple[int, int, int], int]):
     """Write the entries (i, j, k) of `path` into `cert`, stopping at and
     returning the first witness (i, j, k, distance) above C + 1, or None."""
     deltas = _subsegment_deltas(X, path[i], path[j], j - i, memo)
@@ -106,21 +163,47 @@ def _pair_entries(X: FlagComplex, path: list[int], i: int, j: int, C: int,
     return None
 
 
-def _subsegment_deltas(X: FlagComplex, a: int, c: int, n: int,
-                       memo: dict[tuple[int, int], list]) -> list:
+def _subsegment_deltas(X: FlagComplex, a: int, c: int, n: int, memo: _CertMemo) -> list:
     """The deltas of the Euclidean geodesic between vertices a and c at
-    distance n >= 1: [(a,), (c,)] for n = 1, then `memo`, filled in by a
-    closed form for n <= 3 and by a build after."""
+    distance n >= 1, a before c on a path certified with `memo`:
+    [(a,), (c,)] for n = 1, then `memo`, filled in by a closed form for
+    n <= 3 and by a build on `_cone_interval` after."""
     if n == 1:
         return [(a,), (c,)]
-    deltas = memo.get((a, c))
+    deltas = memo.deltas.get((a, c))
     if deltas is None:
         if n <= 3:
             deltas = _short_deltas(X, a, c, n)
         else:
-            deltas = euclidean_geodesic(X, (a,), (c,)).deltas
-        memo[(a, c)] = deltas
+            deltas = _euclidean(X, (a,), (c,), n, _cone_interval(X, a, c, memo)).deltas
+        memo.deltas[(a, c)] = deltas
     return deltas
+
+
+def _cone_interval(X: FlagComplex, a: int, c: int, memo: _CertMemo) -> dict[int, int]:
+    """d(., c) on I(a, c), for vertices a and c of a path certified with
+    `memo`, a before c: j - l(x) at each x of up(a) & down(c), where l is
+    the layer map and j = l(c) (the cone lemma of `_certify`)."""
+    level = memo.level
+    j = level[c]
+    return {x: j - level[x] for x in _cone(X, level, a, 1, memo.up)
+            & _cone(X, level, c, -1, memo.down)}
+
+
+def _cone(X: FlagComplex, level: dict[int, int], v: int, step: int,
+          cones: dict[int, set[int]]) -> set[int]:
+    """The vertices reached from v along edges that change `level` by step
+    (+1: up(v), -1: down(v)), memoised in `cones`."""
+    cone = cones.get(v)
+    if cone is None:
+        adjacency = X.adjacency
+        cone, layer, k = {v}, [v], level[v]
+        while layer:
+            k += step
+            layer = {u for x in layer for u in adjacency[x] if level.get(u) == k}
+            cone |= layer
+        cones[v] = cone
+    return cone
 
 
 def _short_deltas(X: FlagComplex, a: int, c: int, n: int) -> list:
@@ -174,10 +257,16 @@ def make_good_geodesic(X: FlagComplex, v: int, w: int, C: int = C_DEFAULT) -> Go
 
     The threaded path needs no geodesic check: it has one edge per layer of
     a Euclidean geodesic of length n = d(v, w), so its n edges join v to w.
+    The build's map gives the layer map n - d(., w) = d(v, .) on I(v, w)
+    that the certificate reads.
     """
-    eg = euclidean_geodesic(X, (v,), (w,))
+    sigma, tau = _ends(X, v, w)
+    n, dt = _interval(X, sigma, tau)
+    eg = _euclidean(X, sigma, tau, n, dt)
     path = thread_vertex_path(X, eg)
-    good, witness = _certify(X, path, C, {(v, w): eg.deltas})
+    memo = _CertMemo({x: n - d for x, d in dt.items()})
+    memo.deltas[(v, w)] = eg.deltas
+    good, witness = _certify(X, path, C, memo)
     if good is None:
         raise GoodnessError(f"threaded path failed its certificate at {witness}")
     return good
@@ -260,9 +349,11 @@ def boundary_atlas(X: FlagComplex, O: int, N: int, D: int = D_DEFAULT,
     each endpoint pair at distance >= 2 has its Euclidean geodesic computed
     once for all its rays (by a closed form below distance 4, by a build
     from there), and each prefix has its entries computed once for all the
-    rays through it.  A geodesic of `graded_paths` needs no geodesic check:
-    its distance from O grows by one at each of its N edges, so it ends N
-    from O.  Every ray carries its complete certificate.
+    rays through it.  Builds read the layer map d(O, .) cut off at layer N,
+    which holds I(O, v_N) for every ray, so no interval is searched for.
+    A geodesic of `graded_paths` needs no geodesic check: its distance
+    from O grows by one at each of its N edges, so it ends N from O.
+    Every ray carries its complete certificate.
 
     The rays related to ray a are the AND over i of the rays whose i-th
     vertex lies within D of a's, kept as int bitsets.  Level-i vertices
@@ -279,9 +370,10 @@ def boundary_atlas(X: FlagComplex, O: int, N: int, D: int = D_DEFAULT,
     ecc_map = dist_map(X, (O,))
     if N > max(ecc_map.values()):
         raise ValueError(f"N exceeds the eccentricity of {O}")
-    paths = list(islice(graded_paths(X, O, ecc_map, 1, N), cap + 1))
+    level = {x: d for x, d in ecc_map.items() if d <= N}
+    paths = list(islice(graded_paths(X, O, level, 1, N), cap + 1))
     capped = len(paths) > cap
-    rays = _certify_prefixes(X, paths[:cap], C)
+    rays = _certify_prefixes(X, paths[:cap], C, level)
     if N <= D // 2:
         classes, violations = ([list(range(len(rays)))] if rays else []), 0
     else:
@@ -291,11 +383,12 @@ def boundary_atlas(X: FlagComplex, O: int, N: int, D: int = D_DEFAULT,
     return BoundaryAtlas(O, N, D, rays, classes, violations, matrix, capped)
 
 
-def _certify_prefixes(X: FlagComplex, paths: list[list[int]],
-                      C: int) -> list[GoodGeodesic]:
-    """The good ones among `paths`, geodesics of one length in the DFS
-    order of `graded_paths`, certified with one memo over their shared
-    prefixes.
+def _certify_prefixes(X: FlagComplex, paths: list[list[int]], C: int,
+                      level: dict[int, int]) -> list[GoodGeodesic]:
+    """The good ones among `paths`, geodesics of one length from one vertex
+    o in the DFS order of `graded_paths`, certified with one memo over
+    their shared prefixes, which reads the layer map `level` = d(o, .) on
+    a vertex set holding each path's interval (`_certify`).
 
     The entries (i, j, k) of a path, its level j, depend only on its prefix
     through index j.  So a path keeps the certificates of the prefixes it
@@ -310,7 +403,7 @@ def _certify_prefixes(X: FlagComplex, paths: list[list[int]],
     test_atlas_raises_what_certifying_each_path_raises pins that this
     raises what certifying the paths one by one raises.
     """
-    memo: dict[tuple[int, int], list] = {}
+    memo = _CertMemo(level)
     rays = []
     levels: list[dict] = []     # levels[j]: the certificate of prev[:j + 1]
     prev: list[int] = []

@@ -79,31 +79,48 @@ def euclidean_diagonal(cd: CharDisc, diagonal: PolyPath) -> dict[int, Simplex]:
 def euclidean_geodesic(X: FlagComplex, sigma, tau) -> EuclideanGeodesic:
     """The Euclidean geodesic between simplices sigma and tau.
 
-    Each endpoint must lie in the other's n-sphere, n = d(sigma, tau).  A
-    simplex's vertices lie within 1 of each other, so the directed geodesic
-    from sigma has n + 1 members when sigma lies in S_n(tau), and n + 2
-    when it meets S_{n+1}(tau) too: the two lengths decide the condition.
-    At n = 0 it makes each endpoint a face of the other, so sigma = tau.
-
     I(sigma, tau) is found once (`_interval`), by sigma's and tau's sweeps,
-    grown to B_a(sigma) and B_b(tau) with a + b = n and walked from the
-    middle level: sigma's directed geodesic reads d(., tau) on I, and
-    tau's, like every characteristic image, the layer map n - d(., tau),
-    each with every projection and ProjectionError of full sweeps.  `_profile`
-    skips `thickness_profile`'s checks, which hold by construction: members
-    are nonempty (an inner part keeps the vertices n from the other end,
-    an empty projection raises); consecutive ones span cliques (each is a
+    grown to B_a(sigma) and B_b(tau) with a + b = n = d(sigma, tau) and
+    walked from the middle level; `_euclidean` builds on its map.
+    """
+    sigma, tau = _ends(X, sigma, tau)
+    n, dt = _interval(X, sigma, tau)
+    return _euclidean(X, sigma, tau, n, dt)
+
+
+def _ends(X: FlagComplex, sigma, tau) -> tuple[Simplex, Simplex]:
+    """sigma and tau as sorted vertex tuples (a lone int is one vertex): a
+    ValueError unless both are simplices of X."""
+    sigma = tuple(sorted(sigma)) if not isinstance(sigma, int) else (sigma,)
+    tau = tuple(sorted(tau)) if not isinstance(tau, int) else (tau,)
+    if not X.is_simplex(sigma) or not X.is_simplex(tau):
+        raise ValueError("endpoints must be simplices")
+    return sigma, tau
+
+
+def _euclidean(X: FlagComplex, sigma: Simplex, tau: Simplex, n: int,
+               dt: dict[int, int]) -> EuclideanGeodesic:
+    """The Euclidean geodesic between simplices sigma and tau, sorted, at
+    distance n, with dt exactly d(., tau) on I(sigma, tau).
+
+    Each endpoint must lie in the other's n-sphere.  A simplex's vertices
+    lie within 1 of each other, so the directed geodesic from sigma has
+    n + 1 members when sigma lies in S_n(tau), and n + 2 when it meets
+    S_{n+1}(tau) too: the two lengths decide the condition.  At n = 0 it
+    makes each endpoint a face of the other, so sigma = tau.
+
+    sigma's directed geodesic reads dt, and tau's, like every
+    characteristic image, the layer map n - dt, each with every projection
+    and ProjectionError of full sweeps (`_interval`).  `_profile` skips
+    `thickness_profile`'s checks, which hold by construction: members are
+    nonempty (an inner part keeps the vertices n from the other end, an
+    empty projection raises); consecutive ones span cliques (each is a
     face, or common neighbours, of the one before); and tau_0, tau's last
     projection, lies in B_0(sigma) = sigma, and sigma_n in tau, so the ends
     are S = sigma and T = tau, n apart.  So each thin delta_k lies in layer
     k; a thick one is the `characteristic_image` of row-interior disc
     vertices, which keeps only layer-k candidates and raises if empty.
     """
-    sigma = tuple(sorted(sigma)) if not isinstance(sigma, int) else (sigma,)
-    tau = tuple(sorted(tau)) if not isinstance(tau, int) else (tau,)
-    if not X.is_simplex(sigma) or not X.is_simplex(tau):
-        raise ValueError("endpoints must be simplices")
-    n, dt = _interval(X, sigma, tau)
     level = {x: n - d for x, d in dt.items()}
     sigma_seq = _directed(X, sigma, dt, n)
     tau_seq = _directed(X, tau, level, n)[::-1]

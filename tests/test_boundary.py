@@ -3,12 +3,14 @@
 import itertools
 import math
 import random
+import sys
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 
-from systolic import boundary
+from systolic import boundary, metric
 from systolic.boundary import (C_DEFAULT, D_DEFAULT, GoodGeodesic, GoodnessError,
                                atlas_report, boundary_atlas, corollary_contr_check,
                                in_standard_neighborhood, is_good_geodesic,
@@ -18,7 +20,7 @@ from systolic.eucgeo import euclidean_geodesic, thread_vertex_path
 from systolic.generators import flat_parallelogram, flat_rectangle, gen_disc_with_degrees
 from systolic.metric import ProjectionError, all_geodesics, dist, dist_map, graded_paths
 from systolic.suites import extremal_geodesic, instance_suite
-from test_chordality import cycle, triangular_torus
+from test_chordality import cycle, disjoint_union, triangular_torus
 
 
 def corner_pair(X):
@@ -40,6 +42,17 @@ def test_non_geodesic_rejected():
     w = min(X.adjacency[v])
     with pytest.raises(ValueError):
         is_good_geodesic(X, [v, w, v])
+
+
+def test_paths_with_a_non_edge_rejected_before_any_sweep():
+    """An empty path, or one with a step that is no edge, is rejected as
+    not a geodesic before any sweep is made, ends in different components
+    included."""
+    for X, path in ((flat_parallelogram(3, 3), []), (flat_parallelogram(3, 3), [0, 2]),
+                    (disjoint_union(cycle(4), cycle(5)), [0, 1, 7])):
+        with pytest.raises(ValueError, match="^path is not a 1-skeleton geodesic$"):
+            is_good_geodesic(X, path)
+        assert not X._dist_cache
 
 
 def test_make_good_geodesic_certifies():
@@ -444,20 +457,42 @@ def _geodesic_rays_oracle(X, O, N):
     return paths
 
 
-def test_atlas_builds_one_euclidean_geodesic_per_pair(monkeypatch):
-    X = flat_rectangle(10, 5)
+@contextmanager
+def counting_builds():
+    """Count the Euclidean geodesics the boundary module builds, by their
+    ends, through the core `euclidean_geodesic` shares with it, and the
+    `_interval` searches made anywhere, by code object."""
     calls = Counter()
-    original = boundary.euclidean_geodesic
+    original = boundary._euclidean
+    interval = metric._interval.__code__
 
-    def counting(X, sigma, tau, *args, **kwargs):
+    def counting(X, sigma, tau, *args):
         calls[(sigma, tau)] += 1
-        return original(X, sigma, tau, *args, **kwargs)
+        return original(X, sigma, tau, *args)
 
-    monkeypatch.setattr(boundary, "euclidean_geodesic", counting)
-    atlas = boundary_atlas(X, 0, 4)
-    monkeypatch.undo()
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is interval:
+            calls["_interval"] += 1
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(boundary, "_euclidean", counting)
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            yield calls
+        finally:
+            sys.setprofile(previous)
+
+
+def test_atlas_builds_one_euclidean_geodesic_per_pair():
+    """Each pair at distance >= 4 of the rays is built once, and no
+    interval is searched for."""
+    X = flat_rectangle(10, 5)
+    with counting_builds() as calls:
+        atlas = boundary_atlas(X, 0, 4)
     paths = _geodesic_rays_oracle(X, 0, 4)
     assert [r.path for r in atlas.rays] == paths
+    assert calls.pop("_interval", 0) == 0
     # subsegments of one to three edges have closed forms and build nothing
     pairs = {((p[i],), (p[j],)) for p in paths
              for i, j in itertools.combinations(range(len(p)), 2) if j - i >= 4}
@@ -469,26 +504,24 @@ def test_atlas_builds_one_euclidean_geodesic_per_pair(monkeypatch):
                                                              ray.certificate)
 
 
-def test_good_geodesic_builds_one_euclidean_geodesic_per_pair(monkeypatch):
+def test_good_geodesic_builds_one_euclidean_geodesic_per_pair():
+    """make_good_geodesic builds each pair at distance >= 4 of its path
+    once, the whole path's included, and searches for one interval; so
+    does is_good_geodesic on that path, on a fresh complex."""
     X = flat_rectangle(6, 3)
     v, w = corner_pair(X)
-    calls = Counter()
-    original = boundary.euclidean_geodesic
-
-    def counting(X, sigma, tau, *args, **kwargs):
-        calls[(sigma, tau)] += 1
-        return original(X, sigma, tau, *args, **kwargs)
-
-    monkeypatch.setattr(boundary, "euclidean_geodesic", counting)
-    good = make_good_geodesic(X, v, w)
-    monkeypatch.undo()
+    with counting_builds() as calls:
+        good = make_good_geodesic(X, v, w)
     path = good.path
     assert (path[0], path[-1]) == (v, w)
-    assert calls == Counter({((path[i],), (path[j],)): 1
-                             for i, j in itertools.combinations(range(len(path)), 2)
-                             if j - i >= 4})
-    alone, witness = is_good_geodesic(X, path)
+    pairs = Counter({((path[i],), (path[j],)): 1
+                     for i, j in itertools.combinations(range(len(path)), 2) if j - i >= 4})
+    pairs["_interval"] = 1
+    assert calls == pairs
+    with counting_builds() as calls:
+        alone, witness = is_good_geodesic(FlagComplex(X.adjacency), path)
     assert witness is None and alone.certificate == good.certificate
+    assert calls == pairs
 
 
 def test_atlas_computes_each_closed_form_once(monkeypatch):
@@ -529,8 +562,9 @@ def test_atlas_certifies_each_prefix_once(monkeypatch):
     for X, N, Cs in [(flat_rectangle(10, 5), 8, (C_DEFAULT, 2, 1, 0)),
                      (flat_parallelogram(8, 8), 8, (C_DEFAULT, 2, 1, 0)),
                      (flat_parallelogram(8, 8), 9, (0,))]:
-        paths = list(graded_paths(X, 0, dist_map(X, (0,)), 1, N))
-        memo = {}
+        dm = dist_map(X, (0,))
+        paths = list(graded_paths(X, 0, dm, 1, N))
+        memo = boundary._CertMemo(dm)
         full = [boundary._certify(X, p, C_DEFAULT, memo)[0].certificate for p in paths]
         for C in Cs:
             calls.clear()
@@ -566,10 +600,12 @@ def _closed_form_outcomes(X):
     """(a, c, n, the build's deltas or error) for every pair of X at
     distance 1 to 3, asserting that the closed form gives the same."""
     for a in X.vertices:
-        for c, n in dist_map(X, (a,)).items():
+        dm = dist_map(X, (a,))
+        for c, n in dm.items():
             if 1 <= n <= 3:
                 built = _outcome(lambda: euclidean_geodesic(X, (a,), (c,)).deltas)
-                assert _outcome(lambda: boundary._subsegment_deltas(X, a, c, n, {})) == built
+                memo = boundary._CertMemo(dm)
+                assert _outcome(lambda: boundary._subsegment_deltas(X, a, c, n, memo)) == built
                 yield a, c, n, built
 
 
@@ -629,7 +665,8 @@ def test_three_edge_closed_forms_grow_no_sweep():
         pairs = [(a, c) for a in Y.vertices for c, n in dist_map(Y, (a,)).items() if n == 3]
         X = make()
         for a, c in pairs:
-            assert boundary._subsegment_deltas(X, a, c, 3, {}) == \
+            memo = boundary._CertMemo(dist_map(Y, (a,)))
+            assert boundary._subsegment_deltas(X, a, c, 3, memo) == \
                 euclidean_geodesic(Y, (a,), (c,)).deltas
         assert pairs and not X._dist_cache
 
@@ -649,7 +686,7 @@ def test_atlas_raises_what_certifying_each_path_raises():
             dm = dist_map(X, (O,))
             for N in range(1, max(dm.values()) + 1):
                 for C in (0, C_DEFAULT):
-                    memo = {}
+                    memo = boundary._CertMemo(dm)
                     alone = _outcome(lambda: [
                         g.certificate for g, _ in (boundary._certify(X, p, C, memo)
                                                    for p in graded_paths(X, O, dm, 1, N))
@@ -675,3 +712,101 @@ def test_atlas_sweeps_stop_near_the_rays():
         radii = {key: sweep.radius for key, sweep in X._dist_cache.items()}
         assert radii.pop(frozenset((O,))) == float("inf")
         assert radii and max(radii.values()) <= 2 * N
+
+
+class ReferenceCertifier:
+    """Certificates that build every pair with `euclidean_geodesic`, the
+    shortest included, in `_certify`'s order: (certificate, None) or
+    (None, witness), or the build's error.  Builds, pure, are kept per
+    pair so that long runs of rays stay cheap."""
+
+    def __init__(self, X):
+        self.X, self.built = X, {}
+
+    def deltas(self, a, c):
+        if (a, c) not in self.built:
+            try:
+                self.built[(a, c)] = euclidean_geodesic(self.X, (a,), (c,)).deltas
+            except (ValueError, AssertionError) as exc:
+                self.built[(a, c)] = exc
+        built = self.built[(a, c)]
+        if isinstance(built, Exception):
+            raise built
+        return built
+
+    def certify(self, path, C):
+        cert = {}
+        for i, j in itertools.combinations(range(len(path)), 2):
+            deltas = self.deltas(path[i], path[j])
+            for k in range(i, j + 1):
+                cert[(i, j, k)] = d = dist(self.X, path[k], deltas[k - i])
+                if d > C + 1:
+                    return None, (i, j, k, d)
+        return cert, None
+
+    def good(self, v, w, C):
+        path = thread_vertex_path(self.X, euclidean_geodesic(self.X, (v,), (w,)))
+        cert, witness = self.certify(path, C)
+        if witness is not None:
+            raise GoodnessError(f"threaded path failed its certificate at {witness}")
+        return path, cert
+
+
+def reference_cases():
+    """(name, complex, vertex pairs): flats with their corners, whose
+    certificates reach 1, discs of rings, perturbed flats (not systolic)
+    and triangular tori (locally 6-large, not simply connected), each with
+    seeded pairs."""
+    rng = random.Random(26)
+    cases = [("rectangle", flat_rectangle(7, 6)), ("parallelogram", flat_parallelogram(8, 3)),
+             ("disc", gen_disc_with_degrees(3, rings=3)),
+             ("perturbed", perturbed(flat_rectangle(7, 5), random.Random(2), 2)),
+             ("perturbed disc", perturbed(gen_disc_with_degrees(1, rings=3), random.Random(3), 2))]
+    cases += [(f"torus {n}", triangular_torus(n)) for n in (4, 5, 6, 7, 9)]
+    for name, X in cases:
+        corners = [corner_pair(X)] if name in ("rectangle", "parallelogram") else []
+        yield name, X, corners + [tuple(rng.sample(X.vertices, 2)) for _ in range(6)]
+
+
+def test_certificates_equal_a_reference_that_builds_every_pair():
+    """At C = 0, 1 and the default, make_good_geodesic, is_good_geodesic and
+    boundary_atlas give the certificates and witnesses of a reference that
+    builds every pair with `euclidean_geodesic`, or raise its error with
+    its message.  Each runs on a fresh complex."""
+    seen = Counter()
+    for name, X, pairs in reference_cases():
+        ref = ReferenceCertifier(FlagComplex(X.adjacency))
+        for C in (0, 1, C_DEFAULT):
+            for v, w in pairs:
+                made = _outcome(lambda: make_good_geodesic(FlagComplex(X.adjacency), v, w, C))
+                if isinstance(made, GoodGeodesic):
+                    made = made.path, made.certificate
+                expected = _outcome(lambda: ref.good(v, w, C))
+                assert made == expected, (name, v, w, C)
+                seen["good" if isinstance(expected[0], list) else expected[0]] += 1
+                for path in itertools.islice(all_geodesics(X, v, w), 3):
+                    alone = _outcome(lambda: is_good_geodesic(FlagComplex(X.adjacency), path, C))
+                    if isinstance(alone[0], GoodGeodesic):
+                        alone = alone[0].certificate, None
+                    expected = _outcome(lambda: ref.certify(path, C))
+                    assert alone == expected, (name, path, C)
+                    seen["witness" if expected[0] is None else "path"] += 1
+            O = pairs[0][0]
+            dm = dist_map(X, (O,))
+            for N in range(1, min(max(dm.values()), 5) + 1):
+                atlas = _outcome(lambda: [(r.path, r.certificate) for r in
+                                          boundary_atlas(FlagComplex(X.adjacency), O, N, C=C).rays])
+                expected = _outcome(lambda: [(p, cert) for p in graded_paths(X, O, dm, 1, N)
+                                             for cert in [ref.certify(p, C)[0]] if cert])
+                assert atlas == expected, (name, O, N, C)
+                seen["atlas raises" if isinstance(atlas[0], str) else "atlas"] += 1
+                if name.startswith("torus") and N == 2:
+                    seen[name, "N = 2", isinstance(atlas[0], str)] += 1
+    assert seen["witness"] >= 5 and seen["ProjectionError"] >= 10, seen
+    assert seen["good"] >= 150 and seen["path"] >= 400, seen
+    assert seen["atlas"] >= 80 and seen["atlas raises"] >= 30, seen
+    # at N = 2 the atlas raises on the 4-torus, at a distance-2 pair whose
+    # common neighbours are not adjacent, and returns on the larger tori
+    assert {key[0] for key in seen if key[1:] == ("N = 2", True)} == {"torus 4"}
+    assert {key[0] for key in seen if key[1:] == ("N = 2", False)} == \
+        {"torus 5", "torus 6", "torus 7", "torus 9"}

@@ -1,10 +1,13 @@
 """The interval I(V, W) and d(., W) on it, from two half sweeps that meet
-in the middle (`metric._interval`), against two plain BFS runs."""
+in the middle (`metric._interval`), and between two vertices of a
+geodesic from the cones of its layer map (`boundary._cone_interval`),
+against two plain BFS runs."""
 
+import itertools
 import random
 from collections import Counter
 
-from systolic import eucgeo, metric
+from systolic import boundary, eucgeo, metric
 from systolic.complex import FlagComplex
 from systolic.generators import flat_parallelogram, flat_rectangle, gen_disc_with_degrees
 from systolic.metric import dist, dist_map
@@ -160,3 +163,61 @@ def test_euclidean_geodesic_equals_its_dist_and_bfs_interval_reference(monkeypat
             seen[expected[0] if isinstance(expected, tuple) else "built"] += 1
     assert seen["built"] >= 150 and seen[metric.ProjectionError] >= 10, seen
     assert seen[ValueError] >= 100, seen
+
+
+def cone_paths(X, rng):
+    """Geodesics of X: threaded Euclidean geodesics between seeded pairs,
+    where the build returns, and every `graded_paths` ray of a seeded
+    length from a seeded vertex, grouped by their first vertex."""
+    groups = []
+    for _ in range(4):
+        u, w = rng.sample(X.vertices, 2)
+        built = outcome(lambda: eucgeo.euclidean_geodesic(X, (u,), (w,)))
+        if isinstance(built, eucgeo.EuclideanGeodesic):
+            groups.append((u, [eucgeo.thread_vertex_path(X, built)]))
+    O = rng.choice(X.vertices)
+    dm = dist_map(X, (O,))
+    N = min(max(dm.values()), rng.choice((4, 5)))
+    groups.append((O, list(metric.graded_paths(X, O, dm, 1, N))))
+    return groups
+
+
+def test_cone_intervals_match_interval_and_two_bfs_runs():
+    """For every i < j of every path, the cone interval read off the layer
+    map l = d(v_0, .) is the map of `_interval` and of two plain BFS runs,
+    at n = j - i.  l is either complete or cut to I(v_0, v_n) (for the
+    rays, to the union of theirs), and one memo serves each group of paths
+    from one vertex: flats, discs of rings, a perturbed flat, and the
+    triangular tori of sides 4 to 9, locally 6-large but not systolic."""
+    rng = random.Random(26)
+    complexes = {"rectangle": flat_rectangle(6, 4), "parallelogram": flat_parallelogram(5, 3),
+                 "disc 2": gen_disc_with_degrees(2, rings=3),
+                 "disc 5": gen_disc_with_degrees(5, rings=2),
+                 "perturbed": perturbed(flat_rectangle(7, 5), random.Random(1), 2)}
+    complexes.update((f"torus {n}", triangular_torus(n)) for n in range(4, 10))
+    seen, threaded = Counter(), Counter()
+    for name, X in complexes.items():
+        bfs = {}
+
+        def d(v):
+            if v not in bfs:
+                bfs[v] = bfs_oracle(X.adjacency, (v,))
+            return bfs[v]
+
+        for o, paths in cone_paths(X, rng):
+            threaded[name] += len(paths) == 1
+            ends = {p[-1] for p in paths}
+            n = len(paths[0]) - 1
+            cut = {x: l for x, l in d(o).items() if any(l + d(e)[x] == n for e in ends)}
+            for level in (dist_map(X, (o,)), cut):
+                memo = boundary._CertMemo(level)
+                for p in paths:
+                    for i, j in itertools.combinations(range(len(p)), 2):
+                        a, c = p[i], p[j]
+                        got = boundary._cone_interval(X, a, c, memo)
+                        truth = {x: dc for x, dc in d(c).items() if d(a)[x] + dc == j - i}
+                        assert got == truth, (a, c)
+                        assert metric._interval(X, (a,), (c,)) == (j - i, got)
+                        seen[name] += 1
+    assert min(seen.values()) >= 100 and sum(seen.values()) >= 8000, seen
+    assert sum(threaded.values()) >= 40, threaded
