@@ -9,8 +9,10 @@ at most three edges have closed forms read off projections onto balls
 (Januszkiewicz-Swiatkowski, "Simplicial nonpositive curvature", Publ.
 IHES 104, 2006), which are read off neighbourhoods with no sweep grown;
 longer ones are built.  Every result for a subsegment of two or more edges
-is memoised per endpoint pair.  An atlas certifies each prefix of its rays
-once, and classes no level that D already decides.
+is memoised per endpoint pair, and the builds share each piece fixed by
+ends they read: projection steps, layer widths and surface rows
+(`_CertMemo`).  An atlas certifies each prefix of its rays once, and
+classes no level that D already decides.
 
 A build needs the interval of its subsegment with the distances to its
 far end, and reads them from the path's own layer map, with no search of
@@ -30,7 +32,7 @@ from fractions import Fraction
 from itertools import islice
 
 from .complex import FlagComplex
-from .eucgeo import _ends, _euclidean, thread_vertex_path
+from .eucgeo import _ends, _euclidean, _Pieces, thread_vertex_path
 from .metric import _checked_projection, _interval, dist, dist_map, graded_paths
 
 C_DEFAULT = 208          # universal constant serving both verification suites
@@ -81,15 +83,45 @@ def is_good_geodesic(X: FlagComplex, path: list[int], C: int = C_DEFAULT):
     return _certify(X, path, C, _CertMemo({x: n - d for x, d in dt.items()}))
 
 
-class _CertMemo:
-    """What the certificates of geodesics from one vertex o share: the
-    layer map `level`, d(o, .) on a vertex set holding I(o, v_n) for each
-    path v_0..v_n certified (see `_certify`); the deltas of each endpoint
-    pair at distance >= 2; and each vertex's up and down cones."""
+class _CertMemo(_Pieces):
+    """What the certificates of geodesics from one vertex o on one complex
+    X share, for one certificate or one whole atlas.  Its own entries:
+
+    * `level`: the layer map d(o, .) on a vertex set holding I(o, v_n) for
+      each path v_0..v_n certified (see `_certify`);
+    * `deltas`: (a, c) -> the deltas of the Euclidean geodesic between the
+      vertices a and c, for each endpoint pair at distance >= 2;
+    * `up`, `down`: vertex -> its up or down cone in `level`'s rising edges.
+
+    Its builds also fill in and read the pieces of `eucgeo._Pieces`, each
+    a function of X and its key alone:
+
+    * `steps[(c,)]`: simplex s -> its projection onto B_k(c), where
+      k = d(s, c) - 1.  A build reads it off its map of I(a, c), which is
+      exactly `_interval`'s (the cone lemma of `_certify`), and there it
+      keeps the neighbours of s one level nearer c: these lie in I(a, c)
+      (`metric._interval`), so they are the common neighbours of s in
+      B_k(c) that c's full sweep gives.  So the step is the projection of
+      s onto a ball around c, fixed by s and c (Januszkiewicz-Swiatkowski,
+      "Simplicial nonpositive curvature", Publ. IHES 104, 2006), with the
+      same error when it fails, whether the build runs from a toward c or
+      back to c from a vertex beyond it.  Each end has its own dict, so a
+      lookup hashes s alone.
+    * `widths`: (sigma_k, tau_k) -> (width, realizing pairs, span).  The
+      span and its `is_simplex` read the two members alone, and a thick
+      layer's width and pairs are `maximizing_pairs`, whose `dist` is
+      exact.
+    * `rows`: (s_k, t_k) -> the walk of `all_geodesics(X, s_k, t_k)`, the
+      row geodesics in the lexicographic order a surface search reads
+      them in, walked only as far as some search has asked, never capped.
+
+    An error ends the certificate or atlas, so no entry records one; and
+    no value handed out is changed afterwards, since builds share them."""
 
     __slots__ = ("level", "deltas", "up", "down")
 
     def __init__(self, level: dict[int, int]):
+        super().__init__()
         self.level = level
         self.deltas: dict[tuple[int, int], list] = {}
         self.up: dict[int, set[int]] = {}
@@ -175,7 +207,7 @@ def _subsegment_deltas(X: FlagComplex, a: int, c: int, n: int, memo: _CertMemo) 
         if n <= 3:
             deltas = _short_deltas(X, a, c, n)
         else:
-            deltas = _euclidean(X, (a,), (c,), n, _cone_interval(X, a, c, memo)).deltas
+            deltas = _euclidean(X, (a,), (c,), n, _cone_interval(X, a, c, memo), memo).deltas
         memo.deltas[(a, c)] = deltas
     return deltas
 
@@ -262,9 +294,9 @@ def make_good_geodesic(X: FlagComplex, v: int, w: int, C: int = C_DEFAULT) -> Go
     """
     sigma, tau = _ends(X, v, w)
     n, dt = _interval(X, sigma, tau)
-    eg = _euclidean(X, sigma, tau, n, dt)
-    path = thread_vertex_path(X, eg)
     memo = _CertMemo({x: n - d for x, d in dt.items()})
+    eg = _euclidean(X, sigma, tau, n, dt, memo)
+    path = thread_vertex_path(X, eg)
     memo.deltas[(v, w)] = eg.deltas
     good, witness = _certify(X, path, C, memo)
     if good is None:

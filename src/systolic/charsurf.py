@@ -112,11 +112,35 @@ def build_char_disc(X: FlagComplex, profile: ThicknessProfile, interval) -> Char
     return CharDisc(s_rep, t_rep, stack, pairs)
 
 
-def _surfaces(X: FlagComplex, cd: CharDisc):
+class _Walk:
+    """The geodesics of `all_geodesics(X, s, t)`, walked only as far as a
+    reader asks and kept in order, so that every later reader, a row of
+    another surface search on the same ends, replays them first."""
+
+    __slots__ = ("walk", "seen")
+
+    def __init__(self, X: FlagComplex, s: int, t: int):
+        self.walk = all_geodesics(X, s, t)
+        self.seen: list[list[int]] = []
+
+    def __iter__(self):
+        seen, i = self.seen, 0
+        while True:
+            if i == len(seen):
+                path = next(self.walk, None)
+                if path is None:
+                    return
+                seen.append(path)
+            yield seen[i]
+            i += 1
+
+
+def _surfaces(X: FlagComplex, cd: CharDisc, rows: dict[tuple[int, int], _Walk]):
     """Characteristic surfaces on the disc's boundary representatives, in
     lexicographic order: a bottom-up backtracker that walks each row's
     geodesics s_k..t_k lazily through `all_geodesics`, so no row is listed
-    in full and none is capped."""
+    in full and none is capped.  The walk of a row, a function of X and
+    (s_k, t_k) alone, is read from or written to `rows` by those ends."""
     crosses = [cd.stack.cross_pairs(k) for k in range(len(cd.s) - 1)]
 
     def extend(chosen):
@@ -126,7 +150,11 @@ def _surfaces(X: FlagComplex, cd: CharDisc):
                    for r, ids in enumerate(cd.stack.ids)
                    for idx, vid in enumerate(ids)}
             return
-        for path in all_geodesics(X, cd.s[k], cd.t[k]):
+        ends = cd.s[k], cd.t[k]
+        row = rows.get(ends)
+        if row is None:
+            row = rows[ends] = _Walk(X, *ends)
+        for path in row:
             if k > 0:
                 prev = chosen[-1]
                 if any(not X.is_edge(prev[a], path[b]) for a, b in crosses[k - 1]):
@@ -142,7 +170,12 @@ def build_char_surface(X: FlagComplex, cd: CharDisc) -> dict[int, int]:
     """A characteristic surface realizing the disc: maps each disc vertex to
     a complex vertex so rows land on 1-skeleton geodesics s_k..t_k and every
     disc edge maps to an edge."""
-    for surface in _surfaces(X, cd):
+    return _surface(X, cd, {})
+
+
+def _surface(X: FlagComplex, cd: CharDisc, rows: dict[tuple[int, int], _Walk]) -> dict[int, int]:
+    """`build_char_surface`, sharing row walks through `rows` (`_surfaces`)."""
+    for surface in _surfaces(X, cd, rows):
         return surface
     raise SurfaceError(f"no surface fills the disc for interval {cd.interval}")
 

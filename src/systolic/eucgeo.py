@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charsurf import CharDisc, build_char_disc, build_char_surface, characteristic_image
+from .charsurf import CharDisc, _surface, _Walk, build_char_disc, characteristic_image
 from .complex import FlagComplex, Simplex
 from .flatgeom import PolyPath, polygon_geodesic
 from .lattice import RowStack
@@ -35,6 +35,30 @@ class EuclideanGeodesic:
     profile: ThicknessProfile
     deltas: list[Simplex]
     intervals: list[ThickIntervalData]
+
+
+class _Pieces:
+    """The pieces of Euclidean geodesics on one complex X that depend only
+    on a key read off the build, so that builds sharing a key share them:
+
+    * `steps[end]`: simplex s -> its projection onto B_k(end), where
+      k = d(s, end) - 1: the steps of directed geodesics toward the
+      simplex `end` (`metric._directed`);
+    * `widths`: (sigma_k, tau_k) -> (width, realizing pairs, span) of a
+      layer with those members (`layers._profile`);
+    * `rows`: (s_k, t_k) -> the walk of the row geodesics between those
+      ends (`charsurf._Walk`).
+
+    `euclidean_geodesic` makes a fresh one per build; a certificate or an
+    atlas keeps one for all its builds (`boundary._CertMemo`, which says
+    why each piece is a function of X and its key there)."""
+
+    __slots__ = ("steps", "widths", "rows")
+
+    def __init__(self):
+        self.steps: dict[Simplex, dict[Simplex, Simplex]] = {}
+        self.widths: dict[tuple[Simplex, Simplex], tuple] = {}
+        self.rows: dict[tuple[int, int], _Walk] = {}
 
 
 def modified_disc(cd: CharDisc) -> RowStack:
@@ -81,11 +105,12 @@ def euclidean_geodesic(X: FlagComplex, sigma, tau) -> EuclideanGeodesic:
 
     I(sigma, tau) is found once (`_interval`), by sigma's and tau's sweeps,
     grown to B_a(sigma) and B_b(tau) with a + b = n = d(sigma, tau) and
-    walked from the middle level; `_euclidean` builds on its map.
+    walked from the middle level; `_euclidean` builds on its map, with
+    pieces of its own.
     """
     sigma, tau = _ends(X, sigma, tau)
     n, dt = _interval(X, sigma, tau)
-    return _euclidean(X, sigma, tau, n, dt)
+    return _euclidean(X, sigma, tau, n, dt, _Pieces())
 
 
 def _ends(X: FlagComplex, sigma, tau) -> tuple[Simplex, Simplex]:
@@ -99,9 +124,10 @@ def _ends(X: FlagComplex, sigma, tau) -> tuple[Simplex, Simplex]:
 
 
 def _euclidean(X: FlagComplex, sigma: Simplex, tau: Simplex, n: int,
-               dt: dict[int, int]) -> EuclideanGeodesic:
+               dt: dict[int, int], pieces: _Pieces) -> EuclideanGeodesic:
     """The Euclidean geodesic between simplices sigma and tau, sorted, at
-    distance n, with dt exactly d(., tau) on I(sigma, tau).
+    distance n, with dt exactly d(., tau) on I(sigma, tau), reading and
+    filling in `pieces`.
 
     Each endpoint must lie in the other's n-sphere.  A simplex's vertices
     lie within 1 of each other, so the directed geodesic from sigma has
@@ -122,19 +148,21 @@ def _euclidean(X: FlagComplex, sigma: Simplex, tau: Simplex, n: int,
     vertices, which keeps only layer-k candidates and raises if empty.
     """
     level = {x: n - d for x, d in dt.items()}
-    sigma_seq = _directed(X, sigma, dt, n)
-    tau_seq = _directed(X, tau, level, n)[::-1]
+    steps, widths = pieces.steps, pieces.widths
+    sigma_seq = _directed(X, sigma, dt, n, steps.setdefault(tau, {}))
+    tau_seq = _directed(X, tau, level, n, steps.setdefault(sigma, {}))[::-1]
     if len(sigma_seq) != n + 1 or len(tau_seq) != n + 1:
         raise ValueError("endpoints must lie inside each other's n-sphere")
-    profile = _profile(X, sigma_seq, tau_seq)
+    profile = _profile(X, sigma_seq, tau_seq, widths)
 
-    deltas: list[Simplex | None] = [tuple(sorted(set(a) | set(b))) if thin else None
-                                    for a, b, thin in zip(sigma_seq, tau_seq, profile.thin)]
+    # a thin delta_k is the span of the members, kept with their width
+    deltas: list[Simplex | None] = [widths[key][2] if thin else None
+                                    for key, thin in zip(zip(sigma_seq, tau_seq), profile.thin)]
 
     intervals = []
     for (i, j) in profile.thick_intervals:
         cd = build_char_disc(X, profile, (i, j))
-        surface = build_char_surface(X, cd)
+        surface = _surface(X, cd, pieces.rows)
         diagonal = cat0_diagonal(cd)
         rho = euclidean_diagonal(cd, diagonal)
         for k, rho_k in rho.items():

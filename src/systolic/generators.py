@@ -23,7 +23,11 @@ def gen_flat_region(stack: RowStack) -> FlagComplex:
     share at least one lattice adjacency, so the region is connected: each
     row is a path, and a cross edge joins each pair of consecutive rows.
     Vertex ids and edges are the stack's (`RowStack.ids`,
-    `RowStack.cross_pairs`); the lattice embedding is kept in `coords`.
+    `RowStack.cross_pairs`); the lattice embedding is kept in `coords`, with
+    one Fraction per half-integer x.  Each neighbourhood is frozen from its
+    neighbours in the order `FlagComplex.from_edges` would add them (row
+    edges, then cross edges row by row), so its iteration order is the one
+    that build gives.
     """
     if not stack.rows:
         raise ValueError("empty row spec")
@@ -37,14 +41,26 @@ def gen_flat_region(stack: RowStack) -> FlagComplex:
         if max(lo1, lo2) - min(hi1, hi2) > 1:
             raise ValueError(f"rows {row} and {row + 1} share no lattice adjacency")
 
-    coords = {v: (stack.first_row + k, Fraction(lo + 2 * h, 2))
-              for k, ((lo, _), ids) in enumerate(zip(stack.rows, stack.ids))
+    # x by its value in half-units, one Fraction each
+    halves = {x2: Fraction(x2, 2) for x2 in range(min(lo for lo, _ in stack.rows),
+                                                  max(hi for _, hi in stack.rows) + 1)}
+    coords = {v: (row, halves[lo + 2 * h])
+              for row, ((lo, _), ids) in enumerate(zip(stack.rows, stack.ids),
+                                                   start=stack.first_row)
               for h, v in enumerate(ids)}
-    edges = [(a, b) for ids in stack.ids for a, b in zip(ids, ids[1:])]
+    nbrs: dict[int, list[int]] = {v: [] for v in coords}
+    for ids in stack.ids:
+        for a, b in zip(ids, ids[1:]):
+            nbrs[a].append(b)
+            nbrs[b].append(a)
     for k, (ids_a, ids_b) in enumerate(zip(stack.ids, stack.ids[1:])):
-        edges += [(ids_a[p], ids_b[q]) for p, q in stack.cross_pairs(k)]
-
-    return FlagComplex.from_edges(edges, vertices=coords.keys(), coords=coords)
+        for p, q in stack.cross_pairs(k):
+            a, b = ids_a[p], ids_b[q]
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+    # frozen from a set, as from_edges does: a frozenset copied from a set
+    # can iterate in another order than one built from the list
+    return FlagComplex({v: frozenset(set(ns)) for v, ns in nbrs.items()}, coords)
 
 
 def flat_parallelogram(height: int, width: int) -> FlagComplex:

@@ -60,12 +60,21 @@ class RowStack:
         return [list(range(end - a - 1, end)) for a, end in zip(self.widths, ends)]
 
     def cross_pairs(self, k: int) -> list[tuple[int, int]]:
-        """Edges between rows k and k+1 as (index in row k, index in row k+1):
-        p lies 1/2 from p + shift and p + shift + 1, where those exist."""
-        shift = (self.rows[k][0] - self.rows[k + 1][0] - 1) // 2
-        last = self.widths[k + 1]
-        return [(p, q) for p in range(self.widths[k] + 1)
-                for q in (p + shift, p + shift + 1) if 0 <= q <= last]
+        """Edges between rows k and k+1 as (index in row k, index in row k+1),
+        computed once per stack (`_crosses`); read them, never change them."""
+        return self._crosses[k]
+
+    @cached_property
+    def _crosses(self) -> list[list[tuple[int, int]]]:
+        """`cross_pairs` of every pair of consecutive rows: p lies 1/2 from
+        p + shift and p + shift + 1, where those exist."""
+        out = []
+        for (lo, _), (lo_next, _), a, last in zip(self.rows, self.rows[1:],
+                                                  self.widths, self.widths[1:]):
+            shift = (lo - lo_next - 1) // 2
+            out.append([(p, q) for p in range(a + 1)
+                        for q in (p + shift, p + shift + 1) if 0 <= q <= last])
+        return out
 
     def place(self, vid: int) -> tuple[int, int]:
         """(row relative to the first row, index in the row) of vid."""

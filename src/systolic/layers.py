@@ -75,8 +75,9 @@ def thickness_profile(X: FlagComplex, sigma_seq, tau_seq) -> ThicknessProfile:
     interior all thick).
 
     A layer is thin (width <= 1) iff sigma_k and tau_k span one simplex,
-    decided by one `is_simplex`: its width is 0 when both are the same
-    vertex and 1 otherwise, realized by every pair of distinct vertices.
+    decided by one `is_simplex`, or by none when both are the same vertex:
+    its width is then 0, and otherwise 1, realized by every pair of
+    distinct vertices.
     A thick layer's width and pairs come from `maximizing_pairs`, whose
     sweeps the characteristic disc reads again.
 
@@ -109,22 +110,30 @@ def thickness_profile(X: FlagComplex, sigma_seq, tau_seq) -> ThicknessProfile:
     d = dist(X, S, T)
     if d != n:
         raise ValueError(f"the ends lie {d} apart, not {n}")
-    return _profile(X, sigma_seq, tau_seq)
+    return _profile(X, sigma_seq, tau_seq, {})
 
 
-def _profile(X: FlagComplex, sigma_seq: list[Simplex], tau_seq: list[Simplex]) -> ThicknessProfile:
-    """`thickness_profile` on sorted members that pass its checks."""
+def _profile(X: FlagComplex, sigma_seq: list[Simplex], tau_seq: list[Simplex],
+             widths: dict[tuple[Simplex, Simplex], tuple]) -> ThicknessProfile:
+    """`thickness_profile` on sorted members that pass its checks.  Each
+    layer's (width, sorted realizing pairs, sorted span of its members), a
+    function of its two members alone, is read from or written to `widths`
+    by those members."""
     thickness, pairs = [], []
-    for sig, tau_k in zip(sigma_seq, tau_seq):
-        span = set(sig) | set(tau_k)
-        if not X.is_simplex(span):
-            width, realizing = maximizing_pairs(X, sig, tau_k)
-        elif len(span) == 1:
-            width, realizing = 0, [(sig[0], sig[0])]
-        else:
-            width, realizing = 1, [(s, t) for s in sig for t in tau_k if s != t]
-        thickness.append(width)
-        pairs.append(realizing)
+    for key in zip(sigma_seq, tau_seq):
+        layer = widths.get(key)
+        if layer is None:
+            sig, tau_k = key
+            span = tuple(sorted(set(sig).union(tau_k)))
+            if len(span) == 1:    # one vertex of X, so a simplex
+                width, realizing = 0, [(sig[0], sig[0])]
+            elif not X.is_simplex(span):
+                width, realizing = maximizing_pairs(X, sig, tau_k)
+            else:
+                width, realizing = 1, [(s, t) for s in sig for t in tau_k if s != t]
+            layer = widths[key] = width, realizing, span
+        thickness.append(layer[0])
+        pairs.append(layer[1])
     return ThicknessProfile(sigma_seq, tau_seq, thickness, pairs)
 
 

@@ -196,11 +196,13 @@ def residue(X: FlagComplex, sigma: Iterable[int]) -> list[Simplex]:
 
 
 def _checked_projection(X: FlagComplex, sigma: Simplex, pi: Iterable[int]) -> Simplex:
-    """The projection pi of sigma, sorted: a ProjectionError if empty or no simplex."""
+    """The projection pi of sigma, sorted: a ProjectionError if empty or no
+    simplex.  Its vertices are neighbours, so vertices of X, and one alone
+    is a simplex with no test."""
     pi = tuple(sorted(pi))
     if not pi:
         raise ProjectionError(f"projection of {sigma} is empty")
-    if not X.is_simplex(pi):
+    if len(pi) > 1 and not X.is_simplex(pi):
         raise ProjectionError(f"projection of {sigma} is not a simplex: {pi}")
     return pi
 
@@ -214,7 +216,7 @@ def _project(X: FlagComplex, sigma: Simplex, dm: dict[int, int], m: int) -> Simp
     common = X.adjacency[sigma[0]]
     for v in sigma[1:]:
         common = common & X.adjacency[v]
-    return _checked_projection(X, sigma, (u for u in common if dm.get(u, m + 1) <= m))
+    return _checked_projection(X, sigma, [u for u in common if dm.get(u, m + 1) <= m])
 
 
 def projection_witness(X: FlagComplex, o: int) -> tuple[Simplex, int, str] | None:
@@ -298,15 +300,25 @@ def directed_geodesic(X: FlagComplex, sigma: Iterable[int], W: Iterable[int]) ->
     if not X.is_simplex(sigma):
         raise ValueError(f"{sigma} is not a simplex")
     m = dist(X, wset, sigma)
-    return _directed(X, sigma, dist_map(X, wset, radius=m), m)
+    return _directed(X, sigma, dist_map(X, wset, radius=m), m, {})
 
 
-def _directed(X: FlagComplex, sigma: Simplex, dm: dict[int, int], m: int) -> list[Simplex]:
-    """`directed_geodesic` from sigma, m = d(sigma, W), with dm giving d(., W)."""
-    inner = tuple(v for v in sigma if dm.get(v) == m)
+def _directed(X: FlagComplex, sigma: Simplex, dm: dict[int, int], m: int,
+              steps: dict[Simplex, Simplex]) -> list[Simplex]:
+    """`directed_geodesic` from sigma, m = d(sigma, W), with dm giving d(., W).
+
+    Each step, the projection of a simplex s of S_{k+1}(W) onto B_k(W), is
+    read from or written to `steps`, which its caller keeps for this W
+    alone: k = d(s, W) - 1 is fixed by s, and the step is a function of s
+    and W, whichever directed geodesic meets s."""
+    inner = tuple([v for v in sigma if dm.get(v) == m])
     seq = [sigma] if inner == sigma else [sigma, inner]
     for k in range(m - 1, -1, -1):
-        seq.append(_project(X, seq[-1], dm, k))
+        s = seq[-1]
+        step = steps.get(s)
+        if step is None:
+            step = steps[s] = _project(X, s, dm, k)
+        seq.append(step)
     return seq
 
 
@@ -444,11 +456,3 @@ def all_geodesics(X: FlagComplex, u: int, v: int):
     except ValueError:
         raise ValueError("u and v lie in different components") from None
     return graded_paths(X, u, dist_map(X, (v,), radius=n), -1, n)
-
-
-def is_geodesic_path(X: FlagComplex, path: list[int]) -> bool:
-    if len(path) < 1:
-        return False
-    if any(not X.is_edge(a, b) for a, b in zip(path, path[1:])):
-        return False
-    return dist(X, path[0], path[-1]) == len(path) - 1

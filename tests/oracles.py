@@ -1,8 +1,9 @@
 """Oracles that cross-check the library, kept off its production path.
 
-A whole-component deque BFS and the geodesics it grades; random flat
-discs; the induced-path DFS for induced cycles and the bridged-graph
-test of systolicity; closed-form lattice distance and the point-group
+A whole-component deque BFS, the geodesics it grades and the geodesic
+test of a path; flat regions built edge by edge; random flat discs; the
+induced-path DFS for induced cycles and the bridged-graph test of
+systolicity; closed-form lattice distance and the point-group
 canonicalization of lattice placements; the isometric embedding of flat
 discs; the break-point enumeration oracle of
 `flatgeom.polygon_geodesic`; reordered realizing pairs, the all-surfaces
@@ -57,6 +58,29 @@ def bfs_oracle(adjacency, sources) -> dict[int, int]:
                 dist[w] = dist[v] + 1
                 queue.append(w)
     return dist
+
+
+def is_geodesic_path(X: FlagComplex, path: list[int]) -> bool:
+    """Whether path is a 1-skeleton geodesic: a nonempty walk along edges
+    whose ends lie len(path) - 1 apart by `bfs_oracle`."""
+    if len(path) < 1:
+        return False
+    if any(not X.is_edge(a, b) for a, b in zip(path, path[1:])):
+        return False
+    return bfs_oracle(X.adjacency, (path[0],))[path[-1]] == len(path) - 1
+
+
+def flat_region_from_edges(stack: RowStack) -> FlagComplex:
+    """`gen_flat_region`'s region, built by `FlagComplex.from_edges` from
+    the stack's row edges, then its cross edges row by row, with a
+    Fraction made per vertex."""
+    coords = {v: (stack.first_row + k, Fraction(lo + 2 * h, 2))
+              for k, ((lo, _), ids) in enumerate(zip(stack.rows, stack.ids))
+              for h, v in enumerate(ids)}
+    edges = [(a, b) for ids in stack.ids for a, b in zip(ids, ids[1:])]
+    for k, (ids_a, ids_b) in enumerate(zip(stack.ids, stack.ids[1:])):
+        edges += [(ids_a[p], ids_b[q]) for p, q in stack.cross_pairs(k)]
+    return FlagComplex.from_edges(edges, vertices=coords.keys(), coords=coords)
 
 
 def random_flat_disc(seed: int, max_vertices: int = 400) -> FlagComplex:
@@ -371,7 +395,7 @@ def enumerate_char_surfaces(X: FlagComplex, cd: CharDisc, limit: int = 100000):
     count = 0
     for combo in product(*cd.pairs):
         alt = replace(cd, s=[c[0] for c in combo], t=[c[1] for c in combo])
-        for surface in _surfaces(X, alt):
+        for surface in _surfaces(X, alt, {}):
             yield surface
             count += 1
             if count >= limit:

@@ -18,6 +18,7 @@ from systolic.boundary import (C_DEFAULT, D_DEFAULT, GoodGeodesic, GoodnessError
 from systolic.complex import FlagComplex
 from systolic.eucgeo import euclidean_geodesic, thread_vertex_path
 from systolic.generators import flat_parallelogram, flat_rectangle, gen_disc_with_degrees
+from systolic.layers import maximizing_pairs
 from systolic.metric import ProjectionError, all_geodesics, dist, dist_map, graded_paths
 from systolic.suites import extremal_geodesic, instance_suite
 from test_chordality import cycle, disjoint_union, triangular_torus
@@ -524,6 +525,55 @@ def test_good_geodesic_builds_one_euclidean_geodesic_per_pair():
     assert calls == pairs
 
 
+@contextmanager
+def counting_pieces():
+    """Count, by code object, the runs of the three end-determined pieces
+    of a build and the distinct keys they run on: `_project` by its
+    simplex and the end its map measures from (the vertices at 0),
+    `maximizing_pairs` by its two members, `all_geodesics` by its ends."""
+    calls, keys = Counter(), {"_project": set(), "maximizing_pairs": set(),
+                              "all_geodesics": set()}
+    named = {metric._project.__code__: ("_project", lambda f: (
+                 f["sigma"], frozenset(x for x, d in f["dm"].items() if d == 0))),
+             maximizing_pairs.__code__: ("maximizing_pairs", lambda f: (f["sigma"], f["tau"])),
+             metric.all_geodesics.__code__: ("all_geodesics", lambda f: (f["u"], f["v"]))}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in named:
+            name, key = named[frame.f_code]
+            calls[name] += 1
+            keys[name].add(key(frame.f_locals))
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield calls, keys
+    finally:
+        sys.setprofile(previous)
+
+
+def test_a_certificate_runs_each_end_determined_piece_once():
+    """The corner certificate of flat_rectangle(30, 6), 30 edges, and an
+    atlas run each projection step, each thick layer's width search and
+    each surface row's walk once per key, with the sweeps of the build
+    without that sharing: 6,145 labelled vertices on the certificate's
+    complex."""
+    X = flat_rectangle(30, 6)
+    with counting_pieces() as (calls, keys):
+        good = make_good_geodesic(X, *corner_pair(X))
+    assert (len(good.path), good.max_certificate) == (31, 1)
+    assert X._dist_labelled == 6145
+    # a build without the sharing made 9,576, 2,841 and 3,515 of these runs
+    assert calls == {name: len(runs) for name, runs in keys.items()}, calls
+    assert calls["_project"] <= 3400 and calls["maximizing_pairs"] <= 400
+    assert 0 < calls["all_geodesics"] <= 200
+    with counting_pieces() as (calls, keys):
+        atlas = boundary_atlas(flat_rectangle(10, 5), 0, 8)
+    assert len(atlas.rays) > 1
+    assert calls == {name: len(runs) for name, runs in keys.items()}, calls
+    assert calls["all_geodesics"] > 0
+
+
 def test_atlas_computes_each_closed_form_once(monkeypatch):
     X = flat_rectangle(10, 5)
     calls = Counter()
@@ -752,11 +802,28 @@ class ReferenceCertifier:
         return path, cert
 
 
+FLAT_GOOD_SHAPES = {"rect-30x6": (flat_rectangle, 30, 6), "rect-10x4": (flat_rectangle, 10, 4),
+                    "rect-9x6": (flat_rectangle, 9, 6), "rect-8x6": (flat_rectangle, 8, 6),
+                    "rect-8x4": (flat_rectangle, 8, 4), "rect-7x7": (flat_rectangle, 7, 7),
+                    "rect-6x8": (flat_rectangle, 6, 8), "par-9x5": (flat_parallelogram, 9, 5),
+                    "par-8x6": (flat_parallelogram, 8, 6)}
+
+
+def flat_good_regions():
+    """(name, region, height) for the nine regions of the benchmark's
+    flat-good workload (perfbench/workloads.py)."""
+    for name, (make, height, width) in FLAT_GOOD_SHAPES.items():
+        yield name, make(height, width), height
+
+
 def reference_cases():
     """(name, complex, vertex pairs): flats with their corners, whose
     certificates reach 1, discs of rings, perturbed flats (not systolic)
     and triangular tori (locally 6-large, not simply connected), each with
-    seeded pairs."""
+    seeded pairs; then the flat-good regions with their corners and, as
+    in the workload, all but the 30 x 6 rectangle with a seeded pair from
+    the first row to the last, at distance the height; and a rings-4 disc
+    with a pair 9 apart, its diameter."""
     rng = random.Random(26)
     cases = [("rectangle", flat_rectangle(7, 6)), ("parallelogram", flat_parallelogram(8, 3)),
              ("disc", gen_disc_with_degrees(3, rings=3)),
@@ -766,6 +833,13 @@ def reference_cases():
     for name, X in cases:
         corners = [corner_pair(X)] if name in ("rectangle", "parallelogram") else []
         yield name, X, corners + [tuple(rng.sample(X.vertices, 2)) for _ in range(6)]
+    for name, X, height in flat_good_regions():
+        rows = {r: [v for v in X.vertices if X.coords[v][0] == r] for r in (0, height)}
+        far = [(u, v) for u in rows[0] for v in rows[height] if dist(X, u, v) == height]
+        yield name, X, [corner_pair(X)] + ([rng.choice(far)] if height < 30 else [])
+    disc = gen_disc_with_degrees(2, rings=4)
+    assert dist(disc, 78, 94) == 9
+    yield "rings-4 disc", disc, [(78, 94)]
 
 
 def test_certificates_equal_a_reference_that_builds_every_pair():

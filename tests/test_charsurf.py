@@ -23,8 +23,10 @@ from systolic.metric import dist, dist_map, directed_geodesic
 from systolic.suites import instance_suite
 
 from oracles import (canonical_placement, char_image_oracle, char_preimage,
-                     enumerate_char_surfaces, is_triangulable, lattice_dist, layer_map,
-                     minimal_surface_bruteforce, shuffled_pairs, surfaces_reference)
+                     enumerate_char_surfaces, flat_region_from_edges, is_triangulable,
+                     lattice_dist, layer_map, minimal_surface_bruteforce, shuffled_pairs,
+                     surfaces_reference)
+from test_boundary import flat_good_regions
 
 
 def corner_pair(X):
@@ -191,7 +193,7 @@ def test_surfaces_match_the_product_of_rows_reference():
                 assert count < 500, "representative choices over the bound"
                 alt = dataclasses.replace(cd, s=[c[0] for c in combo],
                                           t=[c[1] for c in combo])
-                assert list(charsurf._surfaces(X, alt)) == surfaces_reference(X, alt)
+                assert list(charsurf._surfaces(X, alt, {})) == surfaces_reference(X, alt)
                 checked += 1
     assert checked >= 9
     # these discs have one surface each; on one-row discs every geodesic is
@@ -200,7 +202,7 @@ def test_surfaces_match_the_product_of_rows_reference():
     many = 0
     for s, t in itertools.permutations(X.vertices, 2):
         cd = one_row_disc(s, t, dist(X, s, t))
-        surfaces = list(charsurf._surfaces(X, cd))
+        surfaces = list(charsurf._surfaces(X, cd, {}))
         assert surfaces == surfaces_reference(X, cd)
         many += len(surfaces) > 1
     assert many == 340
@@ -520,3 +522,32 @@ def test_row_stack_numbering_and_edges_match_lattice():
                                            for w in pair if w != v}
         checked += 1
     assert checked > 1000
+
+
+def region_stack(X):
+    """The row stack of a flat region, read off its coords."""
+    rows = {}
+    for row, x in X.coords.values():
+        rows.setdefault(row, []).append(int(2 * x))
+    return RowStack(min(rows), tuple((min(xs), max(xs)) for _, xs in sorted(rows.items())))
+
+
+def test_flat_regions_freeze_what_an_edge_by_edge_build_freezes():
+    """On the flat-good regions, the 45 x 45 rectangle and the disc stacks
+    above, gen_flat_region gives the adjacency and coords of the from_edges
+    build on the stack's edges, with both maps and every frozen
+    neighbourhood iterating in the same order."""
+    regions = [X for _, X, _ in flat_good_regions()] + [flat_rectangle(45, 45)]
+    checked = 0
+    for stack in [region_stack(X) for X in regions] + list(char_disc_stacks()):
+        try:
+            X = gen_flat_region(stack)
+        except ValueError:
+            continue
+        ref = flat_region_from_edges(stack)
+        assert X.adjacency == ref.adjacency and X.coords == ref.coords, stack
+        assert list(X.coords.items()) == list(ref.coords.items()), stack
+        assert list(X.adjacency) == list(ref.adjacency), stack
+        assert all(list(X.adjacency[v]) == list(ref.adjacency[v]) for v in X.adjacency), stack
+        checked += 1
+    assert checked > 100

@@ -20,10 +20,10 @@ from systolic.generators import (flat_parallelogram, flat_rectangle,
                                  gen_disc_with_degrees, gen_flat_region)
 from systolic.lattice import RowStack
 from systolic.layers import thickness_profile
-from systolic.metric import dist, dist_map, directed_geodesic, is_geodesic_path
+from systolic.metric import dist, dist_map, directed_geodesic
 from systolic.suites import extremal_geodesic
 
-from oracles import bfs_oracle
+from oracles import bfs_oracle, is_geodesic_path
 from test_boundary import perturbed
 
 HALF = Fraction(1, 2)

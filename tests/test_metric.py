@@ -15,11 +15,10 @@ from systolic.generators import (flat_parallelogram, flat_rectangle,
                                  gen_disc_with_degrees, gen_flat_region)
 from systolic.lattice import RowStack, lattice_adjacent
 from systolic.metric import (ProjectionError, all_geodesics, ball, dist,
-                             directed_geodesic, dist_map, is_convex,
-                             is_geodesic_path, projection,
+                             directed_geodesic, dist_map, is_convex, projection,
                              projection_witness, residue, sphere)
 
-from oracles import bfs_oracle, lattice_dist, projection_witness_reference
+from oracles import bfs_oracle, is_geodesic_path, lattice_dist, projection_witness_reference
 from test_chordality import (cycle, octahedron, subtree_chordal, suspension,
                              triangular_torus)
 
@@ -655,7 +654,7 @@ def test_directed_geodesic_read_off_the_interval_matches_its_own_sweep():
             assert n == dist(X, sigma, tau)
             level = {x: n - d for x, d in dt.items()}
             for start, end, dm in ((sigma, tau, dt), (tau, sigma, level)):
-                walked = outcome(lambda: metric._directed(X, start, dm, n))
+                walked = outcome(lambda: metric._directed(X, start, dm, n, {}))
                 swept = outcome(lambda: directed_geodesic(FlagComplex(X.adjacency), start, end))
                 assert walked == swept, (seed, start, end)
                 if isinstance(walked, tuple):
