@@ -14,12 +14,12 @@ ends they read: projection steps, layer widths and surface rows
 (`_CertMemo`).  An atlas certifies each prefix of its rays once, and
 classes no level that D already decides.
 
-A build needs the interval of its subsegment with the distances to its
-far end, and reads them from the path's own layer map, with no search of
-its own.  With l = d(v_0, .) on a geodesic v_0..v_n, call an edge rising
-when l grows by 1 along it.  The cone lemma: for i < j, I(v_i, v_j) is
-the set of vertices reached from v_i along rising edges that reach v_j
-along rising edges, and d(., v_j) = j - l on it, in any graph (proof in
+A build needs the interval of its subsegment with its layer map, and
+reads both off the path's own layer map, with no search of its own.
+With l = d(v_0, .) on a geodesic v_0..v_n, call an edge rising when l
+grows by 1 along it.  The cone lemma: for i < j, I(v_i, v_j) is the set
+of vertices reached from v_i along rising edges that reach v_j along
+rising edges, and d(v_i, .) = l - i on it, in any graph (proof in
 `_certify`).  So one layer map serves every subsegment of a certificate,
 and of an atlas, whose rays all start at its basepoint: each vertex's
 two cones are found once, and each build reads their intersection.
@@ -33,7 +33,7 @@ from itertools import islice
 
 from .complex import FlagComplex
 from .eucgeo import _ends, _euclidean, _Pieces, thread_vertex_path
-from .metric import _checked_projection, _interval, dist, dist_map, graded_paths
+from .metric import _checked_projection, _interval, _levels, dist, dist_map, graded_paths
 
 C_DEFAULT = 208          # universal constant serving both verification suites
 ATLAS_CAP = 20000        # geodesics an atlas certifies at most
@@ -72,15 +72,15 @@ def is_good_geodesic(X: FlagComplex, path: list[int], C: int = C_DEFAULT):
     by construction and skip this check.
 
     One `_interval(path[0], path[-1])` serves twice: its n checks that the
-    path, whose steps are edges, is a geodesic, and its map gives the layer
-    map n - d(., path[-1]) = d(path[0], .) on I(path[0], path[-1]).
+    path, whose steps are edges, is a geodesic, and its map is the layer
+    map d(path[0], .) on I(path[0], path[-1]) that the certificate reads.
     """
     if not path or not all(X.is_edge(a, b) for a, b in zip(path, path[1:])):
         raise ValueError("path is not a 1-skeleton geodesic")
-    n, dt = _interval(X, (path[0],), (path[-1],))
+    n, level = _interval(X, (path[0],), (path[-1],))
     if n != len(path) - 1:
         raise ValueError("path is not a 1-skeleton geodesic")
-    return _certify(X, path, C, _CertMemo({x: n - d for x, d in dt.items()}))
+    return _certify(X, path, C, _CertMemo(level))
 
 
 class _CertMemo(_Pieces):
@@ -97,20 +97,13 @@ class _CertMemo(_Pieces):
     a function of X and its key alone:
 
     * `steps[(c,)]`: simplex s -> its projection onto B_k(c), where
-      k = d(s, c) - 1.  A build reads it off its map of I(a, c), which is
-      exactly `_interval`'s (the cone lemma of `_certify`), and there it
-      keeps the neighbours of s one level nearer c: these lie in I(a, c)
-      (`metric._interval`), so they are the common neighbours of s in
-      B_k(c) that c's full sweep gives.  So the step is the projection of
-      s onto a ball around c, fixed by s and c (Januszkiewicz-Swiatkowski,
-      "Simplicial nonpositive curvature", Publ. IHES 104, 2006), with the
-      same error when it fails, whether the build runs from a toward c or
-      back to c from a vertex beyond it.  Each end has its own dict, so a
-      lookup hashes s alone.
-    * `widths`: (sigma_k, tau_k) -> (width, realizing pairs, span).  The
-      span and its `is_simplex` read the two members alone, and a thick
-      layer's width and pairs are `maximizing_pairs`, whose `dist` is
-      exact.
+      k = d(s, c) - 1.  A build with end c reads it off its layer map,
+      exactly `_interval`'s (the cone lemma of `_certify`), with every
+      projection and error of c's full sweep, so the step is fixed by s
+      and c.  Each end has its own dict, so a lookup hashes s alone.
+    * `widths`: (sigma_k, tau_k) -> (width, realizing pairs, span), read
+      off the two members alone by `is_simplex` and, for a thick layer,
+      by `maximizing_pairs`, whose `dist` is exact.
     * `rows`: (s_k, t_k) -> the walk of `all_geodesics(X, s_k, t_k)`, the
       row geodesics in the lexicographic order a surface search reads
       them in, walked only as far as some search has asked, never capped.
@@ -134,14 +127,14 @@ def _certify(X: FlagComplex, path: list[int], C: int, memo: _CertMemo):
     `memo` (its deltas) and filling in the misses.  Pairs run by i, then j,
     and the first entry above C + 1 is the witness.
 
-    A build reads I(path[i], path[j]) and d(., path[j]) on it off the
-    layer map l = `memo.level` = d(o, .), by the cone lemma.  Write
+    A build reads I(path[i], path[j]) and its layer map d(path[i], .) off
+    the layer map l = `memo.level` = d(o, .), by the cone lemma.  Write
     v_k = path[k], so l(v_k) = k, and call an edge x-y rising when
     l(y) = l(x) + 1; up(v) is the set of vertices reached from v along
     rising edges, down(w) the set of those from which w is reached.  For
     i < j, in any graph:
 
-        I(v_i, v_j) = up(v_i) & down(v_j),  with d(x, v_j) = j - l(x) there.
+        I(v_i, v_j) = up(v_i) & down(v_j),  with d(v_i, x) = l(x) - i there.
 
     * Inclusion of I: let x lie in I(v_i, v_j), so d(v_i, x) + d(x, v_j)
       = j - i.  Then l(x) <= i + d(v_i, x), and j = l(v_j) <= l(x) +
@@ -151,13 +144,13 @@ def _certify(X: FlagComplex, path: list[int], C: int, memo: _CertMemo):
       a rising path, and x lies in both cones.
     * Inclusion in I: a rising path from v_i to x, then one from x to v_j,
       has l(v_j) - l(v_i) = j - i = d(v_i, v_j) edges, so it is a geodesic;
-      x lies in I(v_i, v_j), j - l(x) edges from v_j on it.
+      x lies in I(v_i, v_j), l(x) - i edges from v_i on it.
     * The map may be cut down: every rising path from v_i to v_j lies in
       I(v_i, v_j), and v_0..v_i, that path, v_j..v_n is a walk of n =
       d(v_0, v_n) edges, so a geodesic: the path lies in I(v_0, v_n).  So
       the intersection is the same on any vertex set holding I(v_0, v_n),
       where the cones themselves shrink.
-    So the build's map {x: j - l(x)} on the intersection is exactly the one
+    So the build's map {x: l(x) - i} on the intersection is exactly the one
     `_interval` finds, and so are its deltas and its errors.  The cones are
     memoised per vertex in `memo`, for the whole certificate or atlas.
 
@@ -213,12 +206,13 @@ def _subsegment_deltas(X: FlagComplex, a: int, c: int, n: int, memo: _CertMemo) 
 
 
 def _cone_interval(X: FlagComplex, a: int, c: int, memo: _CertMemo) -> dict[int, int]:
-    """d(., c) on I(a, c), for vertices a and c of a path certified with
-    `memo`, a before c: j - l(x) at each x of up(a) & down(c), where l is
-    the layer map and j = l(c) (the cone lemma of `_certify`)."""
+    """The layer map d(a, .) on I(a, c), for vertices a and c of a path
+    certified with `memo`, a before c: l(x) - l(a) at each x of
+    up(a) & down(c), where l is the memo's layer map (the cone lemma of
+    `_certify`)."""
     level = memo.level
-    j = level[c]
-    return {x: j - level[x] for x in _cone(X, level, a, 1, memo.up)
+    i = level[a]
+    return {x: level[x] - i for x in _cone(X, level, a, 1, memo.up)
             & _cone(X, level, c, -1, memo.down)}
 
 
@@ -228,13 +222,8 @@ def _cone(X: FlagComplex, level: dict[int, int], v: int, step: int,
     (+1: up(v), -1: down(v)), memoised in `cones`."""
     cone = cones.get(v)
     if cone is None:
-        adjacency = X.adjacency
-        cone, layer, k = {v}, [v], level[v]
-        while layer:
-            k += step
-            layer = {u for x in layer for u in adjacency[x] if level.get(u) == k}
-            cone |= layer
-        cones[v] = cone
+        levels = _levels(X, level, (v,), level[v], step)
+        cone = cones[v] = {v}.union(*(layer for _, layer in levels))
     return cone
 
 
@@ -289,13 +278,12 @@ def make_good_geodesic(X: FlagComplex, v: int, w: int, C: int = C_DEFAULT) -> Go
 
     The threaded path needs no geodesic check: it has one edge per layer of
     a Euclidean geodesic of length n = d(v, w), so its n edges join v to w.
-    The build's map gives the layer map n - d(., w) = d(v, .) on I(v, w)
-    that the certificate reads.
+    The build and the certificate read one layer map, d(v, .) on I(v, w).
     """
     sigma, tau = _ends(X, v, w)
-    n, dt = _interval(X, sigma, tau)
-    memo = _CertMemo({x: n - d for x, d in dt.items()})
-    eg = _euclidean(X, sigma, tau, n, dt, memo)
+    n, level = _interval(X, sigma, tau)
+    memo = _CertMemo(level)
+    eg = _euclidean(X, sigma, tau, n, level, memo)
     path = thread_vertex_path(X, eg)
     memo.deltas[(v, w)] = eg.deltas
     good, witness = _certify(X, path, C, memo)

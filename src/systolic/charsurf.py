@@ -185,16 +185,18 @@ def characteristic_image(X: FlagComplex, level: dict[int, int], cd: CharDisc,
     """Span of the images of the disc simplex rho over all characteristic
     surfaces, via single-vertex substitutions off one base surface.
 
-    Interior disc vertices: the vertices of layer k, read off the Euclidean
+    Interior disc vertices: the vertices labelled k in the Euclidean
     geodesic's layer map `level` (d(sigma, .) on I(sigma, tau), absent off
     it), adjacent to the base images of all disc neighbours.  An interior
     vertex has neighbours in both adjacent rows, and in any graph a common
     neighbour of vertices in layers k - 1 and k + 1 lies in layer k: the
-    layer filter bites only when a surface row leaves its layer.  On systolic input layers are
-    convex and rows are geodesics between layer-k ends, so none does; on
-    other input the filter alone keeps a thick delta_k in layer k.
-    Boundary vertices: the ends of the row's realizing pairs whose other
-    end is the opposite representative.  The result is checked to be a simplex.
+    label filter bites only when a surface row leaves its layer, which on
+    systolic input none does (layers are convex and rows are geodesics
+    between layer-k ends); on other input it alone keeps a thick delta_k
+    in layer k.  Boundary vertices (for direct callers only: `_euclidean`
+    passes row-interior simplices, as `euclidean_diagonal` never returns a
+    row end): the ends of the row's realizing pairs whose other end is the
+    opposite representative.  The result is checked to be a simplex.
     """
     rho = tuple(sorted(rho))
     if not rho or any(b not in cd.stack.neighbours(a) for a, b in combinations(rho, 2)):

@@ -42,8 +42,7 @@ class _Pieces:
     on a key read off the build, so that builds sharing a key share them:
 
     * `steps[end]`: simplex s -> its projection onto B_k(end), where
-      k = d(s, end) - 1: the steps of directed geodesics toward the
-      simplex `end` (`metric._directed`);
+      k = d(s, end) - 1, a step toward either end of a build (`_directed`);
     * `widths`: (sigma_k, tau_k) -> (width, realizing pairs, span) of a
       layer with those members (`layers._profile`);
     * `rows`: (s_k, t_k) -> the walk of the row geodesics between those
@@ -105,12 +104,12 @@ def euclidean_geodesic(X: FlagComplex, sigma, tau) -> EuclideanGeodesic:
 
     I(sigma, tau) is found once (`_interval`), by sigma's and tau's sweeps,
     grown to B_a(sigma) and B_b(tau) with a + b = n = d(sigma, tau) and
-    walked from the middle level; `_euclidean` builds on its map, with
-    pieces of its own.
+    walked from the middle level; `_euclidean` builds on its layer map,
+    with pieces of its own.
     """
     sigma, tau = _ends(X, sigma, tau)
-    n, dt = _interval(X, sigma, tau)
-    return _euclidean(X, sigma, tau, n, dt, _Pieces())
+    n, level = _interval(X, sigma, tau)
+    return _euclidean(X, sigma, tau, n, level, _Pieces())
 
 
 def _ends(X: FlagComplex, sigma, tau) -> tuple[Simplex, Simplex]:
@@ -124,10 +123,10 @@ def _ends(X: FlagComplex, sigma, tau) -> tuple[Simplex, Simplex]:
 
 
 def _euclidean(X: FlagComplex, sigma: Simplex, tau: Simplex, n: int,
-               dt: dict[int, int], pieces: _Pieces) -> EuclideanGeodesic:
+               level: dict[int, int], pieces: _Pieces) -> EuclideanGeodesic:
     """The Euclidean geodesic between simplices sigma and tau, sorted, at
-    distance n, with dt exactly d(., tau) on I(sigma, tau), reading and
-    filling in `pieces`.
+    distance n, with `level` exactly the layer map d(sigma, .) on
+    I(sigma, tau), reading and filling in `pieces`.
 
     Each endpoint must lie in the other's n-sphere.  A simplex's vertices
     lie within 1 of each other, so the directed geodesic from sigma has
@@ -135,22 +134,22 @@ def _euclidean(X: FlagComplex, sigma: Simplex, tau: Simplex, n: int,
     S_{n+1}(tau) too: the two lengths decide the condition.  At n = 0 it
     makes each endpoint a face of the other, so sigma = tau.
 
-    sigma's directed geodesic reads dt, and tau's, like every
-    characteristic image, the layer map n - dt, each with every projection
-    and ProjectionError of full sweeps (`_interval`).  `_profile` skips
-    `thickness_profile`'s checks, which hold by construction: members are
-    nonempty (an inner part keeps the vertices n from the other end, an
-    empty projection raises); consecutive ones span cliques (each is a
-    face, or common neighbours, of the one before); and tau_0, tau's last
-    projection, lies in B_0(sigma) = sigma, and sigma_n in tau, so the ends
-    are S = sigma and T = tau, n apart.  So each thin delta_k lies in layer
-    k; a thick one is the `characteristic_image` of row-interior disc
-    vertices, which keeps only layer-k candidates and raises if empty.
+    Both directed geodesics and every characteristic image read `level`:
+    sigma's steps from label 0 to n, tau's from n to 0, each with every
+    projection and ProjectionError of a full sweep of its far end
+    (`_interval`).  `_profile` skips `thickness_profile`'s checks, which
+    hold by construction: members are nonempty (an inner part keeps the
+    vertices n from the other end, an empty projection raises);
+    consecutive ones span cliques (each is a face, or common neighbours, of
+    the one before); and tau_0, tau's last projection, lies in
+    B_0(sigma) = sigma, and sigma_n in tau, so the ends are S = sigma and
+    T = tau, n apart.  So each thin delta_k lies in layer k; a thick one is
+    the `characteristic_image` of row-interior disc vertices, which keeps
+    only layer-k candidates and raises if empty.
     """
-    level = {x: n - d for x, d in dt.items()}
     steps, widths = pieces.steps, pieces.widths
-    sigma_seq = _directed(X, sigma, dt, n, steps.setdefault(tau, {}))
-    tau_seq = _directed(X, tau, level, n, steps.setdefault(sigma, {}))[::-1]
+    sigma_seq = _directed(X, sigma, level, 0, n, steps.setdefault(tau, {}))
+    tau_seq = _directed(X, tau, level, n, 0, steps.setdefault(sigma, {}))[::-1]
     if len(sigma_seq) != n + 1 or len(tau_seq) != n + 1:
         raise ValueError("endpoints must lie inside each other's n-sphere")
     profile = _profile(X, sigma_seq, tau_seq, widths)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from operator import itemgetter
 
 HALF = Fraction(1, 2)
 
@@ -67,29 +66,36 @@ class RowStack:
     @cached_property
     def _crosses(self) -> list[list[tuple[int, int]]]:
         """`cross_pairs` of every pair of consecutive rows: p lies 1/2 from
-        p + shift and p + shift + 1, where those exist."""
-        out = []
-        for (lo, _), (lo_next, _), a, last in zip(self.rows, self.rows[1:],
-                                                  self.widths, self.widths[1:]):
-            shift = (lo - lo_next - 1) // 2
-            out.append([(p, q) for p in range(a + 1)
-                        for q in (p + shift, p + shift + 1) if 0 <= q <= last])
-        return out
+        p + shift and p + shift + 1, where those exist (`_shifts`)."""
+        return [[(p, q) for p in range(a + 1)
+                 for q in (p + shift, p + shift + 1) if 0 <= q <= last]
+                for a, last, shift in zip(self.widths, self.widths[1:], self._shifts)]
+
+    @cached_property
+    def _shifts(self) -> list[int]:
+        """The shift of each pair of consecutive rows, in `_crosses`."""
+        return [(lo - nxt - 1) // 2 for (lo, _), (nxt, _) in zip(self.rows, self.rows[1:])]
+
+    @cached_property
+    def _starts(self) -> list[int]:
+        """The id of each row's first vertex."""
+        return [row[0] for row in self.ids]
 
     def place(self, vid: int) -> tuple[int, int]:
         """(row relative to the first row, index in the row) of vid."""
-        k = bisect_right(self.ids, vid, key=itemgetter(0)) - 1
+        k = bisect_right(self._starts, vid) - 1
         if k < 0 or vid > self.ids[k][-1]:
             raise ValueError(f"{vid} is not a disc vertex")
-        return k, vid - self.ids[k][0]
+        return k, vid - self._starts[k]
 
     def neighbours(self, vid: int) -> set[int]:
-        """Disc vertices adjacent to vid."""
+        """Disc vertices adjacent to vid: row neighbours, and cross ones by shift."""
         k, a = self.place(vid)
-        ids = self.ids
-        out = {ids[k][b] for b in (a - 1, a + 1) if 0 <= b <= self.widths[k]}
+        near = [(k, a - 1), (k, a + 1)]
         if k > 0:
-            out |= {ids[k - 1][p] for p, q in self.cross_pairs(k - 1) if q == a}
-        if k + 1 < len(ids):
-            out |= {ids[k + 1][q] for p, q in self.cross_pairs(k) if p == a}
-        return out
+            shift = self._shifts[k - 1]
+            near += [(k - 1, a - shift - 1), (k - 1, a - shift)]
+        if k + 1 < len(self.rows):
+            shift = self._shifts[k]
+            near += [(k + 1, a + shift), (k + 1, a + shift + 1)]
+        return {self.ids[r][b] for r, b in near if 0 <= b <= self.widths[r]}

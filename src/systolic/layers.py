@@ -28,12 +28,12 @@ def layers(X: FlagComplex, V: Iterable[int], W: Iterable[int]) -> LayerDecomposi
     In any graph d(x,V) + d(x,W) >= n, so L_i is also B_i(V) & B_{n-i}(W).
     And L_{i+1} lies in S_1(L_i): from x in L_{i+1}, the next vertex y
     towards V has d(y,V) = i and n - i <= d(y,W) <= d(x,W) + 1 = n - i.
-    The layers are the levels of `_interval`, found from V's and W's
+    Layer i is label i of `_interval`'s layer map, found from V's and W's
     sweeps, grown to B_a(V) and B_b(W) with a + b = n.
     """
     vset, wset = frozenset(V), frozenset(W)
-    n, dw = _interval(X, vset, wset)
-    out = tuple(frozenset(x for x, d in dw.items() if d == n - i) for i in range(n + 1))
+    n, level = _interval(X, vset, wset)
+    out = tuple(frozenset(x for x, d in level.items() if d == i) for i in range(n + 1))
     return LayerDecomposition(vset, wset, n, out)
 
 

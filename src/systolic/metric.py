@@ -15,9 +15,9 @@ within r; only a map asked for with `radius=None` is complete, never
 changes again, and may be iterated.
 
 Geodesics come from one lazy, uncapped lexicographic walk, `graded_paths`.
-An interval I(V, W) comes from two half sweeps, V's and W's, grown to
-radii a and b that meet in the middle, a + b = d(V, W), and is walked from
-the middle level down to each end on that end's sweep (`_interval`).
+An interval I(V, W) is one map, its layer map d(V, .), found by two half
+sweeps that meet in the middle and walked down to each end (`_interval`);
+directed geodesics step along it either way (`_directed`).
 """
 
 from __future__ import annotations
@@ -207,16 +207,17 @@ def _checked_projection(X: FlagComplex, sigma: Simplex, pi: Iterable[int]) -> Si
     return pi
 
 
-def _project(X: FlagComplex, sigma: Simplex, dm: dict[int, int], m: int) -> Simplex:
-    """Projection of sigma, inside S_{m+1}(Y), onto B_m(Y), where dm is Y's
-    distance map: the common neighbours of sigma with dm <= m, as d(v, B_m(Y))
-    = max(0, d(v, Y) - m) in any graph.  `projection` checks where sigma
-    lies; directed-geodesic steps and `projection_witness` place it there.
-    """
+def _project(X: FlagComplex, sigma: Simplex, labels: dict[int, int], target: int) -> Simplex:
+    """Projection of sigma, wholly one label beyond `target`, onto a ball
+    B around Y: the common neighbours of sigma labelled `target`, on Y's
+    distance map with B = B_target(Y), as d(v, B_m(Y)) = max(0, d(v, Y) - m)
+    in any graph, or on a layer map read toward Y (`_directed`).  They lie
+    within one label of sigma's, so those labelled `target` are those in B.
+    `projection` checks where sigma lies; its other callers place it."""
     common = X.adjacency[sigma[0]]
     for v in sigma[1:]:
         common = common & X.adjacency[v]
-    return _checked_projection(X, sigma, [u for u in common if dm.get(u, m + 1) <= m])
+    return _checked_projection(X, sigma, [u for u in common if labels.get(u) == target])
 
 
 def projection_witness(X: FlagComplex, o: int) -> tuple[Simplex, int, str] | None:
@@ -289,36 +290,38 @@ def directed_geodesic(X: FlagComplex, sigma: Iterable[int], W: Iterable[int]) ->
     """Simplex sequence from sigma to the convex subcomplex W by iterated
     projection onto shrinking balls around W.
 
-    With m = d(sigma, W), sigma lies in the sphere S_m(W), or meets S_m(W)
-    and S_{m+1}(W): its vertices lie within 1 of each other.  In the second
-    case the sequence goes on with the inner part, sigma & S_m(W).  Every
-    ball B_k(W), k < m, is read off the one distance map of W, which need
-    reach only m.
+    With n = d(sigma, W), sigma lies in the sphere S_n(W), or meets S_n(W)
+    and S_{n+1}(W): its vertices lie within 1 of each other.  In the second
+    case the sequence goes on with the inner part, sigma & S_n(W).  Each
+    ball B_k(W) is read off the layer map of I(sigma, W), with every
+    projection and error of a full sweep of W (`_interval`).
     """
     sigma = tuple(sorted(sigma))
     wset = frozenset(W)
     if not X.is_simplex(sigma):
         raise ValueError(f"{sigma} is not a simplex")
-    m = dist(X, wset, sigma)
-    return _directed(X, sigma, dist_map(X, wset, radius=m), m, {})
+    n, labels = _interval(X, sigma, wset)
+    return _directed(X, sigma, labels, 0, n, {})
 
 
-def _directed(X: FlagComplex, sigma: Simplex, dm: dict[int, int], m: int,
-              steps: dict[Simplex, Simplex]) -> list[Simplex]:
-    """`directed_geodesic` from sigma, m = d(sigma, W), with dm giving d(., W).
-
-    Each step, the projection of a simplex s of S_{k+1}(W) onto B_k(W), is
-    read from or written to `steps`, which its caller keeps for this W
-    alone: k = d(s, W) - 1 is fixed by s, and the step is a function of s
-    and W, whichever directed geodesic meets s."""
-    inner = tuple([v for v in sigma if dm.get(v) == m])
+def _directed(X: FlagComplex, sigma: Simplex, labels: dict[int, int], first: int,
+              last: int, steps: dict[Simplex, Simplex]) -> list[Simplex]:
+    """The directed geodesic from sigma, at label `first` of the layer map
+    `labels` = d(V, .) on I(V, W), to the end at label `last` (0 to n, or
+    n to 0).  Its inner part is the vertices of sigma labelled `first`, and
+    each step keeps the common neighbours labelled one nearer `last`: the
+    projection onto a ball around that end (`_interval`).  Steps are read
+    from or written to `steps`, which the caller keeps for that end alone,
+    as a step is a function of its simplex and the end."""
+    inner = tuple([v for v in sigma if labels.get(v) == first])
     seq = [sigma] if inner == sigma else [sigma, inner]
-    for k in range(m - 1, -1, -1):
+    step = 1 if first < last else -1
+    for target in range(first + step, last + step, step):
         s = seq[-1]
-        step = steps.get(s)
-        if step is None:
-            step = steps[s] = _project(X, s, dm, k)
-        seq.append(step)
+        nxt = steps.get(s)
+        if nxt is None:
+            nxt = steps[s] = _project(X, s, labels, target)
+        seq.append(nxt)
     return seq
 
 
@@ -366,22 +369,23 @@ def _halves(X: FlagComplex, vkey: frozenset[int], wkey: frozenset[int]) -> tuple
             return (grown.radius, m, mid) if grown is sv else (m, grown.radius, mid)
 
 
-def _walk(X: FlagComplex, out: dict[int, int], level, labels: dict[int, int],
-          k: int, far: int) -> None:
-    """Put in `out` the levels j = k - 1, .., 0 of the distance map `labels`
-    reached from `level`, at k, through neighbours one level nearer its
-    sources, a vertex of level j at |far - j|: d(., W) on W's map with
-    far = 0, and on V's with far = n."""
-    adjacency = X.adjacency
-    for j in range(k - 1, -1, -1):
-        level = {u for x in level for u in adjacency[x] if labels.get(u) == j}
-        out.update(dict.fromkeys(level, abs(far - j)))
+def _levels(X: FlagComplex, labels: dict[int, int], start: Iterable[int], k: int, step: int):
+    """(label, level set) for each next nonempty level reached from `start`,
+    at label k, through neighbours whose label changes by `step` (+1 or
+    -1), in order, until a level comes out empty."""
+    adjacency, level = X.adjacency, start
+    while True:
+        k += step
+        level = {u for x in level for u in adjacency[x] if labels.get(u) == k}
+        if not level:
+            return
+        yield k, level
 
 
 def _interval(X: FlagComplex, V: Iterable[int], W: Iterable[int]) -> tuple[int, dict[int, int]]:
-    """n = d(V, W) and d(., W) on the interval I = {x : d(x, V) + d(x, W) = n},
-    from two half sweeps that meet in the middle (bidirectional search;
-    Pohl, "Bi-directional search", Machine Intelligence 6, 1971).
+    """n = d(V, W) and the layer map d(V, .) on the interval I = {x :
+    d(x, V) + d(x, W) = n}, from two half sweeps that meet in the middle
+    (bidirectional search; Pohl, Machine Intelligence 6, 1971).
 
     A cached sweep that already labels the other end is used as is: V's
     gives a = n, b = 0, else W's gives a = 0, b = n, and no other sweep
@@ -397,8 +401,9 @@ def _interval(X: FlagComplex, V: Iterable[int], W: Iterable[int]) -> tuple[int, 
     empty level, a complete sweep, means V and W lie in different
     components.  `_targets` checks W before any sweep is made.
 
-    I is walked from the middle level, down to V on V's map and down to W
-    on W's, each read through `dist_map` to its half radius.
+    I is walked from the middle level (`_levels`), down to V on V's map
+    and down to W on W's (j from W is n - j from V), each read through
+    `dist_map` to its half radius.
     * In any graph a neighbour u of x in I one level nearer either end
       stays in I: with d(u, V) = d(x, V) - 1, d(u, W) <= d(x, W) + 1 while
       d(u, V) + d(u, W) >= n, so equality holds; W's side is symmetric.
@@ -406,22 +411,21 @@ def _interval(X: FlagComplex, V: Iterable[int], W: Iterable[int]) -> tuple[int, 
       which crosses the middle level at y, a from V and b from W.  Between
       x and y the geodesic moves one level nearer V, or W, at each step, so
       one of the walks reaches x.
-    So the map is I with d(., W), whatever a + b = n the search stops at.
-    A directed geodesic from V to W read off it makes the projections and
-    errors of a full sweep of W: from V & S_n(W), each projection keeps
-    neighbours one level nearer W, which stay in I by the first point.  One
-    from W, inner part W & S_n(V), read off the layer map {x: n - d}, is
-    the same with V for W.
+    So the map is I with d(V, .), whatever a + b = n the search stops at.
+    A directed geodesic read off it toward either end (`_directed`) makes
+    the projections and errors of a full sweep of that end: each keeps
+    neighbours one level nearer it, which stay in I by the first point.
     """
-    vkey = frozenset(V)
-    wkey = _targets(X, W)
+    vkey, wkey = frozenset(V), _targets(X, W)
     a, b, mid = _halves(X, vkey, wkey)
     n = a + b
-    out = dict.fromkeys(mid, b)
+    out = dict.fromkeys(mid, a)
     if b:
-        _walk(X, out, mid, dist_map(X, wkey, radius=b), b, 0)
+        for j, level in _levels(X, dist_map(X, wkey, radius=b), mid, b, -1):
+            out.update(dict.fromkeys(level, n - j))
     if a:
-        _walk(X, out, mid, dist_map(X, vkey, radius=a), a, n)
+        for j, level in _levels(X, dist_map(X, vkey, radius=a), mid, a, -1):
+            out.update(dict.fromkeys(level, j))
     return n, out
 
 

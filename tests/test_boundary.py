@@ -529,20 +529,23 @@ def test_good_geodesic_builds_one_euclidean_geodesic_per_pair():
 def counting_pieces():
     """Count, by code object, the runs of the three end-determined pieces
     of a build and the distinct keys they run on: `_project` by its
-    simplex and the end its map measures from (the vertices at 0),
+    simplex and the end it projects toward (the calling `_directed`'s
+    `steps` dict, one per end and alive while the memo is),
     `maximizing_pairs` by its two members, `all_geodesics` by its ends."""
     calls, keys = Counter(), {"_project": set(), "maximizing_pairs": set(),
                               "all_geodesics": set()}
     named = {metric._project.__code__: ("_project", lambda f: (
-                 f["sigma"], frozenset(x for x, d in f["dm"].items() if d == 0))),
-             maximizing_pairs.__code__: ("maximizing_pairs", lambda f: (f["sigma"], f["tau"])),
-             metric.all_geodesics.__code__: ("all_geodesics", lambda f: (f["u"], f["v"]))}
+                 f.f_locals["sigma"], id(f.f_back.f_locals["steps"]))),
+             maximizing_pairs.__code__: ("maximizing_pairs",
+                                         lambda f: (f.f_locals["sigma"], f.f_locals["tau"])),
+             metric.all_geodesics.__code__: ("all_geodesics",
+                                             lambda f: (f.f_locals["u"], f.f_locals["v"]))}
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code in named:
             name, key = named[frame.f_code]
             calls[name] += 1
-            keys[name].add(key(frame.f_locals))
+            keys[name].add(key(frame))
 
     previous = sys.getprofile()
     sys.setprofile(profile)

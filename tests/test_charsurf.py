@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import itertools
+import random
 import re
 from fractions import Fraction
 
@@ -522,6 +523,32 @@ def test_row_stack_numbering_and_edges_match_lattice():
                                            for w in pair if w != v}
         checked += 1
     assert checked > 1000
+
+
+def test_row_stack_neighbours_match_a_scan_of_the_cross_pairs():
+    """`neighbours`, read off the row shifts, against a scan of both
+    adjacent rows' cross-pair lists, on seeded random stacks whose left
+    ends step by up to 5 half-units either way, wide offsets included."""
+    rng = random.Random(27)
+    checked = 0
+    for _ in range(3000):
+        lefts = [rng.randint(-3, 3)]
+        for _ in range(rng.randint(0, 4)):
+            lefts.append(lefts[-1] + rng.randint(-5, 5))
+        stack = RowStack(rng.randint(-2, 2),
+                         tuple((lo, lo + 2 * rng.randint(0, 5)) for lo in lefts))
+        ids = stack.ids
+        for k, row in enumerate(ids):
+            for a, vid in enumerate(row):
+                scan = {row[b] for b in (a - 1, a + 1) if 0 <= b < len(row)}
+                if k > 0:
+                    scan |= {ids[k - 1][p] for p, q in stack.cross_pairs(k - 1) if q == a}
+                if k + 1 < len(ids):
+                    scan |= {ids[k + 1][q] for p, q in stack.cross_pairs(k) if p == a}
+                assert stack.neighbours(vid) == scan, (stack, vid)
+                assert stack.place(vid) == (k, a)
+                checked += 1
+    assert checked >= 20000, checked
 
 
 def region_stack(X):

@@ -636,27 +636,29 @@ def outcome(fn):
 
 def test_directed_geodesic_read_off_the_interval_matches_its_own_sweep():
     """On seeded perturbed rectangles and discs, with vertex and edge
-    endpoints, the directed geodesics that `euclidean_geodesic` builds off
-    the interval alone give the sequences, or the error types and messages,
-    that `directed_geodesic` gives with full sweeps on a fresh complex:
-    sigma's reads d(., tau) on the interval, and tau's reads the reflected
-    layer map, d(sigma, .) = n - d(., tau) there."""
+    endpoints, `_directed` on the one layer map d(sigma, .) of
+    I(sigma, tau), stepped from sigma to tau and from tau back to sigma,
+    gives the sequences, or the error types and messages, of
+    `ball_projection_oracle`, which builds every ball around the far end
+    by a BFS of its own on a complex of its own; and so does
+    `directed_geodesic`, which reads the interval of its own ends."""
     from test_boundary import perturbed
     raised, returned = Counter(), 0
     for seed in range(12):
         rng = random.Random(seed)
         base = flat_rectangle(7, 5) if seed % 2 == 0 else gen_disc_with_degrees(seed, rings=3)
         X = perturbed(base, rng, 1 + seed % 3)
+        fresh = FlagComplex(X.adjacency)
         ends = [(v,) for v in X.vertices] + X.edges()
         for _ in range(100):
             sigma, tau = rng.choice(ends), rng.choice(ends)
-            n, dt = metric._interval(X, sigma, tau)
+            n, level = metric._interval(X, sigma, tau)
             assert n == dist(X, sigma, tau)
-            level = {x: n - d for x, d in dt.items()}
-            for start, end, dm in ((sigma, tau, dt), (tau, sigma, level)):
-                walked = outcome(lambda: metric._directed(X, start, dm, n, {}))
-                swept = outcome(lambda: directed_geodesic(FlagComplex(X.adjacency), start, end))
+            for start, end, first, last in ((sigma, tau, 0, n), (tau, sigma, n, 0)):
+                walked = outcome(lambda: metric._directed(X, start, level, first, last, {}))
+                swept = outcome(lambda: ball_projection_oracle(fresh, start, end))
                 assert walked == swept, (seed, start, end)
+                assert outcome(lambda: directed_geodesic(X, start, end)) == walked
                 if isinstance(walked, tuple):
                     raised[walked[0]] += 1
                 else:
