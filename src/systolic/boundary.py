@@ -64,12 +64,14 @@ class GoodGeodesic:
 
 
 def is_good_geodesic(X: FlagComplex, path: list[int], C: int = C_DEFAULT):
-    """Certify a 1-skeleton geodesic as good, or return the first violation.
+    """Certify a 1-skeleton geodesic as good, or return its witness.
 
-    Returns (GoodGeodesic, None) or (None, witness (i, j, k, distance)),
-    the witness first in the order of `_certify`.  A path that is not a
-    geodesic raises ValueError; the library's own callers pass geodesics
-    by construction and skip this check.
+    Returns (GoodGeodesic, None), its path a copy of `path`, or (None,
+    witness (i, j, k, distance)).  The one certifier, `_certify`, makes
+    the witness the least (j, i, k) above C + 1: its prefix path[:j + 1]
+    is the shortest that fails.  A path that is not a geodesic raises
+    ValueError; the library's own callers pass geodesics by construction
+    and skip this check.
 
     One `_interval(path[0], path[-1])` serves twice: its n checks that the
     path, whose steps are edges, is a geodesic, and its map is the layer
@@ -80,7 +82,7 @@ def is_good_geodesic(X: FlagComplex, path: list[int], C: int = C_DEFAULT):
     n, level = _interval(X, (path[0],), (path[-1],))
     if n != len(path) - 1:
         raise ValueError("path is not a 1-skeleton geodesic")
-    return _certify(X, path, C, _CertMemo(level))
+    return _certify(X, [list(path)], C, _CertMemo(level))[0]
 
 
 class _CertMemo(_Pieces):
@@ -121,18 +123,30 @@ class _CertMemo(_Pieces):
         self.down: dict[int, set[int]] = {}
 
 
-def _certify(X: FlagComplex, path: list[int], C: int, memo: _CertMemo):
-    """is_good_geodesic on a path known to be a geodesic from o, reading
-    the Euclidean geodesic of each endpoint pair (path[i], path[j]) from
-    `memo` (its deltas) and filling in the misses.  Pairs run by i, then j,
-    and the first entry above C + 1 is the witness.
+def _certify(X: FlagComplex, paths: list[list[int]], C: int, memo: _CertMemo):
+    """The one certifier.  `paths` are geodesics from one vertex o in the
+    DFS order of `graded_paths` (one path: a one-path list); each gets
+    (GoodGeodesic, None) or (None, witness (i, j, k, distance)).  Each pair
+    (p[i], p[j]) reads its Euclidean geodesic's deltas from `memo`, which
+    fills in the misses.
 
-    A build reads I(path[i], path[j]) and its layer map d(path[i], .) off
-    the layer map l = `memo.level` = d(o, .), by the cone lemma.  Write
-    v_k = path[k], so l(v_k) = k, and call an edge x-y rising when
-    l(y) = l(x) + 1; up(v) is the set of vertices reached from v along
-    rising edges, down(w) the set of those from which w is reached.  For
-    i < j, in any graph:
+    Pairs run by j, then i, and the first entry above C + 1 is the
+    witness: the least (j, i, k), at the shortest failing prefix p[:j + 1].
+    Level j, the entries (i, j, k), depends only on that prefix.  A
+    certificate is filled level by level, so a path copies the first
+    entries of the one before it, the levels of the prefix they share, and
+    computes the rest.  A path extending the previous one's failing prefix
+    is dropped unread: its levels up to that witness are the prefix's, so
+    the witness is its own.  A path's levels, copied or computed, are those
+    certifying it alone computes, in the same order, so it gets, and
+    raises, the same.  Each good path owns its complete certificate, and a
+    single path fills one dict, with no copy.
+
+    A build reads I(p[i], p[j]) and its layer map d(p[i], .) off the layer
+    map l = `memo.level` = d(o, .), by the cone lemma.  Write v_k = p[k],
+    so l(v_k) = k, and call an edge x-y rising when l(y) = l(x) + 1; up(v)
+    is the set of vertices reached from v along rising edges, down(w) the
+    set of those from which w is reached.  For i < j, in any graph:
 
         I(v_i, v_j) = up(v_i) & down(v_j),  with d(v_i, x) = l(x) - i there.
 
@@ -152,7 +166,7 @@ def _certify(X: FlagComplex, path: list[int], C: int, memo: _CertMemo):
       where the cones themselves shrink.
     So the build's map {x: l(x) - i} on the intersection is exactly the one
     `_interval` finds, and so are its deltas and its errors.  The cones are
-    memoised per vertex in `memo`, for the whole certificate or atlas.
+    memoised per vertex in `memo`, for all the paths.
 
     Two more facts spare work without changing a result or an error:
     - j - i <= 3: the geodesic has a closed form (`_short_deltas`, or
@@ -160,18 +174,32 @@ def _certify(X: FlagComplex, path: list[int], C: int, memo: _CertMemo):
       B_0 of the other as that other end), which raises what
       `euclidean_geodesic` raises.  Only pairs with j - i >= 4 build one;
       the memo keeps both the closed forms and the builds.
-    - A certificate entry |path[k], delta| is 0 on membership and otherwise
-      `dist`, whose sweep from path[k] stops at the first level meeting
-      delta instead of labelling the whole component.
+    - A certificate entry |p[k], delta| is 0 on membership and otherwise
+      `dist`, whose sweep from p[k] stops at the first level meeting delta
+      instead of labelling the whole component.
     """
+    out = []
     cert: dict[tuple[int, int, int], int] = {}
-    n = len(path) - 1
-    for i in range(n):
-        for j in range(i + 1, n + 1):
-            witness = _pair_entries(X, path, i, j, C, memo, cert)
-            if witness is not None:
-                return None, witness
-    return GoodGeodesic(list(path), C, cert), None
+    ends: list[int] = []        # ends[j]: how many of cert's first entries are prev[:j + 1]'s
+    prev: list[int] = []
+    witness = None              # prev's witness, if it failed
+    for p in paths:
+        shared = next((s for s, (u, w) in enumerate(zip(p, prev)) if u != w), len(prev))
+        prev = p
+        if witness is None or shared <= witness[1]:     # p keeps no failing prefix
+            witness = None
+            del ends[shared:]
+            cert = dict(islice(cert.items(), ends[-1] if ends else 0))
+            for j in range(len(ends), len(p)):
+                for i in range(j):
+                    witness = _pair_entries(X, p, i, j, C, memo, cert)
+                    if witness is not None:
+                        break
+                if witness is not None:
+                    break
+                ends.append(len(cert))
+        out.append((GoodGeodesic(p, C, cert), None) if witness is None else (None, witness))
+    return out
 
 
 def _pair_entries(X: FlagComplex, path: list[int], i: int, j: int, C: int,
@@ -286,7 +314,7 @@ def make_good_geodesic(X: FlagComplex, v: int, w: int, C: int = C_DEFAULT) -> Go
     eg = _euclidean(X, sigma, tau, n, level, memo)
     path = thread_vertex_path(X, eg)
     memo.deltas[(v, w)] = eg.deltas
-    good, witness = _certify(X, path, C, memo)
+    good, witness = _certify(X, [path], C, memo)[0]
     if good is None:
         raise GoodnessError(f"threaded path failed its certificate at {witness}")
     return good
@@ -365,15 +393,16 @@ def boundary_atlas(X: FlagComplex, O: int, N: int, D: int = D_DEFAULT,
     the threshold relation is only transitive in the limit) plus the
     distance matrix of class representatives.
 
-    Rays are certified by `_certify_prefixes` with one shared memo, so
-    each endpoint pair at distance >= 2 has its Euclidean geodesic computed
-    once for all its rays (by a closed form below distance 4, by a build
-    from there), and each prefix has its entries computed once for all the
-    rays through it.  Builds read the layer map d(O, .) cut off at layer N,
-    which holds I(O, v_N) for every ray, so no interval is searched for.
-    A geodesic of `graded_paths` needs no geodesic check: its distance
-    from O grows by one at each of its N edges, so it ends N from O.
-    Every ray carries its complete certificate.
+    Rays are certified by the one certifier, `_certify`, with one shared
+    memo, so each endpoint pair at distance >= 2 has its Euclidean geodesic
+    computed once for all its rays (by a closed form below distance 4, by a
+    build from there), and each prefix has its entries computed once for
+    all the rays through it.  A geodesic is dropped at its shortest failing
+    prefix, the witness `is_good_geodesic` gives it.  Builds read the layer
+    map d(O, .) cut off at layer N, which holds I(O, v_N) for every ray, so
+    no interval is searched for.  A geodesic of `graded_paths` needs no
+    geodesic check: its distance from O grows by one at each of its N
+    edges, so it ends N from O.  Every ray carries its complete certificate.
 
     The rays related to ray a are the AND over i of the rays whose i-th
     vertex lies within D of a's, kept as int bitsets.  Level-i vertices
@@ -393,7 +422,7 @@ def boundary_atlas(X: FlagComplex, O: int, N: int, D: int = D_DEFAULT,
     level = {x: d for x, d in ecc_map.items() if d <= N}
     paths = list(islice(graded_paths(X, O, level, 1, N), cap + 1))
     capped = len(paths) > cap
-    rays = _certify_prefixes(X, paths[:cap], C, level)
+    rays = [good for good, _ in _certify(X, paths[:cap], C, _CertMemo(level)) if good]
     if N <= D // 2:
         classes, violations = ([list(range(len(rays)))] if rays else []), 0
     else:
@@ -401,51 +430,6 @@ def boundary_atlas(X: FlagComplex, O: int, N: int, D: int = D_DEFAULT,
     reps = [rays[g[0]].path[N] for g in classes]
     matrix = [[dist(X, p, q) for q in reps] for p in reps]
     return BoundaryAtlas(O, N, D, rays, classes, violations, matrix, capped)
-
-
-def _certify_prefixes(X: FlagComplex, paths: list[list[int]], C: int,
-                      level: dict[int, int]) -> list[GoodGeodesic]:
-    """The good ones among `paths`, geodesics of one length from one vertex
-    o in the DFS order of `graded_paths`, certified with one memo over
-    their shared prefixes, which reads the layer map `level` = d(o, .) on
-    a vertex set holding each path's interval (`_certify`).
-
-    The entries (i, j, k) of a path, its level j, depend only on its prefix
-    through index j.  So a path keeps the certificates of the prefixes it
-    shares with the path before it, and extends the longest one level by
-    level, computing only the entries (i, j, k) of each new level j.  The
-    first level holding an entry above C + 1 fails its prefix, and the
-    paths after it that share that prefix are dropped with nothing
-    computed, since every certificate of such a path holds the failing
-    entry.  Each good path gets its own complete certificate, equal to
-    `is_good_geodesic`'s.  Pairs run by j, then i, where `_certify` runs
-    by i, then j; on non-systolic input
-    test_atlas_raises_what_certifying_each_path_raises pins that this
-    raises what certifying the paths one by one raises.
-    """
-    memo = _CertMemo(level)
-    rays = []
-    levels: list[dict] = []     # levels[j]: the certificate of prev[:j + 1]
-    prev: list[int] = []
-    failed = None               # the last index of prev's failing prefix
-    for p in paths:
-        shared = next((s for s, (u, w) in enumerate(zip(p, prev)) if u != w), len(prev))
-        prev = p
-        if failed is not None and failed < shared:
-            continue
-        failed = None
-        del levels[shared:]
-        for j in range(len(levels), len(p)):
-            cert = dict(levels[-1]) if levels else {}
-            if any(_pair_entries(X, p, i, j, C, memo, cert) is not None for i in range(j)):
-                failed = j
-                break
-            levels.append(cert)
-        else:
-            # the last level is p's alone: the next path differs from p
-            # at some index, and recomputes every level from there
-            rays.append(GoodGeodesic(p, C, levels[-1]))
-    return rays
 
 
 def _classing(X: FlagComplex, rays: list[GoodGeodesic], N: int, D: int):

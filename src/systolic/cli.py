@@ -57,6 +57,9 @@ _GENERATORS = {
 }
 _GEN_PARAMS = ("height", "width", "rings", "seed")
 
+# The suites that read --C; verify rejects it on the others.
+_C_SUITES = ("good", "thmC")
+
 
 def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
     """The shared flags a command reads; it rejects any other as a usage error."""
@@ -96,7 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, "complex", "from", "to", "C")
 
     p = sub.add_parser("verify", help="run a verification suite")
-    _add_flags(p, "seed", "C", "json")
+    _add_flags(p, "seed", "json")
+    # absent unless given, so main can reject it on a suite that does not read it
+    p.add_argument("--C", type=_NON_NEGATIVE, default=argparse.SUPPRESS)
     p.add_argument("--suite", choices=SUITE_NAMES, required=True)
     p.add_argument("--count", type=_POSITIVE, default=8)
 
@@ -240,7 +245,7 @@ def cmd_good(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = SuiteConfig(seed=args.seed, count=args.count, C=args.C)
+    config = SuiteConfig(seed=args.seed, count=args.count, C=getattr(args, "C", C_DEFAULT))
     report = run_suite(args.suite, config)
     if args.json:
         print(json.dumps({"suite": report.name, "seed": report.seed,
@@ -286,6 +291,8 @@ def main(argv=None) -> int:
                   if hasattr(args, name) and name not in _GENERATORS[args.kind][1]]
         if unread:
             parser.error(f"gen --kind {args.kind} does not read {', '.join(unread)}")
+    if args.command == "verify" and hasattr(args, "C") and args.suite not in _C_SUITES:
+        parser.error(f"verify --suite {args.suite} does not read --C")
     try:
         return _COMMANDS[args.command](args)
     except UsageError as exc:

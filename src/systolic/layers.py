@@ -33,8 +33,10 @@ def layers(X: FlagComplex, V: Iterable[int], W: Iterable[int]) -> LayerDecomposi
     """
     vset, wset = frozenset(V), frozenset(W)
     n, level = _interval(X, vset, wset)
-    out = tuple(frozenset(x for x, d in level.items() if d == i) for i in range(n + 1))
-    return LayerDecomposition(vset, wset, n, out)
+    out: list[set[int]] = [set() for _ in range(n + 1)]
+    for x, d in level.items():
+        out[d].add(x)
+    return LayerDecomposition(vset, wset, n, tuple(map(frozenset, out)))
 
 
 @dataclass

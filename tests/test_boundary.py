@@ -359,6 +359,40 @@ def test_certificate_failures_pin_their_witnesses():
     assert [is_good_geodesic(X, p, 0)[1] for p in dropped] == [(0, 8, 3, 2), (0, 8, 5, 2)]
 
 
+def test_witness_is_the_least_j_then_i_then_k():
+    """A witness names the shortest failing prefix.  On every geodesic of
+    length 10 from vertex 50 of flat_parallelogram(8, 8), is_good_geodesic
+    at C = 0 returns the least (j, i, k) among the entries above 1 of its
+    full default-C certificate, and boundary_atlas keeps exactly the paths
+    with no witness.  26 of the 252 fail, and on 2 of them the least
+    (i, j, k) is another entry."""
+    X = flat_parallelogram(8, 8)
+    paths = list(graded_paths(X, 50, dist_map(X, (50,)), 1, 10))
+    witnesses, moved = [], 0
+    for p in paths:
+        over = [(j, i, k, d) for (i, j, k), d in is_good_geodesic(X, p)[0].certificate.items()
+                if d > 1]
+        least = min(over, default=None)
+        expected = least and (least[1], least[0], *least[2:])
+        good, witness = is_good_geodesic(X, p, 0)
+        assert witness == expected and (good is None) == bool(over), p
+        witnesses.append(witness)
+        moved += bool(over) and min((i, j, k, d) for j, i, k, d in over) != witness
+    assert (len(paths), len(paths) - witnesses.count(None), moved) == (252, 26, 2)
+    atlas = boundary_atlas(X, 50, 10, C=0)
+    assert [r.path for r in atlas.rays] == [p for p, w in zip(paths, witnesses) if w is None]
+    # its least (i, j, k) is (0, 10, 6, 2), at the whole path
+    path = [50, 41, 40, 39, 38, 37, 36, 27, 18, 9, 0]
+    assert is_good_geodesic(X, path, 0) == (None, (1, 9, 6, 2))
+
+
+def test_good_geodesic_path_is_a_copy_of_the_callers():
+    X = flat_parallelogram(3, 3)
+    path = next(all_geodesics(X, 0, 8))
+    good, _ = is_good_geodesic(X, path)
+    assert good.path == path and good.path is not path
+
+
 def test_atlas_report_deterministic():
     X = flat_rectangle(4, 4)
     center = next(v for v in X.vertices if X.coords[v] == (2, Fraction(2)))
@@ -618,13 +652,13 @@ def test_atlas_certifies_each_prefix_once(monkeypatch):
         dm = dist_map(X, (0,))
         paths = list(graded_paths(X, 0, dm, 1, N))
         memo = boundary._CertMemo(dm)
-        full = [boundary._certify(X, p, C_DEFAULT, memo)[0].certificate for p in paths]
+        full = [boundary._certify(X, [p], C_DEFAULT, memo)[0][0].certificate for p in paths]
         for C in Cs:
             calls.clear()
             monkeypatch.setattr(boundary, "_pair_entries", counting)
             atlas = boundary_atlas(X, 0, N, C=C)
             monkeypatch.undo()
-            alone = [boundary._certify(X, p, C, memo)[0] for p in paths]
+            alone = [boundary._certify(X, [p], C, memo)[0][0] for p in paths]
             kept = [(g.path, g.certificate) for g in alone if g is not None]
             assert [(r.path, r.certificate) for r in atlas.rays] == kept
             dropped = [p for p, g in zip(paths, alone) if g is None]
@@ -741,7 +775,7 @@ def test_atlas_raises_what_certifying_each_path_raises():
                 for C in (0, C_DEFAULT):
                     memo = boundary._CertMemo(dm)
                     alone = _outcome(lambda: [
-                        g.certificate for g, _ in (boundary._certify(X, p, C, memo)
+                        g.certificate for g, _ in (boundary._certify(X, [p], C, memo)[0]
                                                    for p in graded_paths(X, O, dm, 1, N))
                         if g is not None])
                     atlas = _outcome(lambda: [r.certificate for r in
@@ -769,9 +803,9 @@ def test_atlas_sweeps_stop_near_the_rays():
 
 class ReferenceCertifier:
     """Certificates that build every pair with `euclidean_geodesic`, the
-    shortest included, in `_certify`'s order: (certificate, None) or
-    (None, witness), or the build's error.  Builds, pure, are kept per
-    pair so that long runs of rays stay cheap."""
+    shortest included, pairs by least j, then least i, as `_certify` runs
+    them: (certificate, None) or (None, witness), or the build's error.
+    Builds, pure, are kept per pair so that long runs of rays stay cheap."""
 
     def __init__(self, X):
         self.X, self.built = X, {}
@@ -789,12 +823,13 @@ class ReferenceCertifier:
 
     def certify(self, path, C):
         cert = {}
-        for i, j in itertools.combinations(range(len(path)), 2):
-            deltas = self.deltas(path[i], path[j])
-            for k in range(i, j + 1):
-                cert[(i, j, k)] = d = dist(self.X, path[k], deltas[k - i])
-                if d > C + 1:
-                    return None, (i, j, k, d)
+        for j in range(len(path)):
+            for i in range(j):
+                deltas = self.deltas(path[i], path[j])
+                for k in range(i, j + 1):
+                    cert[(i, j, k)] = d = dist(self.X, path[k], deltas[k - i])
+                    if d > C + 1:
+                        return None, (i, j, k, d)
         return cert, None
 
     def good(self, v, w, C):

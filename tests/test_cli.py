@@ -11,6 +11,7 @@ import pytest
 from systolic.cli import build_parser, cmd_check, main
 from systolic.complex import FlagComplex, dumps_complex, simply_connected_heuristic
 from systolic.generators import flat_parallelogram, flat_rectangle, gen_disc_with_degrees
+from systolic.suites import SUITE_NAMES
 
 from oracles import is_bridged
 from test_chordality import cycle, octahedron, subtree_chordal, triangular_torus
@@ -440,6 +441,20 @@ def test_flags_only_where_read(capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
+
+
+def test_verify_reads_C_on_good_and_thmC_only(capsys):
+    """--C reaches the suites that read it, and is a usage error on the
+    others, as gen rejects a parameter its kind does not read."""
+    base = ("--seed", "1", "--count", "1", "--C", "5")
+    for suite, line in (("good", "(bound C+1=6)"), ("thmC", "(bound D=17)")):
+        code, out = run(capsys, "verify", "--suite", suite, *base)
+        assert code == 0 and out.rstrip().endswith(line), suite
+    for suite in sorted(set(SUITE_NAMES) - {"good", "thmC"}):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", suite, *base])
+        assert exc.value.code == 2, suite
+        assert f"error: verify --suite {suite} does not read --C" in capsys.readouterr().err
 
 
 def test_atlas_radius_beyond_eccentricity_exits_2(flat_file, capsys):
