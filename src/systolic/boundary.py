@@ -108,7 +108,9 @@ class _CertMemo(_Pieces):
       by `maximizing_pairs`, whose `dist` is exact.
     * `rows`: (s_k, t_k) -> the walk of `all_geodesics(X, s_k, t_k)`, the
       row geodesics in the lexicographic order a surface search reads
-      them in, walked only as far as some search has asked, never capped.
+      them in, kept as a `tee` that is never advanced: each search reads
+      a copy, which replays what earlier searches pulled, so the walk goes
+      only as far as some search has asked, never capped.
 
     An error ends the certificate or atlas, so no entry records one; and
     no value handed out is changed afterwards, since builds share them."""

@@ -8,16 +8,19 @@ per-layer widths |s_k t_k| and the consecutive offsets read off
 which numbers and joins the disc vertices, and is checked by one integer
 shape rule (`check_row_stack`).  The disc as a triangulated complex is a
 view built on first use, for audits and rendering.  A surface is found by
-backtracking over each row's geodesics s_k..t_k, walked lazily and uncapped.
+one backtracking loop, no recursion, over each row's geodesics s_k..t_k,
+walked lazily and uncapped, so a disc may have any number of rows.
 The all-surfaces enumeration, the preimage decoder and the minimal-surface
 and triangulability searches that cross-check this module live in the tests.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from copy import copy
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, tee
 
 from .complex import FlagComplex, Simplex
 from .flatgeom import TriangulatedDisc, as_disc
@@ -112,58 +115,43 @@ def build_char_disc(X: FlagComplex, profile: ThicknessProfile, interval) -> Char
     return CharDisc(s_rep, t_rep, stack, pairs)
 
 
-class _Walk:
-    """The geodesics of `all_geodesics(X, s, t)`, walked only as far as a
-    reader asks and kept in order, so that every later reader, a row of
-    another surface search on the same ends, replays them first."""
-
-    __slots__ = ("walk", "seen")
-
-    def __init__(self, X: FlagComplex, s: int, t: int):
-        self.walk = all_geodesics(X, s, t)
-        self.seen: list[list[int]] = []
-
-    def __iter__(self):
-        seen, i = self.seen, 0
-        while True:
-            if i == len(seen):
-                path = next(self.walk, None)
-                if path is None:
-                    return
-                seen.append(path)
-            yield seen[i]
-            i += 1
-
-
-def _surfaces(X: FlagComplex, cd: CharDisc, rows: dict[tuple[int, int], _Walk]):
+def _surfaces(X: FlagComplex, cd: CharDisc, rows: dict[tuple[int, int], Iterator[list[int]]]):
     """Characteristic surfaces on the disc's boundary representatives, in
-    lexicographic order: a bottom-up backtracker that walks each row's
-    geodesics s_k..t_k lazily through `all_geodesics`, so no row is listed
-    in full and none is capped.  The walk of a row, a function of X and
-    (s_k, t_k) alone, is read from or written to `rows` by those ends."""
+    lexicographic order, by one backtracking loop with no recursion: the
+    open rows' readers form a stack, and each step takes the top row's next
+    geodesic s_k..t_k that fits the row below, opens the row above, yields
+    a surface or backtracks, so a disc may have any number of rows.  A
+    row's geodesics come from `all_geodesics`, started on the first read of
+    its ends and walked lazily, so no row is listed in full and none is
+    capped.  That walk, a function of X and (s_k, t_k) alone, is kept in
+    `rows` by those ends as a `tee` that is never advanced; each reader
+    walks a copy of it, which replays what earlier readers pulled."""
     crosses = [cd.stack.cross_pairs(k) for k in range(len(cd.s) - 1)]
-
-    def extend(chosen):
+    chosen: list[list[int]] = []
+    readers = []
+    while True:
         k = len(chosen)
-        if k == len(cd.s):
+        if k < len(readers):
+            path = next((p for p in readers[k] if k == 0 or all(
+                X.is_edge(chosen[-1][a], p[b]) for a, b in crosses[k - 1])), None)
+            if path is not None:
+                chosen.append(path)
+                continue
+            readers.pop()
+        elif k == len(cd.s):
             yield {vid: chosen[r][idx]
                    for r, ids in enumerate(cd.stack.ids)
                    for idx, vid in enumerate(ids)}
+        else:
+            ends = cd.s[k], cd.t[k]
+            anchor = rows.get(ends)
+            if anchor is None:
+                anchor = rows[ends] = tee(all_geodesics(X, *ends), 1)[0]
+            readers.append(copy(anchor))
+            continue
+        if not chosen:
             return
-        ends = cd.s[k], cd.t[k]
-        row = rows.get(ends)
-        if row is None:
-            row = rows[ends] = _Walk(X, *ends)
-        for path in row:
-            if k > 0:
-                prev = chosen[-1]
-                if any(not X.is_edge(prev[a], path[b]) for a, b in crosses[k - 1]):
-                    continue
-            chosen.append(path)
-            yield from extend(chosen)
-            chosen.pop()
-
-    return extend([])
+        chosen.pop()
 
 
 def build_char_surface(X: FlagComplex, cd: CharDisc) -> dict[int, int]:
@@ -173,7 +161,8 @@ def build_char_surface(X: FlagComplex, cd: CharDisc) -> dict[int, int]:
     return _surface(X, cd, {})
 
 
-def _surface(X: FlagComplex, cd: CharDisc, rows: dict[tuple[int, int], _Walk]) -> dict[int, int]:
+def _surface(X: FlagComplex, cd: CharDisc,
+             rows: dict[tuple[int, int], Iterator[list[int]]]) -> dict[int, int]:
     """`build_char_surface`, sharing row walks through `rows` (`_surfaces`)."""
     for surface in _surfaces(X, cd, rows):
         return surface

@@ -8,10 +8,11 @@ exact CAT(0) diagonal of its flat characteristic disc.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charsurf import CharDisc, _surface, _Walk, build_char_disc, characteristic_image
+from .charsurf import CharDisc, _surface, build_char_disc, characteristic_image
 from .complex import FlagComplex, Simplex
 from .flatgeom import PolyPath, polygon_geodesic
 from .lattice import RowStack
@@ -46,7 +47,9 @@ class _Pieces:
     * `widths`: (sigma_k, tau_k) -> (width, realizing pairs, span) of a
       layer with those members (`layers._profile`);
     * `rows`: (s_k, t_k) -> the walk of the row geodesics between those
-      ends (`charsurf._Walk`).
+      ends, an `itertools.tee` that is never advanced; each surface search
+      reads a copy of it, which replays what earlier searches pulled
+      (`charsurf._surfaces`).
 
     `euclidean_geodesic` makes a fresh one per build; a certificate or an
     atlas keeps one for all its builds (`boundary._CertMemo`, which says
@@ -57,7 +60,7 @@ class _Pieces:
     def __init__(self):
         self.steps: dict[Simplex, dict[Simplex, Simplex]] = {}
         self.widths: dict[tuple[Simplex, Simplex], tuple] = {}
-        self.rows: dict[tuple[int, int], _Walk] = {}
+        self.rows: dict[tuple[int, int], Iterator[list[int]]] = {}
 
 
 def modified_disc(cd: CharDisc) -> RowStack:

@@ -1,5 +1,6 @@
 """Good geodesics, contracting bounds, and the truncated boundary atlas."""
 
+import gc
 import itertools
 import math
 import random
@@ -27,6 +28,23 @@ from test_chordality import cycle, disjoint_union, triangular_torus
 def corner_pair(X):
     return (min(X.vertices, key=lambda v: X.coords[v]),
             max(X.vertices, key=lambda v: X.coords[v]))
+
+
+def test_builds_leave_no_cyclic_garbage():
+    # reference counting frees each build: with the collector off, a
+    # collection afterwards finds nothing unreachable
+    flat, rect = flat_parallelogram(8, 2), flat_rectangle(10, 5)
+    builds = [lambda: euclidean_geodesic(flat, (0,), (26,)),
+              lambda: make_good_geodesic(flat, 0, 26),
+              lambda: boundary_atlas(rect, 0, 8)]
+    for build in builds:
+        gc.collect()
+        gc.disable()
+        try:
+            build()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def test_length_one_path_is_good():

@@ -5,6 +5,7 @@ import importlib
 import itertools
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -207,6 +208,47 @@ def test_surfaces_match_the_product_of_rows_reference():
         assert surfaces == surfaces_reference(X, cd)
         many += len(surfaces) > 1
     assert many == 340
+
+
+def test_searches_sharing_rows_replay_each_others_walks(monkeypatch):
+    # two searches on one `rows` dict, advanced in turn, each yield what
+    # they yield alone, and each row's walk is started once: the corner
+    # row (0, 24) has C(8, 4) = 70 geodesics, and the two-row disc on it
+    # and its reverse has no surface, so its search reads both rows to the
+    # end, once per geodesic of the first
+    X = flat_parallelogram(4, 4)
+    corner, back = one_row_disc(0, 24, 8), one_row_disc(24, 0, 8)
+    crossed = CharDisc([0, 24], [24, 0], RowStack(0, ((0, 16), (1, 17))),
+                       [[(0, 24)], [(24, 0)]])
+    straight = CharDisc([24, 19], [22, 18], RowStack(0, ((0, 4), (1, 3))),
+                        [[(24, 22)], [(19, 18)]])
+    discs = [corner, back, crossed, straight, one_row_disc(24, 22, 2)]
+    alone = [list(charsurf._surfaces(X, cd, {})) for cd in discs]
+    assert [len(a) for a in alone] == [70, 70, 0, 1, 1]
+    starts = Counter()
+    walk = charsurf.all_geodesics
+
+    def counted(X, s, t):
+        starts[s, t] += 1
+        return walk(X, s, t)
+
+    monkeypatch.setattr(charsurf, "all_geodesics", counted)
+    for a, b in itertools.product(range(len(discs)), repeat=2):
+        starts.clear()
+        rows = {}
+        searches = [charsurf._surfaces(X, discs[a], rows),
+                    charsurf._surfaces(X, discs[b], rows)]
+        got = [[], []]
+        live = [0, 1]
+        while live:
+            for n in list(live):
+                surface = next(searches[n], None)
+                if surface is None:
+                    live.remove(n)
+                else:
+                    got[n].append(surface)
+        assert got == [alone[a], alone[b]]
+        assert set(starts.values()) == {1} and set(starts) == set(rows)
 
 
 def test_characteristic_image_examples():

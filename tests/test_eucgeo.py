@@ -59,6 +59,23 @@ def synthetic_disc(widths, offsets, first_row=0):
     return cd
 
 
+def test_corner_geodesic_of_a_deep_rectangle():
+    # the characteristic disc of (3, 1198) has 1,196 rows, more than
+    # Python's default recursion limit: the surface search opens them in
+    # one loop; the layers, and the spans of the members on and between
+    # the interval's layers, are checked by BFS and adjacency alone
+    X = flat_rectangle(1200, 2)
+    eg = euclidean_geodesic(X, (0,), (3602,))
+    assert eg.n == 1200 and eg.profile.thick_intervals == [(3, 1198)]
+    d0, d1 = bfs_oracle(X.adjacency, (0,)), bfs_oracle(X.adjacency, (3602,))
+    assert d0[3602] == 1200
+    for k, delta in enumerate(eg.deltas):
+        assert all(d0[v] == k and d1[v] == 1200 - k for v in delta)
+    for k in range(3, 1198):
+        span = set(eg.deltas[k]) | set(eg.deltas[k + 1])
+        assert all(w in X.adjacency[v] for v, w in itertools.combinations(span, 2))
+
+
 def test_modified_disc_rows():
     cd = synthetic_disc([1, 2, 1], [-1, 1])
     md = modified_disc(cd)
