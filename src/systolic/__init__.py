@@ -6,6 +6,8 @@ Euclidean geodesics, good geodesics, and a finite-radius boundary atlas,
 plus seeded verification suites for the quantitative theorems.
 """
 
+from types import ModuleType as _Module
+
 from .boundary import (BoundaryAtlas, GoodGeodesic, boundary_atlas,
                        corollary_contr_check, default_D, in_standard_neighborhood,
                        is_good_geodesic, make_good_geodesic,
@@ -30,4 +32,7 @@ from .layers import (LayerDecomposition, ThicknessProfile, layers,
 from .metric import (all_geodesics, ball, dist, directed_geodesic, is_convex,
                      projection, projection_witness, residue, sphere, spans_simplex)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names, without the submodules the imports above bind, so that
+# a star import does not rebind `complex` to the module
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _Module)]

@@ -1,7 +1,9 @@
 """Command-line front end: generation, computation, verification, rendering.
 
 Exit codes: 0 all assertions passed, 1 assertion failure (first witness
-printed), 2 usage or input error.
+printed), 2 usage or input error.  dgeo, egeo, good and atlas ask check's
+verdict before they build anything: a complex that is not systolic is an
+input error, reported with check's witness.
 """
 
 from __future__ import annotations
@@ -183,6 +185,14 @@ def _systolic_witness(X, loc) -> str | None:
     return f"vertices {o} and {min(outside)} lie in different components" if outside else None
 
 
+def _need_systolic(X) -> None:
+    """check's verdict, asked before a build: their results mean something
+    only on systolic input, so "no" is an input error with its witness."""
+    witness = _systolic_witness(X, is_locally_6_large(X))
+    if witness is not None:
+        raise UsageError(f"the complex is not systolic\nwitness: {witness}")
+
+
 def cmd_check(args) -> int:
     X = _load(args)
     # no X.validate(): loads_complex builds X by from_edges, symmetric and loop-free
@@ -212,6 +222,7 @@ def cmd_dist(args) -> int:
 def cmd_dgeo(args) -> int:
     X = _load(args)
     u, v = _need_endpoints(args, X)
+    _need_systolic(X)
     seq = directed_geodesic(X, (u,), frozenset((v,)))
     for k, simplex in enumerate(seq):
         print(f"{k}: {list(simplex)}")
@@ -221,6 +232,7 @@ def cmd_dgeo(args) -> int:
 def cmd_egeo(args) -> int:
     X = _load(args)
     u, v = _need_endpoints(args, X)
+    _need_systolic(X)
     eg = euclidean_geodesic(X, (u,), (v,))
     for k, simplex in enumerate(eg.deltas):
         tag = "thin " if eg.profile.thin[k] else "thick"
@@ -236,6 +248,7 @@ def cmd_egeo(args) -> int:
 def cmd_good(args) -> int:
     X = _load(args)
     u, v = _need_endpoints(args, X)
+    _need_systolic(X)
     # make_good_geodesic certifies its path and raises GoodnessError otherwise
     good = make_good_geodesic(X, u, v, C=args.C)
     print(f"path: {good.path}")
@@ -265,6 +278,7 @@ def cmd_atlas(args) -> int:
     if not 0 <= args.radius <= ecc:
         raise UsageError(f"--radius {args.radius} outside 0..{ecc}, the "
                          f"eccentricity of vertex {O}")
+    _need_systolic(X)
     D = default_D(args.C) if args.D is None else args.D
     atlas = boundary_atlas(X, O, args.radius, D=D, C=args.C, cap=args.cap)
     sys.stdout.write(atlas_report(atlas, as_json=args.json))

@@ -1,23 +1,32 @@
-"""Oracles that cross-check the library, kept off its production path.
+"""The one module the tests share: oracles that cross-check the library,
+kept off its production path, and the complexes, pairs and call counter
+that several test modules use.  No test module imports another.
 
-A whole-component deque BFS, the geodesics it grades and the geodesic
-test of a path; flat regions built edge by edge; random flat discs; the
-induced-path DFS for induced cycles and the bridged-graph test of
-systolicity; closed-form lattice distance and the point-group
+Oracles: a whole-component deque BFS, the geodesics it grades and the
+geodesic test of a path; flat regions built edge by edge; random flat
+discs; the induced-path DFS for induced cycles and the bridged-graph test
+of systolicity; closed-form lattice distance and the point-group
 canonicalization of lattice placements; the isometric embedding of flat
-discs; the break-point enumeration oracle of
-`flatgeom.polygon_geodesic`; reordered realizing pairs, the all-surfaces
-enumeration and its product-of-rows reference, the all-simplex
-projection sweep, the layer map of an interval, characteristic-image
-span and preimage decoder for characteristic discs; the minimal-surface
-search and the no-interior-vertex triangulability test. Tests import
-them from here.
+discs; the break-point enumeration oracle of `flatgeom.polygon_geodesic`;
+reordered realizing pairs, the all-surfaces enumeration and its
+product-of-rows reference, the all-simplex projection sweep, the layer map
+of an interval, characteristic-image span and preimage decoder for
+characteristic discs; the minimal-surface search and the no-interior-vertex
+triangulability test.
+
+Shared fixtures: cycles, the octahedron, the hexagon wheel, triangular
+tori, suspensions, disjoint unions, chordal subtree graphs, perturbed
+complexes and the flat-good regions; corner, far and directed pairs;
+`outcome`, a call's result or its error; and `counting_calls`, the one
+counter of calls by code object.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
+import sys
+from collections import Counter, deque
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -27,10 +36,10 @@ from systolic.charsurf import (CharDisc, CharDiscError, SurfaceError, _surfaces,
                                characteristic_image)
 from systolic.complex import FlagComplex, Simplex
 from systolic.flatgeom import PolyPath, TriangulatedDisc, as_disc, is_flat
-from systolic.generators import gen_flat_region
+from systolic.generators import flat_parallelogram, flat_rectangle, gen_flat_region
 from systolic.lattice import Point, RowStack
 from systolic.layers import ThicknessProfile, layers
-from systolic.metric import ProjectionError, _project, dist_map, sphere
+from systolic.metric import ProjectionError, _project, directed_geodesic, dist_map, sphere
 
 
 def lattice_dist(p: Point, q: Point) -> int:
@@ -590,3 +599,153 @@ def is_triangulable(X: FlagComplex, loop) -> bool:
             for k in range(i + 1, j))
 
     return arc(0, m - 1)
+
+
+# ---------------------------------------------------------------------------
+# Complexes, vertex pairs and a call counter shared by the test modules.
+
+
+def cycle(n, start=0):
+    return FlagComplex.from_edges([(start + i, start + (i + 1) % n) for i in range(n)])
+
+
+def octahedron():
+    """Two poles joined to an equatorial 4-cycle: every vertex link is a
+    4-cycle."""
+    edges = [(0, i) for i in (2, 3, 4, 5)] + [(1, i) for i in (2, 3, 4, 5)]
+    edges += [(2, 3), (3, 4), (4, 5), (5, 2)]
+    return FlagComplex.from_edges(edges)
+
+
+def hexagon_wheel():
+    """Hub 0 coned onto the hexagon 1..6: a flat disc of six triangles."""
+    return FlagComplex.from_edges([(0, i) for i in range(1, 7)]
+                                  + [(i, i % 6 + 1) for i in range(1, 7)])
+
+
+def triangular_torus(n):
+    """The triangular lattice n x n mod n: locally 6-large, not simply
+    connected."""
+    def vid(i, j):
+        return (i % n) * n + (j % n)
+    return FlagComplex.from_edges({tuple(sorted((vid(i, j), vid(i + a, j + b))))
+                                   for i in range(n) for j in range(n)
+                                   for a, b in ((1, 0), (0, 1), (1, 1))})
+
+
+def suspension(n, poles, ring_start):
+    """The cycle ring_start .. ring_start+n-1, coned off by two poles."""
+    ring = [ring_start + i for i in range(n)]
+    edges = [(ring[i - 1], ring[i]) for i in range(n)]
+    return FlagComplex.from_edges(edges + [(pole, r) for pole in poles for r in ring])
+
+
+def disjoint_union(*complexes):
+    edges, vertices, offset = [], [], 0
+    for X in complexes:
+        vertices += [offset + v for v in X.vertices]
+        edges += [(offset + u, offset + v) for u, v in X.edges()]
+        offset += max(X.vertices, default=-1) + 1
+    return FlagComplex.from_edges(edges, vertices=vertices)
+
+
+def subtree_chordal(seed, n=40, tree_size=25, max_nodes=5):
+    """Intersection graph of n random subtrees, of at most max_nodes nodes
+    each, of a random tree: chordal (Gavril 1974), so every link passes."""
+    rng = random.Random(seed)
+    tree = {0: set()}
+    for t in range(1, tree_size):
+        s = rng.randrange(t)
+        tree[t], tree[s] = {s}, tree[s] | {t}
+    subtrees = []
+    for _ in range(n):
+        nodes = {rng.randrange(tree_size)}
+        for _ in range(rng.randrange(max_nodes)):
+            frontier = sorted(set().union(*(tree[x] for x in nodes)) - nodes)
+            nodes.add(rng.choice(frontier))
+        subtrees.append(nodes)
+    return FlagComplex.from_edges(
+        [(i, j) for i, j in combinations(range(n), 2)
+         if subtrees[i] & subtrees[j]], vertices=range(n))
+
+
+def perturbed(X, rng, k):
+    """X with k seeded edges removed and k seeded distance-2 pairs joined."""
+    edges = sorted(X.edges())
+    for e in rng.sample(edges, k):
+        edges.remove(e)
+    joinable = [(u, w) for u in X.vertices for w, d in dist_map(X, (u,), radius=2).items()
+                if u < w and d == 2]
+    return FlagComplex.from_edges(edges + rng.sample(sorted(joinable), k))
+
+
+FLAT_GOOD_SHAPES = {"rect-30x6": (flat_rectangle, 30, 6), "rect-10x4": (flat_rectangle, 10, 4),
+                    "rect-9x6": (flat_rectangle, 9, 6), "rect-8x6": (flat_rectangle, 8, 6),
+                    "rect-8x4": (flat_rectangle, 8, 4), "rect-7x7": (flat_rectangle, 7, 7),
+                    "rect-6x8": (flat_rectangle, 6, 8), "par-9x5": (flat_parallelogram, 9, 5),
+                    "par-8x6": (flat_parallelogram, 8, 6)}
+
+
+def flat_good_regions():
+    """(name, region, height) for the nine regions of the benchmark's
+    flat-good workload (perfbench/workloads.py)."""
+    for name, (make, height, width) in FLAT_GOOD_SHAPES.items():
+        yield name, make(height, width), height
+
+
+def corner_pair(X):
+    """The least and the greatest vertex of X by lattice coordinates."""
+    return (min(X.vertices, key=lambda v: X.coords[v]),
+            max(X.vertices, key=lambda v: X.coords[v]))
+
+
+def far_pair(X):
+    """Two vertices far apart, by two sweeps: the first vertex farthest
+    from X's first vertex, and the first vertex farthest from that one."""
+    dm = dist_map(X, (X.vertices[0],))
+    u = max(dm, key=lambda v: dm[v])
+    dm2 = dist_map(X, (u,))
+    return u, max(dm2, key=lambda v: dm2[v])
+
+
+def directed_pair(X, u, v):
+    """The directed geodesics from u to v and, reversed, from v to u."""
+    sseq = directed_geodesic(X, (u,), frozenset({v}))
+    tseq = list(reversed(directed_geodesic(X, (v,), frozenset({u}))))
+    return sseq, tseq
+
+
+def outcome(fn):
+    """fn's result, or the type and message of the exception it raises."""
+    try:
+        return fn()
+    except Exception as exc:  # the type and message are what the caller compares
+        return type(exc), str(exc)
+
+
+@contextmanager
+def counting_calls(functions, key=None):
+    """Count the calls of `functions`, a dict from label to function, by
+    code object, so that a call counts whichever module namespace makes it.
+
+    Yields a Counter from label to calls, filled under `sys.setprofile`.
+    With `key`, each call also adds 1 to (label, key(frame)), a key read
+    off the called frame; key may raise, which stops the run at that call.
+    The profile function in place before is restored on exit.
+    """
+    labels = {f.__code__: label for label, f in functions.items()}
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        label = labels.get(frame.f_code) if event == "call" else None
+        if label is not None:
+            calls[label] += 1
+            if key is not None:
+                calls[label, key(frame)] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(previous)

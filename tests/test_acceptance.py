@@ -4,26 +4,21 @@ Every criterion prints a single PASS line on success (run with -s or -v to
 see them); tolerances are exact unless the criterion states a numeric bound.
 """
 
-import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from systolic.boundary import corollary_contr_check
-from systolic.charsurf import (build_char_disc, build_char_surface,
-                               characteristic_image)
-from systolic.complex import FlagComplex
-from systolic.eucgeo import (cat0_closeness_check, euclidean_geodesic,
-                             subsegment_check, thread_vertex_path,
+from systolic.charsurf import build_char_disc, characteristic_image
+from systolic.eucgeo import (cat0_closeness_check, euclidean_geodesic, thread_vertex_path,
                              verify_euc_properties)
 from systolic.flatgeom import as_disc, gauss_bonnet_sum, polygon_geodesic
 from systolic.generators import (flat_parallelogram, flat_rectangle,
                                  gen_disc_with_degrees)
 from systolic.layers import verify_layer_lemmas, verify_profile_lemmas
 from systolic.lattice import RowStack, lattice_adjacent
-from systolic.metric import (all_geodesics, ball, dist, dist_map,
-                             directed_geodesic, projection, sphere)
+from systolic.metric import ball, dist, dist_map, directed_geodesic, projection, sphere
 from systolic.suites import SuiteConfig, extremal_geodesic, instance_suite, run_suite
 
 from oracles import (char_image_oracle, embed_flat_disc, lattice_dist, layer_map,

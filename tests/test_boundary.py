@@ -4,7 +4,6 @@ import gc
 import itertools
 import math
 import random
-import sys
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
@@ -22,12 +21,9 @@ from systolic.generators import flat_parallelogram, flat_rectangle, gen_disc_wit
 from systolic.layers import maximizing_pairs
 from systolic.metric import ProjectionError, all_geodesics, dist, dist_map, graded_paths
 from systolic.suites import extremal_geodesic, instance_suite
-from test_chordality import cycle, disjoint_union, triangular_torus
 
-
-def corner_pair(X):
-    return (min(X.vertices, key=lambda v: X.coords[v]),
-            max(X.vertices, key=lambda v: X.coords[v]))
+from oracles import (corner_pair, counting_calls, cycle, disjoint_union, far_pair,
+                     flat_good_regions, perturbed, triangular_torus)
 
 
 def test_builds_leave_no_cyclic_garbage():
@@ -78,13 +74,7 @@ def test_make_good_geodesic_certifies():
     for X, pair in [(flat_parallelogram(8, 2), None),
                     (gen_disc_with_degrees(3, rings=3), None)]:
         if pair is None:
-            if X.coords is not None:
-                u, w = corner_pair(X)
-            else:
-                dm = dist_map(X, (X.vertices[0],))
-                u = max(dm, key=lambda v: dm[v])
-                dm2 = dist_map(X, (u,))
-                w = max(dm2, key=lambda v: dm2[v])
+            u, w = corner_pair(X) if X.coords is not None else far_pair(X)
         good = make_good_geodesic(X, u, w)
         assert good.path[0] == u and good.path[-1] == w
         verified, witness = is_good_geodesic(X, good.path)
@@ -515,26 +505,16 @@ def counting_builds():
     """Count the Euclidean geodesics the boundary module builds, by their
     ends, through the core `euclidean_geodesic` shares with it, and the
     `_interval` searches made anywhere, by code object."""
-    calls = Counter()
     original = boundary._euclidean
-    interval = metric._interval.__code__
 
     def counting(X, sigma, tau, *args):
         calls[(sigma, tau)] += 1
         return original(X, sigma, tau, *args)
 
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code is interval:
-            calls["_interval"] += 1
-
-    with pytest.MonkeyPatch.context() as patch:
+    with counting_calls({"_interval": metric._interval}) as calls, \
+            pytest.MonkeyPatch.context() as patch:
         patch.setattr(boundary, "_euclidean", counting)
-        previous = sys.getprofile()
-        sys.setprofile(profile)
-        try:
-            yield calls
-        finally:
-            sys.setprofile(previous)
+        yield calls
 
 
 def test_atlas_builds_one_euclidean_geodesic_per_pair():
@@ -577,34 +557,26 @@ def test_good_geodesic_builds_one_euclidean_geodesic_per_pair():
     assert calls == pairs
 
 
-@contextmanager
-def counting_pieces():
-    """Count, by code object, the runs of the three end-determined pieces
-    of a build and the distinct keys they run on: `_project` by its
+PIECES = {"_project": metric._project, "maximizing_pairs": maximizing_pairs,
+          "all_geodesics": metric.all_geodesics}
+
+
+def piece_key(frame):
+    """The key an end-determined piece of a build runs on: `_project` its
     simplex and the end it projects toward (the calling `_directed`'s
     `steps` dict, one per end and alive while the memo is),
-    `maximizing_pairs` by its two members, `all_geodesics` by its ends."""
-    calls, keys = Counter(), {"_project": set(), "maximizing_pairs": set(),
-                              "all_geodesics": set()}
-    named = {metric._project.__code__: ("_project", lambda f: (
-                 f.f_locals["sigma"], id(f.f_back.f_locals["steps"]))),
-             maximizing_pairs.__code__: ("maximizing_pairs",
-                                         lambda f: (f.f_locals["sigma"], f.f_locals["tau"])),
-             metric.all_geodesics.__code__: ("all_geodesics",
-                                             lambda f: (f.f_locals["u"], f.f_locals["v"]))}
+    `maximizing_pairs` its two members, `all_geodesics` its ends."""
+    args = frame.f_locals
+    if frame.f_code is metric._project.__code__:
+        return args["sigma"], id(frame.f_back.f_locals["steps"])
+    if frame.f_code is maximizing_pairs.__code__:
+        return args["sigma"], args["tau"]
+    return args["u"], args["v"]
 
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code in named:
-            name, key = named[frame.f_code]
-            calls[name] += 1
-            keys[name].add(key(frame))
 
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        yield calls, keys
-    finally:
-        sys.setprofile(previous)
+def keys_per_piece(calls):
+    """The number of distinct keys each piece ran on."""
+    return Counter(entry[0] for entry in calls if isinstance(entry, tuple))
 
 
 def test_a_certificate_runs_each_end_determined_piece_once():
@@ -614,18 +586,18 @@ def test_a_certificate_runs_each_end_determined_piece_once():
     without that sharing: 6,145 labelled vertices on the certificate's
     complex."""
     X = flat_rectangle(30, 6)
-    with counting_pieces() as (calls, keys):
+    with counting_calls(PIECES, key=piece_key) as calls:
         good = make_good_geodesic(X, *corner_pair(X))
     assert (len(good.path), good.max_certificate) == (31, 1)
     assert X._dist_labelled == 6145
     # a build without the sharing made 9,576, 2,841 and 3,515 of these runs
-    assert calls == {name: len(runs) for name, runs in keys.items()}, calls
+    assert {name: calls[name] for name in PIECES} == keys_per_piece(calls)
     assert calls["_project"] <= 3400 and calls["maximizing_pairs"] <= 400
     assert 0 < calls["all_geodesics"] <= 200
-    with counting_pieces() as (calls, keys):
+    with counting_calls(PIECES, key=piece_key) as calls:
         atlas = boundary_atlas(flat_rectangle(10, 5), 0, 8)
     assert len(atlas.rays) > 1
-    assert calls == {name: len(runs) for name, runs in keys.items()}, calls
+    assert {name: calls[name] for name in PIECES} == keys_per_piece(calls)
     assert calls["all_geodesics"] > 0
 
 
@@ -739,16 +711,6 @@ def test_short_subsegments_match_euclidean_geodesic():
                       ("torus 5", 3): 150, ("torus 6", 3): 108}
 
 
-def perturbed(X, rng, k):
-    """X with k seeded edges removed and k seeded distance-2 pairs joined."""
-    edges = sorted(X.edges())
-    for e in rng.sample(edges, k):
-        edges.remove(e)
-    joinable = [(u, w) for u in X.vertices for w, d in dist_map(X, (u,), radius=2).items()
-                if u < w and d == 2]
-    return FlagComplex.from_edges(edges + rng.sample(sorted(joinable), k))
-
-
 def test_short_subsegments_match_euclidean_geodesic_on_perturbed_inputs():
     """On every pair at distance 1 to 3 of seeded perturbed rectangles and
     discs, the closed form gives the built deltas or the built error."""
@@ -856,20 +818,6 @@ class ReferenceCertifier:
         if witness is not None:
             raise GoodnessError(f"threaded path failed its certificate at {witness}")
         return path, cert
-
-
-FLAT_GOOD_SHAPES = {"rect-30x6": (flat_rectangle, 30, 6), "rect-10x4": (flat_rectangle, 10, 4),
-                    "rect-9x6": (flat_rectangle, 9, 6), "rect-8x6": (flat_rectangle, 8, 6),
-                    "rect-8x4": (flat_rectangle, 8, 4), "rect-7x7": (flat_rectangle, 7, 7),
-                    "rect-6x8": (flat_rectangle, 6, 8), "par-9x5": (flat_parallelogram, 9, 5),
-                    "par-8x6": (flat_parallelogram, 8, 6)}
-
-
-def flat_good_regions():
-    """(name, region, height) for the nine regions of the benchmark's
-    flat-good workload (perfbench/workloads.py)."""
-    for name, (make, height, width) in FLAT_GOOD_SHAPES.items():
-        yield name, make(height, width), height
 
 
 def reference_cases():

@@ -21,25 +21,13 @@ from systolic.generators import (flat_parallelogram, flat_rectangle,
                                  gen_disc_with_degrees, gen_flat_region)
 from systolic.layers import thickness_profile
 from systolic.lattice import RowStack, lattice_adjacent
-from systolic.metric import dist, dist_map, directed_geodesic
+from systolic.metric import dist, dist_map
 from systolic.suites import instance_suite
 
-from oracles import (canonical_placement, char_image_oracle, char_preimage,
-                     enumerate_char_surfaces, flat_region_from_edges, is_triangulable,
-                     lattice_dist, layer_map, minimal_surface_bruteforce, shuffled_pairs,
-                     surfaces_reference)
-from test_boundary import flat_good_regions
-
-
-def corner_pair(X):
-    return (min(X.vertices, key=lambda v: X.coords[v]),
-            max(X.vertices, key=lambda v: X.coords[v]))
-
-
-def directed_pair(X, u, v):
-    sseq = directed_geodesic(X, (u,), frozenset({v}))
-    tseq = list(reversed(directed_geodesic(X, (v,), frozenset({u}))))
-    return sseq, tseq
+from oracles import (canonical_placement, char_image_oracle, char_preimage, corner_pair,
+                     directed_pair, enumerate_char_surfaces, far_pair, flat_good_regions,
+                     flat_region_from_edges, is_triangulable, lattice_dist, layer_map,
+                     minimal_surface_bruteforce, shuffled_pairs, surfaces_reference)
 
 
 def instance(gen, h, w):
@@ -127,10 +115,7 @@ def test_surface_properties_flat_and_disc():
     surface_checks(X, (c0,), (c1,), cd, surf)
 
     D = gen_disc_with_degrees(0, rings=3)
-    dm = dist_map(D, (D.vertices[0],))
-    u = max(dm, key=lambda v: dm[v])
-    dm2 = dist_map(D, (u,))
-    w = max(dm2, key=lambda v: dm2[v])
+    u, w = far_pair(D)
     sseq, tseq = directed_pair(D, u, w)
     prof = thickness_profile(D, sseq, tseq)
     for iv in prof.thick_intervals:
@@ -335,10 +320,7 @@ def test_characteristic_image_equals_all_surface_span():
     cases = [instance(flat_parallelogram, 8, 2),
              instance(flat_rectangle, 10, 3)]
     D = gen_disc_with_degrees(2, rings=3)
-    dm = dist_map(D, (D.vertices[0],))
-    u = max(dm, key=lambda v: dm[v])
-    dm2 = dist_map(D, (u,))
-    w = max(dm2, key=lambda v: dm2[v])
+    u, w = far_pair(D)
     sseq, tseq = directed_pair(D, u, w)
     cases.append((D, u, w, sseq, tseq, thickness_profile(D, sseq, tseq)))
     checked = 0

@@ -5,7 +5,6 @@ it."""
 import ast
 import itertools
 import random
-import sys
 from collections import Counter
 
 from hypothesis import given, settings, strategies as st
@@ -18,7 +17,8 @@ from systolic.generators import (flat_parallelogram, flat_rectangle,
 from systolic.lattice import RowStack
 from systolic.layers import verify_layer_lemmas
 
-from oracles import find_induced_cycle
+from oracles import (counting_calls, cycle, disjoint_union, find_induced_cycle, octahedron,
+                     subtree_chordal, suspension, triangular_torus)
 
 
 def is_induced_cycle(adj, cycle):
@@ -44,35 +44,6 @@ def assert_exact(X):
     if witness is not None:
         assert is_induced_cycle(X.adjacency, witness), witness
     assert is_k_large(X, INFINITY) == (witness is None, witness, False)
-
-
-def cycle(n, start=0):
-    return FlagComplex.from_edges([(start + i, start + (i + 1) % n) for i in range(n)])
-
-
-def octahedron():
-    edges = [(0, i) for i in (2, 3, 4, 5)] + [(1, i) for i in (2, 3, 4, 5)]
-    edges += [(2, 3), (3, 4), (4, 5), (5, 2)]
-    return FlagComplex.from_edges(edges)
-
-
-def triangular_torus(n):
-    """The triangular lattice n x n mod n: locally 6-large, not simply
-    connected."""
-    def vid(i, j):
-        return (i % n) * n + (j % n)
-    return FlagComplex.from_edges({tuple(sorted((vid(i, j), vid(i + a, j + b))))
-                                   for i in range(n) for j in range(n)
-                                   for a, b in ((1, 0), (0, 1), (1, 1))})
-
-
-def disjoint_union(*complexes):
-    edges, vertices, offset = [], [], 0
-    for X in complexes:
-        vertices += [offset + v for v in X.vertices]
-        edges += [(offset + u, offset + v) for u, v in X.edges()]
-        offset += max(X.vertices, default=-1) + 1
-    return FlagComplex.from_edges(edges, vertices=vertices)
 
 
 def generator_outputs():
@@ -202,39 +173,12 @@ def test_link_check_matches_per_link_oracle():
     assert verdicts == {True, False}
 
 
-def suspension(n, poles, ring_start):
-    """The cycle ring_start .. ring_start+n-1, coned off by two poles."""
-    ring = [ring_start + i for i in range(n)]
-    edges = [(ring[i - 1], ring[i]) for i in range(n)]
-    return FlagComplex.from_edges(edges + [(pole, r) for pole in poles for r in ring])
-
-
 def test_link_check_pins_witnesses():
     assert is_locally_6_large(octahedron()).witness == ((0,), (2, 3, 4, 5))
     # a ring vertex's link is the 4-cycle of its ring neighbours and poles
     assert is_locally_6_large(suspension(4, (4, 5), 0)).witness == ((0,), (1, 4, 3, 5))
     # pole 0's link is the 5-cycle itself
     assert is_locally_6_large(suspension(5, (0, 1), 2)).witness == ((0,), (2, 3, 4, 5, 6))
-
-
-def subtree_chordal(seed, n=40, tree_size=25, max_nodes=5):
-    """Intersection graph of n random subtrees, of at most max_nodes nodes
-    each, of a random tree: chordal (Gavril 1974), so every link passes."""
-    rng = random.Random(seed)
-    tree = {0: set()}
-    for t in range(1, tree_size):
-        s = rng.randrange(t)
-        tree[t], tree[s] = {s}, tree[s] | {t}
-    subtrees = []
-    for _ in range(n):
-        nodes = {rng.randrange(tree_size)}
-        for _ in range(rng.randrange(max_nodes)):
-            frontier = sorted(set().union(*(tree[x] for x in nodes)) - nodes)
-            nodes.add(rng.choice(frontier))
-        subtrees.append(nodes)
-    return FlagComplex.from_edges(
-        [(i, j) for i, j in itertools.combinations(range(n), 2)
-         if subtrees[i] & subtrees[j]], vertices=range(n))
 
 
 def link_decision_inputs():
@@ -272,24 +216,12 @@ def test_passing_links_run_no_bfs():
     """The link check builds no link complex and runs no BFS while links
     pass; the first failing link alone asks `shortest_hole` for its witness.
     Calls are counted by code object, whichever module namespace makes them."""
-    counted = {FlagComplex.__init__.__code__: "FlagComplex",
-               shortest_hole.__code__: "shortest_hole",
-               _close_cycle.__code__: "_close_cycle"}
+    counted = {"FlagComplex": FlagComplex.__init__, "shortest_hole": shortest_hole,
+               "_close_cycle": _close_cycle}
 
     def calls_of(X):
-        calls = Counter()
-
-        def profile(frame, event, arg):
-            name = counted.get(frame.f_code) if event == "call" else None
-            if name is not None:
-                calls[name] += 1
-
-        previous = sys.getprofile()
-        sys.setprofile(profile)
-        try:
+        with counting_calls(counted) as calls:
             res = is_locally_6_large(X)
-        finally:
-            sys.setprofile(previous)
         return res, calls
 
     res, calls = calls_of(gen_disc_with_degrees(3, rings=4))

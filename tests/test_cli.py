@@ -3,18 +3,21 @@
 import itertools
 import json
 import random
-import sys
 from collections import Counter
 
 import pytest
 
+from systolic import boundary, cli, eucgeo, metric
+from systolic.boundary import atlas_report, boundary_atlas
 from systolic.cli import build_parser, cmd_check, main
-from systolic.complex import FlagComplex, dumps_complex, simply_connected_heuristic
+from systolic.complex import FlagComplex, dumps_complex, load_complex, simply_connected_heuristic
+from systolic.eucgeo import euclidean_geodesic
 from systolic.generators import flat_parallelogram, flat_rectangle, gen_disc_with_degrees
+from systolic.metric import ProjectionError, dist
 from systolic.suites import SUITE_NAMES
 
-from oracles import is_bridged
-from test_chordality import cycle, octahedron, subtree_chordal, triangular_torus
+from oracles import (corner_pair, counting_calls, cycle, is_bridged, octahedron,
+                     subtree_chordal, triangular_torus)
 
 
 @pytest.fixture
@@ -22,9 +25,10 @@ def flat_file(tmp_path):
     X = flat_parallelogram(8, 2)
     path = tmp_path / "flat.cx"
     path.write_text(dumps_complex(X))
-    c0 = min(X.vertices, key=lambda v: X.coords[v])
-    c1 = max(X.vertices, key=lambda v: X.coords[v])
-    return str(path), c0, c1
+    return (str(path), *corner_pair(X))
+
+
+NOT_SYSTOLIC = "error: the complex is not systolic"
 
 
 def run(capsys, *argv):
@@ -174,27 +178,19 @@ def test_check_runs_no_collapse_and_lists_no_simplex(tmp_path, capsys):
     """On a 40-vertex chordal complex whose largest simplex has dimension 18,
     check decides from vertices and edges alone.  Calls are counted by code
     object; the first one stops the run."""
-    forbidden = {simply_connected_heuristic.__code__: "simply_connected_heuristic",
-                 FlagComplex.simplices.__code__: "simplices"}
+    forbidden = {"simply_connected_heuristic": simply_connected_heuristic,
+                 "simplices": FlagComplex.simplices}
     path = tmp_path / "x.cx"
     path.write_text(dumps_complex(subtree_chordal(9)))
-    calls = Counter()
 
     class Listed(Exception):
         pass
 
-    def profile(frame, event, arg):
-        name = forbidden.get(frame.f_code) if event == "call" else None
-        if name is not None:
-            calls[name] += 1
-            raise Listed(name)
+    def stop(frame):
+        raise Listed(frame.f_code.co_name)
 
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
+    with counting_calls(forbidden, key=stop) as calls:
         code = main(["check", "--complex", str(path)])
-    finally:
-        sys.setprofile(previous)
     assert not calls, calls
     assert code == 0 and "systolic: True" in capsys.readouterr().out
 
@@ -320,12 +316,26 @@ def run_err(capsys, *argv):
     return code, capsys.readouterr().err
 
 
-def test_library_error_exits_1_with_its_message(tmp_path, capsys):
-    """A ValueError from the library is a witness against the input, not a
-    usage error: across the 6-cycle, 0's first projection is no simplex."""
+def test_library_error_exits_1_with_its_message(flat_file, tmp_path, capsys, monkeypatch):
+    """A ValueError from the library is a witness, not a usage error: exit 1
+    with its message.  Across the 6-cycle, 0's first projection is no
+    simplex; the library raises that, but egeo asks check's verdict first
+    and exits 2 with its witness.  So only a build that raised on systolic
+    input, stood in for here, would exit 1."""
     path = tmp_path / "c6.cx"
     path.write_text(dumps_complex(cycle(6)))
+    with pytest.raises(ProjectionError, match=r"^projection of \(0,\) is not a simplex: \(1, 5\)$"):
+        euclidean_geodesic(cycle(6), (0,), (3,))
     code, err = run_err(capsys, "egeo", "--complex", str(path), "--from", "0", "--to", "3")
+    assert code == 2 and err == (f"{NOT_SYSTOLIC}\nwitness: onto B_2(0): projection of (3,) "
+                                 "is not a simplex: (2, 4)\n")
+
+    def raising(X, sigma, tau):
+        raise ProjectionError("projection of (0,) is not a simplex: (1, 5)")
+
+    monkeypatch.setattr(cli, "euclidean_geodesic", raising)
+    path, c0, c1 = flat_file
+    code, err = run_err(capsys, "egeo", "--complex", path, "--from", str(c0), "--to", str(c1))
     assert code == 1 and err == "FAIL projection of (0,) is not a simplex: (1, 5)\n"
 
 
@@ -497,6 +507,53 @@ def test_endpoints_in_different_components_exit_2(two_components, capsys, comman
 
 
 def test_atlas_covers_the_basepoint_component(two_components, capsys):
-    code, out = run(capsys, "atlas", "--complex", two_components, "--from", "0",
-                    "--radius", "1")
-    assert code == 0 and "N=1" in out
+    """The library's atlas covers the basepoint's component; the command
+    asks check's verdict first, and a disconnected complex is not systolic."""
+    X = load_complex(two_components)
+    assert "N=1" in atlas_report(boundary_atlas(X, 0, 1))
+    code, err = run_err(capsys, "atlas", "--complex", two_components, "--from", "0",
+                        "--radius", "1")
+    assert code == 2 and err == (f"{NOT_SYSTOLIC}\n"
+                                 "witness: vertices 0 and 2 lie in different components\n")
+
+
+def non_systolic_inputs():
+    """Complexes check rejects, each with vertices 0 and 1 in one component:
+    tori with 6-large links, complexes with bad links, short cycles, and
+    disconnected ones."""
+    triangle = cycle(3).edges()
+    yield from (triangular_torus(n) for n in range(4, 10))
+    yield from (octahedron(), cycle(4), cycle(5))
+    yield FlagComplex.from_edges(triangle + cycle(3, 3).edges())
+    yield FlagComplex.from_edges(triangle + [(u + 100, v + 100)
+                                             for u, v in triangular_torus(4).edges()])
+
+
+def test_geodesic_commands_exit_2_on_non_systolic_input(tmp_path, capsys):
+    """dgeo, egeo, good and atlas ask check's verdict before any build: on
+    each complex check rejects, they exit 2 with check's witness, and no
+    interval, directed or Euclidean geodesic, good geodesic or atlas is
+    built.  dist needs no verdict."""
+    builds = {"_interval": metric._interval, "_directed": metric._directed,
+              "_euclidean": eucgeo._euclidean, "make_good_geodesic": boundary.make_good_geodesic,
+              "boundary_atlas": boundary.boundary_atlas}
+    path = tmp_path / "x.cx"
+    endpoints = ("--complex", str(path), "--from", "0", "--to", "1")
+    witnesses = set()
+    for X in non_systolic_inputs():
+        path.write_text(dumps_complex(X))
+        code, out = run(capsys, "check", "--complex", str(path))
+        witness = out.splitlines()[-1]
+        assert code == 1 and witness.startswith("witness: "), out
+        witnesses.add(witness.split()[1])
+        for argv in (("dgeo", *endpoints), ("egeo", *endpoints), ("good", *endpoints),
+                     ("good", *endpoints, "--C", "0"),
+                     ("atlas", "--complex", str(path), "--from", "0", "--radius", "1")):
+            with counting_calls(builds) as calls:
+                code, err = run_err(capsys, *argv)
+            assert code == 2 and err == f"{NOT_SYSTOLIC}\n{witness}\n", (argv, err)
+            assert not calls, (argv, calls)
+        code, out = run(capsys, "dist", *endpoints)
+        assert code == 0 and out == f"{dist(X, 0, 1)}\n"
+    # link, projection and component witnesses
+    assert witnesses == {"simplex", "onto", "vertices"}, witnesses

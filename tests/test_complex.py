@@ -1,8 +1,10 @@
 """Flag complex construction, largeness checks, generators, file format."""
 
+import builtins
 import itertools
 import random
 from fractions import Fraction
+from types import ModuleType
 
 import pytest
 
@@ -14,30 +16,7 @@ from systolic.generators import (flat_parallelogram, flat_rectangle,
                                  gen_disc_with_degrees, gen_flat_region)
 from systolic.lattice import RowStack
 
-
-def hexagon_wheel():
-    return FlagComplex.from_edges([(0, i) for i in range(1, 7)]
-                                  + [(i, i % 6 + 1) for i in range(1, 7)])
-
-
-def octahedron():
-    # two poles joined to an equatorial 4-cycle
-    edges = [(0, i) for i in (2, 3, 4, 5)] + [(1, i) for i in (2, 3, 4, 5)]
-    edges += [(2, 3), (3, 4), (4, 5), (5, 2)]
-    return FlagComplex.from_edges(edges)
-
-
-def torus_4x4():
-    # 4x4 grid torus with one diagonal family; flag and not simply connected
-    def vid(i, j):
-        return (i % 4) * 4 + (j % 4)
-    edges = set()
-    for i in range(4):
-        for j in range(4):
-            edges.add(tuple(sorted((vid(i, j), vid(i + 1, j)))))
-            edges.add(tuple(sorted((vid(i, j), vid(i, j + 1)))))
-            edges.add(tuple(sorted((vid(i, j), vid(i + 1, j + 1)))))
-    return FlagComplex.from_edges(sorted(edges))
+from oracles import hexagon_wheel, octahedron, triangular_torus
 
 
 def test_single_edge_has_no_triangle():
@@ -173,7 +152,7 @@ def test_locally_6_large_single_simplex():
 def test_simply_connected_heuristic():
     assert simply_connected_heuristic(FlagComplex.from_edges([(0, 1), (1, 2), (0, 2)])) == "verified"
     assert simply_connected_heuristic(flat_rectangle(5, 5)) == "verified"
-    assert simply_connected_heuristic(torus_4x4()) == "unknown"
+    assert simply_connected_heuristic(triangular_torus(4)) == "unknown"
 
 
 def test_gen_flat_region_single_triangle():
@@ -321,3 +300,15 @@ def test_file_format_coords_cover_exactly_the_vertices():
 def test_file_format_names_the_line_of_a_bad_integer(line):
     with pytest.raises(ValueError, match=f"^line 2: cannot parse '{line}'$"):
         loads_complex(f"e 0 1\n{line}\n")
+
+
+def test_star_import_exports_no_module():
+    """`from systolic import *` binds the public functions and classes, no
+    submodule: `complex` stays the builtin, and systolic.complex the module."""
+    namespace = {}
+    exec("from systolic import *", namespace)
+    assert "FlagComplex" in namespace and "euclidean_geodesic" in namespace
+    assert not [name for name, value in namespace.items() if isinstance(value, ModuleType)]
+    assert eval("complex", namespace) is builtins.complex
+    import systolic
+    assert systolic.complex.FlagComplex is FlagComplex

@@ -3,8 +3,6 @@ and the quantitative checks."""
 
 import itertools
 import random
-import sys
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,26 +18,13 @@ from systolic.generators import (flat_parallelogram, flat_rectangle,
                                  gen_disc_with_degrees, gen_flat_region)
 from systolic.lattice import RowStack
 from systolic.layers import thickness_profile
-from systolic.metric import dist, dist_map, directed_geodesic
+from systolic.metric import dist_map, directed_geodesic
 from systolic.suites import extremal_geodesic
 
-from oracles import bfs_oracle, is_geodesic_path
-from test_boundary import perturbed
+from oracles import (bfs_oracle, corner_pair, counting_calls, far_pair, is_geodesic_path,
+                     perturbed)
 
 HALF = Fraction(1, 2)
-
-
-def corner_pair(X):
-    return (min(X.vertices, key=lambda v: X.coords[v]),
-            max(X.vertices, key=lambda v: X.coords[v]))
-
-
-def far_pair(X, seed=0):
-    dm = dist_map(X, (X.vertices[0],))
-    u = max(dm, key=lambda v: dm[v])
-    dm2 = dist_map(X, (u,))
-    w = max(dm2, key=lambda v: dm2[v])
-    return u, w
 
 
 def synthetic_disc(widths, offsets, first_row=0):
@@ -420,28 +405,16 @@ def test_euclidean_geodesic_walks_its_interval_once():
     counted by code object, whichever module namespace makes them."""
     X = flat_parallelogram(8, 2)
     c0, c1 = corner_pair(X)
-    walk, image = metric._interval.__code__, charsurf.characteristic_image.__code__
-    counted = {walk: "walk", image: "image", metric.dist.__code__: "dist",
-               metric.directed_geodesic.__code__: "directed_geodesic"}
-    calls = Counter()
-
-    def profile(frame, event, arg):
-        name = counted.get(frame.f_code) if event == "call" else None
-        if name is not None:
-            calls[name] += 1
-            if frame.f_back.f_code is image:
-                calls[f"{name} in image"] += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
+    image = charsurf.characteristic_image.__code__
+    counted = {"walk": metric._interval, "image": charsurf.characteristic_image,
+               "dist": metric.dist, "directed_geodesic": metric.directed_geodesic}
+    # each call is also counted under (name, whether an image makes it)
+    with counting_calls(counted, key=lambda frame: frame.f_back.f_code is image) as calls:
         eg = euclidean_geodesic(X, (c0,), (c1,))
-    finally:
-        sys.setprofile(previous)
     assert eg.profile.thick_intervals == [(2, 8)]
     assert calls["walk"] == 1 and calls["image"] == 5, calls
     assert not calls["directed_geodesic"], calls
-    assert not calls["dist in image"] and not calls["walk in image"], calls
+    assert not calls["dist", True] and not calls["walk", True], calls
 
 
 def test_deltas_lie_in_their_layers_on_perturbed_inputs():

@@ -17,17 +17,12 @@ from systolic.lattice import RowStack
 from systolic.svg import poly_path_points, render_svg
 
 from oracles import (EmbedError, canonical_placement, d_close, embed_flat_disc,
-                     from_cube, placements_congruent, point_group,
+                     from_cube, hexagon_wheel, placements_congruent, point_group,
                      polygon_geodesic_bruteforce, random_flat_disc, to_cube)
 
 
 def single_triangle():
     return as_disc(FlagComplex.from_edges([(0, 1), (1, 2), (0, 2)]))
-
-
-def hexagon_wheel_disc():
-    return as_disc(FlagComplex.from_edges(
-        [(0, i) for i in range(1, 7)] + [(i, i % 6 + 1) for i in range(1, 7)]))
 
 
 def wheel_disc(spokes):
@@ -39,14 +34,14 @@ def wheel_disc(spokes):
 def test_defect_examples():
     tri = single_triangle()
     assert all(defect(tri, v) == 2 for v in (0, 1, 2))
-    wheel = hexagon_wheel_disc()
+    wheel = as_disc(hexagon_wheel())
     assert defect(wheel, 0) == 0
     assert all(defect(wheel, v) == 1 for v in range(1, 7))
 
 
 def test_gauss_bonnet():
     assert gauss_bonnet_sum(single_triangle()) == 6
-    assert gauss_bonnet_sum(hexagon_wheel_disc()) == 6
+    assert gauss_bonnet_sum(as_disc(hexagon_wheel())) == 6
     discs = [as_disc(gen_disc_with_degrees(seed, rings=random.Random(seed).randint(1, 3)))
              for seed in range(10)]
     for disc in discs:

@@ -13,10 +13,7 @@ from systolic.generators import flat_parallelogram, flat_rectangle, gen_disc_wit
 from systolic.layers import layers
 from systolic.metric import directed_geodesic, dist, dist_map
 
-from oracles import bfs_oracle
-from test_boundary import perturbed
-from test_chordality import cycle, disjoint_union, triangular_torus
-from test_metric import outcome
+from oracles import bfs_oracle, cycle, disjoint_union, outcome, perturbed, triangular_torus
 
 COMPONENTS = "vertex sets lie in different components"
 

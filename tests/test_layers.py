@@ -9,21 +9,9 @@ from systolic.complex import FlagComplex, shortest_hole
 from systolic.generators import flat_parallelogram, flat_rectangle, gen_disc_with_degrees
 from systolic.layers import (ThicknessProfile, _find_trapezoid, layers, thickness_profile,
                              verify_layer_lemmas, verify_profile_lemmas)
-from systolic.metric import dist, dist_map, directed_geodesic, sphere
+from systolic.metric import dist_map, sphere
 
-from oracles import bfs_oracle, lattice_dist
-from test_chordality import cycle
-
-
-def corner_pair(X):
-    return (min(X.vertices, key=lambda v: X.coords[v]),
-            max(X.vertices, key=lambda v: X.coords[v]))
-
-
-def directed_pair(X, u, v):
-    sseq = directed_geodesic(X, (u,), frozenset({v}))
-    tseq = list(reversed(directed_geodesic(X, (v,), frozenset({u}))))
-    return sseq, tseq
+from oracles import bfs_oracle, corner_pair, cycle, directed_pair, lattice_dist
 
 
 def test_layers_trivial_cases():

@@ -3,7 +3,6 @@
 import itertools
 import math
 import random
-import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -18,20 +17,10 @@ from systolic.metric import (ProjectionError, all_geodesics, ball, dist,
                              directed_geodesic, dist_map, is_convex, projection,
                              projection_witness, residue, sphere)
 
-from oracles import bfs_oracle, is_geodesic_path, lattice_dist, projection_witness_reference
-from test_chordality import (cycle, octahedron, subtree_chordal, suspension,
-                             triangular_torus)
-
-
-def hexagon_wheel():
-    return FlagComplex.from_edges([(0, i) for i in range(1, 7)]
-                                  + [(i, i % 6 + 1) for i in range(1, 7)])
-
-
-def corner_pair(X):
-    c0 = min(X.vertices, key=lambda v: X.coords[v])
-    c1 = max(X.vertices, key=lambda v: X.coords[v])
-    return c0, c1
+from oracles import (bfs_oracle, corner_pair, counting_calls, cycle, hexagon_wheel,
+                     is_geodesic_path, lattice_dist, octahedron, outcome, perturbed,
+                     projection_witness_reference, subtree_chordal, suspension,
+                     triangular_torus)
 
 
 def test_dist_basics():
@@ -237,23 +226,11 @@ def test_projection_witness_matches_the_all_simplex_sweep():
 def test_projection_witness_lists_no_clique():
     """The sweep reads one distance map: no sphere, induced complex or
     clique listing.  Calls are counted by code object."""
-    counted = {FlagComplex.simplices.__code__: "simplices",
-               FlagComplex.induced.__code__: "induced",
-               metric.sphere.__code__: "sphere"}
-    calls = Counter()
+    counted = {"simplices": FlagComplex.simplices, "induced": FlagComplex.induced,
+               "sphere": metric.sphere}
     inputs = [gen_disc_with_degrees(3, rings=4), subtree_chordal(26), triangular_torus(4)]
-
-    def profile(frame, event, arg):
-        name = counted.get(frame.f_code) if event == "call" else None
-        if name is not None:
-            calls[name] += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
+    with counting_calls(counted) as calls:
         found = [projection_witness(X, 0) for X in inputs]
-    finally:
-        sys.setprofile(previous)
     assert found[:2] == [None, None] and found[2] is not None
     assert not calls, calls
 
@@ -626,14 +603,6 @@ def test_input_checks_name_their_fault():
     assert is_geodesic_path(path, [0, 1, 2, 3])
 
 
-def outcome(fn):
-    """fn's result, or the type and message of the exception it raises."""
-    try:
-        return fn()
-    except Exception as exc:  # the type and message are what the caller compares
-        return type(exc), str(exc)
-
-
 def test_directed_geodesic_read_off_the_interval_matches_its_own_sweep():
     """On seeded perturbed rectangles and discs, with vertex and edge
     endpoints, `_directed` on the one layer map d(sigma, .) of
@@ -642,7 +611,6 @@ def test_directed_geodesic_read_off_the_interval_matches_its_own_sweep():
     `ball_projection_oracle`, which builds every ball around the far end
     by a BFS of its own on a complex of its own; and so does
     `directed_geodesic`, which reads the interval of its own ends."""
-    from test_boundary import perturbed
     raised, returned = Counter(), 0
     for seed in range(12):
         rng = random.Random(seed)
