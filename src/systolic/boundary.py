@@ -176,9 +176,13 @@ def _certify(X: FlagComplex, paths: list[list[int]], C: int, memo: _CertMemo):
       B_0 of the other as that other end), which raises what
       `euclidean_geodesic` raises.  Only pairs with j - i >= 4 build one;
       the memo keeps both the closed forms and the builds.
-    - A certificate entry |p[k], delta| is 0 on membership and otherwise
-      `dist`, whose sweep from p[k] stops at the first level meeting delta
-      instead of labelling the whole component.
+    - Each closed form's inner deltas hold the path's vertices there, on
+      any edge path v_i..v_j: at j - i = 2, delta_1 = N(v_i) & N(v_j) holds
+      v_{i+1}; at j - i = 3, delta_1 = L_1, the neighbours of v_i with a
+      neighbour in N(v_j), holds v_{i+1}, since v_{i+2} lies in N(v_j), and
+      likewise L_2 holds v_{i+2}.  So every entry of such a pair is 0, and
+      `_pair_entries` writes it with no lookup.  It proves the same of
+      k = i + 1 and j - 1 for a build, and looks up only the other entries.
     """
     out = []
     cert: dict[tuple[int, int, int], int] = {}
@@ -207,11 +211,36 @@ def _certify(X: FlagComplex, paths: list[list[int]], C: int, memo: _CertMemo):
 def _pair_entries(X: FlagComplex, path: list[int], i: int, j: int, C: int,
                   memo: _CertMemo, cert: dict[tuple[int, int, int], int]):
     """Write the entries (i, j, k) of `path` into `cert`, stopping at and
-    returning the first witness (i, j, k, distance) above C + 1, or None."""
+    returning the first witness (i, j, k, distance) above C + 1, or None.
+
+    The deltas are read for every pair, so that each closed form makes its
+    checks and raises its errors, but an entry that a lemma decides is
+    written with no search.  Let a = v_i, c = v_j and n = j - i.
+
+    * k in {i, i + 1, j - 1, j}: the entry is 0.  The ends are
+      delta_0 = (a,) and delta_n = (c,).  A pair of two or three edges has
+      a closed form whose inner deltas hold the path's vertices (proof in
+      `_certify`).  A build (n >= 4, or `make_good_geodesic`'s
+      own pair at any n) reads the layer map d(a, .) on I(a, c), and
+      sigma_1, a's projection onto B_{n-1}(c), is every vertex labelled 1
+      there, since each one neighbours a.  So tau_1, labelled 1 too, lies
+      in sigma_1; their span is sigma_1, a simplex, so layer 1 is thin
+      and delta_1 = sigma_1 holds v_{i+1}, a vertex of I(a, c) labelled 1.
+      Side c gives delta_{n-1} = tau_{n-1}, which holds v_{j-1}.
+    * Every other entry, i + 1 < k < j - 1, is 0 when v_k lies in delta_k,
+      1 when N(v_k) meets delta_k, and `dist` otherwise: each test is exact
+      in any graph.
+
+    Every entry, decided or not, still meets the C + 1 test in k order, so
+    the witness is the one `dist` on every entry gives, at every C."""
     deltas = _subsegment_deltas(X, path[i], path[j], j - i, memo)
+    adjacency = X.adjacency
     for k in range(i, j + 1):
-        v, delta = path[k], deltas[k - i]
-        d = 0 if v in delta else dist(X, v, delta)
+        d = 0
+        if i + 1 < k < j - 1:
+            v, delta = path[k], deltas[k - i]
+            if v not in delta:
+                d = 1 if not adjacency[v].isdisjoint(delta) else dist(X, v, delta)
         cert[(i, j, k)] = d
         if d > C + 1:
             return i, j, k, d
@@ -401,10 +430,12 @@ def boundary_atlas(X: FlagComplex, O: int, N: int, D: int = D_DEFAULT,
     build from there), and each prefix has its entries computed once for
     all the rays through it.  A geodesic is dropped at its shortest failing
     prefix, the witness `is_good_geodesic` gives it.  Builds read the layer
-    map d(O, .) cut off at layer N, which holds I(O, v_N) for every ray, so
-    no interval is searched for.  A geodesic of `graded_paths` needs no
-    geodesic check: its distance from O grows by one at each of its N
-    edges, so it ends N from O.  Every ray carries its complete certificate.
+    map d(O, .) on B_N(O), which holds I(O, v_N) for every ray, so no
+    interval is searched for.  O's sweep grows only to radius N, the last
+    layer read: N exceeds O's eccentricity when no vertex is labelled N.
+    A geodesic of `graded_paths` needs no geodesic check: its distance
+    from O grows by one at each of its N edges, so it ends N from O.
+    Every ray carries its complete certificate.
 
     The rays related to ray a are the AND over i of the rays whose i-th
     vertex lies within D of a's, kept as int bitsets.  Level-i vertices
@@ -418,10 +449,9 @@ def boundary_atlas(X: FlagComplex, O: int, N: int, D: int = D_DEFAULT,
         raise ValueError(f"cap must be at least 1, got {cap}")
     if N < 0:
         raise ValueError(f"N must be at least 0, got {N}")
-    ecc_map = dist_map(X, (O,))
-    if N > max(ecc_map.values()):
+    level = {x: d for x, d in dist_map(X, (O,), radius=N).items() if d <= N}
+    if N > max(level.values()):
         raise ValueError(f"N exceeds the eccentricity of {O}")
-    level = {x: d for x, d in ecc_map.items() if d <= N}
     paths = list(islice(graded_paths(X, O, level, 1, N), cap + 1))
     capped = len(paths) > cap
     rays = [good for good, _ in _certify(X, paths[:cap], C, _CertMemo(level)) if good]

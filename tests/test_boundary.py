@@ -23,7 +23,7 @@ from systolic.metric import ProjectionError, all_geodesics, dist, dist_map, grad
 from systolic.suites import extremal_geodesic, instance_suite
 
 from oracles import (corner_pair, counting_calls, cycle, disjoint_union, far_pair,
-                     flat_good_regions, perturbed, triangular_torus)
+                     flat_good_regions, outcome, perturbed, triangular_torus)
 
 
 def test_builds_leave_no_cyclic_garbage():
@@ -666,13 +666,6 @@ def test_atlas_certifies_each_prefix_once(monkeypatch):
     assert any(len(q) < len(p) for q in failing for p in dropped if tuple(p[:len(q)]) == q)
 
 
-def _outcome(build):
-    try:
-        return build()
-    except (ValueError, AssertionError) as exc:
-        return type(exc).__name__, str(exc)
-
-
 def _closed_form_outcomes(X):
     """(a, c, n, the build's deltas or error) for every pair of X at
     distance 1 to 3, asserting that the closed form gives the same."""
@@ -680,9 +673,9 @@ def _closed_form_outcomes(X):
         dm = dist_map(X, (a,))
         for c, n in dm.items():
             if 1 <= n <= 3:
-                built = _outcome(lambda: euclidean_geodesic(X, (a,), (c,)).deltas)
+                built = outcome(lambda: euclidean_geodesic(X, (a,), (c,)).deltas)
                 memo = boundary._CertMemo(dm)
-                assert _outcome(lambda: boundary._subsegment_deltas(X, a, c, n, memo)) == built
+                assert outcome(lambda: boundary._subsegment_deltas(X, a, c, n, memo)) == built
                 yield a, c, n, built
 
 
@@ -703,7 +696,7 @@ def test_short_subsegments_match_euclidean_geodesic():
                 for path in all_geodesics(X, a, c):
                     with pytest.raises(ProjectionError) as exc:
                         is_good_geodesic(X, path)
-                    assert (type(exc.value).__name__, str(exc.value)) == built
+                    assert (type(exc.value), str(exc.value)) == built
     # C4 and the 4x4 torus have distance-2 pairs with two non-adjacent
     # common neighbours; at distance 3, C6 and the 5x5 and 6x6 tori have
     # pairs whose projections fail; the systolic inputs have none
@@ -754,21 +747,22 @@ def test_atlas_raises_what_certifying_each_path_raises():
             for N in range(1, max(dm.values()) + 1):
                 for C in (0, C_DEFAULT):
                     memo = boundary._CertMemo(dm)
-                    alone = _outcome(lambda: [
+                    alone = outcome(lambda: [
                         g.certificate for g, _ in (boundary._certify(X, [p], C, memo)[0]
                                                    for p in graded_paths(X, O, dm, 1, N))
                         if g is not None])
-                    atlas = _outcome(lambda: [r.certificate for r in
-                                              boundary_atlas(X, O, N, C=C).rays])
+                    atlas = outcome(lambda: [r.certificate for r in
+                                             boundary_atlas(X, O, N, C=C).rays])
                     assert atlas == alone, (O, N, C)
                     raised += isinstance(alone, tuple)
     assert raised > 0
 
 
 def test_atlas_sweeps_stop_near_the_rays():
-    """Only the basepoint's sweep labels the whole component; every other
-    sweep an atlas grows stops within 2N, at D = 1 (every level classes) and
-    at the default D (none does)."""
+    """The basepoint's sweep stops at radius N, and every other sweep an
+    atlas grows stops within 2N, at D = 1 (every level classes) and at the
+    default D (none does).  At N = ecc(O) the atlas returns; one more
+    raises, having found O's whole component."""
     O, N = 105, 3
     Y = flat_rectangle(20, 10)
     assert N < min(dist(Y, O, v) for v in Y.vertices if len(Y.adjacency[v]) < 6)
@@ -777,8 +771,15 @@ def test_atlas_sweeps_stop_near_the_rays():
         atlas = boundary_atlas(X, O, N, D=D)
         assert len(atlas.rays) > 1
         radii = {key: sweep.radius for key, sweep in X._dist_cache.items()}
-        assert radii.pop(frozenset((O,))) == float("inf")
+        assert radii.pop(frozenset((O,))) == N
         assert radii and max(radii.values()) <= 2 * N
+    X = flat_rectangle(4, 3)
+    ecc = max(dist_map(flat_rectangle(4, 3), (0,)).values())
+    assert len(boundary_atlas(X, 0, ecc, cap=1).rays) == 1
+    assert X._dist_cache[frozenset((0,))].radius == ecc
+    with pytest.raises(ValueError, match="^N exceeds the eccentricity of 0$"):
+        boundary_atlas(X, 0, ecc + 1)
+    assert X._dist_cache[frozenset((0,))].radius == float("inf")
 
 
 class ReferenceCertifier:
@@ -856,30 +857,30 @@ def test_certificates_equal_a_reference_that_builds_every_pair():
         ref = ReferenceCertifier(FlagComplex(X.adjacency))
         for C in (0, 1, C_DEFAULT):
             for v, w in pairs:
-                made = _outcome(lambda: make_good_geodesic(FlagComplex(X.adjacency), v, w, C))
+                made = outcome(lambda: make_good_geodesic(FlagComplex(X.adjacency), v, w, C))
                 if isinstance(made, GoodGeodesic):
                     made = made.path, made.certificate
-                expected = _outcome(lambda: ref.good(v, w, C))
+                expected = outcome(lambda: ref.good(v, w, C))
                 assert made == expected, (name, v, w, C)
-                seen["good" if isinstance(expected[0], list) else expected[0]] += 1
+                seen["good" if isinstance(expected[0], list) else expected[0].__name__] += 1
                 for path in itertools.islice(all_geodesics(X, v, w), 3):
-                    alone = _outcome(lambda: is_good_geodesic(FlagComplex(X.adjacency), path, C))
+                    alone = outcome(lambda: is_good_geodesic(FlagComplex(X.adjacency), path, C))
                     if isinstance(alone[0], GoodGeodesic):
                         alone = alone[0].certificate, None
-                    expected = _outcome(lambda: ref.certify(path, C))
+                    expected = outcome(lambda: ref.certify(path, C))
                     assert alone == expected, (name, path, C)
                     seen["witness" if expected[0] is None else "path"] += 1
             O = pairs[0][0]
             dm = dist_map(X, (O,))
             for N in range(1, min(max(dm.values()), 5) + 1):
-                atlas = _outcome(lambda: [(r.path, r.certificate) for r in
-                                          boundary_atlas(FlagComplex(X.adjacency), O, N, C=C).rays])
-                expected = _outcome(lambda: [(p, cert) for p in graded_paths(X, O, dm, 1, N)
-                                             for cert in [ref.certify(p, C)[0]] if cert])
+                atlas = outcome(lambda: [(r.path, r.certificate) for r in
+                                         boundary_atlas(FlagComplex(X.adjacency), O, N, C=C).rays])
+                expected = outcome(lambda: [(p, cert) for p in graded_paths(X, O, dm, 1, N)
+                                            for cert in [ref.certify(p, C)[0]] if cert])
                 assert atlas == expected, (name, O, N, C)
-                seen["atlas raises" if isinstance(atlas[0], str) else "atlas"] += 1
+                seen["atlas raises" if isinstance(atlas, tuple) else "atlas"] += 1
                 if name.startswith("torus") and N == 2:
-                    seen[name, "N = 2", isinstance(atlas[0], str)] += 1
+                    seen[name, "N = 2", isinstance(atlas, tuple)] += 1
     assert seen["witness"] >= 5 and seen["ProjectionError"] >= 10, seen
     assert seen["good"] >= 150 and seen["path"] >= 400, seen
     assert seen["atlas"] >= 80 and seen["atlas raises"] >= 30, seen
@@ -888,3 +889,58 @@ def test_certificates_equal_a_reference_that_builds_every_pair():
     assert {key[0] for key in seen if key[1:] == ("N = 2", True)} == {"torus 4"}
     assert {key[0] for key in seen if key[1:] == ("N = 2", False)} == \
         {"torus 5", "torus 6", "torus 7", "torus 9"}
+
+
+def test_entries_a_lemma_decides_hold_on_every_reference_input():
+    """On a geodesic between each pair of every reference input, each
+    subsegment whose closed form (`_short_deltas`, 2 or 3 edges) or build
+    (4 or more) returns has v_k in delta_k wherever `_pair_entries` writes
+    0 with no lookup: at every k of a closed form, and at k = i, i + 1,
+    j - 1, j of a build.  Where v_k lies outside delta_k, N(v_k) meets
+    delta_k exactly when `dist` is 1.  A certificate still meets C + 1 at
+    each decided entry: at C = -2 its first entry is the witness."""
+    seen = Counter()
+    for name, X, pairs in reference_cases():
+        systolic_input = not name.startswith(("perturbed", "torus"))
+        for v, w in pairs:
+            memo = boundary._CertMemo(metric._interval(X, (v,), (w,))[1])
+            for path, (i, j) in itertools.product(
+                    itertools.islice(all_geodesics(X, v, w), 3),
+                    itertools.combinations(range(dist(X, v, w) + 1), 2)):
+                if j - i < 2:
+                    continue
+                deltas = outcome(lambda: boundary._subsegment_deltas(
+                    X, path[i], path[j], j - i, memo))
+                if isinstance(deltas, tuple):
+                    seen["raised"] += 1
+                    continue
+                decided = range(i, j + 1) if j - i <= 3 else (i, i + 1, j - 1, j)
+                assert all(path[k] in deltas[k - i] for k in decided), (name, path, i, j)
+                seen["closed form" if j - i <= 3 else "build", systolic_input] += 1
+                for k in range(i, j + 1):
+                    u, delta = path[k], deltas[k - i]
+                    if u not in delta:
+                        near = not X.adjacency[u].isdisjoint(delta)
+                        assert near == (dist(X, u, delta) == 1), (name, path, i, j, k)
+                        seen["near" if near else "far"] += 1
+    # perturbed flats and tori return on most pairs, and raise on some
+    assert seen["closed form", True] >= 1000 and seen["closed form", False] >= 200, seen
+    assert seen["build", True] >= 2000 and seen["build", False] >= 50, seen
+    assert seen["near"] >= 4000 and seen["far"] >= 2000 and seen["raised"] >= 5, seen
+    assert is_good_geodesic(flat_rectangle(3, 3), [0, 1], C=-2) == (None, (0, 1, 0, 0))
+
+
+def test_corner_certificate_runs_no_dist_in_its_entries():
+    """The corner certificate of `flat_rectangle(30, 6)`, whose maximum is
+    1, decides every entry by a lemma, membership or adjacency: its entry
+    loop calls `dist` on no entry, and the certificate equals the
+    reference's."""
+    X = flat_rectangle(30, 6)
+    v, w = corner_pair(X)
+    entries = boundary._pair_entries.__code__
+    with counting_calls({"dist": metric.dist}, key=lambda frame: frame.f_back.f_code) as calls:
+        good = make_good_geodesic(X, v, w)
+    assert calls["dist", entries] == 0 and calls["dist"] > 0
+    assert good.max_certificate == 1
+    reference = ReferenceCertifier(FlagComplex(X.adjacency)).good(v, w, C_DEFAULT)
+    assert (good.path, good.certificate) == reference
