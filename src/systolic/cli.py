@@ -12,8 +12,7 @@ import argparse
 import json
 import sys
 
-from .boundary import (ATLAS_CAP, C_DEFAULT, atlas_report, boundary_atlas, default_D,
-                       make_good_geodesic)
+from .boundary import ATLAS_CAP, C_DEFAULT, atlas_report, boundary_atlas, make_good_geodesic
 from .complex import dumps_complex, is_locally_6_large, load_complex
 from .eucgeo import euclidean_geodesic
 from .generators import flat_parallelogram, flat_rectangle, gen_disc_with_degrees
@@ -274,13 +273,14 @@ def cmd_atlas(args) -> int:
     if args.src is None:
         raise UsageError("--from (basepoint) is required for atlas")
     O = _need_vertex(X, args.src)
-    ecc = max(dist_map(X, (O,)).values())
-    if not 0 <= args.radius <= ecc:
+    # boundary_atlas's rule: valid when some vertex is labelled r, so 0 <= r;
+    # O's whole component is swept only to word the error
+    if args.radius not in dist_map(X, (O,), radius=args.radius).values():
+        ecc = max(dist_map(X, (O,)).values())
         raise UsageError(f"--radius {args.radius} outside 0..{ecc}, the "
                          f"eccentricity of vertex {O}")
     _need_systolic(X)
-    D = default_D(args.C) if args.D is None else args.D
-    atlas = boundary_atlas(X, O, args.radius, D=D, C=args.C, cap=args.cap)
+    atlas = boundary_atlas(X, O, args.radius, D=args.D, C=args.C, cap=args.cap)
     sys.stdout.write(atlas_report(atlas, as_json=args.json))
     return 0
 

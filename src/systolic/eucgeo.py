@@ -109,6 +109,13 @@ def euclidean_geodesic(X: FlagComplex, sigma, tau) -> EuclideanGeodesic:
     grown to B_a(sigma) and B_b(tau) with a + b = n = d(sigma, tau) and
     walked from the middle level; `_euclidean` builds on its layer map,
     with pieces of its own.
+
+    On input that is not systolic it can raise, besides ValueError for ends
+    that are not simplices or lie in different components: ProjectionError
+    from a directed geodesic; ValueError when the ends do not lie in each
+    other's n-sphere; CharDiscError from a characteristic disc or image;
+    SurfaceError when no surface fills a disc.  Each is a ValueError, the
+    builds keep their checks, and `check`'s verdict rules them out.
     """
     sigma, tau = _ends(X, sigma, tau)
     n, level = _interval(X, sigma, tau)

@@ -9,6 +9,7 @@ whose interior vertices all have degree >= 6 (systolic, generally non-flat).
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 from .complex import FlagComplex
@@ -23,11 +24,9 @@ def gen_flat_region(stack: RowStack) -> FlagComplex:
     share at least one lattice adjacency, so the region is connected: each
     row is a path, and a cross edge joins each pair of consecutive rows.
     Vertex ids and edges are the stack's (`RowStack.ids`,
-    `RowStack.cross_pairs`); the lattice embedding is kept in `coords`, with
-    one Fraction per half-integer x.  Each neighbourhood is frozen from its
-    neighbours in the order `FlagComplex.from_edges` would add them (row
-    edges, then cross edges row by row), so its iteration order is the one
-    that build gives.
+    `RowStack.cross_pairs`), passed to `FlagComplex.from_edges`, row edges
+    first, then cross edges row by row; the lattice embedding is kept in
+    `coords`, with one Fraction per half-integer x.
     """
     if not stack.rows:
         raise ValueError("empty row spec")
@@ -48,19 +47,10 @@ def gen_flat_region(stack: RowStack) -> FlagComplex:
               for row, ((lo, _), ids) in enumerate(zip(stack.rows, stack.ids),
                                                    start=stack.first_row)
               for h, v in enumerate(ids)}
-    nbrs: dict[int, list[int]] = {v: [] for v in coords}
-    for ids in stack.ids:
-        for a, b in zip(ids, ids[1:]):
-            nbrs[a].append(b)
-            nbrs[b].append(a)
+    edges = [(a, b) for ids in stack.ids for a, b in zip(ids, ids[1:])]
     for k, (ids_a, ids_b) in enumerate(zip(stack.ids, stack.ids[1:])):
-        for p, q in stack.cross_pairs(k):
-            a, b = ids_a[p], ids_b[q]
-            nbrs[a].append(b)
-            nbrs[b].append(a)
-    # frozen from a set, as from_edges does: a frozenset copied from a set
-    # can iterate in another order than one built from the list
-    return FlagComplex({v: frozenset(set(ns)) for v, ns in nbrs.items()}, coords)
+        edges += [(ids_a[p], ids_b[q]) for p, q in stack.cross_pairs(k)]
+    return FlagComplex.from_edges(edges, vertices=coords, coords=coords)
 
 
 def flat_parallelogram(height: int, width: int) -> FlagComplex:
@@ -85,24 +75,20 @@ def gen_disc_with_degrees(seed: int, rings: int = 2, bulge: float = 0.5) -> Flag
     plus a random extra with probability `bulge` (extras create negative
     curvature).  Each ring turns the previous boundary interior with >= 6
     incident triangles, so the result is systolic and in general not flat.
+    Its triangles' edges go to `FlagComplex.from_edges` in the order they
+    are added, so vertex ids and neighbourhoods follow the growth.
     """
     rng = random.Random(seed)
-    adjacency: dict[int, set[int]] = {0: {1, 2}, 1: {0, 2}, 2: {0, 1}}
-    tri_count = {0: 1, 1: 1, 2: 1}
-    boundary = [0, 1, 2]
-    next_id = 3
-
-    def add_edge(a: int, b: int) -> None:
-        adjacency.setdefault(a, set()).add(b)
-        adjacency.setdefault(b, set()).add(a)
+    edges: list[tuple[int, int]] = []
+    tri_count: Counter[int] = Counter()
 
     def add_triangle(a: int, b: int, c: int) -> None:
-        add_edge(a, b)
-        add_edge(b, c)
-        add_edge(a, c)
-        for v in (a, b, c):
-            tri_count[v] = tri_count.get(v, 0) + 1
+        edges.extend(((a, b), (b, c), (a, c)))
+        tri_count.update((a, b, c))
 
+    add_triangle(0, 1, 2)
+    boundary = [0, 1, 2]
+    next_id = 3
     for _ in range(rings):
         m = len(boundary)
         edge_vertex = []
@@ -129,5 +115,4 @@ def gen_disc_with_degrees(seed: int, rings: int = 2, bulge: float = 0.5) -> Flag
             add_triangle(b, chain, edge_vertex[idx])
         boundary = new_boundary
 
-    frozen = {v: frozenset(ns) for v, ns in adjacency.items()}
-    return FlagComplex(frozen)
+    return FlagComplex.from_edges(edges)

@@ -131,7 +131,9 @@ def _targets(X: FlagComplex, B: Iterable[int] | int) -> frozenset[int]:
 def dist(X: FlagComplex, A: Iterable[int] | int, B: Iterable[int] | int) -> int:
     """Minimum 1-skeleton distance between two nonempty vertex sets: A's
     sweep grows until a level holds a vertex of B (`_targets` checks B
-    first)."""
+    first).  This one-sided growth stays beside `_halves`, which grows
+    both sides, because the disc-egeo workload pays for it: computing
+    `dist` through `_halves` slowed that workload by 5 to 10% (two runs)."""
     key = frozenset((A,) if isinstance(A, int) else A)
     targets = _targets(X, B)
     sweep = _sweep(X, key)
@@ -295,6 +297,12 @@ def directed_geodesic(X: FlagComplex, sigma: Iterable[int], W: Iterable[int]) ->
     case the sequence goes on with the inner part, sigma & S_n(W).  Each
     ball B_k(W) is read off the layer map of I(sigma, W), with every
     projection and error of a full sweep of W (`_interval`).
+
+    On input that is not systolic a projection can be empty or not a
+    simplex: ProjectionError, a ValueError, which `check`'s verdict rules
+    out.  Input errors raise too: ValueError for a sigma that is not a
+    simplex, an empty W or ends in different components, KeyError for an
+    unknown vertex.
     """
     sigma = tuple(sorted(sigma))
     wset = frozenset(W)

@@ -13,7 +13,7 @@ import pytest
 from systolic import boundary, metric
 from systolic.boundary import (C_DEFAULT, D_DEFAULT, GoodGeodesic, GoodnessError,
                                atlas_report, boundary_atlas, corollary_contr_check,
-                               in_standard_neighborhood, is_good_geodesic,
+                               default_D, in_standard_neighborhood, is_good_geodesic,
                                make_good_geodesic, rays_equivalent_truncated)
 from systolic.complex import FlagComplex
 from systolic.eucgeo import euclidean_geodesic, thread_vertex_path
@@ -399,6 +399,19 @@ def test_good_geodesic_path_is_a_copy_of_the_callers():
     path = next(all_geodesics(X, 0, 8))
     good, _ = is_good_geodesic(X, path)
     assert good.path == path and good.path is not path
+
+
+def test_atlas_takes_D_from_C():
+    """With no D, boundary_atlas reads D = default_D(C), and gives the atlas
+    that D gives when passed.  At C = 0, D = 2, where the 60 rays from
+    vertex 27 of flat_rectangle(10, 5) split into 2 classes."""
+    X = flat_rectangle(10, 5)
+    for C, D in ((0, 2), (1, 5), (C_DEFAULT, D_DEFAULT)):
+        atlas = boundary_atlas(X, 27, 4, C=C)
+        assert atlas.D == D == default_D(C)
+        assert atlas_report(atlas) == atlas_report(boundary_atlas(X, 27, 4, D=D, C=C))
+    atlas = boundary_atlas(X, 27, 4, C=0)
+    assert (len(atlas.rays), len(atlas.classes), atlas.raw_violations) == (60, 2, 782)
 
 
 def test_atlas_report_deterministic():

@@ -478,6 +478,28 @@ def test_atlas_radius_beyond_eccentricity_exits_2(flat_file, capsys):
     assert code == 0 and "N=10" in out
 
 
+def test_atlas_sweeps_its_basepoint_only_to_the_radius(tmp_path, capsys, monkeypatch):
+    """The --radius check reads the basepoint's sweep grown to --radius, as
+    boundary_atlas does, and leaves it there; the whole component is swept
+    only to word the error."""
+    path = tmp_path / "rect10.cx"
+    path.write_text(dumps_complex(flat_rectangle(10, 5)))
+    loaded = []
+
+    def load(complex_path):
+        loaded.append(load_complex(complex_path))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "load_complex", load)
+    code, out = run(capsys, "atlas", "--complex", str(path), "--from", "27", "--radius", "4")
+    assert code == 0 and "rays=" in out
+    assert loaded[-1]._dist_cache[frozenset((27,))].radius == 4
+    code, err = run_err(capsys, "atlas", "--complex", str(path), "--from", "27",
+                        "--radius", "99")
+    assert code == 2 and err == "error: --radius 99 outside 0..6, the eccentricity of vertex 27\n"
+    assert loaded[-1]._dist_cache[frozenset((27,))].radius == float("inf")
+
+
 def test_unknown_vertex_exits_2(flat_file, capsys):
     path, c0, _ = flat_file
     for command in ("dist", "dgeo", "egeo", "good"):
