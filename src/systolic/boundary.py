@@ -4,14 +4,16 @@ A good geodesic stays within C+1 of the Euclidean geodesic of every one of
 its subsegments; boundary points at a finite truncation are classes of good
 geodesics of length N under the all-indices threshold D = 3C + 2.
 
-A certificate reads the Euclidean geodesic of every subsegment.  Those of
-at most three edges have closed forms read off projections onto balls
+A certificate reads the Euclidean geodesic of every subsegment of two or
+more edges (every entry of a one-edge subsegment is 0).  Those of at most
+three edges have closed forms read off projections onto balls
 (Januszkiewicz-Swiatkowski, "Simplicial nonpositive curvature", Publ.
 IHES 104, 2006), which are read off neighbourhoods with no sweep grown;
 longer ones are built.  Every result for a subsegment of two or more edges
 is memoised per endpoint pair, and the builds share each piece fixed by
 ends they read: projection steps, layer widths and surface rows
-(`_CertMemo`).  An atlas certifies each prefix of its rays once, and
+(`_CertMemo`).  A certificate stores only its nonzero entries, most being
+0 by a lemma.  An atlas certifies each prefix of its rays once, and
 classes no level that D already decides.
 
 A build needs the interval of its subsegment with its layer map, and
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 
 from .complex import FlagComplex
@@ -54,13 +57,28 @@ class GoodnessError(ValueError):
 
 @dataclass
 class GoodGeodesic:
+    """A certified good geodesic v_0..v_n and its certificate, the entries
+    (i, j, k) -> |v_k, delta_k^{i,j}| for 0 <= i < j <= n and i <= k <= j.
+
+    `entries` holds only the nonzero entries; every other one is 0.  Most
+    are 0 by a lemma (see `_certify`), so a certificate of n edges stores
+    few of its about n^3/6 entries.  `certificate` rebuilds the full table
+    on first read, keyed by j, then i, then k, the order `_certify` runs
+    the entries in."""
+
     path: list[int]
     C: int
-    certificate: dict[tuple[int, int, int], int]  # (i, j, k) -> |v_k, delta_k^{i,j}|
+    entries: dict[tuple[int, int, int], int]
 
     @property
     def max_certificate(self) -> int:
-        return max(self.certificate.values(), default=0)
+        return max(self.entries.values(), default=0)
+
+    @cached_property
+    def certificate(self) -> dict[tuple[int, int, int], int]:
+        entries = self.entries
+        return {(i, j, k): entries.get((i, j, k), 0)
+                for j in range(len(self.path)) for i in range(j) for k in range(i, j + 1)}
 
 
 def is_good_geodesic(X: FlagComplex, path: list[int], C: int = C_DEFAULT):
@@ -135,20 +153,20 @@ def _certify(X: FlagComplex, paths: list[list[int]], C: int, memo: _CertMemo):
     """The one certifier.  `paths` are geodesics from one vertex o in the
     DFS order of `graded_paths` (one path: a one-path list); each gets
     (GoodGeodesic, None) or (None, witness (i, j, k, distance)).  Each pair
-    (p[i], p[j]) reads its Euclidean geodesic's deltas from `memo`, which
-    fills in the misses.
+    (p[i], p[j]) that is not skipped (below) reads its Euclidean geodesic's
+    deltas from `memo`, which fills in the misses.
 
     Pairs run by j, then i, and the first entry above C + 1 is the
     witness: the least (j, i, k), at the shortest failing prefix p[:j + 1].
-    Level j, the entries (i, j, k), depends only on that prefix.  A
-    certificate is filled level by level, so a path copies the first
-    entries of the one before it, the levels of the prefix they share, and
-    computes the rest.  A path extending the previous one's failing prefix
-    is dropped unread: its levels up to that witness are the prefix's, so
-    the witness is its own.  A path's levels, copied or computed, are those
-    certifying it alone computes, in the same order, so it gets, and
-    raises, the same.  Each good path owns its complete certificate, and a
-    single path fills one dict, with no copy.
+    Level j, the entries (i, j, k), depends only on that prefix.  A path
+    stores only its nonzero entries, level by level, so a path copies the
+    stored entries of the levels of the prefix it shares with the one
+    before it, a few of them, and computes the rest.  A path extending the
+    previous one's failing prefix is dropped unread: its levels up to that
+    witness are the prefix's, so the witness is its own.  A path's levels,
+    copied or computed, are those certifying it alone computes, in the
+    same order, so it gets, and raises, the same.  Each good path owns its
+    dict of stored entries, and a single path fills one, with no copy.
 
     A build reads I(p[i], p[j]) and its layer map d(p[i], .) off the layer
     map l = `memo.level` = d(o, .), by the cone lemma.  Write v_k = p[k],
@@ -176,7 +194,7 @@ def _certify(X: FlagComplex, paths: list[list[int]], C: int, memo: _CertMemo):
     `_interval` finds, and so are its deltas and its errors.  The cones are
     memoised per vertex in `memo`, for all the paths.
 
-    Two more facts spare work without changing a result or an error:
+    More facts spare work without changing a result or an error:
     - j - i <= 3: the geodesic has a closed form (`_short_deltas`, or
       [(a,), (c,)] for adjacent a, c, since each end projects onto the ball
       B_0 of the other as that other end), which raises what
@@ -186,70 +204,85 @@ def _certify(X: FlagComplex, paths: list[list[int]], C: int, memo: _CertMemo):
       any edge path v_i..v_j: at j - i = 2, delta_1 = N(v_i) & N(v_j) holds
       v_{i+1}; at j - i = 3, delta_1 = L_1, the neighbours of v_i with a
       neighbour in N(v_j), holds v_{i+1}, since v_{i+2} lies in N(v_j), and
-      likewise L_2 holds v_{i+2}.  So every entry of such a pair is 0, and
-      `_pair_entries` writes it with no lookup.  It proves the same of
-      k = i + 1 and j - 1 for a build, and looks up only the other entries.
+      likewise L_2 holds v_{i+2}.  So every entry of such a pair is 0.
+      `_pair_entries` proves the same of k = i + 1 and j - 1 for a build,
+      and looks up only the other entries.
+    - So the loop skips two kinds of pair, every entry of which is 0: a
+      one-edge pair, whose deltas are its two ends and can raise nothing,
+      and a pair of two or three edges whose closed form is already in
+      `memo.deltas`, whose checks ran when it was computed.  Any other pair
+      of two or three edges computes its closed form, with its checks, and
+      stores nothing.
+    - A 0 entry fails only when C + 1 < 0.  Then the first entry, (0, 1, 0),
+      of a one-edge pair, is the witness (0, 1, 0, 0) of every path of an
+      edge or more, and no pair is read; with C + 1 >= 0 the skipped and
+      decided entries never fail, so the witness, the first entry above
+      C + 1 in (j, i, k) order, is the one every entry would give.
     """
     out = []
-    cert: dict[tuple[int, int, int], int] = {}
-    ends: list[int] = []        # ends[j]: how many of cert's first entries are prev[:j + 1]'s
+    entries: dict[tuple[int, int, int], int] = {}
+    ends: list[int] = []        # ends[j]: how many stored entries prev[:j + 1] has
     prev: list[int] = []
     witness = None              # prev's witness, if it failed
+    deltas = memo.deltas
     for p in paths:
         shared = next((s for s, (u, w) in enumerate(zip(p, prev)) if u != w), len(prev))
         prev = p
         if witness is None or shared <= witness[1]:     # p keeps no failing prefix
             witness = None
             del ends[shared:]
-            cert = dict(islice(cert.items(), ends[-1] if ends else 0))
+            entries = dict(islice(entries.items(), ends[-1] if ends else 0))
             for j in range(len(ends), len(p)):
-                for i in range(j):
-                    witness = _pair_entries(X, p, i, j, C, memo, cert)
-                    if witness is not None:
-                        break
+                if j == 1 and C + 1 < 0:
+                    witness = 0, 1, 0, 0
+                    break
+                c = p[j]
+                for i in range(j - 1):
+                    if j - i > 3 or (p[i], c) not in deltas:
+                        witness = _pair_entries(X, p, i, j, C, memo, entries)
+                        if witness is not None:
+                            break
                 if witness is not None:
                     break
-                ends.append(len(cert))
-        out.append((GoodGeodesic(p, C, cert), None) if witness is None else (None, witness))
+                ends.append(len(entries))
+        out.append((GoodGeodesic(p, C, entries), None) if witness is None else (None, witness))
     return out
 
 
 def _pair_entries(X: FlagComplex, path: list[int], i: int, j: int, C: int,
-                  memo: _CertMemo, cert: dict[tuple[int, int, int], int]):
-    """Write the entries (i, j, k) of `path` into `cert`, stopping at and
-    returning the first witness (i, j, k, distance) above C + 1, or None.
+                  memo: _CertMemo, entries: dict[tuple[int, int, int], int]):
+    """Store the nonzero entries (i, j, k) of `path` in `entries`, stopping
+    at and returning the first witness (i, j, k, distance) above C + 1, or
+    None.  C + 1 >= 0 here (`_certify` decides the case C + 1 < 0).
 
-    The deltas are read for every pair, so that each closed form makes its
-    checks and raises its errors, but an entry that a lemma decides is
-    written with no search.  Let a = v_i, c = v_j and n = j - i.
+    The deltas are read for every pair `_certify` does not skip, so that
+    each closed form makes its checks and raises its errors, but only the
+    entries no lemma decides are visited.  Let a = v_i, c = v_j and
+    n = j - i.
 
-    * k in {i, i + 1, j - 1, j}: the entry is 0.  The ends are
-      delta_0 = (a,) and delta_n = (c,).  A pair of two or three edges has
-      a closed form whose inner deltas hold the path's vertices (proof in
-      `_certify`).  A build (n >= 4, or `make_good_geodesic`'s
+    * k in {i, i + 1, j - 1, j}: the entry is 0, and is not visited.  The
+      ends are delta_0 = (a,) and delta_n = (c,).  A pair of two or three
+      edges has a closed form whose inner deltas hold the path's vertices
+      (proof in `_certify`).  A build (n >= 4, or `make_good_geodesic`'s
       own pair at any n) reads the layer map d(a, .) on I(a, c), and
       sigma_1, a's projection onto B_{n-1}(c), is every vertex labelled 1
       there, since each one neighbours a.  So tau_1, labelled 1 too, lies
       in sigma_1; their span is sigma_1, a simplex, so layer 1 is thin
       and delta_1 = sigma_1 holds v_{i+1}, a vertex of I(a, c) labelled 1.
       Side c gives delta_{n-1} = tau_{n-1}, which holds v_{j-1}.
-    * Every other entry, i + 1 < k < j - 1, is 0 when v_k lies in delta_k,
-      1 when N(v_k) meets delta_k, and `dist` otherwise: each test is exact
-      in any graph.
-
-    Every entry, decided or not, still meets the C + 1 test in k order, so
-    the witness is the one `dist` on every entry gives, at every C."""
+    * Every other entry, i + 1 < k < j - 1, is visited in k order: 0 when
+      v_k lies in delta_k, 1 when N(v_k) meets delta_k, and `dist`
+      otherwise, each test exact in any graph.  Only a nonzero one is
+      stored and meets the C + 1 test, since a 0 entry cannot fail."""
     deltas = _subsegment_deltas(X, path[i], path[j], j - i, memo)
     adjacency = X.adjacency
-    for k in range(i, j + 1):
-        d = 0
-        if i + 1 < k < j - 1:
-            v, delta = path[k], deltas[k - i]
-            if v not in delta:
-                d = 1 if not adjacency[v].isdisjoint(delta) else dist(X, v, delta)
-        cert[(i, j, k)] = d
-        if d > C + 1:
-            return i, j, k, d
+    for k in range(i + 2, j - 1):
+        v, delta = path[k], deltas[k - i]
+        if v not in delta:
+            d = 1 if not adjacency[v].isdisjoint(delta) else dist(X, v, delta)
+            entries[(i, j, k)] = d
+            if d > C + 1:
+                return i, j, k, d
     return None
 
 
@@ -257,7 +290,9 @@ def _subsegment_deltas(X: FlagComplex, a: int, c: int, n: int, memo: _CertMemo) 
     """The deltas of the Euclidean geodesic between vertices a and c at
     distance n >= 1, a before c on a path certified with `memo`:
     [(a,), (c,)] for n = 1, then `memo`, filled in by a closed form for
-    n <= 3 and by a build on `_cone_interval` after."""
+    n <= 3 and by a build on `_cone_interval` after.  `_certify` asks for
+    no one-edge pair, whose entries are all 0; the tests check that closed
+    form against the build with the others."""
     if n == 1:
         return [(a,), (c,)]
     deltas = memo.deltas.get((a, c))
@@ -452,7 +487,10 @@ def boundary_atlas(X: FlagComplex, O: int, N: int, D: int | None = None,
     layer read: N exceeds O's eccentricity when no vertex is labelled N.
     A geodesic of `graded_paths` needs no geodesic check: its distance
     from O grows by one at each of its N edges, so it ends N from O.
-    Every ray carries its complete certificate.
+    Every ray stores only its certificate's nonzero entries, copying its
+    prefix's few, and rebuilds the full table when `certificate` is read:
+    at N = 12 from the centre of `flat_rectangle(24, 24)`, its 20,000 rays
+    store 750,645 of 8,840,000 entries.
 
     The rays related to ray a are the AND over i of the rays whose i-th
     vertex lies within D of a's, kept as int bitsets.  Level-i vertices

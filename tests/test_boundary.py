@@ -367,6 +367,19 @@ def test_certificate_failures_pin_their_witnesses():
     assert [is_good_geodesic(X, p, 0)[1] for p in dropped] == [(0, 8, 3, 2), (0, 8, 5, 2)]
 
 
+def test_make_good_geodesic_raises_goodness_error_below_its_certificate():
+    """GoodnessError is reachable on systolic input: at C = -1 the bound
+    C + 1 is 0, and the corner geodesic of flat_rectangle(30, 6), whose
+    certificate reaches 1, fails at its first nonzero entry.  At C = 0 it
+    is good."""
+    X = flat_rectangle(30, 6)
+    v, w = corner_pair(X)
+    with pytest.raises(GoodnessError,
+                       match=r"^threaded path failed its certificate at \(0, 10, 6, 1\)$"):
+        make_good_geodesic(X, v, w, C=-1)
+    assert make_good_geodesic(X, v, w, C=0).max_certificate == 1
+
+
 def test_witness_is_the_least_j_then_i_then_k():
     """A witness names the shortest failing prefix.  On every geodesic of
     length 10 from vertex 50 of flat_parallelogram(8, 8), is_good_geodesic
@@ -614,24 +627,28 @@ def test_a_certificate_runs_each_end_determined_piece_once():
     assert calls["all_geodesics"] > 0
 
 
-def test_atlas_computes_each_closed_form_once(monkeypatch):
-    X = flat_rectangle(10, 5)
-    calls = Counter()
-    original = boundary._short_deltas
-
-    def counting(X, a, c, n):
-        calls[(a, c, n)] += 1
-        return original(X, a, c, n)
-
-    monkeypatch.setattr(boundary, "_short_deltas", counting)
-    atlas = boundary_atlas(X, 0, 4)
-    monkeypatch.undo()
-    paths = _geodesic_rays_oracle(X, 0, 4)
-    assert [r.path for r in atlas.rays] == paths
-    pairs = {(p[i], p[j], j - i) for p in paths
-             for i, j in itertools.combinations(range(len(p)), 2) if j - i in (2, 3)}
-    assert set(calls) == pairs and set(calls.values()) == {1}
-    assert {n for _, _, n in pairs} == {2, 3}
+def test_atlas_computes_each_closed_form_once():
+    """An atlas computes each two- or three-edge closed form once per
+    endpoint pair, and asks `_subsegment_deltas` once for it: a pair whose
+    closed form is in the memo, like every one-edge pair, is skipped, since
+    all its entries are 0."""
+    functions = {"_short_deltas": boundary._short_deltas,
+                 "_subsegment_deltas": boundary._subsegment_deltas}
+    for X, N in ((flat_rectangle(10, 5), 4), (flat_rectangle(10, 5), 8),
+                 (flat_parallelogram(8, 8), 8)):
+        with counting_calls(functions, key=lambda frame: (
+                frame.f_locals["a"], frame.f_locals["c"], frame.f_locals["n"])) as calls:
+            atlas = boundary_atlas(X, 0, N)
+        paths = _geodesic_rays_oracle(X, 0, N)
+        assert [r.path for r in atlas.rays] == paths
+        short = {(p[i], p[j], j - i) for p in paths
+                 for i, j in itertools.combinations(range(len(p)), 2) if j - i in (2, 3)}
+        assert {n for _, _, n in short} == {2, 3}
+        for name in functions:
+            keys = Counter({key[1]: n for key, n in calls.items()
+                            if isinstance(key, tuple) and key[0] == name})
+            assert not any(n == 1 for _, _, n in keys)
+            assert {key: m for key, m in keys.items() if key[2] <= 3} == dict.fromkeys(short, 1)
 
 
 def test_atlas_certifies_each_prefix_once(monkeypatch):
@@ -834,6 +851,14 @@ class ReferenceCertifier:
         return path, cert
 
 
+def certificate_table(good):
+    """good's certificate, rebuilt from its stored entries, which must be
+    exactly the table's nonzero ones."""
+    table = good.certificate
+    assert good.entries == {key: d for key, d in table.items() if d}, good.path
+    return table
+
+
 def reference_cases():
     """(name, complex, vertex pairs): flats with their corners, whose
     certificates reach 1, discs of rings, perturbed flats (not systolic)
@@ -872,21 +897,21 @@ def test_certificates_equal_a_reference_that_builds_every_pair():
             for v, w in pairs:
                 made = outcome(lambda: make_good_geodesic(FlagComplex(X.adjacency), v, w, C))
                 if isinstance(made, GoodGeodesic):
-                    made = made.path, made.certificate
+                    made = made.path, certificate_table(made)
                 expected = outcome(lambda: ref.good(v, w, C))
                 assert made == expected, (name, v, w, C)
                 seen["good" if isinstance(expected[0], list) else expected[0].__name__] += 1
                 for path in itertools.islice(all_geodesics(X, v, w), 3):
                     alone = outcome(lambda: is_good_geodesic(FlagComplex(X.adjacency), path, C))
                     if isinstance(alone[0], GoodGeodesic):
-                        alone = alone[0].certificate, None
+                        alone = certificate_table(alone[0]), None
                     expected = outcome(lambda: ref.certify(path, C))
                     assert alone == expected, (name, path, C)
                     seen["witness" if expected[0] is None else "path"] += 1
             O = pairs[0][0]
             dm = dist_map(X, (O,))
             for N in range(1, min(max(dm.values()), 5) + 1):
-                atlas = outcome(lambda: [(r.path, r.certificate) for r in
+                atlas = outcome(lambda: [(r.path, certificate_table(r)) for r in
                                          boundary_atlas(FlagComplex(X.adjacency), O, N, C=C).rays])
                 expected = outcome(lambda: [(p, cert) for p in graded_paths(X, O, dm, 1, N)
                                             for cert in [ref.certify(p, C)[0]] if cert])
@@ -902,6 +927,24 @@ def test_certificates_equal_a_reference_that_builds_every_pair():
     assert {key[0] for key in seen if key[1:] == ("N = 2", True)} == {"torus 4"}
     assert {key[0] for key in seen if key[1:] == ("N = 2", False)} == \
         {"torus 5", "torus 6", "torus 7", "torus 9"}
+
+
+def test_atlas_rays_store_only_their_nonzero_entries():
+    """On the atlas of flat_parallelogram(8, 8) from 0 at N = 8, each ray
+    stores exactly the nonzero entries of its certificate, and the table
+    rebuilt from them is the reference's, key order included: at C = 0,
+    where 6 of the 256 geodesics fail, at C = 1 and at the default C."""
+    X = flat_parallelogram(8, 8)
+    ref = ReferenceCertifier(FlagComplex(X.adjacency))
+    paths = list(graded_paths(X, 0, dist_map(X, (0,)), 1, 8))
+    for C, kept in ((0, 250), (1, 256), (C_DEFAULT, 256)):
+        rays = boundary_atlas(FlagComplex(X.adjacency), 0, 8, C=C).rays
+        expected = [(p, cert) for p in paths for cert in [ref.certify(p, C)[0]] if cert]
+        assert len(rays) == len(expected) == kept
+        for ray, (path, cert) in zip(rays, expected):
+            assert ray.path == path
+            assert list(certificate_table(ray).items()) == list(cert.items())
+        assert 0 < sum(len(ray.entries) for ray in rays) < sum(len(cert) for _, cert in expected)
 
 
 def test_entries_a_lemma_decides_hold_on_every_reference_input():
