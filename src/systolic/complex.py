@@ -297,8 +297,10 @@ def _link_has_short_hole(adj, v: int) -> bool:
     """True iff lk(v) has a hole of length 4 or 5 (proof in
     `is_locally_6_large`).  `link` holds each vertex's unvisited neighbours.
     This second decision of a link, beside `shortest_hole` on `X.link`,
-    stays because the cold-check workload pays for it: it took that
-    workload from 419 to 536 operations per second (+27.8%)."""
+    stays because the cold-check workload pays for it: on its 12 complexes
+    `is_locally_6_large` takes 0.21 ms per complex, against 0.79 ms
+    through `shortest_hole(X.link((v,)), 5)` at each vertex of degree 4 or
+    more (best of 7; Python 3.11.7, a shared 2-vCPU x86-64 host)."""
     nv = set(adj[v])
     link = {x: nv & adj[x] for x in nv}
     unvisited = len(link)

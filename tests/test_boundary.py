@@ -235,7 +235,7 @@ def test_ray_and_path_input_checks_name_their_fault():
     """Each input check of the ray and path comparisons and of the atlas's
     radius, reached by hand-built rays on the 4x3 rectangle."""
     X = flat_rectangle(4, 3)
-    ray = [GoodGeodesic(path, C_DEFAULT, {}) for path in ([0, 1], [1, 2], [0, 1, 2])]
+    ray = [GoodGeodesic(path, C_DEFAULT, ()) for path in ([0, 1], [1, 2], [0, 1, 2])]
     R = D_DEFAULT + 1
     for call, message in (
             (lambda: corollary_contr_check(X, [0, 1], [1, 2]),
@@ -852,10 +852,13 @@ class ReferenceCertifier:
 
 
 def certificate_table(good):
-    """good's certificate, rebuilt from its stored entries, which must be
-    exactly the table's nonzero ones."""
+    """good's certificate, rebuilt from its stored levels, which must hold
+    exactly the table's nonzero entries, level j those (i, j, k)."""
     table = good.certificate
-    assert good.entries == {key: d for key, d in table.items() if d}, good.path
+    assert len(good.levels) == len(good.path)
+    assert all(key[1] == j for j, level in enumerate(good.levels) for key in level), good.path
+    stored = {key: d for level in good.levels for key, d in level.items()}
+    assert stored == {key: d for key, d in table.items() if d}, good.path
     return table
 
 
@@ -931,9 +934,11 @@ def test_certificates_equal_a_reference_that_builds_every_pair():
 
 def test_atlas_rays_store_only_their_nonzero_entries():
     """On the atlas of flat_parallelogram(8, 8) from 0 at N = 8, each ray
-    stores exactly the nonzero entries of its certificate, and the table
-    rebuilt from them is the reference's, key order included: at C = 0,
-    where 6 of the 256 geodesics fail, at C = 1 and at the default C."""
+    stores exactly the nonzero entries of its certificate, level j under
+    keys (i, j, k), and the table rebuilt from them is the reference's, key
+    order included: at C = 0, where 6 of the 256 geodesics fail, at C = 1
+    and at the default C.  Two rays' level j is one dict exactly when their
+    paths agree through vertex j, and equal keys are one tuple."""
     X = flat_parallelogram(8, 8)
     ref = ReferenceCertifier(FlagComplex(X.adjacency))
     paths = list(graded_paths(X, 0, dist_map(X, (0,)), 1, 8))
@@ -944,7 +949,13 @@ def test_atlas_rays_store_only_their_nonzero_entries():
         for ray, (path, cert) in zip(rays, expected):
             assert ray.path == path
             assert list(certificate_table(ray).items()) == list(cert.items())
-        assert 0 < sum(len(ray.entries) for ray in rays) < sum(len(cert) for _, cert in expected)
+        stored = [level for ray in rays for level in ray.levels]
+        assert 0 < sum(map(len, stored)) < sum(len(cert) for _, cert in expected)
+        for j in range(9):
+            shared = {(tuple(ray.path[:j + 1]), id(ray.levels[j])) for ray in rays}
+            assert len(shared) == len(dict(shared)) == len({level for _, level in shared}), j
+        keys = {(key, id(key)) for level in stored for key in level}
+        assert len(keys) == len(dict(keys)) > 0
 
 
 def test_entries_a_lemma_decides_hold_on_every_reference_input():
