@@ -134,10 +134,15 @@ class _CertMemo(_Pieces):
       off the two members alone by `is_simplex` and, for a thick layer,
       by `maximizing_pairs`, whose `dist` is exact.
     * `rows`: (s_k, t_k) -> the walk of `all_geodesics(X, s_k, t_k)`, the
-      row geodesics in the lexicographic order a surface search reads
-      them in, kept as a `tee` that is never advanced: each search reads
-      a copy, which replays what earlier searches pulled, so the walk goes
-      only as far as some search has asked, never capped.
+      row geodesics in the lexicographic order the search for a disc's
+      least surface reads them in, kept as a `tee` that is never advanced:
+      each search reads a copy, which replays what earlier searches
+      pulled, so the walk goes only as far as some search has asked,
+      never capped.  A search stops at its first surface, and the memo
+      still pays: with each search starting its walks afresh, the corner
+      certificates of `flat_rectangle(30, 30)` and `(60, 60)` took 0.47
+      and 4.9 s of CPU, against 0.39 and 3.4 s (best of 3, Python 3.11 on
+      a shared 2-vCPU x86-64 host).
 
     An error ends the certificate or atlas, so no entry records one; and
     no value handed out is changed afterwards, since builds share them."""

@@ -7,11 +7,14 @@ per-layer widths |s_k t_k| and the consecutive offsets read off
 |s_k t_{k+1}|.  It is kept as that `RowStack` (row ends in half-units),
 which numbers and joins the disc vertices, and is checked by one integer
 shape rule (`check_row_stack`).  The disc as a triangulated complex is a
-view built on first use, for audits and rendering.  A surface is found by
-one backtracking loop, no recursion, over each row's geodesics s_k..t_k,
-walked lazily and uncapped, so a disc may have any number of rows.
-The all-surfaces enumeration, the preimage decoder and the minimal-surface
-and triangulability searches that cross-check this module live in the tests.
+view built on first use, for audits and rendering.  The surface built is
+the lexicographically least, found by one backtracking loop, no
+recursion, over each row's geodesics s_k..t_k, walked lazily and
+uncapped, so a disc may have any number of rows; one surface is all an
+image needs, since images span every surface by single-vertex
+substitution off one base surface.  The all-surfaces enumeration, the
+preimage decoder and the minimal-surface and triangulability searches
+that cross-check this module live in the tests.
 """
 
 from __future__ import annotations
@@ -115,21 +118,33 @@ def build_char_disc(X: FlagComplex, profile: ThicknessProfile, interval) -> Char
     return CharDisc(s_rep, t_rep, stack, pairs)
 
 
-def _surfaces(X: FlagComplex, cd: CharDisc, rows: dict[tuple[int, int], Iterator[list[int]]]):
-    """Characteristic surfaces on the disc's boundary representatives, in
-    lexicographic order, by one backtracking loop with no recursion: the
-    open rows' readers form a stack, and each step takes the top row's next
-    geodesic s_k..t_k that fits the row below, opens the row above, yields
-    a surface or backtracks, so a disc may have any number of rows.  A
-    row's geodesics come from `all_geodesics`, started on the first read of
-    its ends and walked lazily, so no row is listed in full and none is
+def build_char_surface(X: FlagComplex, cd: CharDisc) -> dict[int, int]:
+    """The lexicographically least characteristic surface realizing the
+    disc: maps each disc vertex to a complex vertex so rows land on
+    1-skeleton geodesics s_k..t_k and every disc edge maps to an edge."""
+    return _surface(X, cd, {})
+
+
+def _surface(X: FlagComplex, cd: CharDisc,
+             rows: dict[tuple[int, int], Iterator[list[int]]]) -> dict[int, int]:
+    """`build_char_surface`, sharing row walks through `rows`.
+
+    The least surface on the disc's boundary representatives, by rows in
+    order, each row's geodesics lexicographically, found by one
+    backtracking loop with no recursion: the open rows' readers form a
+    stack, and each step takes the top row's next geodesic s_k..t_k that
+    fits the row below and opens the row above, or backtracks once the
+    row is exhausted.  The first surface completed is returned; an empty
+    stack raises SurfaceError.  So a disc may have any number of rows.  A
+    row's geodesics come from `all_geodesics`, started on the first read
+    of its ends and walked lazily, so no row is listed in full and none is
     capped.  That walk, a function of X and (s_k, t_k) alone, is kept in
     `rows` by those ends as a `tee` that is never advanced; each reader
     walks a copy of it, which replays what earlier readers pulled."""
     crosses = [cd.stack.cross_pairs(k) for k in range(len(cd.s) - 1)]
     chosen: list[list[int]] = []
     readers = []
-    while True:
+    while len(chosen) < len(cd.s):
         k = len(chosen)
         if k < len(readers):
             path = next((p for p in readers[k] if k == 0 or all(
@@ -138,35 +153,17 @@ def _surfaces(X: FlagComplex, cd: CharDisc, rows: dict[tuple[int, int], Iterator
                 chosen.append(path)
                 continue
             readers.pop()
-        elif k == len(cd.s):
-            yield {vid: chosen[r][idx]
-                   for r, ids in enumerate(cd.stack.ids)
-                   for idx, vid in enumerate(ids)}
+            if not chosen:
+                raise SurfaceError(f"no surface fills the disc for interval {cd.interval}")
+            chosen.pop()
         else:
             ends = cd.s[k], cd.t[k]
             anchor = rows.get(ends)
             if anchor is None:
                 anchor = rows[ends] = tee(all_geodesics(X, *ends), 1)[0]
             readers.append(copy(anchor))
-            continue
-        if not chosen:
-            return
-        chosen.pop()
-
-
-def build_char_surface(X: FlagComplex, cd: CharDisc) -> dict[int, int]:
-    """A characteristic surface realizing the disc: maps each disc vertex to
-    a complex vertex so rows land on 1-skeleton geodesics s_k..t_k and every
-    disc edge maps to an edge."""
-    return _surface(X, cd, {})
-
-
-def _surface(X: FlagComplex, cd: CharDisc,
-             rows: dict[tuple[int, int], Iterator[list[int]]]) -> dict[int, int]:
-    """`build_char_surface`, sharing row walks through `rows` (`_surfaces`)."""
-    for surface in _surfaces(X, cd, rows):
-        return surface
-    raise SurfaceError(f"no surface fills the disc for interval {cd.interval}")
+    return {vid: chosen[r][idx] for r, ids in enumerate(cd.stack.ids)
+            for idx, vid in enumerate(ids)}
 
 
 def characteristic_image(X: FlagComplex, level: dict[int, int], cd: CharDisc,

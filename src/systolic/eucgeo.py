@@ -47,9 +47,9 @@ class _Pieces:
     * `widths`: (sigma_k, tau_k) -> (width, realizing pairs, span) of a
       layer with those members (`layers._profile`);
     * `rows`: (s_k, t_k) -> the walk of the row geodesics between those
-      ends, an `itertools.tee` that is never advanced; each surface search
-      reads a copy of it, which replays what earlier searches pulled
-      (`charsurf._surfaces`).
+      ends, an `itertools.tee` that is never advanced; each search for a
+      disc's least surface reads a copy of it, which replays what earlier
+      searches pulled (`charsurf._surface`).
 
     `euclidean_geodesic` makes a fresh one per build; a certificate or an
     atlas keeps one for all its builds (`boundary._CertMemo`, which says

@@ -8,7 +8,7 @@ discs; the induced-path DFS for induced cycles and the bridged-graph test
 of systolicity; closed-form lattice distance and the point-group
 canonicalization of lattice placements; the isometric embedding of flat
 discs; the break-point enumeration oracle of `flatgeom.polygon_geodesic`;
-reordered realizing pairs, the all-surfaces enumeration and its
+reordered realizing pairs, the all-surfaces enumeration over the
 product-of-rows reference, the all-simplex projection sweep, the layer map
 of an interval, characteristic-image span and preimage decoder for
 characteristic discs; the minimal-surface search and the no-interior-vertex
@@ -16,9 +16,14 @@ triangulability test.
 
 Shared fixtures: cycles, the octahedron, the hexagon wheel, triangular
 tori, suspensions, disjoint unions, chordal subtree graphs, perturbed
-complexes and the flat-good regions; corner, far and directed pairs;
-`outcome`, a call's result or its error; and `counting_calls`, the one
-counter of calls by code object.
+complexes, the flat-good regions and twins of vertices, which make
+3-dimensional inputs; corner, far and directed pairs; `outcome`, a call's
+result or its error; and `counting_calls`, the one counter of calls by
+code object.
+
+The oracles import no `_`-prefixed name from `systolic`
+(`test_oracles.py` checks it): they reach the library through its public
+names only.
 """
 
 from __future__ import annotations
@@ -32,14 +37,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
-from systolic.charsurf import (CharDisc, CharDiscError, SurfaceError, _surfaces,
-                               characteristic_image)
+from systolic.charsurf import CharDisc, CharDiscError, SurfaceError, characteristic_image
 from systolic.complex import FlagComplex, Simplex
 from systolic.flatgeom import PolyPath, TriangulatedDisc, as_disc, is_flat
 from systolic.generators import flat_parallelogram, flat_rectangle, gen_flat_region
 from systolic.lattice import Point, RowStack
 from systolic.layers import ThicknessProfile, layers
-from systolic.metric import ProjectionError, _project, directed_geodesic, dist_map, sphere
+from systolic.metric import directed_geodesic, dist_map
 
 
 def lattice_dist(p: Point, q: Point) -> int:
@@ -398,19 +402,6 @@ def shuffled_pairs(profile: ThicknessProfile, seed: int) -> ThicknessProfile:
     return replace(profile, pairs=[rng.sample(p, len(p)) for p in profile.pairs])
 
 
-def enumerate_char_surfaces(X: FlagComplex, cd: CharDisc, limit: int = 100000):
-    """All characteristic surfaces (oracle-grade, small discs only), over
-    every choice of thickness-realizing boundary representatives."""
-    count = 0
-    for combo in product(*cd.pairs):
-        alt = replace(cd, s=[c[0] for c in combo], t=[c[1] for c in combo])
-        for surface in _surfaces(X, alt, {}):
-            yield surface
-            count += 1
-            if count >= limit:
-                raise SurfaceError("surface enumeration limit hit")
-
-
 def geodesics_oracle(adjacency, u: int, v: int) -> list[list[int]]:
     """Every geodesic from u to v, sorted: each step moves one level closer
     to v in the deque-BFS distance map of v."""
@@ -439,6 +430,20 @@ def surfaces_reference(X: FlagComplex, cd: CharDisc, limit: int = 100000) -> lis
     return surfaces
 
 
+def enumerate_char_surfaces(X: FlagComplex, cd: CharDisc, limit: int = 100000):
+    """All characteristic surfaces (oracle-grade, small discs only), over
+    every choice of thickness-realizing boundary representatives, each
+    choice's surfaces listed by `surfaces_reference`."""
+    count = 0
+    for combo in product(*cd.pairs):
+        alt = replace(cd, s=[c[0] for c in combo], t=[c[1] for c in combo])
+        for surface in surfaces_reference(X, alt, limit):
+            yield surface
+            count += 1
+            if count >= limit:
+                raise SurfaceError("surface enumeration limit hit")
+
+
 def char_image_oracle(X: FlagComplex, cd: CharDisc, rho, limit: int = 100000) -> Simplex:
     """Span of images of rho over exhaustively enumerated surfaces."""
     rho = tuple(sorted(rho))
@@ -452,14 +457,19 @@ def projection_witness_reference(X: FlagComplex, o: int) -> tuple[Simplex, int, 
     """The first failed projection onto a ball around o, found by projecting
     every simplex of the full subcomplex on each sphere S_{k+1}(o), by
     dimension and then lexicographically: the all-simplex sweep that
-    `metric.projection_witness` replaces by one over vertices and edges."""
-    dm = dist_map(X, (o,))
+    `metric.projection_witness` replaces by one over vertices and edges.
+    Each projection is taken by its definition on `bfs_oracle` distances:
+    the common neighbours of sigma at distance k from o, which must be
+    nonempty and span a simplex."""
+    dm = bfs_oracle(X.adjacency, (o,))
     for k in range(max(dm.values())):
-        for sigma in X.induced(sphere(X, (o,), k + 1)).simplices():
-            try:
-                _project(X, sigma, dm, k)
-            except ProjectionError as exc:
-                return sigma, k, str(exc)
+        for sigma in X.induced([v for v in dm if dm[v] == k + 1]).simplices():
+            common = frozenset.intersection(*(X.adjacency[v] for v in sigma))
+            pi = tuple(sorted(u for u in common if dm[u] == k))
+            if not pi:
+                return sigma, k, f"projection of {sigma} is empty"
+            if any(b not in X.adjacency[a] for a, b in combinations(pi, 2)):
+                return sigma, k, f"projection of {sigma} is not a simplex: {pi}"
     return None
 
 
@@ -649,6 +659,19 @@ def disjoint_union(*complexes):
     return FlagComplex.from_edges(edges, vertices=vertices)
 
 
+def twin(X, *vertices):
+    """X with a twin of each given vertex m: a new vertex joined to m and to
+    m's neighbours in X, so that it spans a simplex with each simplex of m's
+    closed star, and a twin of a vertex of a triangle spans a tetrahedron.
+    New ids run from max(X) + 1, in argument order; the result has no
+    coords."""
+    first = max(X.vertices) + 1
+    edges = X.edges()
+    for new, m in enumerate(vertices, start=first):
+        edges += [(new, w) for w in (m, *X.adjacency[m])]
+    return FlagComplex.from_edges(edges, vertices=X.vertices)
+
+
 def subtree_chordal(seed, n=40, tree_size=25, max_nodes=5):
     """Intersection graph of n random subtrees, of at most max_nodes nodes
     each, of a random tree: chordal (Gavril 1974), so every link passes."""
@@ -731,7 +754,11 @@ def counting_calls(functions, key=None):
     Yields a Counter from label to calls, filled under `sys.setprofile`.
     With `key`, each call also adds 1 to (label, key(frame)), a key read
     off the called frame; key may raise, which stops the run at that call.
-    The profile function in place before is restored on exit.
+    The profile function in place before is restored on exit: a Python
+    one by `sys.setprofile`, and a C-level profiler such as cProfile's,
+    which `sys.getprofile` returns but `sys.setprofile` cannot reinstall,
+    by its own `enable()`; the calls made while counting are missing from
+    its profile.
     """
     labels = {f.__code__: label for label, f in functions.items()}
     calls = Counter()
@@ -748,4 +775,7 @@ def counting_calls(functions, key=None):
     try:
         yield calls
     finally:
-        sys.setprofile(previous)
+        if previous is None or callable(previous):
+            sys.setprofile(previous)
+        else:
+            previous.enable()

@@ -14,20 +14,22 @@ from systolic import charsurf
 from systolic.charsurf import (CharDisc, CharDiscError, SurfaceError,
                                build_char_disc, build_char_surface,
                                characteristic_image, check_row_stack)
-from systolic.complex import FlagComplex
-from systolic.eucgeo import euclidean_geodesic
+from systolic.boundary import make_good_geodesic
+from systolic.complex import FlagComplex, is_locally_6_large
+from systolic.eucgeo import euclidean_geodesic, verify_euc_properties
 from systolic.flatgeom import as_disc, gauss_bonnet_sum, is_flat
 from systolic.generators import (flat_parallelogram, flat_rectangle,
                                  gen_disc_with_degrees, gen_flat_region)
-from systolic.layers import thickness_profile
+from systolic.layers import layers, thickness_profile
 from systolic.lattice import RowStack, lattice_adjacent
-from systolic.metric import dist, dist_map
+from systolic.metric import dist, dist_map, projection_witness
 from systolic.suites import instance_suite
 
 from oracles import (canonical_placement, char_image_oracle, char_preimage, corner_pair,
                      directed_pair, enumerate_char_surfaces, far_pair, flat_good_regions,
                      flat_region_from_edges, is_triangulable, lattice_dist, layer_map,
-                     minimal_surface_bruteforce, shuffled_pairs, surfaces_reference)
+                     minimal_surface_bruteforce, outcome, shuffled_pairs, surfaces_reference,
+                     twin)
 
 
 def instance(gen, h, w):
@@ -168,6 +170,16 @@ def test_surface_error_when_no_surface_fills_the_disc():
         build_char_surface(X, cd)
 
 
+def least_surface_outcome(X, cd):
+    """The least of the reference's surfaces, or the SurfaceError the
+    library raises when the reference finds none: `outcome`'s form of what
+    `_surface` must give."""
+    surfaces = surfaces_reference(X, cd)
+    if surfaces:
+        return surfaces[0]
+    return SurfaceError, f"no surface fills the disc for interval {cd.interval}"
+
+
 def test_surfaces_match_the_product_of_rows_reference():
     checked = 0
     for inst in instance_suite(3, 16):
@@ -180,26 +192,26 @@ def test_surfaces_match_the_product_of_rows_reference():
                 assert count < 500, "representative choices over the bound"
                 alt = dataclasses.replace(cd, s=[c[0] for c in combo],
                                           t=[c[1] for c in combo])
-                assert list(charsurf._surfaces(X, alt, {})) == surfaces_reference(X, alt)
+                assert outcome(lambda: charsurf._surface(X, alt, {})) == \
+                    least_surface_outcome(X, alt)
                 checked += 1
     assert checked >= 9
     # these discs have one surface each; on one-row discs every geodesic is
-    # a surface, so the reference checks the order of the walk as well
+    # a surface, so the search must take the least of several
     X = flat_parallelogram(4, 4)
     many = 0
     for s, t in itertools.permutations(X.vertices, 2):
         cd = one_row_disc(s, t, dist(X, s, t))
-        surfaces = list(charsurf._surfaces(X, cd, {}))
-        assert surfaces == surfaces_reference(X, cd)
-        many += len(surfaces) > 1
+        assert charsurf._surface(X, cd, {}) == least_surface_outcome(X, cd)
+        many += len(surfaces_reference(X, cd)) > 1
     assert many == 340
 
 
 def test_searches_sharing_rows_replay_each_others_walks(monkeypatch):
-    # two searches on one `rows` dict, advanced in turn, each yield what
-    # they yield alone, and each row's walk is started once: the corner
-    # row (0, 24) has C(8, 4) = 70 geodesics, and the two-row disc on it
-    # and its reverse has no surface, so its search reads both rows to the
+    # two searches on one `rows` dict, run in turn, each give what they
+    # give alone, and each row's walk is started once: the corner row
+    # (0, 24) has C(8, 4) = 70 geodesics, and the two-row disc on it and
+    # its reverse has no surface, so its search reads both rows to the
     # end, once per geodesic of the first
     X = flat_parallelogram(4, 4)
     corner, back = one_row_disc(0, 24, 8), one_row_disc(24, 0, 8)
@@ -208,8 +220,9 @@ def test_searches_sharing_rows_replay_each_others_walks(monkeypatch):
     straight = CharDisc([24, 19], [22, 18], RowStack(0, ((0, 4), (1, 3))),
                         [[(24, 22)], [(19, 18)]])
     discs = [corner, back, crossed, straight, one_row_disc(24, 22, 2)]
-    alone = [list(charsurf._surfaces(X, cd, {})) for cd in discs]
-    assert [len(a) for a in alone] == [70, 70, 0, 1, 1]
+    assert [len(surfaces_reference(X, cd)) for cd in discs] == [70, 70, 0, 1, 1]
+    alone = [least_surface_outcome(X, cd) for cd in discs]
+    assert [outcome(lambda: charsurf._surface(X, cd, {})) for cd in discs] == alone
     starts = Counter()
     walk = charsurf.all_geodesics
 
@@ -221,17 +234,7 @@ def test_searches_sharing_rows_replay_each_others_walks(monkeypatch):
     for a, b in itertools.product(range(len(discs)), repeat=2):
         starts.clear()
         rows = {}
-        searches = [charsurf._surfaces(X, discs[a], rows),
-                    charsurf._surfaces(X, discs[b], rows)]
-        got = [[], []]
-        live = [0, 1]
-        while live:
-            for n in list(live):
-                surface = next(searches[n], None)
-                if surface is None:
-                    live.remove(n)
-                else:
-                    got[n].append(surface)
+        got = [outcome(lambda: charsurf._surface(X, discs[n], rows)) for n in (a, b)]
         assert got == [alone[a], alone[b]]
         assert set(starts.values()) == {1} and set(starts) == set(rows)
 
@@ -265,10 +268,10 @@ def test_characteristic_image_examples():
 
 def test_characteristic_image_takes_every_boundary_candidate():
     """A boundary row whose pairs hold a second end for the opposite
-    representative maps to both ends.  No generated input scanned has such
-    a row, so the pairs are edited by hand: each interior row gains (s2, t) and
-    (s, t2), with s2, t2 the images of the row's second and next-to-last
-    vertices."""
+    representative maps to both ends.  No 2-dimensional input scanned has
+    such a row (a twin has one, pinned below), so the pairs are edited by
+    hand: each interior row gains (s2, t) and (s, t2), with s2, t2 the
+    images of the row's second and next-to-last vertices."""
     X, c0, c1, sseq, tseq, prof = instance(flat_parallelogram, 8, 2)
     (iv,) = prof.thick_intervals
     cd = build_char_disc(X, prof, iv)
@@ -602,3 +605,90 @@ def test_flat_regions_freeze_what_an_edge_by_edge_build_freezes():
         assert all(list(X.adjacency[v]) == list(ref.adjacency[v]) for v in X.adjacency), stack
         checked += 1
     assert checked > 100
+
+
+# ---------------------------------------------------------------------------
+# Dimension 3: twins of the vertices of flat_parallelogram(8, 2), between
+# its corners 0 and 26.  A twin of vertex m is joined to m and to m's
+# neighbours (`oracles.twin`), so it spans a tetrahedron with each triangle
+# at m.
+
+
+def test_single_twins_are_systolic_and_adjacent_twins_are_not():
+    X = flat_parallelogram(8, 2)
+    for m in X.vertices:
+        T = twin(X, m)
+        assert is_locally_6_large(T).ok and projection_witness(T, 0) is None, m
+    assert twin(X, 7).is_simplex((4, 5, 7, 27))
+    # 7 and 10 are adjacent: their twins 27 and 28 are not, and they close
+    # a 4-cycle in the link of 7
+    assert X.is_edge(7, 10)
+    assert is_locally_6_large(twin(X, 7, 10)).witness == ((7,), (8, 27, 9, 28))
+
+
+def test_a_twin_layer_holds_triangles_and_a_row_with_two_geodesics():
+    """Twinning 7 makes layer 3 of I(0, 26) hold two triangles, so it is no
+    induced path; the disc row (5, 9) through it has two geodesics, and
+    the library's surface is the lesser of the two the reference finds."""
+    T = twin(flat_parallelogram(8, 2), 7)
+    eg = euclidean_geodesic(T, (0,), (26,))
+    assert eg.deltas[3] == (7, 27)
+    layer = layers(T, (0,), (26,)).layers[3]
+    assert layer == {5, 7, 9, 27}
+    assert [t for t in itertools.combinations(sorted(layer), 3) if T.is_simplex(t)] == \
+        [(5, 7, 27), (7, 9, 27)]
+    (data,) = eg.intervals
+    cd = data.disc
+    rel = 3 - cd.interval[0]
+    assert (cd.s[rel], cd.t[rel]) == (5, 9)
+    assert list(charsurf.all_geodesics(T, 5, 9)) == [[5, 7, 9], [5, 27, 9]]
+    surfaces = surfaces_reference(T, cd)
+    middle = cd.stack.ids[rel][1]
+    assert len(surfaces) == 2 and [s[middle] for s in surfaces] == [7, 27]
+    assert {u for u in surfaces[0] if surfaces[0][u] != surfaces[1][u]} == {middle}
+    assert build_char_surface(T, cd) == data.surface == surfaces[0]
+
+
+def test_a_twin_gives_a_boundary_image_of_two_vertices():
+    """Twinning 4 gives row 2's representative s_2 = 4 a twin that also
+    realizes the row's width against t_2 = 6, so the image of the boundary
+    disc vertex 0 holds both, as the all-surface span does."""
+    T = twin(flat_parallelogram(8, 2), 4)
+    eg = euclidean_geodesic(T, (0,), (26,))
+    (data,) = eg.intervals
+    cd = data.disc
+    assert cd.interval[0] == 2 and (cd.s[0], cd.t[0]) == (4, 6)
+    assert sorted(cd.pairs[0]) == [(4, 6), (27, 6)]
+    level = layer_map(T, (0,), (26,))
+    assert characteristic_image(T, level, cd, data.surface, (0,)) == (4, 27)
+    assert char_image_oracle(T, cd, (0,)) == (4, 27)
+
+
+def test_twin_images_equal_the_all_surface_span():
+    checked = 0
+    X = flat_parallelogram(8, 2)
+    for m in X.vertices:
+        T = twin(X, m)
+        eg = euclidean_geodesic(T, (0,), (26,))
+        level = layer_map(T, (0,), (26,))
+        for data in eg.intervals:
+            for u in itertools.chain.from_iterable(data.disc.stack.ids):
+                assert characteristic_image(T, level, data.disc, data.surface, (u,)) == \
+                    char_image_oracle(T, data.disc, (u,)), (m, u)
+                checked += 1
+    assert checked == 513
+
+
+def test_twin_inputs_pass_the_euclidean_and_good_checks():
+    """On twins of single vertices and of two vertices apart, every
+    Euclidean geodesic between vertices at distance >= 4 has the checked
+    properties, and the corners' good geodesic certifies at C = 0."""
+    X = flat_parallelogram(8, 2)
+    for ms in ((7,), (4,), (13,), (0,), (26,), (7, 19)):
+        T = twin(X, *ms)
+        assert is_locally_6_large(T).ok and projection_witness(T, 0) is None, ms
+        pairs = [(u, v) for u in T.vertices for v, d in dist_map(T, (u,)).items() if d >= 4]
+        for u, v in pairs[::7]:
+            assert verify_euc_properties(T, euclidean_geodesic(T, (u,), (v,)))["ok"], (ms, u, v)
+        good = make_good_geodesic(T, 0, 26, C=0)
+        assert good.max_certificate == 0 and good.path[0] == 0 and good.path[-1] == 26, ms
