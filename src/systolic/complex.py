@@ -15,7 +15,9 @@ and asks `shortest_hole` only for the first failing link's witness.
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections import OrderedDict, defaultdict, deque
+from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 Simplex = tuple[int, ...]
@@ -125,19 +127,24 @@ class FlagComplex:
         return len(seen) == len(self.adjacency)
 
     def simplices(self, max_size: int | None = None):
-        """All simplices (= cliques), as sorted tuples, by increasing dimension."""
-        order = sorted(self.adjacency)
-        current = [((v,), self.adjacency[v]) for v in order]
+        """All simplices (= cliques), as sorted tuples, by increasing
+        dimension and lexicographically within one dimension.
+
+        A clique c carries the set of its common neighbours above c[-1];
+        with fwd[v] the neighbours of v above v, extending c by w in that
+        set leaves `ext & fwd[w]`, again the common neighbours above the
+        new last vertex.  So each clique extends by its set in ascending
+        order, with no filter, and the sets shrink as the cliques grow."""
+        adjacency = self.adjacency
+        fwd = {v: {w for w in ns if w > v} for v, ns in adjacency.items()}
+        current = [((v,), fwd[v]) for v in sorted(adjacency)]
         while current:
-            nxt = []
-            for clique, ext in current:
+            for clique, _ in current:
                 yield clique
-                if max_size is not None and len(clique) >= max_size:
-                    continue
-                for v in sorted(ext):
-                    if v > clique[-1]:
-                        nxt.append((clique + (v,), ext & self.adjacency[v]))
-            current = nxt
+            if max_size is not None and len(current[0][0]) >= max_size:
+                return
+            current = [(clique + (w,), ext & fwd[w])
+                       for clique, ext in current for w in sorted(ext)]
 
     def triangles(self) -> list[Simplex]:
         return [s for s in self.simplices(max_size=3) if len(s) == 3]
@@ -369,33 +376,48 @@ def simply_connected_heuristic(X: FlagComplex) -> str:
     Sound but incomplete: a stalled collapse never claims "no".  It lists
     every simplex, so it is exponential in the dimension.  `check` decides
     systolicity without it; perfbench's cold-check and the tests call it.
+
+    A face with exactly one present coface is free: it goes with that
+    coface, and the facets of both may become free in turn.  The simplices
+    are numbered in the iteration order of `set(X.simplices())`, and the
+    queue starts with the free ones in that order; each removal pushes the
+    facets that it frees in the order of `s[:i] + s[i + 1:]` for i = 0,
+    1, ...  Every push and pop is then that of `collapse_reference` in
+    tests/oracles.py, which keeps coface sets of tuples.  The set is kept
+    for its order: from dimension 3 on, which free face goes first could
+    decide the verdict, though no input is known where it does.  Each id
+    keeps its facets' ids, the number of its present cofaces and the XOR of
+    their ids.  A removed simplex is taken out of both at each of its
+    facets, so when the count is 1 the XOR is the one present coface.
     """
     if not X.is_connected():
         return "unknown"
     simplices = set(X.simplices())
-    cofaces: dict[Simplex, set[Simplex]] = {s: set() for s in simplices}
-    for s in simplices:
-        if len(s) < 2:
-            continue
-        for i in range(len(s)):
-            face = s[:i] + s[i + 1:]
-            cofaces[face].add(s)
-    queue = deque(s for s in simplices if len(cofaces[s]) == 1)
+    id_of = dict(zip(simplices, itertools.count())).__getitem__
+    # combinations drops the last vertex first; reversed, the facets drop
+    # s[0], s[1], ...: the order of s[:i] + s[i + 1:] for i = 0, 1, ...
+    facets = [[*map(id_of, itertools.combinations(s, len(s) - 1))][::-1] if len(s) > 1 else ()
+              for s in simplices]
+    count = [0] * len(facets)
+    xor = [0] * len(facets)
+    for top, faces in enumerate(facets):
+        for face in faces:
+            count[face] += 1
+            xor[face] ^= top
+    present = [True] * len(facets)
+    queue = deque(i for i, c in enumerate(count) if c == 1)
     while queue:
         face = queue.popleft()
-        if face not in simplices or len(cofaces[face]) != 1:
+        if not present[face] or count[face] != 1:
             continue
-        # a removed simplex leaves the coface sets of its faces, so top is present
-        (top,) = cofaces[face]
-        for s in (face, top):
-            simplices.discard(s)
-            for i in range(len(s)):
-                sub = s[:i] + s[i + 1:]
-                if sub in cofaces:
-                    cofaces[sub].discard(s)
-                    if sub in simplices and len(cofaces[sub]) == 1:
-                        queue.append(sub)
-    return "verified" if len(simplices) == 1 else "unknown"
+        for s in (face, xor[face]):  # the face, then its one coface
+            present[s] = False
+            for sub in facets[s]:
+                count[sub] -= 1
+                xor[sub] ^= s
+                if present[sub] and count[sub] == 1:
+                    queue.append(sub)
+    return "verified" if sum(present) == 1 else "unknown"
 
 
 # Complex text format: `# comment` | `v <id>` | `e <id> <id>` |
@@ -406,18 +428,23 @@ _FIELDS = {"v": 1, "e": 2, "coord": 3}  # integer fields after each keyword
 
 
 def loads_complex(text: str) -> FlagComplex:
-    from fractions import Fraction
-
+    """Parse the complex text format above.  A `#` starts a comment, blank
+    lines are skipped, and fields split on any whitespace; each field after
+    the keyword is read by `int`.  An error names the line and, for a line
+    that does not parse, quotes it as written.  Vertices and edges are
+    handed to `FlagComplex.from_edges` sorted, so the adjacency, iteration
+    order included, depends only on the complex, not on the text's line
+    order."""
     vertices: set[int] = set()
     edges: set[tuple[int, int]] = set()
     coords: dict[int, tuple[int, Fraction]] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        fields = (raw.partition("#")[0] if "#" in raw else raw).split()
+        if not fields:
             continue
-        kind, *fields = line.split()
+        kind = fields[0]
         try:
-            nums = [int(f) for f in fields]
+            nums = list(map(int, fields[1:]))
         except ValueError:
             nums = None
         if nums is None or len(nums) != _FIELDS.get(kind):
@@ -428,7 +455,7 @@ def loads_complex(text: str) -> FlagComplex:
             u, v = nums
             if u == v:
                 raise ValueError(f"line {lineno}: self-loop at {u}")
-            edges.add((min(u, v), max(u, v)))
+            edges.add((u, v) if u < v else (v, u))
         elif nums[0] in coords:
             raise ValueError(f"line {lineno}: second coord for vertex {nums[0]}")
         else:

@@ -16,7 +16,7 @@ from systolic.generators import (flat_parallelogram, flat_rectangle,
                                  gen_disc_with_degrees, gen_flat_region)
 from systolic.lattice import RowStack
 
-from oracles import hexagon_wheel, octahedron, triangular_torus
+from oracles import collapse_reference, hexagon_wheel, octahedron, triangular_torus, twin
 
 
 def test_single_edge_has_no_triangle():
@@ -224,18 +224,63 @@ def test_generated_regions_pass_checks():
 
 
 def test_flag_closure_against_enumeration():
+    """The walk lists exactly the cliques, by dimension and then
+    lexicographically, with and without a size cap; `triangles` reads the
+    walk's 3-cliques in the same order.  Vertex ids are spread over 0..63,
+    since a set of small ids iterates in ascending order anyway."""
     rng = random.Random(3)
+    graphs = []
     for _ in range(10):
         n = rng.randint(4, 8)
         edges = [(a, b) for a in range(n) for b in range(a + 1, n)
                  if rng.random() < 0.6]
-        X = FlagComplex.from_edges(edges, vertices=range(n))
+        graphs.append((n, edges))
+    graphs.append((6, list(itertools.combinations(range(6), 2))))  # one 6-clique
+    for n, edges in graphs:
+        ids = sorted(rng.sample(range(64), n))
+        X = FlagComplex.from_edges([(ids[a], ids[b]) for a, b in edges], vertices=ids)
+        cliques = sorted((sub for size in range(1, n + 1)
+                          for sub in itertools.combinations(ids, size)
+                          if all(X.is_edge(a, b) for a, b in itertools.combinations(sub, 2))),
+                         key=lambda s: (len(s), s))
         reported = set(X.simplices(max_size=4))
         for size in range(1, 5):
-            for sub in itertools.combinations(range(n), size):
+            for sub in itertools.combinations(ids, size):
                 is_clique = all(X.is_edge(a, b)
                                 for a, b in itertools.combinations(sub, 2))
                 assert (sub in reported) == is_clique
+        assert list(X.simplices(max_size=4)) == [s for s in cliques if len(s) <= 4]
+        assert list(X.simplices()) == cliques
+        assert X.triangles() == [s for s in cliques if len(s) == 3]
+
+
+def test_collapse_matches_the_set_based_reference():
+    """The collapse on integer ids gives `collapse_reference`'s verdict on
+    the cold-check corpus, the 27 single twins of `flat_parallelogram(8, 2)`
+    (dimension 3), triangular tori, the empty and a disconnected complex,
+    and 300 seeded random flag complexes on 6 to 10 vertices.
+    `subtree_chordal` stays out: at its defaults its simplices reach
+    dimension ~20, and both collapses list them all."""
+    inputs = [gen_disc_with_degrees(s, rings=3) for s in range(1, 7)]
+    inputs += [make(h, w) for make, h, w in (
+        (flat_rectangle, 6, 3), (flat_rectangle, 5, 4), (flat_rectangle, 4, 4),
+        (flat_parallelogram, 6, 3), (flat_parallelogram, 5, 3), (flat_parallelogram, 4, 4))]
+    P = flat_parallelogram(8, 2)
+    inputs += [twin(P, m) for m in P.vertices]
+    inputs += [triangular_torus(n) for n in (4, 5, 6)]
+    inputs += [FlagComplex({}), FlagComplex.from_edges([(0, 1), (1, 2), (0, 2), (3, 4)])]
+    rng = random.Random(37)
+    for _ in range(300):
+        n, p = rng.randint(6, 10), rng.random()
+        inputs.append(FlagComplex.from_edges(
+            [(a, b) for a, b in itertools.combinations(range(n), 2) if rng.random() < p],
+            vertices=range(n)))
+    verdicts = [simply_connected_heuristic(X) for X in inputs]
+    assert verdicts == [collapse_reference(X) for X in inputs]
+    assert verdicts[:39] == ["verified"] * 39
+    assert verdicts[39:44] == ["unknown"] * 5
+    # 137 of the random complexes collapse and 163 stall, so both verdicts are compared
+    assert verdicts[44:].count("verified") == 137
 
 
 def test_disc_generator_is_systolic():
@@ -273,13 +318,33 @@ def test_file_format_rejects_a_coord_off_the_half_lattice():
         dumps_complex(X)
 
 
+def maps_in_order(X):
+    """X's adjacency as lists: keys and each neighbourhood in iteration order."""
+    return [(v, list(ns)) for v, ns in X.adjacency.items()]
+
+
 def test_file_format_tolerance():
+    """Comments, blank or whitespace-only lines, tabs, `\\r\\n` line ends,
+    signed integers and duplicate edges either way round all parse, and
+    the adjacency, iteration order included, is that of `from_edges` on
+    the sorted edges and declared vertices."""
     text = "# a comment\n  v 7\n e 0   1 \ne 1 2\ne 0 1\n"
     X = loads_complex(text)
     assert set(X.vertices) == {0, 1, 2, 7}
     assert X.edge_count() == 2
     with pytest.raises(ValueError):
         loads_complex("e 4 4\n")
+    for text, edges, vertices in (
+            (text, [(0, 1), (1, 2)], [7]),
+            ("v\t9\r\ne 0 1\t# an edge\r\n \t \r\ne\t1\t0\ne +3 -2  # signed\n\n"
+             "e 2 +1\r\ne 1 2\n\t\n", [(-2, 3), (0, 1), (1, 2)], [9])):
+        assert maps_in_order(loads_complex(text)) == maps_in_order(
+            FlagComplex.from_edges(sorted(edges), vertices=sorted(vertices)))
+    for X in (gen_disc_with_degrees(1, rings=3), flat_rectangle(4, 3)):
+        Y = loads_complex(dumps_complex(X))
+        assert maps_in_order(Y) == maps_in_order(
+            FlagComplex.from_edges(sorted(X.edges()), vertices=X.vertices))
+        assert Y.coords == X.coords
 
 
 def test_file_format_coords_cover_exactly_the_vertices():
