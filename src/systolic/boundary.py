@@ -25,7 +25,9 @@ of vertices reached from v_i along rising edges that reach v_j along
 rising edges, and d(v_i, .) = l - i on it, in any graph (proof in
 `_certify`).  So one layer map serves every subsegment of a certificate,
 and of an atlas, whose rays all start at its basepoint: each vertex's
-two cones are found once, and each build reads their intersection.
+two cones are found once, as int masks over the map's vertices, and each
+build reads their intersection, one AND, and steps on it by ANDs of
+neighbour masks (`_ConeLayer`).
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 
-from .complex import FlagComplex
+from .complex import FlagComplex, Simplex
 from .eucgeo import _ends, _euclidean, _Pieces, thread_vertex_path
-from .metric import _checked_projection, _interval, _levels, dist, dist_map, graded_paths
+from .metric import _checked_projection, _interval, dist, dist_map, graded_paths
 
 C_DEFAULT = 208          # universal constant serving both verification suites
 ATLAS_CAP = 20000        # geodesics an atlas certifies at most
@@ -120,7 +122,12 @@ class _CertMemo(_Pieces):
       each path v_0..v_n certified (see `_certify`);
     * `deltas`: (a, c) -> the deltas of the Euclidean geodesic between the
       vertices a and c, for each endpoint pair at distance >= 2;
-    * `up`, `down`: vertex -> its up or down cone in `level`'s rising edges.
+    * int masks over `level`'s vertices, numbered on the first build
+      (`layer`) by (label, id), so that `order[b]` is the vertex of bit b
+      and `bits[x]` the bit of x: `up[x]` and `down[x]`, x's up and down
+      cones along `level`'s rising edges; `near[x]`, x's neighbours in
+      `level`; and `labels[l]`, the vertices labelled l.  An atlas at
+      N <= 3 builds nothing, so it numbers nothing.
 
     Its builds also fill in and read the pieces of `eucgeo._Pieces`, each
     a function of X and its key alone:
@@ -143,18 +150,97 @@ class _CertMemo(_Pieces):
       certificates of `flat_rectangle(30, 30)` and `(60, 60)` took 0.47
       and 4.9 s of CPU, against 0.39 and 3.4 s (best of 3, Python 3.11 on
       a shared 2-vCPU x86-64 host).
+    * `shapes`: a disc's first row and rows -> its diagonal and nearest
+      simplices, which read those alone.
 
     An error ends the certificate or atlas, so no entry records one; and
     no value handed out is changed afterwards, since builds share them."""
 
-    __slots__ = ("level", "deltas", "up", "down")
+    __slots__ = ("level", "deltas", "bits", "order", "up", "down", "near", "labels")
 
     def __init__(self, level: dict[int, int]):
         super().__init__()
         self.level = level
         self.deltas: dict[tuple[int, int], list] = {}
-        self.up: dict[int, set[int]] = {}
-        self.down: dict[int, set[int]] = {}
+        self.bits: dict[int, int] | None = None
+
+    def layer(self, X: FlagComplex, a: int, c: int) -> _ConeLayer:
+        """The layer map d(a, .) on I(a, c) = up(a) & down(c), for vertices
+        a before c on a path certified with this memo."""
+        if self.bits is None:
+            self._number(X)
+        return _ConeLayer(X, self, self.up[a] & self.down[c], self.level[a])
+
+    def _number(self, X: FlagComplex) -> None:
+        """Number `level`'s vertices and store its masks: an ascending pass
+        by label finds each down cone from the rising edges into the
+        vertex, and a descending pass each up cone from those out of it."""
+        level, adjacency = self.level, X.adjacency
+        self.order = order = sorted(sorted(level), key=level.__getitem__)
+        self.bits = bits = {x: 1 << b for b, x in enumerate(order)}
+        self.labels = labels = [0] * (level[order[-1]] + 1)
+        self.near, self.down, self.up = near, down, up = {}, {}, {}
+        rising: dict[int, list[int]] = {x: [] for x in order}
+        for x in order:
+            below, bit = level[x] - 1, bits[x]
+            labels[below + 1] |= bit
+            adjacent, cone = 0, bit
+            for u in adjacency[x]:
+                b = bits.get(u)
+                if b is not None:
+                    adjacent |= b
+                    if level[u] == below:
+                        cone |= down[u]
+                        rising[u].append(x)
+            near[x], down[x] = adjacent, cone
+        for x in reversed(order):
+            cone = bits[x]
+            for u in rising[x]:
+                cone |= up[u]
+            up[x] = cone
+
+
+class _ConeLayer:
+    """The layer map d(a, .) on the interval I(a, c) that a `_CertMemo`'s
+    masks `mask` = up(a) & down(c) hold, where a is labelled i (the cone
+    lemma of `_certify`): `get` reads it like a dict, and `project` is the
+    step kernel of the build's directed geodesics (`_directed`).
+
+    A step of s to label `target` is the AND of the masks `near` of s's
+    vertices, the mask of label i + target and `mask`, read out in
+    ascending bit order: its vertices share one label, so that is id
+    order.  It goes through `_checked_projection`, with the checks and
+    messages of `metric._project`, the dict filter one-off builds keep.
+    This second kernel stays because the workloads that certify, flat-good
+    and atlas, pay for it: with it, the cone masks and the shared disc
+    shapes, flat-good went from 416 to 494 operations per second and atlas
+    from 2,048 to 2,219 (medians of ten benchmark runs each; Python
+    3.11.7, a shared 2-vCPU x86-64 host).  A one-off build reuses no mask,
+    so `euclidean_geodesic` keeps the dict filter: numbering masks for each
+    of its builds made disc-egeo's 200 seed-1 operations 14 to 22% slower
+    (two runs)."""
+
+    __slots__ = ("X", "level", "bits", "order", "near", "labels", "mask", "i")
+
+    def __init__(self, X: FlagComplex, memo: _CertMemo, mask: int, i: int):
+        self.X, self.level, self.bits, self.order = X, memo.level, memo.bits, memo.order
+        self.near, self.labels, self.mask, self.i = memo.near, memo.labels, mask, i
+
+    def get(self, x: int) -> int | None:
+        """x's label, l(x) - i, in I(a, c), or None off it."""
+        return self.level[x] - self.i if self.bits.get(x, 0) & self.mask else None
+
+    def project(self, sigma: Simplex, target: int) -> Simplex:
+        """The projection of sigma, inside I(a, c), to label `target`."""
+        near = self.labels[self.i + target] & self.mask
+        for v in sigma:
+            near &= self.near[v]
+        order, pi = self.order, []
+        while near:
+            low = near & -near
+            pi.append(order[low.bit_length() - 1])
+            near ^= low
+        return _checked_projection(self.X, sigma, tuple(pi))
 
 
 def _certify(X: FlagComplex, paths: list[list[int]], C: int, memo: _CertMemo):
@@ -202,7 +288,9 @@ def _certify(X: FlagComplex, paths: list[list[int]], C: int, memo: _CertMemo):
       where the cones themselves shrink.
     So the build's map {x: l(x) - i} on the intersection is exactly the one
     `_interval` finds, and so are its deltas and its errors.  The cones are
-    memoised per vertex in `memo`, for all the paths.
+    int masks of `memo`, found for every vertex in one pass each way on the
+    first build, for all the paths; a build's interval is the AND
+    up(v_i) & down(v_j), read like its map by a `_ConeLayer`.
 
     More facts spare work without changing a result or an error:
     - j - i <= 3: the geodesic has a closed form (`_short_deltas`, or
@@ -301,9 +389,9 @@ def _subsegment_deltas(X: FlagComplex, a: int, c: int, n: int, memo: _CertMemo) 
     """The deltas of the Euclidean geodesic between vertices a and c at
     distance n >= 1, a before c on a path certified with `memo`:
     [(a,), (c,)] for n = 1, then `memo`, filled in by a closed form for
-    n <= 3 and by a build on `_cone_interval` after.  `_certify` asks for
-    no one-edge pair, whose entries are all 0; the tests check that closed
-    form against the build with the others."""
+    n <= 3 and by a build on `memo.layer(X, a, c)` after.  `_certify` asks
+    for no one-edge pair, whose entries are all 0; the tests check that
+    closed form against the build with the others."""
     if n == 1:
         return [(a,), (c,)]
     deltas = memo.deltas.get((a, c))
@@ -311,31 +399,10 @@ def _subsegment_deltas(X: FlagComplex, a: int, c: int, n: int, memo: _CertMemo) 
         if n <= 3:
             deltas = _short_deltas(X, a, c, n)
         else:
-            deltas = _euclidean(X, (a,), (c,), n, _cone_interval(X, a, c, memo), memo).deltas
+            layer = memo.layer(X, a, c)
+            deltas = _euclidean(X, (a,), (c,), n, layer, layer.project, memo).deltas
         memo.deltas[(a, c)] = deltas
     return deltas
-
-
-def _cone_interval(X: FlagComplex, a: int, c: int, memo: _CertMemo) -> dict[int, int]:
-    """The layer map d(a, .) on I(a, c), for vertices a and c of a path
-    certified with `memo`, a before c: l(x) - l(a) at each x of
-    up(a) & down(c), where l is the memo's layer map (the cone lemma of
-    `_certify`)."""
-    level = memo.level
-    i = level[a]
-    return {x: level[x] - i for x in _cone(X, level, a, 1, memo.up)
-            & _cone(X, level, c, -1, memo.down)}
-
-
-def _cone(X: FlagComplex, level: dict[int, int], v: int, step: int,
-          cones: dict[int, set[int]]) -> set[int]:
-    """The vertices reached from v along edges that change `level` by step
-    (+1: up(v), -1: down(v)), memoised in `cones`."""
-    cone = cones.get(v)
-    if cone is None:
-        levels = _levels(X, level, (v,), level[v], step)
-        cone = cones[v] = {v}.union(*(layer for _, layer in levels))
-    return cone
 
 
 def _short_deltas(X: FlagComplex, a: int, c: int, n: int) -> list:
@@ -375,14 +442,15 @@ def _short_deltas(X: FlagComplex, a: int, c: int, n: int) -> list:
     """
     adjacency = X.adjacency
     if n == 2:
-        mid = _checked_projection(X, (a,), adjacency[a] & adjacency[c])
+        mid = _checked_projection(X, (a,), tuple(sorted(adjacency[a] & adjacency[c])))
         return [(a,), mid, (c,)]
     layers = []
     for end, far in ((a, c), (c, a)):
         near = adjacency[far]
-        layer = _checked_projection(
-            X, (end,), [x for x in adjacency[end] if not adjacency[x].isdisjoint(near)])
-        _checked_projection(X, layer, near.intersection(*(adjacency[x] for x in layer)))
+        layer = _checked_projection(X, (end,), tuple(sorted(
+            [x for x in adjacency[end] if not adjacency[x].isdisjoint(near)])))
+        _checked_projection(X, layer, tuple(sorted(
+            near.intersection(*(adjacency[x] for x in layer)))))
         layers.append(layer)
     return [(a,), *layers, (c,)]
 
@@ -404,7 +472,8 @@ def make_good_geodesic(X: FlagComplex, v: int, w: int, C: int = C_DEFAULT) -> Go
     sigma, tau = _ends(X, v, w)
     n, level = _interval(X, sigma, tau)
     memo = _CertMemo(level)
-    eg = _euclidean(X, sigma, tau, n, level, memo)
+    layer = memo.layer(X, v, w)
+    eg = _euclidean(X, sigma, tau, n, layer, layer.project, memo)
     path = thread_vertex_path(X, eg)
     memo.deltas[(v, w)] = eg.deltas
     good, witness = _certify(X, [path], C, memo)[0]

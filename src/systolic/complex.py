@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import re
 from collections import OrderedDict, defaultdict, deque
 from fractions import Fraction
 from typing import Iterable, NamedTuple
@@ -425,12 +426,18 @@ def simply_connected_heuristic(X: FlagComplex) -> str:
 # edges are ignored.  Coords, when present, give each vertex exactly one place.
 
 _FIELDS = {"v": 1, "e": 2, "coord": 3}  # integer fields after each keyword
+_INTEGER = re.compile(r"[+-]?[0-9]+")   # the one spelling of a field
 
 
 def loads_complex(text: str) -> FlagComplex:
-    """Parse the complex text format above.  A `#` starts a comment, blank
-    lines are skipped, and fields split on any whitespace; each field after
-    the keyword is read by `int`.  An error names the line and, for a line
+    """Parse the complex text format above.  Records are the lines split
+    on "\n" alone, each losing one trailing "\r", so that an error names
+    the line an editor shows.  A `#` starts a comment, blank lines are
+    skipped, and fields split on any whitespace; each field after the
+    keyword must be an ASCII integer, [+-]?[0-9]+, read by `int`.  `int`
+    also reads underscores and non-ASCII digits, so only a text with
+    neither skips matching its fields first: the usual one, at the cost of
+    two scans of the whole text.  An error names the line and, for a line
     that does not parse, quotes it as written.  Vertices and edges are
     handed to `FlagComplex.from_edges` sorted, so the adjacency, iteration
     order included, depends only on the complex, not on the text's line
@@ -438,15 +445,21 @@ def loads_complex(text: str) -> FlagComplex:
     vertices: set[int] = set()
     edges: set[tuple[int, int]] = set()
     coords: dict[int, tuple[int, Fraction]] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    records = text.split("\n")
+    if "\r" in text:
+        records = [r[:-1] if r.endswith("\r") else r for r in records]
+    plain = text.isascii() and "_" not in text
+    for lineno, raw in enumerate(records, 1):
         fields = (raw.partition("#")[0] if "#" in raw else raw).split()
         if not fields:
             continue
-        kind = fields[0]
-        try:
-            nums = list(map(int, fields[1:]))
-        except ValueError:
-            nums = None
+        kind, args = fields[0], fields[1:]
+        nums = None
+        if plain or all(map(_INTEGER.fullmatch, args)):
+            try:
+                nums = list(map(int, args))
+            except ValueError:
+                pass
         if nums is None or len(nums) != _FIELDS.get(kind):
             raise ValueError(f"line {lineno}: cannot parse {raw!r}")
         if kind == "v":

@@ -8,16 +8,17 @@ exact CAT(0) diagonal of its flat characteristic disc.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .charsurf import CharDisc, _surface, build_char_disc, characteristic_image
 from .complex import FlagComplex, Simplex
 from .flatgeom import PolyPath, polygon_geodesic
 from .lattice import RowStack
 from .layers import ThicknessProfile, _profile, thickness_profile
-from .metric import _directed, _interval, dist, dist_map, spans_simplex
+from .metric import _directed, _interval, _project, dist, dist_map, spans_simplex
 
 
 @dataclass
@@ -49,18 +50,24 @@ class _Pieces:
     * `rows`: (s_k, t_k) -> the walk of the row geodesics between those
       ends, an `itertools.tee` that is never advanced; each search for a
       disc's least surface reads a copy of it, which replays what earlier
-      searches pulled (`charsurf._surface`).
+      searches pulled (`charsurf._surface`);
+    * `shapes`: (first row, rows) of a characteristic disc's `RowStack`
+      -> its `cat0_diagonal` and `euclidean_diagonal`.  Both read those
+      alone, the rows in absolute half-units, never X, so discs of one
+      shape share them.  The key holds no stack, whose cached fields would
+      live as long as the memo.
 
     `euclidean_geodesic` makes a fresh one per build; a certificate or an
     atlas keeps one for all its builds (`boundary._CertMemo`, which says
     why each piece is a function of X and its key there)."""
 
-    __slots__ = ("steps", "widths", "rows")
+    __slots__ = ("steps", "widths", "rows", "shapes")
 
     def __init__(self):
         self.steps: dict[Simplex, dict[Simplex, Simplex]] = {}
         self.widths: dict[tuple[Simplex, Simplex], tuple] = {}
         self.rows: dict[tuple[int, int], Iterator[list[int]]] = {}
+        self.shapes: dict[tuple, tuple[PolyPath, dict[int, Simplex]]] = {}
 
 
 def modified_disc(cd: CharDisc) -> RowStack:
@@ -119,7 +126,7 @@ def euclidean_geodesic(X: FlagComplex, sigma, tau) -> EuclideanGeodesic:
     """
     sigma, tau = _ends(X, sigma, tau)
     n, level = _interval(X, sigma, tau)
-    return _euclidean(X, sigma, tau, n, level, _Pieces())
+    return _euclidean(X, sigma, tau, n, level, partial(_project, X, level), _Pieces())
 
 
 def _ends(X: FlagComplex, sigma, tau) -> tuple[Simplex, Simplex]:
@@ -132,11 +139,14 @@ def _ends(X: FlagComplex, sigma, tau) -> tuple[Simplex, Simplex]:
     return sigma, tau
 
 
-def _euclidean(X: FlagComplex, sigma: Simplex, tau: Simplex, n: int,
-               level: dict[int, int], pieces: _Pieces) -> EuclideanGeodesic:
+def _euclidean(X: FlagComplex, sigma: Simplex, tau: Simplex, n: int, level,
+               project: Callable[[Simplex, int], Simplex], pieces: _Pieces) -> EuclideanGeodesic:
     """The Euclidean geodesic between simplices sigma and tau, sorted, at
     distance n, with `level` exactly the layer map d(sigma, .) on
-    I(sigma, tau), reading and filling in `pieces`.
+    I(sigma, tau), read by `level.get`, and `project` the step kernel of
+    its directed geodesics (`_directed`), reading and filling in `pieces`.
+    A one-off build passes a dict and `metric._project` on it; a
+    certificate's builds pass one `boundary._ConeLayer` as both.
 
     Each endpoint must lie in the other's n-sphere.  A simplex's vertices
     lie within 1 of each other, so the directed geodesic from sigma has
@@ -155,11 +165,12 @@ def _euclidean(X: FlagComplex, sigma: Simplex, tau: Simplex, n: int,
     B_0(sigma) = sigma, and sigma_n in tau, so the ends are S = sigma and
     T = tau, n apart.  So each thin delta_k lies in layer k; a thick one is
     the `characteristic_image` of row-interior disc vertices, which keeps
-    only layer-k candidates and raises if empty.
+    only layer-k candidates and raises if empty.  A disc's diagonal and
+    its nearest simplices are read from `pieces.shapes` by its shape.
     """
-    steps, widths = pieces.steps, pieces.widths
-    sigma_seq = _directed(X, sigma, level, 0, n, steps.setdefault(tau, {}))
-    tau_seq = _directed(X, tau, level, n, 0, steps.setdefault(sigma, {}))[::-1]
+    steps, widths, shapes = pieces.steps, pieces.widths, pieces.shapes
+    sigma_seq = _directed(sigma, level, 0, n, steps.setdefault(tau, {}), project)
+    tau_seq = _directed(tau, level, n, 0, steps.setdefault(sigma, {}), project)[::-1]
     if len(sigma_seq) != n + 1 or len(tau_seq) != n + 1:
         raise ValueError("endpoints must lie inside each other's n-sphere")
     profile = _profile(X, sigma_seq, tau_seq, widths)
@@ -172,8 +183,12 @@ def _euclidean(X: FlagComplex, sigma: Simplex, tau: Simplex, n: int,
     for (i, j) in profile.thick_intervals:
         cd = build_char_disc(X, profile, (i, j))
         surface = _surface(X, cd, pieces.rows)
-        diagonal = cat0_diagonal(cd)
-        rho = euclidean_diagonal(cd, diagonal)
+        key = cd.stack.first_row, cd.stack.rows
+        shape = shapes.get(key)
+        if shape is None:
+            diagonal = cat0_diagonal(cd)
+            shape = shapes[key] = diagonal, euclidean_diagonal(cd, diagonal)
+        diagonal, rho = shape
         for k, rho_k in rho.items():
             deltas[k] = characteristic_image(X, level, cd, surface, rho_k)
         intervals.append(ThickIntervalData(cd, surface, diagonal, rho))

@@ -22,7 +22,8 @@ directed geodesics step along it either way (`_directed`).
 
 from __future__ import annotations
 
-from typing import Iterable
+from functools import partial
+from typing import Callable, Iterable
 
 from .complex import FlagComplex, Simplex
 
@@ -197,29 +198,32 @@ def residue(X: FlagComplex, sigma: Iterable[int]) -> list[Simplex]:
     return sorted(out, key=lambda s: (len(s), s))
 
 
-def _checked_projection(X: FlagComplex, sigma: Simplex, pi: Iterable[int]) -> Simplex:
-    """The projection pi of sigma, sorted: a ProjectionError if empty or no
-    simplex.  Its vertices are neighbours, so vertices of X, and one alone
-    is a simplex with no test."""
-    pi = tuple(sorted(pi))
+def _checked_projection(X: FlagComplex, sigma: Simplex, pi: Simplex) -> Simplex:
+    """The projection pi of sigma, a sorted tuple, returned as is: a
+    ProjectionError if empty or no simplex.  Its vertices are neighbours,
+    so vertices of X: one alone is a simplex with no test, and two are one
+    when they are adjacent."""
     if not pi:
         raise ProjectionError(f"projection of {sigma} is empty")
-    if len(pi) > 1 and not X.is_simplex(pi):
+    if (len(pi) == 2 and pi[1] not in X.adjacency[pi[0]]
+            or len(pi) > 2 and not X.is_simplex(pi)):
         raise ProjectionError(f"projection of {sigma} is not a simplex: {pi}")
     return pi
 
 
-def _project(X: FlagComplex, sigma: Simplex, labels: dict[int, int], target: int) -> Simplex:
+def _project(X: FlagComplex, labels: dict[int, int], sigma: Simplex, target: int) -> Simplex:
     """Projection of sigma, wholly one label beyond `target`, onto a ball
     B around Y: the common neighbours of sigma labelled `target`, on Y's
     distance map with B = B_target(Y), as d(v, B_m(Y)) = max(0, d(v, Y) - m)
-    in any graph, or on a layer map read toward Y (`_directed`).  They lie
-    within one label of sigma's, so those labelled `target` are those in B.
-    `projection` checks where sigma lies; its other callers place it."""
+    in any graph, or on a layer map read toward Y (`_directed`, whose step
+    kernel this is on a dict map).  They lie within one label of sigma's,
+    so those labelled `target` are those in B.  `projection` checks where
+    sigma lies; its other callers place it."""
     common = X.adjacency[sigma[0]]
     for v in sigma[1:]:
         common = common & X.adjacency[v]
-    return _checked_projection(X, sigma, [u for u in common if labels.get(u) == target])
+    return _checked_projection(X, sigma, tuple(sorted([u for u in common
+                                                      if labels.get(u) == target])))
 
 
 def projection_witness(X: FlagComplex, o: int) -> tuple[Simplex, int, str] | None:
@@ -266,7 +270,7 @@ def projection_witness(X: FlagComplex, o: int) -> tuple[Simplex, int, str] | Non
                  if w > u and dm[w] == k + 1]
         for sigma in [(v,) for v in level] + edges:
             try:
-                _project(X, sigma, dm, k)
+                _project(X, dm, sigma, k)
             except ProjectionError as exc:
                 return sigma, k, str(exc)
     return None
@@ -285,7 +289,7 @@ def projection(X: FlagComplex, sigma: Iterable[int], Y: Iterable[int]) -> Simple
     dm = dist_map(X, Y, radius=1)
     if any(dm.get(v) != 1 for v in sigma):
         raise ValueError(f"{sigma} is not contained in S_1(Y)")
-    return _project(X, sigma, dm, 0)
+    return _project(X, dm, sigma, 0)
 
 
 def directed_geodesic(X: FlagComplex, sigma: Iterable[int], W: Iterable[int]) -> list[Simplex]:
@@ -309,18 +313,22 @@ def directed_geodesic(X: FlagComplex, sigma: Iterable[int], W: Iterable[int]) ->
     if not X.is_simplex(sigma):
         raise ValueError(f"{sigma} is not a simplex")
     n, labels = _interval(X, sigma, wset)
-    return _directed(X, sigma, labels, 0, n, {})
+    return _directed(sigma, labels, 0, n, {}, partial(_project, X, labels))
 
 
-def _directed(X: FlagComplex, sigma: Simplex, labels: dict[int, int], first: int,
-              last: int, steps: dict[Simplex, Simplex]) -> list[Simplex]:
+def _directed(sigma: Simplex, labels, first: int, last: int, steps: dict[Simplex, Simplex],
+              project: Callable[[Simplex, int], Simplex]) -> list[Simplex]:
     """The directed geodesic from sigma, at label `first` of the layer map
     `labels` = d(V, .) on I(V, W), to the end at label `last` (0 to n, or
-    n to 0).  Its inner part is the vertices of sigma labelled `first`, and
-    each step keeps the common neighbours labelled one nearer `last`: the
-    projection onto a ball around that end (`_interval`).  Steps are read
-    from or written to `steps`, which the caller keeps for that end alone,
-    as a step is a function of its simplex and the end."""
+    n to 0).  Its inner part is the vertices of sigma labelled `first`
+    (`labels.get`), and each step keeps the common neighbours labelled one
+    nearer `last`: the projection onto a ball around that end
+    (`_interval`), made by the caller's step kernel `project(s, target)`.
+    A dict map's kernel filters the common neighbours by label (`_project`);
+    a certificate's builds AND the int masks they share
+    (`boundary._ConeLayer`).  Steps are read from or written to `steps`,
+    which the caller keeps for that end alone, as a step is a function of
+    its simplex and the end."""
     inner = tuple([v for v in sigma if labels.get(v) == first])
     seq = [sigma] if inner == sigma else [sigma, inner]
     step = 1 if first < last else -1
@@ -328,7 +336,7 @@ def _directed(X: FlagComplex, sigma: Simplex, labels: dict[int, int], first: int
         s = seq[-1]
         nxt = steps.get(s)
         if nxt is None:
-            nxt = steps[s] = _project(X, s, labels, target)
+            nxt = steps[s] = project(s, target)
         seq.append(nxt)
     return seq
 

@@ -73,6 +73,18 @@ def bfs_oracle(adjacency, sources) -> dict[int, int]:
     return dist
 
 
+def rising_cone(adjacency, level, v, step) -> set[int]:
+    """The vertices reached from v along edges that change the map `level`
+    by `step` at each edge (+1: v's up cone, -1: its down cone), by a
+    plain BFS inside the map's vertices."""
+    cone, frontier = {v}, {v}
+    while frontier:
+        frontier = {u for x in frontier for u in adjacency[x]
+                    if u in level and level[u] == level[x] + step} - cone
+        cone |= frontier
+    return cone
+
+
 def is_geodesic_path(X: FlagComplex, path: list[int]) -> bool:
     """Whether path is a 1-skeleton geodesic: a nonempty walk along edges
     whose ends lie len(path) - 1 apart by `bfs_oracle`."""

@@ -23,7 +23,7 @@ from systolic.metric import ProjectionError, all_geodesics, dist, dist_map, grad
 from systolic.suites import extremal_geodesic, instance_suite
 
 from oracles import (corner_pair, counting_calls, cycle, disjoint_union, far_pair,
-                     flat_good_regions, outcome, perturbed, triangular_torus)
+                     flat_good_regions, outcome, perturbed, rising_cone, triangular_torus, twin)
 
 
 def test_builds_leave_no_cyclic_garbage():
@@ -583,17 +583,18 @@ def test_good_geodesic_builds_one_euclidean_geodesic_per_pair():
     assert calls == pairs
 
 
-PIECES = {"_project": metric._project, "maximizing_pairs": maximizing_pairs,
+PIECES = {"project": boundary._ConeLayer.project, "maximizing_pairs": maximizing_pairs,
           "all_geodesics": metric.all_geodesics}
 
 
 def piece_key(frame):
-    """The key an end-determined piece of a build runs on: `_project` its
-    simplex and the end it projects toward (the calling `_directed`'s
-    `steps` dict, one per end and alive while the memo is),
-    `maximizing_pairs` its two members, `all_geodesics` its ends."""
+    """The key an end-determined piece of a build runs on: `project`, the
+    step kernel of a certificate's builds, its simplex and the end it
+    projects toward (the calling `_directed`'s `steps` dict, one per end
+    and alive while the memo is), `maximizing_pairs` its two members,
+    `all_geodesics` its ends."""
     args = frame.f_locals
-    if frame.f_code is metric._project.__code__:
+    if frame.f_code is boundary._ConeLayer.project.__code__:
         return args["sigma"], id(frame.f_back.f_locals["steps"])
     if frame.f_code is maximizing_pairs.__code__:
         return args["sigma"], args["tau"]
@@ -618,7 +619,7 @@ def test_a_certificate_runs_each_end_determined_piece_once():
     assert X._dist_labelled == 6145
     # a build without the sharing made 9,576, 2,841 and 3,515 of these runs
     assert {name: calls[name] for name in PIECES} == keys_per_piece(calls)
-    assert calls["_project"] <= 3400 and calls["maximizing_pairs"] <= 400
+    assert calls["project"] <= 3400 and calls["maximizing_pairs"] <= 400
     assert 0 < calls["all_geodesics"] <= 200
     with counting_calls(PIECES, key=piece_key) as calls:
         atlas = boundary_atlas(flat_rectangle(10, 5), 0, 8)
@@ -930,6 +931,76 @@ def test_certificates_equal_a_reference_that_builds_every_pair():
     assert {key[0] for key in seen if key[1:] == ("N = 2", True)} == {"torus 4"}
     assert {key[0] for key in seen if key[1:] == ("N = 2", False)} == \
         {"torus 5", "torus 6", "torus 7", "torus 9"}
+
+
+def test_mask_steps_equal_dict_steps_and_cones_equal_a_bfs(monkeypatch):
+    """On every reference input, and on the 27 single twins of
+    `flat_parallelogram(8, 2)`, each step that a certificate or an atlas
+    walks on its memo's masks (`_ConeLayer.project`) equals the dict step
+    (`metric._project`) on the interval map read off `rising_cone`'s BFS
+    cones, or raises the same ProjectionError with the same message.  Each
+    memo's up and down cone masks are those cones, its neighbour masks the
+    neighbours inside its map, and its label masks the map's layers."""
+    layer_of, project = boundary._CertMemo.layer, boundary._ConeLayer.project
+    layers, memos, seen = {}, [], Counter()
+
+    def cones(X, level):
+        return {(v, step): rising_cone(X.adjacency, level, v, step)
+                for v in level for step in (1, -1)}
+
+    def recorded_layer(memo, X, a, c):
+        layer = layer_of(memo, X, a, c)
+        if not memos or memos[-1][1] is not memo:
+            memos.append((X, memo, cones(X, memo.level)))
+        cone = memos[-1][2]
+        level, i = memo.level, memo.level[a]
+        labels = {x: level[x] - i for x in cone[a, 1] & cone[c, -1]}
+        layers[id(layer)] = layer, X, labels
+        return layer
+
+    def compared_project(layer, sigma, target):
+        _, X, labels = layers[id(layer)]
+        expected = outcome(lambda: metric._project(X, labels, sigma, target))
+        try:
+            got = project(layer, sigma, target)
+        except ProjectionError as exc:
+            assert expected == (ProjectionError, str(exc)), (sigma, target)
+            seen["raised"] += 1
+            raise
+        assert got == expected, (sigma, target)
+        seen["returned"] += 1
+        return got
+
+    monkeypatch.setattr(boundary._CertMemo, "layer", recorded_layer)
+    monkeypatch.setattr(boundary._ConeLayer, "project", compared_project)
+    inputs = list(reference_cases())
+    parallelogram = flat_parallelogram(8, 2)
+    inputs += [(f"twin {m}", twin(parallelogram, m), [(0, 26)]) for m in parallelogram.vertices]
+    for name, X, pairs in inputs:
+        for v, w in pairs:
+            outcome(lambda: make_good_geodesic(FlagComplex(X.adjacency), v, w))
+            for path in itertools.islice(all_geodesics(X, v, w), 2):
+                outcome(lambda: is_good_geodesic(FlagComplex(X.adjacency), path))
+        O = pairs[0][0]
+        N = min(6, max(dist_map(X, (O,)).values()))
+        outcome(lambda: boundary_atlas(FlagComplex(X.adjacency), O, N, cap=400))
+        for Y, memo, cone in memos:
+            seen["memos"] += 1
+            level, order = memo.level, memo.order
+            assert sorted(order) == sorted(level)
+
+            def vertices(mask):
+                return {order[b] for b in range(len(order)) if mask >> b & 1}
+
+            for x in level:
+                assert vertices(memo.up[x]) == cone[x, 1], (name, x)
+                assert vertices(memo.down[x]) == cone[x, -1], (name, x)
+                assert vertices(memo.near[x]) == Y.adjacency[x] & level.keys(), (name, x)
+            for k, mask in enumerate(memo.labels):
+                assert vertices(mask) == {x for x in level if level[x] == k}, (name, k)
+        memos.clear()
+        layers.clear()
+    assert seen["returned"] >= 40000 and seen["raised"] >= 5 and seen["memos"] >= 250, seen
 
 
 def test_atlas_rays_store_only_their_nonzero_entries():

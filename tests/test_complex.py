@@ -3,6 +3,7 @@
 import builtins
 import itertools
 import random
+import re
 from fractions import Fraction
 from types import ModuleType
 
@@ -365,6 +366,36 @@ def test_file_format_coords_cover_exactly_the_vertices():
 def test_file_format_names_the_line_of_a_bad_integer(line):
     with pytest.raises(ValueError, match=f"^line 2: cannot parse '{line}'$"):
         loads_complex(f"e 0 1\n{line}\n")
+
+
+def test_file_format_numbers_lines_as_an_editor_does():
+    """Records split on "\n" alone, each losing one trailing "\r": an error
+    names the line an editor shows, whatever other line breaks, such as a
+    form feed, a vertical tab, \x1c..\x1e, \x85, \u2028 or \u2029, stand
+    in it; those split fields, not records, so a line holding one and two
+    records' fields does not parse."""
+    for brk in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029":
+        with pytest.raises(ValueError, match="^line 2: cannot parse 'e 1 x'$"):
+            loads_complex(f"e 0 1{brk}\ne 1 x\n")
+        assert sorted(loads_complex(f"e 0{brk}1\ne 1 2\n").adjacency) == [0, 1, 2]
+        line = f"e 0 1{brk}e 1 2"
+        with pytest.raises(ValueError, match=f"^{re.escape(f'line 1: cannot parse {line!r}')}$"):
+            loads_complex(line + "\n")
+    with pytest.raises(ValueError, match="^line 3: cannot parse 'v x'$"):
+        loads_complex("e 0 1\r\ne 1 2\r\nv x\r\n")
+    assert sorted(loads_complex("e 0 1\r\ne 1 2\r").adjacency) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("line", ["e 1_0 2", "e 1 2_", "v \u0661", "v 1\u0661",
+                                  "coord 1 0 \uff12", "v ++1", "v +", "v 1.0", "v 0x1"])
+def test_file_format_reads_only_ascii_integers(line):
+    """A field is an ASCII integer, [+-]?[0-9]+: `int` alone would load
+    `e 1_0 2` as the edge 2-10 and read an Arabic-Indic or fullwidth digit.
+    The same text passes with plain digits; a comment may hold anything."""
+    with pytest.raises(ValueError, match=f"^{re.escape(f'line 2: cannot parse {line!r}')}$"):
+        loads_complex(f"e 0 1\n{line}\n")
+    assert sorted(loads_complex("e 0 1 # \u0661\nv -1\n").adjacency) == [-1, 0, 1]
+    assert sorted(loads_complex("e 10 2 # 1_0 \u0661\n").adjacency) == [2, 10]
 
 
 def test_star_import_exports_no_module():

@@ -1,7 +1,7 @@
 """The interval I(V, W) and its layer map d(V, .), from two half sweeps
 that meet in the middle (`metric._interval`), and between two vertices of
-a geodesic from the cones of the path's layer map
-(`boundary._cone_interval`), against two plain BFS runs."""
+a geodesic from the cone masks of the path's layer map
+(`boundary._CertMemo.layer`), against two plain BFS runs."""
 
 import itertools
 import random
@@ -221,8 +221,9 @@ def cone_paths(X, rng):
 
 def test_cone_intervals_match_interval_and_two_bfs_runs():
     """For every i < j of every path, the cone interval read off the layer
-    map l = d(v_0, .) is the layer map d(v_i, .) of `_interval` and of two
-    plain BFS runs, at n = j - i.  l is either complete or cut to
+    map l = d(v_0, .), by the memo's masks and `get` on every vertex, is
+    the layer map d(v_i, .) of `_interval` and of two plain BFS runs, at
+    n = j - i.  l is either complete or cut to
     I(v_0, v_n) (for the rays, to the union of theirs), and one memo serves
     each group of paths from one vertex: flats, discs of rings, a perturbed
     flat, and the triangular tori of sides 4 to 9, locally 6-large but not
@@ -252,7 +253,8 @@ def test_cone_intervals_match_interval_and_two_bfs_runs():
                 for p in paths:
                     for i, j in itertools.combinations(range(len(p)), 2):
                         a, c = p[i], p[j]
-                        got = boundary._cone_interval(X, a, c, memo)
+                        layer = memo.layer(X, a, c)
+                        got = {x: layer.get(x) for x in X.vertices if layer.get(x) is not None}
                         truth = {x: d(a)[x] for x, dc in d(c).items() if d(a)[x] + dc == j - i}
                         assert got == truth, (a, c)
                         assert metric._interval(X, (a,), (c,)) == (j - i, got)

@@ -5,6 +5,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -605,7 +606,8 @@ def test_input_checks_name_their_fault():
 
 def test_directed_geodesic_read_off_the_interval_matches_its_own_sweep():
     """On seeded perturbed rectangles and discs, with vertex and edge
-    endpoints, `_directed` on the one layer map d(sigma, .) of
+    endpoints, `_directed` with the dict step kernel `_project` on the one
+    layer map d(sigma, .) of
     I(sigma, tau), stepped from sigma to tau and from tau back to sigma,
     gives the sequences, or the error types and messages, of
     `ball_projection_oracle`, which builds every ball around the far end
@@ -623,7 +625,8 @@ def test_directed_geodesic_read_off_the_interval_matches_its_own_sweep():
             n, level = metric._interval(X, sigma, tau)
             assert n == dist(X, sigma, tau)
             for start, end, first, last in ((sigma, tau, 0, n), (tau, sigma, n, 0)):
-                walked = outcome(lambda: metric._directed(X, start, level, first, last, {}))
+                walked = outcome(lambda: metric._directed(
+                    start, level, first, last, {}, partial(metric._project, X, level)))
                 swept = outcome(lambda: ball_projection_oracle(fresh, start, end))
                 assert walked == swept, (seed, start, end)
                 assert outcome(lambda: directed_geodesic(X, start, end)) == walked
