@@ -15,9 +15,8 @@ and asks `shortest_hole` only for the first failing link's witness.
 from __future__ import annotations
 
 import heapq
-import itertools
 import re
-from collections import OrderedDict, defaultdict, deque
+from collections import OrderedDict, defaultdict
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -372,53 +371,19 @@ def is_locally_6_large(X: FlagComplex) -> Locally6LargeResult:
 
 
 def simply_connected_heuristic(X: FlagComplex) -> str:
-    """"verified" if the complex collapses to a point via free faces, else "unknown".
+    """"verified" if the complex is connected and `projection_witness`
+    passes from its least vertex, else "unknown".
 
-    Sound but incomplete: a stalled collapse never claims "no".  It lists
-    every simplex, so it is exponential in the dimension.  `check` decides
-    systolicity without it; perfbench's cold-check and the tests call it.
-
-    A face with exactly one present coface is free: it goes with that
-    coface, and the facets of both may become free in turn.  The simplices
-    are numbered in the iteration order of `set(X.simplices())`, and the
-    queue starts with the free ones in that order; each removal pushes the
-    facets that it frees in the order of `s[:i] + s[i + 1:]` for i = 0,
-    1, ...  Every push and pop is then that of `collapse_reference` in
-    tests/oracles.py, which keeps coface sets of tuples.  The set is kept
-    for its order: from dimension 3 on, which free face goes first could
-    decide the verdict, though no input is known where it does.  Each id
-    keeps its facets' ids, the number of its present cofaces and the XOR of
-    their ids.  A removed simplex is taken out of both at each of its
-    facets, so when the count is 1 the XOR is the one present coface.
+    Sound in any flag complex: a passing sweep contracts every edge loop
+    (see `metric.projection_witness`), so "verified" proves simple
+    connectivity, and "unknown" never claims "no".  On locally 6-large
+    input it is exact, since it is then `check`'s own test.  perfbench's
+    cold-check and the tests call it; `check` runs the sweep directly.
     """
-    if not X.is_connected():
-        return "unknown"
-    simplices = set(X.simplices())
-    id_of = dict(zip(simplices, itertools.count())).__getitem__
-    # combinations drops the last vertex first; reversed, the facets drop
-    # s[0], s[1], ...: the order of s[:i] + s[i + 1:] for i = 0, 1, ...
-    facets = [[*map(id_of, itertools.combinations(s, len(s) - 1))][::-1] if len(s) > 1 else ()
-              for s in simplices]
-    count = [0] * len(facets)
-    xor = [0] * len(facets)
-    for top, faces in enumerate(facets):
-        for face in faces:
-            count[face] += 1
-            xor[face] ^= top
-    present = [True] * len(facets)
-    queue = deque(i for i, c in enumerate(count) if c == 1)
-    while queue:
-        face = queue.popleft()
-        if not present[face] or count[face] != 1:
-            continue
-        for s in (face, xor[face]):  # the face, then its one coface
-            present[s] = False
-            for sub in facets[s]:
-                count[sub] -= 1
-                xor[sub] ^= s
-                if present[sub] and count[sub] == 1:
-                    queue.append(sub)
-    return "verified" if sum(present) == 1 else "unknown"
+    from .metric import projection_witness  # metric imports this module
+    if X.is_connected() and projection_witness(X, min(X.adjacency)) is None:
+        return "verified"
+    return "unknown"
 
 
 # Complex text format: `# comment` | `v <id>` | `e <id> <id>` |

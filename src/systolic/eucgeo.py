@@ -197,11 +197,17 @@ def _euclidean(X: FlagComplex, sigma: Simplex, tau: Simplex, n: int, level,
 
 
 def thread_vertex_path(X: FlagComplex, eg: EuclideanGeodesic) -> list[int]:
-    """A 1-skeleton geodesic r_0..r_n with r_k in delta_k (least choices)."""
+    """A 1-skeleton geodesic r_0..r_n with r_k in delta_k (least choices).
+
+    A ValueError names k, delta_k and r_{k-1} when no vertex of delta_k
+    neighbours r_{k-1}, which systolic input rules out."""
     r = [eg.deltas[0][0]]
-    for k in range(1, eg.n + 1):
-        nxt = min(v for v in eg.deltas[k] if X.is_edge(r[-1], v))
-        r.append(nxt)
+    try:
+        for k in range(1, eg.n + 1):
+            r.append(min(v for v in eg.deltas[k] if X.is_edge(r[-1], v)))
+    except ValueError:  # min() found no neighbour; the try costs nothing per step
+        raise ValueError(f"no vertex of delta_{k} = {eg.deltas[k]} neighbours "
+                         f"the path's last vertex {r[-1]}") from None
     return r
 
 

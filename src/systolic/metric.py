@@ -251,15 +251,16 @@ def projection_witness(X: FlagComplex, o: int) -> tuple[Simplex, int, str] | Non
       of a sweep over every simplex of S_{k+1}(o), by dimension and then
       lexicographically, is a vertex or an edge, and this sweep returns it
       whenever `is_locally_6_large` passes.
-    * A pass proves that o's component is simply connected.  Every vertex
-      of S_{k+1}(o) then has pairwise adjacent neighbours in S_k(o), and
-      every edge of S_{k+1}(o) a common neighbour there.  Let k + 1 be the
-      largest distance from o on an edge loop, and z_1..z_m a run of loop
-      vertices at level k + 1, entered from u and left to w at level k.
-      With x_i a common S_k-neighbour of z_i and z_{i+1}, consecutive
-      members of u, x_1, .., x_{m-1}, w share an S_k-neighbour z, so they
-      are equal or adjacent: the run is homotopic, through triangles, to a
-      path at level <= k.  By induction on k the loop contracts to o.
+    * A pass proves that o's component is simply connected, in any flag
+      complex: this half uses no link condition.  Every vertex of S_{k+1}(o)
+      then has pairwise adjacent neighbours in S_k(o), and every edge of
+      S_{k+1}(o) a common neighbour there.  Let k + 1 be the largest
+      distance from o on an edge loop, and z_1..z_m a run of loop vertices
+      at level k + 1, entered from u and left to w at level k.  With x_i a
+      common S_k-neighbour of z_i and z_{i+1}, consecutive members of u,
+      x_1, .., x_{m-1}, w share an S_k-neighbour z, so they are equal or
+      adjacent: the run is homotopic, through triangles, to a path at
+      level <= k.  By induction on k the loop contracts to o.
     """
     dm = dist_map(X, (o,))
     spheres: list[list[int]] = [[] for _ in range(max(dm.values()) + 1)]

@@ -203,15 +203,19 @@ def is_bridged(X: FlagComplex) -> bool:
 
 
 def collapse_reference(X: FlagComplex) -> str:
-    """The reference for `complex.simply_connected_heuristic`: the same
-    collapse by free faces, on simplex tuples and coface sets.  Its queue
-    runs in the iteration order of `set(X.simplices())`, as the library's
-    does.  From dimension 3 on that order could decide the verdict, but no
-    such input is known: on the 27 twins and 300 random complexes of
-    `test_collapse_matches_the_set_based_reference`, 30 shuffles each of the
-    queue and of each removal's facets gave one verdict per input.  So the
-    tests compare verdicts, and the library's docstring argues that its
-    order is this one's."""
+    """"verified" if X is connected and collapses to a point by free faces,
+    else "unknown": a second prover of simple connectivity, independent of
+    the projection sweep behind `complex.simply_connected_heuristic`.
+
+    A face with exactly one present coface is free: it goes with that
+    coface, and the facets of both may become free in turn.  Sound but
+    incomplete, and it lists every simplex, so it is exponential in the
+    dimension.  The queue runs in the iteration order of
+    `set(X.simplices())`; from dimension 3 on that order could decide the
+    verdict, but no such input is known: on the 27 twins and 300 random
+    complexes of `test_heuristic_is_the_projection_sweep_from_the_least_vertex`,
+    30 shuffles each of the queue and of each removal's facets gave one
+    verdict per input."""
     if not X.is_connected():
         return "unknown"
     simplices = set(X.simplices())

@@ -17,7 +17,8 @@ from systolic.generators import (flat_parallelogram, flat_rectangle,
                                  gen_disc_with_degrees, gen_flat_region)
 from systolic.lattice import RowStack
 
-from oracles import collapse_reference, hexagon_wheel, octahedron, triangular_torus, twin
+from oracles import (collapse_reference, hexagon_wheel, is_bridged, octahedron,
+                     projection_witness_reference, triangular_torus, twin)
 
 
 def test_single_edge_has_no_triangle():
@@ -206,7 +207,7 @@ def test_input_checks_name_their_fault():
 
 def test_empty_and_disconnected_complexes():
     """Neither the empty complex nor two disjoint edges is connected, and the
-    collapse heuristic says "unknown" for both: it never claims "no"."""
+    heuristic says "unknown" for both: it never claims "no"."""
     empty = FlagComplex({})
     assert not empty.is_connected()
     assert not FlagComplex.from_edges([(0, 1), (2, 3)]).is_connected()
@@ -255,13 +256,17 @@ def test_flag_closure_against_enumeration():
         assert X.triangles() == [s for s in cliques if len(s) == 3]
 
 
-def test_collapse_matches_the_set_based_reference():
-    """The collapse on integer ids gives `collapse_reference`'s verdict on
-    the cold-check corpus, the 27 single twins of `flat_parallelogram(8, 2)`
-    (dimension 3), triangular tori, the empty and a disconnected complex,
-    and 300 seeded random flag complexes on 6 to 10 vertices.
-    `subtree_chordal` stays out: at its defaults its simplices reach
-    dimension ~20, and both collapses list them all."""
+def test_heuristic_is_the_projection_sweep_from_the_least_vertex():
+    """The heuristic verifies exactly when the complex is connected and the
+    all-simplex sweep of `projection_witness_reference` passes from its
+    least vertex, on the cold-check corpus, the 27 single twins of
+    `flat_parallelogram(8, 2)` (dimension 3), triangular tori, the empty and
+    a disconnected complex, and 300 seeded random flag complexes on 6 to 10
+    vertices.  On the random ones two independent provers back it: where
+    the links are 6-large, "verified" is brute-force bridgedness, and every
+    "verified" is confirmed by bridgedness or by the free-face collapse of
+    `collapse_reference`.  `subtree_chordal` stays out: at its defaults its
+    simplices reach dimension ~20, and the reference sweep lists them."""
     inputs = [gen_disc_with_degrees(s, rings=3) for s in range(1, 7)]
     inputs += [make(h, w) for make, h, w in (
         (flat_rectangle, 6, 3), (flat_rectangle, 5, 4), (flat_rectangle, 4, 4),
@@ -277,11 +282,23 @@ def test_collapse_matches_the_set_based_reference():
             [(a, b) for a, b in itertools.combinations(range(n), 2) if rng.random() < p],
             vertices=range(n)))
     verdicts = [simply_connected_heuristic(X) for X in inputs]
-    assert verdicts == [collapse_reference(X) for X in inputs]
+    assert verdicts == ["verified" if X.is_connected()
+                        and projection_witness_reference(X, min(X.vertices)) is None
+                        else "unknown" for X in inputs]
+    collapsed = [collapse_reference(X) for X in inputs[44:]]
+    for X, verdict, collapse in zip(inputs[44:], verdicts[44:], collapsed):
+        bridged = is_bridged(X)
+        if is_locally_6_large(X).ok:
+            assert (verdict == "verified") == bridged, X.edges()
+        if verdict == "verified":
+            assert bridged or collapse == "verified", X.edges()
     assert verdicts[:39] == ["verified"] * 39
     assert verdicts[39:44] == ["unknown"] * 5
-    # 137 of the random complexes collapse and 163 stall, so both verdicts are compared
-    assert verdicts[44:].count("verified") == 137
+    # 76 of the random complexes pass the sweep and 224 do not, so both
+    # verdicts are compared; 137 collapse, and the 61 that collapse but fail
+    # the sweep, none locally 6-large, are the sweep's loss against the collapse
+    assert verdicts[44:].count("verified") == 76
+    assert collapsed.count("verified") == 137
 
 
 def test_disc_generator_is_systolic():

@@ -1,6 +1,7 @@
 """The Euclidean-geodesic pipeline: modified discs, diagonals, assembly,
 and the quantitative checks."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -243,6 +244,33 @@ def test_thread_vertex_path():
     r = thread_vertex_path(X, eg)
     assert is_geodesic_path(X, r)
     assert all(r[k] in eg.deltas[k] for k in range(eg.n + 1))
+
+
+def test_thread_vertex_path_names_the_step_it_cannot_take():
+    """delta_2 replaced by (13,), which no vertex of delta_1 neighbours."""
+    X = flat_parallelogram(8, 2)
+    eg = euclidean_geodesic(X, (0,), (26,))
+    assert eg.deltas[:3] == [(0,), (1, 3), (4, 6)]
+    deltas = list(eg.deltas)
+    deltas[2] = (13,)
+    with pytest.raises(ValueError, match=r"^no vertex of delta_2 = \(13,\) neighbours "
+                                         r"the path's last vertex 1$"):
+        thread_vertex_path(X, dataclasses.replace(eg, deltas=deltas))
+
+
+def test_verify_properties_reports_a_misplaced_simplex():
+    """delta_3 replaced by (0,) = delta_0: every kind of failure is reported."""
+    X = flat_parallelogram(8, 2)
+    eg = euclidean_geodesic(X, (0,), (26,))
+    deltas = list(eg.deltas)
+    deltas[3] = (0,)
+    rep = verify_euc_properties(X, dataclasses.replace(eg, deltas=deltas))
+    assert not rep["ok"]
+    for failure in ("delta_0 not inside S_3(delta_3)", "delta_3 not inside S_3(delta_0)",
+                    "delta_2, delta_3 do not span a simplex",
+                    "vertex distances between layers 2,3 are not all 1",
+                    "reversal does not reverse the simplex sequence"):
+        assert failure in rep["failures"]
 
 
 def test_subsegment_weak_full_range_is_zero():

@@ -129,6 +129,18 @@ def test_profile_lemmas_report_each_unrealized_pair_once():
     assert verify_profile_lemmas(prof) == []
 
 
+def test_profile_lemmas_report_a_jump_and_intersecting_endpoints():
+    # thickness 1 -> 3 at layer 0, and the thick run's end layers 0 and 3
+    # hold one vertex on both sides
+    prof = ThicknessProfile([(0,), (1,), (2,), (3,)], [(0,), (4,), (5,), (3,)], [1, 3, 2, 1],
+                            [[(0, 0)], [(1, 4)], [(2, 5)], [(3, 3)]])
+    assert prof.thick_intervals == [(0, 3)]
+    assert verify_profile_lemmas(prof) == [
+        "thickness jumps by 2 at layer 0",
+        "endpoint layer 0 members intersect",
+        "endpoint layer 3 members intersect"]
+
+
 def oracle_thickness(X, sseq, tseq):
     return [max(bfs_oracle(X.adjacency, (s,))[t] for s in sig for t in tau)
             for sig, tau in zip(sseq, tseq)]

@@ -10,7 +10,7 @@ from functools import partial
 import pytest
 
 from systolic import metric
-from systolic.complex import FlagComplex, is_locally_6_large, simply_connected_heuristic
+from systolic.complex import FlagComplex, is_locally_6_large
 from systolic.generators import (flat_parallelogram, flat_rectangle,
                                  gen_disc_with_degrees, gen_flat_region)
 from systolic.lattice import RowStack, lattice_adjacent
@@ -18,9 +18,9 @@ from systolic.metric import (ProjectionError, all_geodesics, ball, dist,
                              directed_geodesic, dist_map, is_convex, projection,
                              projection_witness, residue, sphere)
 
-from oracles import (bfs_oracle, corner_pair, counting_calls, cycle, hexagon_wheel,
-                     is_geodesic_path, lattice_dist, octahedron, outcome, perturbed,
-                     projection_witness_reference, subtree_chordal, suspension,
+from oracles import (bfs_oracle, collapse_reference, corner_pair, counting_calls, cycle,
+                     hexagon_wheel, is_geodesic_path, lattice_dist, octahedron, outcome,
+                     perturbed, projection_witness_reference, subtree_chordal, suspension,
                      triangular_torus)
 
 
@@ -179,7 +179,8 @@ def assert_failed_projection(X, o, failed):
 
 def test_projection_witness_passes_generator_outputs():
     # systolic inputs: every projection is a nonempty simplex, and the sweep
-    # agrees with the collapse wherever the collapse verifies
+    # agrees with the free-face collapse of collapse_reference wherever the
+    # collapse verifies
     discs = [gen_disc_with_degrees(s, rings=r) for s in range(3) for r in (3, 5)]
     flats = [flat_rectangle(n, n) for n in (5, 10, 20)] + [flat_parallelogram(12, 6)]
     # chordal complexes of 40 vertices, with simplices of dimension up to 18
@@ -187,7 +188,7 @@ def test_projection_witness_passes_generator_outputs():
     for X in discs + flats + chordal:
         assert projection_witness(X, min(X.vertices)) is None
     for X in discs[::2] + flats[:2]:
-        assert is_locally_6_large(X).ok and simply_connected_heuristic(X) == "verified"
+        assert is_locally_6_large(X).ok and collapse_reference(X) == "verified"
 
 
 def projection_sweep_inputs():

@@ -1,5 +1,6 @@
 """The shared test module itself: its oracles stay off the library's
-private code, and its call counter hands a running profiler back."""
+private code, and its call counter hands a running profiler back.  Also
+the code-line count of `tests/codelines.py`."""
 
 import ast
 import os
@@ -8,6 +9,7 @@ import sys
 from pathlib import Path
 
 import oracles
+from codelines import code_lines
 
 TESTS = Path(oracles.__file__).resolve().parent
 
@@ -69,3 +71,29 @@ def test_counting_calls_hands_a_c_profiler_back():
     out = subprocess.run([sys.executable, "-c", PROFILED], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "{'counted': 1} 1\n"
+
+
+CODE = '''"""A module docstring
+over two lines."""
+
+# a comment
+
+
+def f(x):
+    """A function docstring."""
+    y = (x +  # a trailing comment
+         1)
+    return """not a docstring"""
+
+
+class C:
+    "A class docstring."
+    z = 0
+'''
+
+
+def test_code_lines_skip_docstrings_comments_and_blank_lines():
+    """Counted: `def f`, both lines of y's statement, the return (its
+    string is no docstring), `class C` and `z = 0`."""
+    assert code_lines(CODE) == 6
+    assert code_lines("") == 0
