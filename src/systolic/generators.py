@@ -24,9 +24,9 @@ def gen_flat_region(stack: RowStack) -> FlagComplex:
     share at least one lattice adjacency, so the region is connected: each
     row is a path, and a cross edge joins each pair of consecutive rows.
     Vertex ids and edges are the stack's (`RowStack.ids`,
-    `RowStack.cross_pairs`), passed to `FlagComplex.from_edges`, row edges
-    first, then cross edges row by row; the lattice embedding is kept in
-    `coords`, with one Fraction per half-integer x.
+    `RowStack.cross_pairs`), and the lattice embedding is kept in `coords`,
+    with one Fraction per half-integer x.  The maps iterate in the order
+    the edges are listed, which no output reads (`FlagComplex.from_edges`).
     """
     if not stack.rows:
         raise ValueError("empty row spec")
@@ -75,8 +75,8 @@ def gen_disc_with_degrees(seed: int, rings: int = 2, bulge: float = 0.5) -> Flag
     plus a random extra with probability `bulge` (extras create negative
     curvature).  Each ring turns the previous boundary interior with >= 6
     incident triangles, so the result is systolic and in general not flat.
-    Its triangles' edges go to `FlagComplex.from_edges` in the order they
-    are added, so vertex ids and neighbourhoods follow the growth.
+    Vertex ids follow the growth; the maps iterate in the order the
+    triangles are added, which no output reads (`FlagComplex.from_edges`).
     """
     rng = random.Random(seed)
     edges: list[tuple[int, int]] = []

@@ -2,24 +2,25 @@
 kept off its production path, and the complexes, pairs and call counter
 that several test modules use.  No test module imports another.
 
-Oracles: a whole-component deque BFS, the geodesics it grades and the
-geodesic test of a path; flat regions built edge by edge; random flat
-discs; the induced-path DFS for induced cycles, the bridged-graph test of
-systolicity and the set-based collapse by free faces; closed-form lattice
-distance and the point-group canonicalization of lattice placements; the
-isometric embedding of flat discs; the break-point enumeration oracle of
-`flatgeom.polygon_geodesic`; reordered realizing pairs, the all-surfaces
-enumeration over the product-of-rows reference, the all-simplex projection
-sweep, the layer map of an interval, characteristic-image span and
-preimage decoder for characteristic discs; the minimal-surface search and
-the no-interior-vertex triangulability test.
+Oracles: a whole-component deque BFS, the interval and layer map that two
+of its runs give, the geodesics it grades and the geodesic test of a path;
+random flat discs; the induced-path DFS for induced cycles, the
+bridged-graph test of systolicity and the set-based collapse by free
+faces; closed-form lattice distance and the point-group canonicalization
+of lattice placements; the isometric embedding of flat discs; the
+break-point enumeration oracle of `flatgeom.polygon_geodesic`; reordered
+realizing pairs, the all-surfaces enumeration over the product-of-rows
+reference, the all-simplex projection sweep, characteristic-image span
+and preimage decoder for characteristic discs; the minimal-surface search
+and the no-interior-vertex triangulability test.
 
 Shared fixtures: cycles, the octahedron, the hexagon wheel, triangular
 tori, suspensions, disjoint unions, chordal subtree graphs, perturbed
 complexes, the flat-good regions and twins of vertices, which make
-3-dimensional inputs; corner, far and directed pairs; `outcome`, a call's
-result or its error; and `counting_calls`, the one counter of calls by
-code object.
+3-dimensional inputs; corner, far and directed pairs; `scrambled`, a
+copy of a complex whose maps iterate in a seeded order of their own;
+`outcome`, a call's result or its error; and `counting_calls`, the one
+counter of calls by code object.
 
 The oracles import no `_`-prefixed name from `systolic`
 (`test_oracles.py` checks it): they reach the library through its public
@@ -42,7 +43,7 @@ from systolic.complex import FlagComplex, Simplex
 from systolic.flatgeom import PolyPath, TriangulatedDisc, as_disc, is_flat
 from systolic.generators import flat_parallelogram, flat_rectangle, gen_flat_region
 from systolic.lattice import Point, RowStack
-from systolic.layers import ThicknessProfile, layers
+from systolic.layers import ThicknessProfile
 from systolic.metric import directed_geodesic, dist_map
 
 
@@ -95,17 +96,15 @@ def is_geodesic_path(X: FlagComplex, path: list[int]) -> bool:
     return bfs_oracle(X.adjacency, (path[0],))[path[-1]] == len(path) - 1
 
 
-def flat_region_from_edges(stack: RowStack) -> FlagComplex:
-    """`gen_flat_region`'s region, built by `FlagComplex.from_edges` from
-    the stack's row edges, then its cross edges row by row, with a
-    Fraction made per vertex."""
-    coords = {v: (stack.first_row + k, Fraction(lo + 2 * h, 2))
-              for k, ((lo, _), ids) in enumerate(zip(stack.rows, stack.ids))
-              for h, v in enumerate(ids)}
-    edges = [(a, b) for ids in stack.ids for a, b in zip(ids, ids[1:])]
-    for k, (ids_a, ids_b) in enumerate(zip(stack.ids, stack.ids[1:])):
-        edges += [(ids_a[p], ids_b[q]) for p, q in stack.cross_pairs(k)]
-    return FlagComplex.from_edges(edges, vertices=coords.keys(), coords=coords)
+def interval_oracle(adjacency, V, W):
+    """(n, d(V, .) on {x : d(x, V) + d(x, W) = n}) from two plain BFS runs,
+    n = d(V, W); None when V and W lie in different components."""
+    dv, dw = bfs_oracle(adjacency, V), bfs_oracle(adjacency, W)
+    sums = [dv[x] + dw[x] for x in dv if x in dw]
+    if not sums:
+        return None
+    n = min(sums)
+    return n, {x: dv[x] for x in dv if x in dw and dv[x] + dw[x] == n}
 
 
 def random_flat_disc(seed: int, max_vertices: int = 400) -> FlagComplex:
@@ -528,9 +527,10 @@ def projection_witness_reference(X: FlagComplex, o: int) -> tuple[Simplex, int, 
 
 
 def layer_map(X: FlagComplex, sigma, tau) -> dict[int, int]:
-    """The layer of each vertex of the interval between sigma and tau, read
-    off the public `layers()`: the map `characteristic_image` takes."""
-    return {x: i for i, layer in enumerate(layers(X, sigma, tau).layers) for x in layer}
+    """The layer of each vertex of the interval between sigma and tau, its
+    distance from sigma, by `interval_oracle`: the map
+    `characteristic_image` takes."""
+    return interval_oracle(X.adjacency, sigma, tau)[1]
 
 
 def char_preimage(X: FlagComplex, sigma, tau, cd: CharDisc,
@@ -777,12 +777,46 @@ def corner_pair(X):
 
 
 def far_pair(X):
-    """Two vertices far apart, by two sweeps: the first vertex farthest
-    from X's first vertex, and the first vertex farthest from that one."""
-    dm = dist_map(X, (X.vertices[0],))
-    u = max(dm, key=lambda v: dm[v])
-    dm2 = dist_map(X, (u,))
-    return u, max(dm2, key=lambda v: dm2[v])
+    """Two vertices far apart, by two `bfs_oracle` runs: the least vertex
+    farthest from X's least vertex, and the least vertex farthest from that
+    one."""
+    def farthest(v):
+        dm = bfs_oracle(X.adjacency, (v,))
+        return min(dm, key=lambda w: (-dm[w], w))
+    u = farthest(X.vertices[0])
+    return u, farthest(u)
+
+
+class ScrambledSet(frozenset):
+    """A frozenset that iterates in a fixed order of its own, the same on
+    every pass.  Set algebra on it (`&`, `-`, `set(...)`) reads its hash
+    table, which it fills in that order, and returns plain frozensets."""
+
+    __slots__ = ("order",)
+
+    def __new__(cls, order):
+        self = super().__new__(cls, order)
+        self.order = tuple(order)
+        return self
+
+    def __iter__(self):
+        return iter(self.order)
+
+
+def scrambled(X: FlagComplex, seed: int) -> FlagComplex:
+    """X rebuilt with its adjacency and coords keys in a seeded shuffled
+    order, and each neighbourhood a `ScrambledSet` in a seeded shuffled
+    order of its own; the complex, and so every output, is X's."""
+    rng = random.Random(seed)
+    keys = list(X.adjacency)
+    rng.shuffle(keys)
+    adjacency = {}
+    for v in keys:
+        order = list(X.adjacency[v])
+        rng.shuffle(order)
+        adjacency[v] = ScrambledSet(order)
+    coords = None if X.coords is None else {v: X.coords[v] for v in keys if v in X.coords}
+    return FlagComplex(adjacency, coords)
 
 
 def directed_pair(X, u, v):

@@ -22,7 +22,7 @@ from systolic.layers import maximizing_pairs
 from systolic.metric import ProjectionError, all_geodesics, dist, dist_map, graded_paths
 from systolic.suites import extremal_geodesic, instance_suite
 
-from oracles import (corner_pair, counting_calls, cycle, disjoint_union, far_pair,
+from oracles import (bfs_oracle, corner_pair, counting_calls, cycle, disjoint_union, far_pair,
                      flat_good_regions, outcome, perturbed, rising_cone, triangular_torus, twin)
 
 
@@ -517,8 +517,9 @@ def test_atlas_classing_matches_pairwise_oracle():
 
 
 def _geodesic_rays_oracle(X, O, N):
-    """Every geodesic of length N from O, in lexicographic order."""
-    dm = dist_map(X, (O,))
+    """Every geodesic of length N from O, in lexicographic order, graded by
+    `bfs_oracle`."""
+    dm = bfs_oracle(X.adjacency, (O,))
     paths = [[O]]
     for step in range(1, N + 1):
         paths = [p + [w] for p in paths for w in sorted(X.adjacency[p[-1]])

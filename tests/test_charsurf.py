@@ -27,7 +27,7 @@ from systolic.suites import instance_suite
 
 from oracles import (canonical_placement, char_image_oracle, char_preimage, corner_pair,
                      directed_pair, enumerate_char_surfaces, far_pair, flat_good_regions,
-                     flat_region_from_edges, is_triangulable, lattice_dist, layer_map,
+                     is_triangulable, lattice_dist, layer_map,
                      minimal_surface_bruteforce, outcome, shuffled_pairs, surfaces_reference,
                      twin)
 
@@ -116,10 +116,11 @@ def test_surface_properties_flat_and_disc():
     surf = build_char_surface(X, cd)
     surface_checks(X, (c0,), (c1,), cd, surf)
 
-    D = gen_disc_with_degrees(0, rings=3)
+    D = gen_disc_with_degrees(12, rings=4)
     u, w = far_pair(D)
     sseq, tseq = directed_pair(D, u, w)
     prof = thickness_profile(D, sseq, tseq)
+    assert prof.thick_intervals == [(2, 5)]
     for iv in prof.thick_intervals:
         cd = build_char_disc(D, prof, iv)
         surf = build_char_surface(D, cd)
@@ -322,7 +323,7 @@ def test_characteristic_image_keeps_only_layer_k_candidates():
 def test_characteristic_image_equals_all_surface_span():
     cases = [instance(flat_parallelogram, 8, 2),
              instance(flat_rectangle, 10, 3)]
-    D = gen_disc_with_degrees(2, rings=3)
+    D = gen_disc_with_degrees(3, rings=4)
     u, w = far_pair(D)
     sseq, tseq = directed_pair(D, u, w)
     cases.append((D, u, w, sseq, tseq, thickness_profile(D, sseq, tseq)))
@@ -520,13 +521,23 @@ def test_euclidean_geodesic_builds_no_disc_complex(monkeypatch):
         assert euclidean_geodesic(flat_parallelogram(8, 2), (c0,), (c1,)).deltas == expected
 
 
+def region_stack(X):
+    """The row stack of a flat region, read off its coords."""
+    rows = {}
+    for row, x in X.coords.values():
+        rows.setdefault(row, []).append(int(2 * x))
+    return RowStack(min(rows), tuple((min(xs), max(xs)) for _, xs in sorted(rows.items())))
+
+
 def test_row_stack_numbering_and_edges_match_lattice():
     # the stack's ids, place and neighbours against coordinates alone: the
-    # edges of gen_flat_region are exactly the lattice-adjacent vertex pairs
+    # edges of gen_flat_region are exactly the lattice-adjacent vertex pairs,
+    # on the disc stacks, wide ones and the flat-good regions' stacks
     wide = [stacks(n, itertools.product(range(3), repeat=n), (-3, -1, 1, 3))
             for n in (2, 3)]
+    regions = [region_stack(X) for _, X, _ in flat_good_regions()]
     checked = 0
-    for stack in itertools.chain(char_disc_stacks(), *wide):
+    for stack in itertools.chain(char_disc_stacks(), *wide, regions):
         try:
             X = gen_flat_region(stack)
         except ValueError:
@@ -576,35 +587,6 @@ def test_row_stack_neighbours_match_a_scan_of_the_cross_pairs():
                 assert stack.place(vid) == (k, a)
                 checked += 1
     assert checked >= 20000, checked
-
-
-def region_stack(X):
-    """The row stack of a flat region, read off its coords."""
-    rows = {}
-    for row, x in X.coords.values():
-        rows.setdefault(row, []).append(int(2 * x))
-    return RowStack(min(rows), tuple((min(xs), max(xs)) for _, xs in sorted(rows.items())))
-
-
-def test_flat_regions_freeze_what_an_edge_by_edge_build_freezes():
-    """On the flat-good regions, the 45 x 45 rectangle and the disc stacks
-    above, gen_flat_region gives the adjacency and coords of the from_edges
-    build on the stack's edges, with both maps and every frozen
-    neighbourhood iterating in the same order."""
-    regions = [X for _, X, _ in flat_good_regions()] + [flat_rectangle(45, 45)]
-    checked = 0
-    for stack in [region_stack(X) for X in regions] + list(char_disc_stacks()):
-        try:
-            X = gen_flat_region(stack)
-        except ValueError:
-            continue
-        ref = flat_region_from_edges(stack)
-        assert X.adjacency == ref.adjacency and X.coords == ref.coords, stack
-        assert list(X.coords.items()) == list(ref.coords.items()), stack
-        assert list(X.adjacency) == list(ref.adjacency), stack
-        assert all(list(X.adjacency[v]) == list(ref.adjacency[v]) for v in X.adjacency), stack
-        checked += 1
-    assert checked > 100
 
 
 # ---------------------------------------------------------------------------

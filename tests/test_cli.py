@@ -10,7 +10,7 @@ import pytest
 from systolic import boundary, cli, eucgeo, metric
 from systolic.boundary import atlas_report, boundary_atlas
 from systolic.cli import build_parser, cmd_check, main
-from systolic.complex import FlagComplex, dumps_complex, load_complex, simply_connected_heuristic
+from systolic.complex import FlagComplex, dumps_complex, load_complex
 from systolic.eucgeo import euclidean_geodesic
 from systolic.generators import flat_parallelogram, flat_rectangle, gen_disc_with_degrees
 from systolic.metric import ProjectionError, dist
@@ -174,11 +174,12 @@ def test_check_matches_the_bridged_graph_oracle(tmp_path, capsys):
     assert min(kinds[k] for k in ("yes", "simplex", "onto", "vertices")) >= 300, kinds
 
 
-def test_check_runs_no_collapse_and_lists_no_simplex(tmp_path, capsys):
+def test_check_lists_no_simplex_and_walks_once(tmp_path, capsys):
     """On a 40-vertex chordal complex whose largest simplex has dimension 18,
-    check decides from vertices and edges alone.  Calls are counted by code
-    object; the first one stops the run."""
-    forbidden = {"simply_connected_heuristic": simply_connected_heuristic,
+    check decides from vertices and edges alone, and reads `connected` off
+    the sweep from the least vertex, with no walk of its own.  Calls are
+    counted by code object; the first one stops the run."""
+    forbidden = {"is_connected": FlagComplex.is_connected,
                  "simplices": FlagComplex.simplices}
     path = tmp_path / "x.cx"
     path.write_text(dumps_complex(subtree_chordal(9)))

@@ -17,7 +17,7 @@ from systolic.generators import (flat_parallelogram, flat_rectangle,
                                  gen_disc_with_degrees, gen_flat_region)
 from systolic.lattice import RowStack
 
-from oracles import (collapse_reference, hexagon_wheel, is_bridged, octahedron,
+from oracles import (collapse_reference, counting_calls, hexagon_wheel, is_bridged, octahedron,
                      projection_witness_reference, triangular_torus, twin)
 
 
@@ -155,6 +155,19 @@ def test_simply_connected_heuristic():
     assert simply_connected_heuristic(FlagComplex.from_edges([(0, 1), (1, 2), (0, 2)])) == "verified"
     assert simply_connected_heuristic(flat_rectangle(5, 5)) == "verified"
     assert simply_connected_heuristic(triangular_torus(4)) == "unknown"
+
+
+def test_heuristic_reads_connectivity_off_its_sweep():
+    """On a connected and a disconnected input the heuristic runs no walk
+    of its own: it reads connectivity off the sweep from the least vertex,
+    the one sweep it leaves cached."""
+    cases = ((flat_rectangle(5, 5), "verified"),
+             (FlagComplex.from_edges([(4, 5), (5, 6), (4, 6), (7, 8)]), "unknown"))
+    for X, verdict in cases:
+        with counting_calls({"is_connected": FlagComplex.is_connected}) as calls:
+            assert simply_connected_heuristic(X) == verdict
+        assert not calls, calls
+        assert list(X._dist_cache) == [frozenset({min(X.vertices)})]
 
 
 def test_gen_flat_region_single_triangle():
@@ -336,16 +349,11 @@ def test_file_format_rejects_a_coord_off_the_half_lattice():
         dumps_complex(X)
 
 
-def maps_in_order(X):
-    """X's adjacency as lists: keys and each neighbourhood in iteration order."""
-    return [(v, list(ns)) for v, ns in X.adjacency.items()]
-
-
 def test_file_format_tolerance():
     """Comments, blank or whitespace-only lines, tabs, `\\r\\n` line ends,
     signed integers and duplicate edges either way round all parse, and
-    the adjacency, iteration order included, is that of `from_edges` on
-    the sorted edges and declared vertices."""
+    the adjacency is that of `from_edges` on the edges and declared
+    vertices."""
     text = "# a comment\n  v 7\n e 0   1 \ne 1 2\ne 0 1\n"
     X = loads_complex(text)
     assert set(X.vertices) == {0, 1, 2, 7}
@@ -356,13 +364,11 @@ def test_file_format_tolerance():
             (text, [(0, 1), (1, 2)], [7]),
             ("v\t9\r\ne 0 1\t# an edge\r\n \t \r\ne\t1\t0\ne +3 -2  # signed\n\n"
              "e 2 +1\r\ne 1 2\n\t\n", [(-2, 3), (0, 1), (1, 2)], [9])):
-        assert maps_in_order(loads_complex(text)) == maps_in_order(
-            FlagComplex.from_edges(sorted(edges), vertices=sorted(vertices)))
+        assert loads_complex(text).adjacency == FlagComplex.from_edges(
+            edges, vertices=vertices).adjacency
     for X in (gen_disc_with_degrees(1, rings=3), flat_rectangle(4, 3)):
         Y = loads_complex(dumps_complex(X))
-        assert maps_in_order(Y) == maps_in_order(
-            FlagComplex.from_edges(sorted(X.edges()), vertices=X.vertices))
-        assert Y.coords == X.coords
+        assert Y.adjacency == X.adjacency and Y.coords == X.coords
 
 
 def test_file_format_coords_cover_exactly_the_vertices():

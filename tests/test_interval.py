@@ -13,20 +13,10 @@ from systolic.generators import flat_parallelogram, flat_rectangle, gen_disc_wit
 from systolic.layers import layers
 from systolic.metric import directed_geodesic, dist, dist_map
 
-from oracles import bfs_oracle, cycle, disjoint_union, outcome, perturbed, triangular_torus
+from oracles import (bfs_oracle, cycle, disjoint_union, interval_oracle, outcome, perturbed,
+                     triangular_torus)
 
 COMPONENTS = "vertex sets lie in different components"
-
-
-def interval_oracle(adjacency, V, W):
-    """(n, d(V, .) on {x : d(x, V) + d(x, W) = n}) from two plain BFS runs,
-    n = d(V, W); None when V and W lie in different components."""
-    dv, dw = bfs_oracle(adjacency, V), bfs_oracle(adjacency, W)
-    sums = [dv[x] + dw[x] for x in dv if x in dw]
-    if not sums:
-        return None
-    n = min(sums)
-    return n, {x: dv[x] for x in dv if x in dw and dv[x] + dw[x] == n}
 
 
 def interval_cases(rng):
